@@ -23,6 +23,7 @@ from .aggregation import (
     load_model,
     save_model,
     split_gofs,
+    train,
     train_hp,
     train_vlac,
     train_vlad,

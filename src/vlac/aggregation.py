@@ -9,15 +9,15 @@ features; both encoders literally share the kernel, so
 ``vlad_encode(lfcs.centers, c).values``.
 
 Model files use the ``VLACMODL`` binary layout: magic, version (u16),
-method tag (u8), thirteen u32 parameters, then each array as u32 row/col
-headers followed by little-endian float32 data. Saving a loaded model
-reproduces the file byte for byte.
+method tag (u8), one u32 per :class:`ModelParams` field in field order,
+then each array as u32 row/col headers followed by little-endian float32
+data. Saving a loaded model reproduces the file byte for byte.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,14 +100,6 @@ class GroupOfFrames:
                 )
         object.__setattr__(self, "frames", frames)
 
-    def pooled(self) -> np.ndarray:
-        """All features of all frames stacked into one (total, dim) array."""
-        dim = self.frames[0].dim
-        parts = [f.features for f in self.frames if f.count > 0]
-        if not parts:
-            return np.empty((0, dim), dtype=np.float64)
-        return np.concatenate(parts, axis=0)
-
 
 @dataclass(frozen=True)
 class RawDescriptor:
@@ -133,8 +125,11 @@ class CompactDescriptor:
 class ModelParams:
     """Every training/encoding parameter, persisted with the model.
 
-    Fields unused by a method stay 0; ``h`` is the number of leading
-    projected components hyper-pooling quantizes on.
+    This is the one parameter schema: the CLI derives its flags and config
+    keys from these fields, and the field order is the VLACMODL header
+    layout. Fields unused by a method stay 0; ``h`` is the number of leading
+    projected components hyper-pooling quantizes on. An int field's
+    ``metadata["min"]`` is the least value a run may configure (default 1).
     """
 
     f: int
@@ -147,8 +142,8 @@ class ModelParams:
     alpha2: int = 0
     h: int = 0
     gof_size: int = 5
-    overlap: int = 1
-    seed: int = 0
+    overlap: int = field(default=1, metadata={"min": 0})
+    seed: int = field(default=0, metadata={"min": 0})
     normalize: bool = False
 
 
@@ -241,7 +236,7 @@ def compute_lfcs(gof: GroupOfFrames, n: int, seed: int) -> Codebook:
     The center count is min(n, pooled count): sparse windows keep one
     center per feature rather than failing.
     """
-    pooled = gof.pooled()
+    pooled = stack_features(gof.frames)
     if pooled.shape[0] == 0:
         raise EmptyGof(f"group {gof.gof_index} has no features")
     k = min(int(n), pooled.shape[0])
@@ -277,7 +272,8 @@ def split_gofs(
     return gofs
 
 
-def _pool_frames(frames) -> np.ndarray:
+def stack_features(frames) -> np.ndarray:
+    """All features of all frames stacked into one (total, dim) array."""
     dims = {f.dim for f in frames}
     if len(dims) > 1:
         raise DimensionMismatch(f"frames mix feature dimensions {sorted(dims)}")
@@ -303,6 +299,15 @@ def _maybe_normalize(raw: RawDescriptor, flag: bool) -> RawDescriptor:
     return replace(raw, values=values, normalized=True)
 
 
+def _fit_basis(rows: np.ndarray, d: int, normalize: bool) -> ProjectionBasis:
+    """The d-dim compaction basis over training rows, L2-normalized first
+    when ``normalize`` is set (zero rows stay zero)."""
+    if normalize:
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        rows = rows / np.where(norms > 0, norms, 1.0)
+    return pca_fit(rows, d)
+
+
 def train_vlad(
     training_frames,
     j: int,
@@ -321,15 +326,12 @@ def train_vlad(
     """
     seed = _check_seed(seed)
     frames = list(training_frames)
-    pooled = _pool_frames(frames)
+    pooled = stack_features(frames)
     codebook = kmeans_fit(pooled, j, seed)
     rows = np.stack(
         [vlad_encode(f.features, codebook).values for f in frames]
     )
-    if normalize:
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        rows = rows / np.where(norms > 0, norms, 1.0)
-    basis = pca_fit(rows, d)
+    basis = _fit_basis(rows, d, normalize)
     params = ModelParams(
         f=codebook.dim,
         j=j,
@@ -380,10 +382,7 @@ def train_vlac(
     gofs = list(training_gofs)
     clfc, lfcs = fit_clfcs(gofs, n, m, seed)
     rows = np.stack([vlac_encode(cb, clfc).values for cb in lfcs])
-    if normalize:
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        rows = rows / np.where(norms > 0, norms, 1.0)
-    basis = pca_fit(rows, d)
+    basis = _fit_basis(rows, d, normalize)
     params = ModelParams(
         f=clfc.dim,
         n=n,
@@ -476,7 +475,7 @@ def train_hp(
     if not gofs:
         raise DataError("train_hp requires at least one training group")
     frames = [f for g in gofs for f in g.frames]
-    pooled = _pool_frames(frames)
+    pooled = stack_features(frames)
     first_codebook = kmeans_fit(pooled, alpha1, seed)
     frame_rows = np.stack(
         [vlad_encode(f.features, first_codebook).values for f in frames]
@@ -510,10 +509,7 @@ def train_hp(
             for g in gofs
         ]
     )
-    if normalize:
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        rows = rows / np.where(norms > 0, norms, 1.0)
-    basis = pca_fit(rows, d)
+    basis = _fit_basis(rows, d, normalize)
     params = ModelParams(
         f=first_codebook.dim,
         d=d,
@@ -536,9 +532,35 @@ def train_hp(
     )
 
 
+def train(method: str, videos, params: ModelParams) -> TrainedModel:
+    """Train ``method`` on ``videos``, each a sequence of FrameFeatures.
+
+    VLAD trains on all frames; VLAC and hyper-pooling on each video's groups
+    of frames. ``params.f`` is not read: the data fixes the feature
+    dimension.
+    """
+    shared = dict(gof_size=params.gof_size, overlap=params.overlap,
+                  normalize=params.normalize)
+    if method == METHOD_VLAD:
+        frames = [f for video in videos for f in video]
+        return train_vlad(frames, params.j, params.d, params.seed, **shared)
+    if method not in METHODS:
+        raise DataError(f"unknown training method {method!r}")
+    gofs = [
+        g
+        for video in videos
+        for g in split_gofs(video, params.gof_size, params.overlap)
+    ]
+    if method == METHOD_VLAC:
+        return train_vlac(gofs, params.n, params.m, params.d, params.seed,
+                          **shared)
+    return train_hp(gofs, params.alpha1, params.d0, params.alpha2, params.d,
+                    params.seed, h=params.h, **shared)
+
+
 def _encode_gof_raw(gof: GroupOfFrames, model: TrainedModel) -> RawDescriptor:
     if model.method == METHOD_VLAD:
-        return vlad_encode(gof.pooled(), model.codebook)
+        return vlad_encode(stack_features(gof.frames), model.codebook)
     if model.method == METHOD_VLAC:
         lfcs = compute_lfcs(
             gof, model.params.n, model.params.seed ^ gof.gof_index
@@ -602,10 +624,9 @@ def _read_array(fh, path) -> np.ndarray:
     )
 
 
-_PARAM_FIELDS = (
-    "f", "j", "n", "m", "d", "d0",
-    "alpha1", "alpha2", "h", "gof_size", "overlap", "seed",
-)
+# The VLACMODL header: one u32 per ModelParams field, in field order
+# (normalize as 0/1).
+_PARAMS_HEADER = struct.Struct(f"<{len(fields(ModelParams))}I")
 
 
 def save_model(model: TrainedModel, path, *, overwrite: bool = False) -> None:
@@ -618,9 +639,7 @@ def save_model(model: TrainedModel, path, *, overwrite: bool = False) -> None:
         fh.write(_MODEL_MAGIC)
         fh.write(struct.pack("<H", _MODEL_VERSION))
         fh.write(struct.pack("<B", METHOD_TAGS[model.method]))
-        values = [getattr(p, name) for name in _PARAM_FIELDS]
-        values.append(1 if p.normalize else 0)
-        fh.write(struct.pack("<13I", *values))
+        fh.write(_PARAMS_HEADER.pack(*astuple(p)))
         _write_array(fh, model.codebook.centers)
         _write_array(fh, np.array([[model.codebook.inertia]]))
         if model.method == METHOD_HP:
@@ -655,14 +674,11 @@ def load_model(path) -> TrainedModel:
         if tag not in _TAG_METHODS:
             raise DataError(f"unknown method tag {tag}")
         method = _TAG_METHODS[tag]
-        raw = fh.read(13 * 4)
-        if len(raw) != 13 * 4:
+        raw = fh.read(_PARAMS_HEADER.size)
+        if len(raw) != _PARAMS_HEADER.size:
             raise TruncatedFile(f"model file {path} ended early")
-        numbers = struct.unpack("<13I", raw)
-        params = ModelParams(
-            **dict(zip(_PARAM_FIELDS, numbers[:12])),
-            normalize=bool(numbers[12]),
-        )
+        params = ModelParams(*_PARAMS_HEADER.unpack(raw))
+        params = replace(params, normalize=bool(params.normalize))
         centers = _read_array(fh, path)
         inertia = float(_read_array(fh, path)[0, 0])
         codebook = Codebook(

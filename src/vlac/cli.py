@@ -11,31 +11,29 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .aggregation import (
+    METHOD_VLAC,
     METHODS,
     ModelParams,
     encode_video,
     load_model,
     save_model,
-    split_gofs,
-    train_hp,
-    train_vlac,
-    train_vlad,
+    train,
+    train_hp,  # noqa: F401 (bench tests check tracing patches this name too)
 )
 from .errors import DataError, NumericError
 from .evaluation import (
     GroundTruth,
     STABILITY_METHODS,
-    average_precision,
-    mean_average_precision,
+    map_from_retrievals,
     plot_pr_svg,
     pr_curve,
     sign_aligned_alignment_score,
@@ -61,71 +59,61 @@ RESULTS_CSV_COLUMNS = (
     "query_id", "rank", "video_id", "score", "offset", "method", "D",
 )
 
-# pipeline parameters settable both in the config file and as flags
-_CONFIG_FLAGS = ("f", "j", "n", "m", "d", "d0", "alpha1", "alpha2", "h",
-                 "gof_size", "overlap", "seed", "normalize")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Pipeline parameters; defaults mirror the reference parameterization."""
-
-    method: str = "vlac"
-    f: int = 128
-    j: int = 128
-    n: int = 256
-    m: int = 16
-    d: int = 256
-    d0: int = 512
-    alpha1: int = 128
-    alpha2: int = 32
-    h: int = 64
-    gof_size: int = 5
-    overlap: int = 1
-    seed: int = 0
-    normalize: bool = False
-    data_root: str = "."
-    output_dir: str = "."
+# The reference parameterization. f is not settable: it always comes from
+# the manifest's feature_dim.
+DEFAULT_PARAMS = ModelParams(
+    f=0, j=128, n=256, m=16, d=256, d0=512, alpha1=128, alpha2=32, h=64,
+    gof_size=5, overlap=1, seed=0, normalize=False,
+)
+# ModelParams fields that are both config keys and flags
+_SETTABLE = tuple(field for field in fields(ModelParams) if field.name != "f")
 
 
 def _log(event: str, **extra) -> None:
     print(json.dumps({"event": event, **extra}, sort_keys=True), flush=True)
 
 
-def load_config(args) -> RunConfig:
-    """Defaults, overridden by --config JSON, overridden by explicit flags."""
-    cfg = RunConfig()
-    if getattr(args, "config", None):
+def load_config(args, feature_dim: int) -> ModelParams:
+    """The run's parameters: defaults, overridden by the --config JSON,
+    overridden by explicit flags. ``f`` is always ``feature_dim``."""
+    params = replace(DEFAULT_PARAMS, f=feature_dim)
+    if args.config:
         doc = json.loads(Path(args.config).read_text())
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(doc) - known
+        if not isinstance(doc, dict):
+            raise DataError("config file must hold a JSON object")
+        unknown = set(doc) - {field.name for field in _SETTABLE}
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
-        cfg = replace(cfg, **doc)
-    overrides = {}
-    for name in _CONFIG_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    cfg = replace(cfg, **overrides)
-    for name in ("f", "j", "n", "m", "d", "d0", "alpha1", "alpha2", "h",
-                 "gof_size"):
-        if getattr(cfg, name) < 1:
-            raise DataError(f"config {name} must be >= 1")
-    if not 0 <= cfg.overlap < cfg.gof_size:
+        params = replace(params, **doc)
+    flags = {
+        field.name: getattr(args, field.name)
+        for field in _SETTABLE
+        if getattr(args, field.name) is not None
+    }
+    params = replace(params, **flags)
+    for field in fields(ModelParams):
+        value = getattr(params, field.name)
+        kind = type(getattr(DEFAULT_PARAMS, field.name))
+        if type(value) is not kind:
+            raise DataError(f"config {field.name} must be {kind.__name__}")
+        minimum = field.metadata.get("min", 1)
+        # the model header stores every parameter as a u32
+        if kind is int and not minimum <= value < 2**32:
+            raise DataError(
+                f"config {field.name} must be in [{minimum}, {2**32 - 1}]"
+            )
+    if params.overlap >= params.gof_size:
         raise DataError("config must satisfy 0 <= overlap < gof_size")
-    if cfg.method not in METHODS:
-        raise DataError(f"unknown method {cfg.method!r}")
-    return cfg
+    return params
 
 
-def _model_params(cfg: RunConfig) -> ModelParams:
-    return ModelParams(
-        f=cfg.f, j=cfg.j, n=cfg.n, m=cfg.m, d=cfg.d, d0=cfg.d0,
-        alpha1=cfg.alpha1, alpha2=cfg.alpha2, h=cfg.h,
-        gof_size=cfg.gof_size, overlap=cfg.overlap, seed=cfg.seed,
-        normalize=cfg.normalize,
-    )
+def _training_inputs(args):
+    """The run's parameters and the frames of every manifest video."""
+    manifest_path = Path(args.manifest)
+    manifest = load_manifest(manifest_path)
+    params = load_config(args, manifest.feature_dim)
+    videos = [v for _, v in _load_videos(manifest, manifest_path.parent)]
+    return params, videos
 
 
 def _load_videos(manifest: DatasetManifest, base: Path):
@@ -202,41 +190,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args)
-    manifest_path = Path(args.manifest)
-    manifest = load_manifest(manifest_path)
-    videos = _load_videos(manifest, manifest_path.parent)
-    method = args.method or cfg.method
-    if method == "vlad":
-        frames = [f for _, video in videos for f in video]
-        model = train_vlad(
-            frames, cfg.j, cfg.d, cfg.seed,
-            gof_size=cfg.gof_size, overlap=cfg.overlap, normalize=cfg.normalize,
-        )
-    else:
-        gofs = [
-            g
-            for _, video in videos
-            for g in split_gofs(video, cfg.gof_size, cfg.overlap)
-        ]
-        if method == "vlac":
-            model = train_vlac(
-                gofs, cfg.n, cfg.m, cfg.d, cfg.seed,
-                gof_size=cfg.gof_size, overlap=cfg.overlap,
-                normalize=cfg.normalize,
-            )
-        elif method == "hp":
-            model = train_hp(
-                gofs, cfg.alpha1, cfg.d0, cfg.alpha2, cfg.d, cfg.seed,
-                h=cfg.h, gof_size=cfg.gof_size, overlap=cfg.overlap,
-                normalize=cfg.normalize,
-            )
-        else:
-            raise DataError(f"unknown training method {method!r}")
+    params, videos = _training_inputs(args)
+    model = train(args.method, videos, params)
     save_model(model, args.out, overwrite=True)
     _log(
         "trained",
-        method=method,
+        method=args.method,
         out=str(args.out),
         inertia=model.codebook.inertia,
         eigenvalues=[float(x) for x in model.basis.eigenvalues],
@@ -281,14 +240,7 @@ def cmd_encode(args) -> int:
             for i in range(len(items))
         ]
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            sequences = list(
-                pool.map(lambda iv: _encode_one(iv[0], model, iv[1]),
-                         zip(items, specs))
-            )
-    else:
-        sequences = [_encode_one(iv, model, s) for iv, s in zip(items, specs)]
+    sequences = [_encode_one(iv, model, s) for iv, s in zip(items, specs)]
     write_store(sequences, args.out, overwrite=True)
     _log(
         "encoded",
@@ -308,19 +260,15 @@ def cmd_search(args) -> int:
     else:
         mode = dict(top_k=args.top_k)
 
-    def _one(seq):
-        return retrieve(
+    results = [
+        retrieve(
             seq, store,
             normalize_by_length=args.normalize_by_length,
             strict_paper_range=args.strict_alignment,
             **mode,
         )
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_one, queries))
-    else:
-        results = [_one(seq) for seq in queries]
+        for seq in queries
+    ]
 
     d = store[0].d if store else 0
     method = store[0].method if store else ""
@@ -347,8 +295,14 @@ def _read_results_csv(path):
         if missing:
             raise DataError(f"results CSV is missing columns {sorted(missing)}")
         for row in reader:
+            score = float(row["score"])
+            if not math.isfinite(score):
+                raise DataError(
+                    f"query {row['query_id']!r} has non-finite score "
+                    f"{row['score']!r}"
+                )
             by_query.setdefault(row["query_id"], []).append(
-                (row["video_id"], float(row["score"]))
+                (row["video_id"], score)
             )
             method, d = row["method"], int(row["D"])
     return by_query, method, d
@@ -359,13 +313,7 @@ def cmd_evaluate(args) -> int:
     truth = GroundTruth.from_queries(
         load_query_manifest(Path(args.queries), check_files=False)
     )
-    aps = []
-    for query_id, scored in by_query.items():
-        relevant = truth.relevant.get(query_id)
-        if relevant is None:
-            raise DataError(f"query {query_id!r} is missing from ground truth")
-        aps.append(average_precision([vid in relevant for vid, _ in scored]))
-    map_value = mean_average_precision(aps)
+    map_value = map_from_retrievals(by_query, truth)
     curve = pr_curve(by_query, truth)
 
     prefix = Path(args.out_prefix)
@@ -377,27 +325,23 @@ def cmd_evaluate(args) -> int:
     if args.svg:
         plot_pr_svg(Path(f"{prefix}_pr.svg"), {f"{method} D={d}": curve})
     _log("evaluated", map=map_value, pr_csv=str(pr_path),
-         map_csv=str(map_path), queries=len(aps))
+         map_csv=str(map_path), queries=len(by_query))
     return 0
 
 
 def cmd_stability(args) -> int:
-    cfg = load_config(args)
-    manifest_path = Path(args.manifest)
-    manifest = load_manifest(manifest_path)
-    videos = [v for _, v in _load_videos(manifest, manifest_path.parent)]
+    params, videos = _training_inputs(args)
     spec = PerturbationSpec(
         kind=args.kind, magnitude=args.magnitude, seed=args.perturb_seed
     )
     methods = list(STABILITY_METHODS) if args.method == "all" else [args.method]
-    params = _model_params(cfg)
     rows = []
     for method in methods:
         clean, noisy = stability_bases(videos, spec, method, params)
         raw = basis_alignment_score(clean, noisy)
         aligned = sign_aligned_alignment_score(clean, noisy)
-        rows.append((method, cfg.d, raw, aligned))
-        _log("stability", method=method, d=cfg.d, score_raw=raw,
+        rows.append((method, params.d, raw, aligned))
+        _log("stability", method=method, d=params.d, score_raw=raw,
              score_sign_aligned=aligned)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -418,13 +362,21 @@ def _positive(value: str) -> int:
     return number
 
 
+def _non_negative(value: str) -> int:
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return number
+
+
 def _add_config_flags(sub) -> None:
     sub.add_argument("--config", help="JSON config file")
-    for name in ("f", "j", "n", "m", "d", "d0", "alpha1", "alpha2", "h",
-                 "gof-size", "overlap", "seed"):
-        sub.add_argument(f"--{name}", dest=name.replace("-", "_"), type=int)
-    sub.add_argument("--normalize", action="store_const", const=True,
-                     dest="normalize")
+    for field in _SETTABLE:
+        flag = "--" + field.name.replace("_", "-")
+        if type(getattr(DEFAULT_PARAMS, field.name)) is bool:
+            sub.add_argument(flag, action="store_const", const=True)
+        else:
+            sub.add_argument(flag, type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="train an encoder model")
     train.add_argument("--manifest", required=True)
-    train.add_argument("--method", choices=METHODS)
+    train.add_argument("--method", choices=METHODS, default=METHOD_VLAC)
     train.add_argument("--out", required=True)
     _add_config_flags(train)
     train.set_defaults(func=cmd_train)
@@ -471,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
                                               "component_dropout", "gain"))
     encode.add_argument("--magnitude", type=float, default=0.0)
     encode.add_argument("--perturb-seed", type=int, default=0)
-    encode.add_argument("--jobs", type=_positive, default=1)
     encode.set_defaults(func=cmd_encode)
 
     search = sub.add_parser("search", help="rank store entries per query")
@@ -481,12 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--out", required=True)
     mode = search.add_mutually_exclusive_group()
     mode.add_argument("--threshold", type=float)
-    mode.add_argument("--top-k", type=int, default=None,
+    mode.add_argument("--top-k", type=_non_negative, default=None,
                       help="0 ranks the whole store (default)")
     search.add_argument("--normalize-by-length", action="store_true")
     search.add_argument("--strict-alignment", action="store_true",
                         help="use the {1..G2-G1} shift range")
-    search.add_argument("--jobs", type=_positive, default=1)
     search.set_defaults(func=cmd_search)
 
     evaluate = sub.add_parser("evaluate", help="PR curve and mAP from results")

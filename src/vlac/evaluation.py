@@ -23,10 +23,8 @@ from .aggregation import (
     METHOD_VLAC,
     METHOD_VLAD,
     ModelParams,
-    split_gofs,
-    train_hp,
-    train_vlac,
-    train_vlad,
+    stack_features,
+    train,
 )
 from .core_math import ProjectionBasis, basis_alignment_score, pca_fit
 from .errors import DataError, EmptyResults, NoRelevant
@@ -112,8 +110,6 @@ def pr_curve(results, truth: GroundTruth) -> PRCurve:
         # "score >= threshold" retrieval set for this threshold
         if i + 1 < len(pairs) and scores[i + 1] == scores[i]:
             continue
-        if retrieved[i] == 0:
-            continue
         precision = tp[i] / retrieved[i]
         recall = tp[i] / total_relevant if total_relevant else 0.0
         points.append(
@@ -160,19 +156,26 @@ def mean_average_precision(aps) -> float:
 
 
 def relevance_flags(result, relevant) -> list[bool]:
-    """Relevance flags of a retrieval ranking against a relevant-id set."""
-    return [m.video_id in relevant for m in result.matches]
+    """Relevance flags of a ranking against a relevant-id set.
+
+    ``result`` is a retrieval result or a ranked list of (video_id, score)
+    pairs.
+    """
+    return [video_id in relevant for video_id, _ in _scored_pairs(result)]
 
 
 def map_from_retrievals(results, truth: GroundTruth) -> float:
-    """mAP over per-query retrieval rankings."""
+    """mAP over per-query rankings.
+
+    A ranking that holds no relevant item (a top-k or threshold cut that
+    missed it) scores AP 0.
+    """
     aps = []
     for query_id, result in results.items():
         if query_id not in truth.relevant:
             raise DataError(f"query {query_id!r} is missing from ground truth")
-        aps.append(
-            average_precision(relevance_flags(result, truth.relevant[query_id]))
-        )
+        flags = relevance_flags(result, truth.relevant[query_id])
+        aps.append(average_precision(flags) if any(flags) else 0.0)
     return mean_average_precision(aps)
 
 
@@ -191,54 +194,9 @@ def sign_aligned_alignment_score(a: ProjectionBasis, b: ProjectionBasis) -> floa
 
 def _train_basis(videos, method: str, params: ModelParams) -> ProjectionBasis:
     if method == METHOD_SIFT_DIRECT:
-        pooled = np.concatenate(
-            [f.features for frames in videos for f in frames if f.count > 0]
-        )
-        return pca_fit(pooled, params.d)
-    if method == METHOD_VLAD:
-        frames = [f for frames in videos for f in frames]
-        model = train_vlad(
-            frames,
-            params.j,
-            params.d,
-            params.seed,
-            gof_size=params.gof_size,
-            overlap=params.overlap,
-            normalize=params.normalize,
-        )
-        return model.basis
-    gofs = [
-        g
-        for frames in videos
-        for g in split_gofs(frames, params.gof_size, params.overlap)
-    ]
-    if method == METHOD_VLAC:
-        model = train_vlac(
-            gofs,
-            params.n,
-            params.m,
-            params.d,
-            params.seed,
-            gof_size=params.gof_size,
-            overlap=params.overlap,
-            normalize=params.normalize,
-        )
-        return model.basis
-    if method == METHOD_HP:
-        model = train_hp(
-            gofs,
-            params.alpha1,
-            params.d0,
-            params.alpha2,
-            params.d,
-            params.seed,
-            h=params.h,
-            gof_size=params.gof_size,
-            overlap=params.overlap,
-            normalize=params.normalize,
-        )
-        return model.basis
-    raise DataError(f"unknown stability method {method!r}")
+        frames = [f for video in videos for f in video]
+        return pca_fit(stack_features(frames), params.d)
+    return train(method, videos, params).basis
 
 
 def stability_bases(

@@ -157,6 +157,8 @@ def retrieve(
     """
     if (threshold is None) == (top_k is None):
         raise ValueError("pass exactly one of threshold= or top_k=")
+    if top_k is not None and top_k < 0:
+        raise ValueError(f"top_k must be >= 0, got {top_k}")
     entries = list(store)
     if not entries:
         raise EmptyStore("cannot retrieve from an empty store")

@@ -18,12 +18,14 @@ from vlac import (
     pca_project,
     save_model,
     split_gofs,
+    train,
     train_hp,
     train_vlac,
     train_vlad,
     vlac_encode,
     vlad_encode,
 )
+from vlac.aggregation import stack_features
 from vlac.core_math import ProjectionBasis
 from vlac.errors import (
     DataError,
@@ -182,6 +184,47 @@ class TestTrainVlad:
         frames = [FrameFeatures(i, feats) for i in range(4)]
         model = train_vlad(frames, j=2, d=2, seed=1)
         np.testing.assert_allclose(model.basis.eigenvalues, 0.0, atol=1e-9)
+
+
+class TestTrain:
+    @pytest.mark.parametrize("method", ["vlad", "vlac", "hp"])
+    def test_dispatches_to_the_method_trainer(self, method, tmp_path):
+        rng = np.random.default_rng(23)
+        videos = [make_frames(rng, 7, 3, features_per_frame=6,
+                              start_index=10 * v) for v in range(2)]
+        params = ModelParams(f=3, j=3, n=4, m=3, d=2, d0=5, alpha1=3,
+                             alpha2=2, h=2, gof_size=3, overlap=1, seed=4,
+                             normalize=True)
+        window = dict(gof_size=3, overlap=1, normalize=True)
+        gofs = [g for v in videos for g in split_gofs(v, 3, 1)]
+        expected = {
+            "vlad": lambda: train_vlad([f for v in videos for f in v],
+                                       j=3, d=2, seed=4, **window),
+            "vlac": lambda: train_vlac(gofs, n=4, m=3, d=2, seed=4, **window),
+            "hp": lambda: train_hp(gofs, alpha1=3, d0=5, alpha2=2, d=2,
+                                   seed=4, h=2, **window),
+        }[method]()
+        save_model(train(method, videos, params), tmp_path / "a.bin")
+        save_model(expected, tmp_path / "b.bin")
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_unknown_method(self):
+        rng = np.random.default_rng(24)
+        with pytest.raises(DataError):
+            train("sift", [make_frames(rng, 4, 2)], ModelParams(f=2, d=1))
+
+
+class TestStackFeatures:
+    def test_mixed_dimensions_rejected(self):
+        frames = [FrameFeatures(0, np.ones((2, 3))),
+                  FrameFeatures(1, np.ones((2, 4)))]
+        with pytest.raises(DimensionMismatch):
+            stack_features(frames)
+
+    def test_empty_frames_keep_their_dimension(self):
+        frames = [FrameFeatures(0, np.empty((0, 3))),
+                  FrameFeatures(1, np.empty((0, 3)))]
+        assert stack_features(frames).shape == (0, 3)
 
 
 class TestTrainVlac:

@@ -1,10 +1,23 @@
 import csv
 import hashlib
 import json
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vlac.cli import main
+from vlac import (
+    Codebook,
+    ModelParams,
+    ProjectionBasis,
+    TrainedModel,
+    load_model,
+    save_model,
+)
+from vlac.cli import RESULTS_CSV_COLUMNS, build_parser, load_config, main
 
 
 def digest(path):
@@ -102,12 +115,39 @@ class TestTrain:
 
         assert load_model(tmp_path / "m.bin").params.d == 4
 
-    def test_unknown_config_key_exit_2(self, dataset, tmp_path):
+    # f comes from the manifest, the method from --method; data_root and
+    # output_dir were never read
+    @pytest.mark.parametrize("key, value", [
+        ("bogus", 1), ("f", 8), ("data_root", "."), ("output_dir", "."),
+        ("method", "vlad"),
+    ], ids=["bogus", "f", "data_root", "output_dir", "method"])
+    def test_unknown_config_key_exit_2(self, dataset, tmp_path, key, value):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
+        cfg.write_text(json.dumps({key: value}))
+        assert run("train", "--manifest", dataset / "train" / "manifest.json",
+                   "--method", "vlac", "--out", tmp_path / "m.bin",
+                   "--config", cfg, *PARAMS) == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"j": 0}, {"j": "8"}, {"normalize": 1}, {"seed": -1}, {"j": 2**32},
+        {"overlap": 5, "gof_size": 5}, ["j"],
+    ])
+    def test_invalid_config_value_exit_2(self, dataset, tmp_path, doc):
+        valid = {"j": 8, "n": 8, "m": 4, "d": 4, "d0": 8, "alpha1": 8,
+                 "alpha2": 4, "h": 2, "gof_size": 5, "overlap": 1, "seed": 5}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {**valid, **doc} if isinstance(doc, dict) else doc))
         assert run("train", "--manifest", dataset / "train" / "manifest.json",
                    "--method", "vlac", "--out", tmp_path / "m.bin",
                    "--config", cfg) == 2
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_removed_flags_rejected(self, dataset, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--manifest", dataset / "train" / "manifest.json",
+                "--out", tmp_path / "m.bin", "--f", "999")
+        assert exc.value.code == 2
 
 
 class TestEncode:
@@ -155,13 +195,13 @@ class TestEncode:
             lengths[method] = [s.length for s in load_store(out)]
         assert lengths["vlad"] == lengths["vlac"]
 
-    def test_rerun_and_jobs_bit_identical(self, dataset, trained, tmp_path):
+    def test_rerun_bit_identical(self, dataset, trained, tmp_path):
         digests = set()
-        for name, jobs in (("a", "1"), ("b", "1"), ("c", "4")):
+        for name in ("a", "b"):
             out = tmp_path / f"{name}.store"
             assert run("encode", "--model", trained / "vlac.bin",
                        "--manifest", dataset / "test" / "manifest.json",
-                       "--out", out, "--jobs", jobs) == 0
+                       "--out", out) == 0
             digests.add(digest(out))
         assert len(digests) == 1
 
@@ -208,15 +248,21 @@ class TestSearchEvaluate:
         lines = results.read_text().strip().splitlines()
         assert len(lines) == 1  # header only
 
-    def test_jobs_identical_results(self, tmp_path, stores):
+    def test_rerun_identical_results(self, tmp_path, stores):
         digests = set()
-        for name, jobs in (("one", "1"), ("eight", "8")):
+        for name in ("a", "b"):
             out = tmp_path / f"{name}.csv"
             assert run("search", "--store", stores / "db.store",
-                       "--queries", stores / "q.store",
-                       "--out", out, "--jobs", jobs) == 0
+                       "--queries", stores / "q.store", "--out", out) == 0
             digests.add(digest(out))
         assert len(digests) == 1
+
+    def test_negative_top_k_usage_error(self, tmp_path, stores):
+        with pytest.raises(SystemExit) as exc:
+            run("search", "--store", stores / "db.store",
+                "--queries", stores / "q.store", "--top-k", "-1",
+                "--out", tmp_path / "r.csv")
+        assert exc.value.code == 2
 
     def test_perfect_separation_map_one(self, dataset, tmp_path, stores):
         # database searched against itself is perfectly separated: every
@@ -265,6 +311,44 @@ class TestSearchEvaluate:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["mAP"]) >= 0.6
 
+    def write_results(self, path, rows):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(RESULTS_CSV_COLUMNS)
+            for query_id, video_id, score in rows:
+                writer.writerow([query_id, 1, video_id, score, 0, "vlac", 4])
+
+    def test_missed_query_scores_ap_zero(self, dataset, tmp_path):
+        # a top-1 ranking: the first query hits its source video, the
+        # second ranks the wrong video first
+        queries = json.loads(
+            (dataset / "queries" / "manifest.json").read_text())["queries"]
+        hit, miss = queries[:2]
+        results = tmp_path / "top1.csv"
+        self.write_results(results, [
+            (hit["query_id"], hit["source_video_id"], "2.0"),
+            (miss["query_id"], hit["source_video_id"], "1.0"),
+        ])
+        assert run("evaluate", "--results", results,
+                   "--queries", dataset / "queries" / "manifest.json",
+                   "--out-prefix", tmp_path / "eval") == 0
+        with open(tmp_path / "eval_map.csv", newline="") as fh:
+            assert float(next(csv.DictReader(fh))["mAP"]) == 0.5
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_score_exit_2(self, dataset, tmp_path, capsys, bad):
+        query = json.loads(
+            (dataset / "queries" / "manifest.json").read_text())["queries"][0]
+        results = tmp_path / "bad.csv"
+        self.write_results(results, [
+            (query["query_id"], query["source_video_id"], bad),
+        ])
+        assert run("evaluate", "--results", results,
+                   "--queries", dataset / "queries" / "manifest.json",
+                   "--out-prefix", tmp_path / "eval") == 2
+        assert query["query_id"] in capsys.readouterr().out
+        assert not (tmp_path / "eval_pr.csv").exists()
+
     def test_evaluate_svg(self, dataset, tmp_path, stores):
         results = tmp_path / "results.csv"
         assert run("search", "--store", stores / "db.store",
@@ -282,8 +366,7 @@ class TestStabilityCommand:
         assert run("stability", "--manifest",
                    dataset / "train" / "manifest.json",
                    "--method", "all", "--kind", "additive_gaussian",
-                   "--magnitude", "0", "--out", out, *PARAMS,
-                   "--f", "8") == 0
+                   "--magnitude", "0", "--out", out, *PARAMS) == 0
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["method"] for r in rows] == ["vlad", "hp", "vlac", "sift"]
@@ -302,3 +385,59 @@ class TestErrors:
         bad.write_bytes(b"garbage!")
         assert run("search", "--store", bad, "--queries", bad,
                    "--out", tmp_path / "r.csv") == 2
+
+
+U32_MAX = 2**32 - 1
+
+
+@st.composite
+def valid_params(draw):
+    count = st.integers(1, U32_MAX)
+    gof_size = draw(count)
+    return ModelParams(
+        f=draw(count), j=draw(count), n=draw(count), m=draw(count),
+        d=draw(count), d0=draw(count), alpha1=draw(count),
+        alpha2=draw(count), h=draw(count), gof_size=gof_size,
+        overlap=draw(st.integers(0, gof_size - 1)),
+        seed=draw(st.integers(0, U32_MAX)), normalize=draw(st.booleans()),
+    )
+
+
+def as_flags(params):
+    argv = []
+    for field in fields(ModelParams):
+        value = getattr(params, field.name)
+        flag = "--" + field.name.replace("_", "-")
+        if field.name == "f" or value is False:
+            continue
+        argv += [flag] if value is True else [flag, str(value)]
+    return argv
+
+
+class TestParamSchema:
+    @settings(max_examples=60, deadline=None)
+    @given(valid_params())
+    def test_flags_round_trip_through_load_config(self, params):
+        for command in ("train", "stability"):
+            extra = ["--magnitude", "0"] if command == "stability" else []
+            args = build_parser().parse_args(
+                [command, "--manifest", "m.json", "--out", "o", *extra,
+                 *as_flags(params)])
+            assert load_config(args, params.f) == params
+
+    @settings(max_examples=30, deadline=None)
+    @given(valid_params())
+    def test_model_header_keeps_every_field(self, params):
+        model = TrainedModel(
+            method="vlad", params=params,
+            codebook=Codebook(centers=np.ones((1, 2)), k=1, seed=0,
+                              inertia=0.0),
+            basis=ProjectionBasis(rows=np.ones((1, 2)), mean=np.zeros(2),
+                                  eigenvalues=np.ones(1)),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.bin"
+            save_model(model, path)
+            loaded = load_model(path).params
+        assert loaded == params
+        assert type(loaded.normalize) is bool

@@ -144,6 +144,15 @@ class TestMapFromRetrievals:
             matches=(RankedMatch("a", 2.0, 0), RankedMatch("b", 1.0, 0))
         )
         assert relevance_flags(result, {"b"}) == [False, True]
+        assert relevance_flags([("a", 2.0), ("b", 1.0)], {"b"}) == [False, True]
+
+    def test_missed_query_scores_zero(self):
+        # top-1 rankings: q1 hits at rank 1, q2's relevant video was cut off
+        results = {"q1": [("t1", 2.0)], "q2": [("t1", 1.0)]}
+        truth = GroundTruth(
+            relevant={"q1": frozenset({"t1"}), "q2": frozenset({"t2"})}
+        )
+        assert map_from_retrievals(results, truth) == 0.5
 
 
 class TestSignAlignedScore:

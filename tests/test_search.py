@@ -206,6 +206,11 @@ class TestRetrieve:
         with pytest.raises(ValueError):
             retrieve(seq("q", [[1.0]]), store, top_k=1, threshold=0.0)
 
+    def test_negative_top_k_rejected(self):
+        store = [seq("a", [[1.0]]), seq("b", [[2.0]])]
+        with pytest.raises(ValueError):
+            retrieve(seq("q", [[1.0]]), store, top_k=-1)
+
 
 class TestStoreIO:
     def test_round_trip_bit_exact(self, tmp_path):
