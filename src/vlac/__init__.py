@@ -7,14 +7,12 @@ quality with precision-recall curves and mAP.
 """
 
 from .aggregation import (
-    CompactDescriptor,
     FrameFeatures,
     GroupOfFrames,
     METHOD_HP,
     METHOD_VLAC,
     METHOD_VLAD,
     ModelParams,
-    RawDescriptor,
     TrainedModel,
     compute_lfcs,
     encode_video,
@@ -73,7 +71,6 @@ from .search import (
     aligned_similarity,
     load_store,
     retrieve,
-    sequence_from_descriptors,
     similarity,
     write_store,
 )

@@ -5,8 +5,12 @@ uses compensated (Kahan) summation in input order, so permuting features
 never moves an output by more than ~1e-9. VLAC is structurally the VLAD
 kernel applied to per-window local feature centers (LFCs) instead of raw
 features; both encoders literally share the kernel, so
-``vlac_encode(lfcs, c).values`` is bit-identical to
-``vlad_encode(lfcs.centers, c).values``.
+``vlac_encode(lfcs, c)`` equals ``vlad_encode(lfcs.centers, c)`` element
+for element. Every encoder returns a plain float64 NumPy vector, and
+:func:`encode_video` a (G, d) matrix.
+
+Each trainer takes the data and one :class:`ModelParams`; the field
+metadata records which method reads which field.
 
 Model files use the ``VLACMODL`` binary layout: magic, version (u16),
 method tag (u8), one u32 per :class:`ModelParams` field in field order,
@@ -39,6 +43,7 @@ from .errors import (
     TruncatedFile,
     UntrainedModel,
 )
+from .fileio import atomic_write
 
 METHOD_VLAD = "vlad"
 METHOD_VLAC = "vlac"
@@ -54,7 +59,6 @@ _HP_SECOND_STAGE_SALT = 0x5F3759DF
 
 _MODEL_MAGIC = b"VLACMODL"
 _MODEL_VERSION = 1
-_SEED_LIMIT = 2**32  # seeds are persisted as u32 in model files
 
 
 @dataclass(frozen=True)
@@ -102,49 +106,61 @@ class GroupOfFrames:
 
 
 @dataclass(frozen=True)
-class RawDescriptor:
-    """A pre-compaction aggregated vector of ``blocks * block_dim`` values."""
-
-    values: np.ndarray
-    method: str
-    blocks: int
-    block_dim: int
-    normalized: bool = False
-
-
-@dataclass(frozen=True)
-class CompactDescriptor:
-    """A d-dimensional descriptor of one group of frames."""
-
-    values: np.ndarray
-    method: str
-    gof_index: int
-
-
-@dataclass(frozen=True)
 class ModelParams:
     """Every training/encoding parameter, persisted with the model.
 
     This is the one parameter schema: the CLI derives its flags and config
     keys from these fields, and the field order is the VLACMODL header
-    layout. Fields unused by a method stay 0; ``h`` is the number of leading
-    projected components hyper-pooling quantizes on. An int field's
-    ``metadata["min"]`` is the least value a run may configure (default 1).
+    layout, so every int field must fit in a u32. ``h`` is the number of
+    leading projected components hyper-pooling quantizes on. An int
+    field's ``metadata["min"]`` is the least value a run may configure
+    (default 1); ``metadata["method"]`` names the one method that reads the
+    field, and a trained model stores the fields of other methods as 0.
     """
 
     f: int
-    j: int = 0
-    n: int = 0
-    m: int = 0
+    j: int = field(default=0, metadata={"method": METHOD_VLAD})
+    n: int = field(default=0, metadata={"method": METHOD_VLAC})
+    m: int = field(default=0, metadata={"method": METHOD_VLAC})
     d: int = 0
-    d0: int = 0
-    alpha1: int = 0
-    alpha2: int = 0
-    h: int = 0
+    d0: int = field(default=0, metadata={"method": METHOD_HP})
+    alpha1: int = field(default=0, metadata={"method": METHOD_HP})
+    alpha2: int = field(default=0, metadata={"method": METHOD_HP})
+    h: int = field(default=0, metadata={"method": METHOD_HP})
     gof_size: int = 5
     overlap: int = field(default=1, metadata={"min": 0})
     seed: int = field(default=0, metadata={"min": 0})
     normalize: bool = False
+
+    def __post_init__(self):
+        for fld in fields(self):
+            value = getattr(self, fld.name)
+            kind = _field_kind(fld)
+            if type(value) is not kind:
+                raise DataError(f"parameter {fld.name} must be {kind.__name__}")
+            if kind is int and not 0 <= value < 2**32:
+                raise DataError(
+                    f"parameter {fld.name} must be in [0, {2**32 - 1}], "
+                    f"got {value}"
+                )
+
+    def for_method(self, method: str) -> "ModelParams":
+        """These parameters as a ``method`` model stores them: the fields
+        other methods read are 0. Raises DataError if a field ``method``
+        reads is below 1."""
+        others = {}
+        for fld in fields(self):
+            reader = fld.metadata.get("method")
+            if reader == method and getattr(self, fld.name) < 1:
+                raise DataError(f"{method} needs {fld.name} >= 1")
+            if reader not in (None, method):
+                others[fld.name] = 0
+        return replace(self, **others)
+
+
+def _field_kind(fld) -> type:
+    # annotations are strings under ``from __future__ import annotations``
+    return bool if fld.type == "bool" else int
 
 
 @dataclass(frozen=True)
@@ -189,7 +205,7 @@ def _aggregate_residuals(
     return acc
 
 
-def vlad_encode(features, codebook: Codebook) -> RawDescriptor:
+def vlad_encode(features, codebook: Codebook) -> np.ndarray:
     """VLAD: per-center sums of (feature - center) residuals, concatenated.
 
     An empty feature set encodes to the zero vector.
@@ -202,16 +218,10 @@ def vlad_encode(features, codebook: Codebook) -> RawDescriptor:
             f"features of dimension {feats.shape[-1] if feats.ndim else 0} "
             f"do not match codebook dimension {codebook.dim}"
         )
-    blocks = _aggregate_residuals(feats, codebook.centers)
-    return RawDescriptor(
-        values=blocks.ravel(),
-        method=METHOD_VLAD,
-        blocks=codebook.k,
-        block_dim=codebook.dim,
-    )
+    return _aggregate_residuals(feats, codebook.centers).ravel()
 
 
-def vlac_encode(lfcs: Codebook, clfc: Codebook) -> RawDescriptor:
+def vlac_encode(lfcs: Codebook, clfc: Codebook) -> np.ndarray:
     """VLAC: the VLAD kernel applied to local feature centers.
 
     Each LFC is quantized against the CLFC codebook and its residual
@@ -221,13 +231,7 @@ def vlac_encode(lfcs: Codebook, clfc: Codebook) -> RawDescriptor:
         raise DimensionMismatch(
             f"LFC dimension {lfcs.dim} does not match CLFC dimension {clfc.dim}"
         )
-    blocks = _aggregate_residuals(lfcs.centers, clfc.centers)
-    return RawDescriptor(
-        values=blocks.ravel(),
-        method=METHOD_VLAC,
-        blocks=clfc.k,
-        block_dim=clfc.dim,
-    )
+    return _aggregate_residuals(lfcs.centers, clfc.centers).ravel()
 
 
 def compute_lfcs(gof: GroupOfFrames, n: int, seed: int) -> Codebook:
@@ -284,19 +288,11 @@ def stack_features(frames) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
-def _check_seed(seed: int) -> int:
-    seed = int(seed)
-    if not 0 <= seed < _SEED_LIMIT:
-        raise ValueError(f"model seeds must fit in u32, got {seed}")
-    return seed
-
-
-def _maybe_normalize(raw: RawDescriptor, flag: bool) -> RawDescriptor:
+def _maybe_normalize(raw: np.ndarray, flag: bool) -> np.ndarray:
     if not flag:
         return raw
-    norm = float(np.linalg.norm(raw.values))
-    values = raw.values / norm if norm > 0 else raw.values
-    return replace(raw, values=values, normalized=True)
+    norm = float(np.linalg.norm(raw))
+    return raw / norm if norm > 0 else raw
 
 
 def _fit_basis(rows: np.ndarray, d: int, normalize: bool) -> ProjectionBasis:
@@ -308,41 +304,24 @@ def _fit_basis(rows: np.ndarray, d: int, normalize: bool) -> ProjectionBasis:
     return pca_fit(rows, d)
 
 
-def train_vlad(
-    training_frames,
-    j: int,
-    d: int,
-    seed: int,
-    *,
-    gof_size: int = 5,
-    overlap: int = 1,
-    normalize: bool = False,
-) -> TrainedModel:
+def train_vlad(training_frames, params: ModelParams) -> TrainedModel:
     """Fit a VLAD model: a J-codebook over all pooled training features and
     a d-dimensional compaction basis over the per-frame VLAD rows.
 
     ``gof_size``/``overlap`` only parameterize later encoding; the basis is
     always fit on per-frame encodings of the training frames.
     """
-    seed = _check_seed(seed)
+    params = params.for_method(METHOD_VLAD)
     frames = list(training_frames)
     pooled = stack_features(frames)
-    codebook = kmeans_fit(pooled, j, seed)
-    rows = np.stack(
-        [vlad_encode(f.features, codebook).values for f in frames]
-    )
-    basis = _fit_basis(rows, d, normalize)
-    params = ModelParams(
-        f=codebook.dim,
-        j=j,
-        d=d,
-        gof_size=gof_size,
-        overlap=overlap,
-        seed=seed,
-        normalize=normalize,
-    )
+    codebook = kmeans_fit(pooled, params.j, params.seed)
+    rows = np.stack([vlad_encode(f.features, codebook) for f in frames])
+    basis = _fit_basis(rows, params.d, params.normalize)
     return TrainedModel(
-        method=METHOD_VLAD, params=params, codebook=codebook, basis=basis
+        method=METHOD_VLAD,
+        params=replace(params, f=codebook.dim),
+        codebook=codebook,
+        basis=basis,
     )
 
 
@@ -364,37 +343,19 @@ def fit_clfcs(
     return clfc, lfcs
 
 
-def train_vlac(
-    training_gofs,
-    n: int,
-    m: int,
-    d: int,
-    seed: int,
-    *,
-    gof_size: int = 5,
-    overlap: int = 1,
-    normalize: bool = False,
-) -> TrainedModel:
+def train_vlac(training_gofs, params: ModelParams) -> TrainedModel:
     """Fit a VLAC model: LFCs per training window, an M-codebook of CLFCs
     over all of them, and a d-dimensional basis over per-window VLAC rows.
     """
-    seed = _check_seed(seed)
-    gofs = list(training_gofs)
-    clfc, lfcs = fit_clfcs(gofs, n, m, seed)
-    rows = np.stack([vlac_encode(cb, clfc).values for cb in lfcs])
-    basis = _fit_basis(rows, d, normalize)
-    params = ModelParams(
-        f=clfc.dim,
-        n=n,
-        m=m,
-        d=d,
-        gof_size=gof_size,
-        overlap=overlap,
-        seed=seed,
-        normalize=normalize,
-    )
+    params = params.for_method(METHOD_VLAC)
+    clfc, lfcs = fit_clfcs(training_gofs, params.n, params.m, params.seed)
+    rows = np.stack([vlac_encode(cb, clfc) for cb in lfcs])
+    basis = _fit_basis(rows, params.d, params.normalize)
     return TrainedModel(
-        method=METHOD_VLAC, params=params, codebook=clfc, basis=basis
+        method=METHOD_VLAC,
+        params=replace(params, f=clfc.dim),
+        codebook=clfc,
+        basis=basis,
     )
 
 
@@ -404,9 +365,7 @@ def _hp_frame_vectors(
     first_basis: ProjectionBasis,
 ) -> np.ndarray:
     """Per-frame VLADs projected onto the first-stage basis, (W, d0)."""
-    rows = np.stack(
-        [vlad_encode(f.features, first_codebook).values for f in frames]
-    )
+    rows = np.stack([vlad_encode(f.features, first_codebook) for f in frames])
     return pca_project(first_basis, rows)
 
 
@@ -416,20 +375,14 @@ def _hp_raw(
     first_basis: ProjectionBasis,
     second_codebook: Codebook,
     h: int,
-) -> RawDescriptor:
+) -> np.ndarray:
     vectors = _hp_frame_vectors(gof.frames, first_codebook, first_basis)
-    blocks = _aggregate_residuals(
+    return _aggregate_residuals(
         vectors, second_codebook.centers, assign_dims=h
-    )
-    return RawDescriptor(
-        values=blocks.ravel(),
-        method=METHOD_HP,
-        blocks=second_codebook.k,
-        block_dim=second_codebook.dim,
-    )
+    ).ravel()
 
 
-def hp_encode(gof: GroupOfFrames, model: TrainedModel) -> RawDescriptor:
+def hp_encode(gof: GroupOfFrames, model: TrainedModel) -> np.ndarray:
     """Hyper-pooling: VLAD each frame, project to d0 dims, quantize on the
     top ``h`` components against the second-stage codebook, and aggregate
     full-d0 residuals into an (alpha2 * d0) vector.
@@ -449,19 +402,7 @@ def hp_encode(gof: GroupOfFrames, model: TrainedModel) -> RawDescriptor:
     )
 
 
-def train_hp(
-    training_gofs,
-    alpha1: int,
-    d0: int,
-    alpha2: int,
-    d: int,
-    seed: int,
-    *,
-    h: int = 64,
-    gof_size: int = 5,
-    overlap: int = 1,
-    normalize: bool = False,
-) -> TrainedModel:
+def train_hp(training_gofs, params: ModelParams) -> TrainedModel:
     """Fit a hyper-pooling model.
 
     Stages: an alpha1-codebook over pooled training features; a d0-dim
@@ -469,24 +410,26 @@ def train_hp(
     ``h`` projected components (centers extended to all d0 dimensions as
     the mean of their assigned frame vectors, so residuals are defined
     everywhere); and a final d-dim basis over the per-window raw vectors.
+    ``h`` is clamped to ``d0``.
     """
-    seed = _check_seed(seed)
+    params = params.for_method(METHOD_HP)
+    params = replace(params, h=min(params.h, params.d0))
+    d0, alpha2, h = params.d0, params.alpha2, params.h
     gofs = list(training_gofs)
     if not gofs:
         raise DataError("train_hp requires at least one training group")
     frames = [f for g in gofs for f in g.frames]
     pooled = stack_features(frames)
-    first_codebook = kmeans_fit(pooled, alpha1, seed)
+    first_codebook = kmeans_fit(pooled, params.alpha1, params.seed)
     frame_rows = np.stack(
-        [vlad_encode(f.features, first_codebook).values for f in frames]
+        [vlad_encode(f.features, first_codebook) for f in frames]
     )
     first_basis = pca_fit(frame_rows, d0)
     projected = pca_project(first_basis, frame_rows)
 
-    h_eff = min(int(h), d0)
-    second_seed = (seed ^ _HP_SECOND_STAGE_SALT) % _SEED_LIMIT
-    head = kmeans_fit(projected[:, :h_eff], alpha2, second_seed)
-    labels = nearest_centers(projected[:, :h_eff], head.centers)
+    second_seed = params.seed ^ _HP_SECOND_STAGE_SALT
+    head = kmeans_fit(projected[:, :h], alpha2, second_seed)
+    labels = nearest_centers(projected[:, :h], head.centers)
     full_centers = np.zeros((alpha2, d0), dtype=np.float64)
     for c in range(alpha2):
         members = projected[labels == c]
@@ -494,7 +437,7 @@ def train_hp(
             full_centers[c] = members.mean(axis=0)
         else:
             # final-iteration tie left the cluster empty in full space
-            full_centers[c, :h_eff] = head.centers[c]
+            full_centers[c, :h] = head.centers[c]
     second_codebook = Codebook(
         centers=full_centers,
         k=alpha2,
@@ -504,27 +447,13 @@ def train_hp(
     )
 
     rows = np.stack(
-        [
-            _hp_raw(g, first_codebook, first_basis, second_codebook, h_eff).values
-            for g in gofs
-        ]
+        [_hp_raw(g, first_codebook, first_basis, second_codebook, h)
+         for g in gofs]
     )
-    basis = _fit_basis(rows, d, normalize)
-    params = ModelParams(
-        f=first_codebook.dim,
-        d=d,
-        d0=d0,
-        alpha1=alpha1,
-        alpha2=alpha2,
-        h=h_eff,
-        gof_size=gof_size,
-        overlap=overlap,
-        seed=seed,
-        normalize=normalize,
-    )
+    basis = _fit_basis(rows, params.d, params.normalize)
     return TrainedModel(
         method=METHOD_HP,
-        params=params,
+        params=replace(params, f=first_codebook.dim),
         codebook=first_codebook,
         basis=basis,
         hp_first_basis=first_basis,
@@ -539,11 +468,8 @@ def train(method: str, videos, params: ModelParams) -> TrainedModel:
     of frames. ``params.f`` is not read: the data fixes the feature
     dimension.
     """
-    shared = dict(gof_size=params.gof_size, overlap=params.overlap,
-                  normalize=params.normalize)
     if method == METHOD_VLAD:
-        frames = [f for video in videos for f in video]
-        return train_vlad(frames, params.j, params.d, params.seed, **shared)
+        return train_vlad([f for video in videos for f in video], params)
     if method not in METHODS:
         raise DataError(f"unknown training method {method!r}")
     gofs = [
@@ -552,13 +478,11 @@ def train(method: str, videos, params: ModelParams) -> TrainedModel:
         for g in split_gofs(video, params.gof_size, params.overlap)
     ]
     if method == METHOD_VLAC:
-        return train_vlac(gofs, params.n, params.m, params.d, params.seed,
-                          **shared)
-    return train_hp(gofs, params.alpha1, params.d0, params.alpha2, params.d,
-                    params.seed, h=params.h, **shared)
+        return train_vlac(gofs, params)
+    return train_hp(gofs, params)
 
 
-def _encode_gof_raw(gof: GroupOfFrames, model: TrainedModel) -> RawDescriptor:
+def _encode_gof_raw(gof: GroupOfFrames, model: TrainedModel) -> np.ndarray:
     if model.method == METHOD_VLAD:
         return vlad_encode(stack_features(gof.frames), model.codebook)
     if model.method == METHOD_VLAC:
@@ -571,31 +495,28 @@ def _encode_gof_raw(gof: GroupOfFrames, model: TrainedModel) -> RawDescriptor:
     raise UntrainedModel(f"unknown model method {model.method!r}")
 
 
-def encode_video(
-    video_frames, model: TrainedModel
-) -> list[CompactDescriptor]:
-    """Encode a video into one compact descriptor per group of frames.
+def encode_video(video_frames, model: TrainedModel) -> np.ndarray:
+    """Encode a video into a (G, d) matrix, one row per group of frames.
 
     Frames are windowed with the model's gof_size/overlap (gof_size 1
     reproduces per-frame operation); each window is encoded with the
     model's method, optionally L2-normalized, then projected onto the
-    model's basis. A video shorter than one full window yields an empty
-    list.
+    model's basis. A video shorter than one full window yields a (0, d)
+    matrix.
     """
     frames = list(video_frames)
     if not frames:
         raise EmptyVideo("cannot encode a video with no frames")
-    descriptors = []
-    for gof in split_gofs(frames, model.params.gof_size, model.params.overlap):
-        raw = _maybe_normalize(_encode_gof_raw(gof, model), model.params.normalize)
-        descriptors.append(
-            CompactDescriptor(
-                values=pca_project(model.basis, raw.values),
-                method=model.method,
-                gof_index=gof.gof_index,
-            )
+    rows = [
+        pca_project(
+            model.basis,
+            _maybe_normalize(_encode_gof_raw(gof, model), model.params.normalize),
         )
-    return descriptors
+        for gof in split_gofs(frames, model.params.gof_size, model.params.overlap)
+    ]
+    if not rows:
+        return np.empty((0, model.basis.rows.shape[0]), dtype=np.float64)
+    return np.stack(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -631,15 +552,11 @@ _PARAMS_HEADER = struct.Struct(f"<{len(fields(ModelParams))}I")
 
 def save_model(model: TrainedModel, path, *, overwrite: bool = False) -> None:
     """Write a model to the VLACMODL binary format."""
-    path = Path(path)
-    if path.exists() and not overwrite:
-        raise FileExistsError(f"{path} exists; pass overwrite=True to replace")
-    p = model.params
-    with open(path, "wb") as fh:
+    with atomic_write(path, overwrite=overwrite) as fh:
         fh.write(_MODEL_MAGIC)
         fh.write(struct.pack("<H", _MODEL_VERSION))
         fh.write(struct.pack("<B", METHOD_TAGS[model.method]))
-        fh.write(_PARAMS_HEADER.pack(*astuple(p)))
+        fh.write(_PARAMS_HEADER.pack(*astuple(model.params)))
         _write_array(fh, model.codebook.centers)
         _write_array(fh, np.array([[model.codebook.inertia]]))
         if model.method == METHOD_HP:
@@ -677,8 +594,10 @@ def load_model(path) -> TrainedModel:
         raw = fh.read(_PARAMS_HEADER.size)
         if len(raw) != _PARAMS_HEADER.size:
             raise TruncatedFile(f"model file {path} ended early")
-        params = ModelParams(*_PARAMS_HEADER.unpack(raw))
-        params = replace(params, normalize=bool(params.normalize))
+        params = ModelParams(*(
+            _field_kind(fld)(value)
+            for fld, value in zip(fields(ModelParams), _PARAMS_HEADER.unpack(raw))
+        ))
         centers = _read_array(fh, path)
         inertia = float(_read_array(fh, path)[0, 0])
         codebook = Codebook(
@@ -697,7 +616,7 @@ def load_model(path) -> TrainedModel:
             hp_second_codebook = Codebook(
                 centers=sc,
                 k=sc.shape[0],
-                seed=(params.seed ^ _HP_SECOND_STAGE_SALT) % _SEED_LIMIT,
+                seed=params.seed ^ _HP_SECOND_STAGE_SALT,
                 inertia=s_inertia,
             )
         rows = _read_array(fh, path)

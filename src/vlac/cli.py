@@ -53,7 +53,7 @@ from .ingestion import (
     save_manifest,
     synthesize_dataset,
 )
-from .search import load_store, retrieve, sequence_from_descriptors, write_store
+from .search import DescriptorSequence, load_store, retrieve, write_store
 
 RESULTS_CSV_COLUMNS = (
     "query_id", "rank", "video_id", "score", "offset", "method", "D",
@@ -93,15 +93,9 @@ def load_config(args, feature_dim: int) -> ModelParams:
     params = replace(params, **flags)
     for field in fields(ModelParams):
         value = getattr(params, field.name)
-        kind = type(getattr(DEFAULT_PARAMS, field.name))
-        if type(value) is not kind:
-            raise DataError(f"config {field.name} must be {kind.__name__}")
         minimum = field.metadata.get("min", 1)
-        # the model header stores every parameter as a u32
-        if kind is int and not minimum <= value < 2**32:
-            raise DataError(
-                f"config {field.name} must be in [{minimum}, {2**32 - 1}]"
-            )
+        if type(value) is int and value < minimum:
+            raise DataError(f"config {field.name} must be >= {minimum}")
     if params.overlap >= params.gof_size:
         raise DataError("config must satisfy 0 <= overlap < gof_size")
     return params
@@ -208,11 +202,11 @@ def _encode_one(item, model, pspec):
     if pspec is not None:
         frames = perturb(frames, pspec)
     descriptors = encode_video(frames, model)
-    if not descriptors:
+    if descriptors.shape[0] == 0:
         raise DataError(
             f"{video_id} is shorter than one {model.params.gof_size}-frame window"
         )
-    return sequence_from_descriptors(video_id, descriptors)
+    return DescriptorSequence(video_id, descriptors, model.method)
 
 
 def cmd_encode(args) -> int:

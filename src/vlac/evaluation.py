@@ -129,22 +129,34 @@ def _scored_pairs(scored):
     return list(scored)
 
 
-def average_precision(ranked) -> float:
-    """Mean of precision-at-r over the relevant ranks r of a ranking.
+def average_precision(ranked, relevant_count: int | None = None) -> float:
+    """Sum of precision-at-r over the relevant ranks r of a ranking,
+    divided by ``relevant_count``.
 
+    ``relevant_count`` is the number of relevant items in the ground truth;
+    a relevant item the ranking misses adds 0 to the sum. It defaults to
+    the relevant items the ranking holds, which then must be at least one.
     Accumulates in exact rational arithmetic (ranks are integers), so
     fixture values like 5/6 come back as the correctly rounded float.
     """
     flags = [bool(x) for x in ranked]
-    if not any(flags):
-        raise NoRelevant("ranking contains no relevant item")
+    found = sum(flags)
+    if relevant_count is None:
+        if not found:
+            raise NoRelevant("ranking contains no relevant item")
+        relevant_count = found
+    elif relevant_count < max(found, 1):
+        raise DataError(
+            f"ranking holds {found} relevant items, more than the "
+            f"relevant_count {relevant_count}"
+        )
     hits = 0
     total = Fraction(0)
     for rank, is_relevant in enumerate(flags, start=1):
         if is_relevant:
             hits += 1
             total += Fraction(hits, rank)
-    return float(total / hits)
+    return float(total / relevant_count)
 
 
 def mean_average_precision(aps) -> float:
@@ -167,15 +179,17 @@ def relevance_flags(result, relevant) -> list[bool]:
 def map_from_retrievals(results, truth: GroundTruth) -> float:
     """mAP over per-query rankings.
 
-    A ranking that holds no relevant item (a top-k or threshold cut that
-    missed it) scores AP 0.
+    Each AP is divided by the query's relevant count in the ground truth,
+    so a ranking cut by top-k or a threshold is not credited for the
+    relevant items it dropped; one that holds none scores AP 0.
     """
     aps = []
     for query_id, result in results.items():
         if query_id not in truth.relevant:
             raise DataError(f"query {query_id!r} is missing from ground truth")
-        flags = relevance_flags(result, truth.relevant[query_id])
-        aps.append(average_precision(flags) if any(flags) else 0.0)
+        relevant = truth.relevant[query_id]
+        flags = relevance_flags(result, relevant)
+        aps.append(average_precision(flags, len(relevant)))
     return mean_average_precision(aps)
 
 

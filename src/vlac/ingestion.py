@@ -28,6 +28,7 @@ from .errors import (
     TruncatedFile,
     VideoTooShort,
 )
+from .fileio import atomic_write
 
 _FEAT_MAGIC = b"VLACFEAT"
 _FEAT_VERSION = 1
@@ -101,9 +102,6 @@ def write_features(frames, path, *, overwrite: bool = False) -> None:
     frames = list(frames)
     if not frames:
         raise EmptyInput("cannot write a feature file with no frames")
-    path = Path(path)
-    if path.exists() and not overwrite:
-        raise FileExistsError(f"{path} exists; pass overwrite=True to replace")
     dim = frames[0].dim
     prev_index = None
     for f in frames:
@@ -114,7 +112,7 @@ def write_features(frames, path, *, overwrite: bool = False) -> None:
         if prev_index is not None and f.frame_index <= prev_index:
             raise DataError("frame indices must be strictly increasing")
         prev_index = f.frame_index
-    with open(path, "wb") as fh:
+    with atomic_write(path, overwrite=overwrite) as fh:
         fh.write(_FEAT_MAGIC)
         fh.write(struct.pack("<HII", _FEAT_VERSION, dim, len(frames)))
         for f in frames:
@@ -158,6 +156,10 @@ def iter_features(path, *, expected_dim: int | None = None) -> Iterator[FrameFea
                 .reshape(count, dim)
                 .astype(np.float64)
             )
+            if not np.isfinite(feats).all():
+                raise DataError(
+                    f"{path} frame {frame_index} holds a non-finite value"
+                )
             yield FrameFeatures(frame_index=frame_index, features=feats)
         if fh.read(1):
             raise DataError(f"{path} has trailing bytes after the last frame")
@@ -365,10 +367,12 @@ def make_queries(
 # ---------------------------------------------------------------------------
 
 
+def _write_json(doc: dict, path, overwrite: bool) -> None:
+    with atomic_write(path, overwrite=overwrite) as fh:
+        fh.write((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+
+
 def save_manifest(manifest: DatasetManifest, path, *, overwrite: bool = False) -> None:
-    path = Path(path)
-    if path.exists() and not overwrite:
-        raise FileExistsError(f"{path} exists; pass overwrite=True to replace")
     doc = {
         "videos": [
             {
@@ -382,7 +386,7 @@ def save_manifest(manifest: DatasetManifest, path, *, overwrite: bool = False) -
         "feature_dim": manifest.feature_dim,
         "notes": manifest.notes,
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(doc, path, overwrite)
 
 
 def load_manifest(path, *, check_files: bool = True) -> DatasetManifest:
@@ -404,6 +408,8 @@ def load_manifest(path, *, check_files: bool = True) -> DatasetManifest:
         )
     except KeyError as exc:
         raise DataError(f"{path} is missing manifest field {exc}") from exc
+    except TypeError as exc:  # a non-object document or entry, a null number
+        raise DataError(f"{path} is not a valid manifest: {exc}") from exc
     if check_files:
         base = path.parent
         for v in manifest.videos:
@@ -417,9 +423,6 @@ def load_manifest(path, *, check_files: bool = True) -> DatasetManifest:
 def save_query_manifest(
     manifest: QueryManifest, path, *, overwrite: bool = False
 ) -> None:
-    path = Path(path)
-    if path.exists() and not overwrite:
-        raise FileExistsError(f"{path} exists; pass overwrite=True to replace")
     doc = {
         "queries": [
             {
@@ -435,7 +438,7 @@ def save_query_manifest(
         "feature_dim": manifest.feature_dim,
         "notes": manifest.notes,
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(doc, path, overwrite)
 
 
 def load_query_manifest(path, *, check_files: bool = True) -> QueryManifest:
@@ -459,6 +462,8 @@ def load_query_manifest(path, *, check_files: bool = True) -> QueryManifest:
         )
     except KeyError as exc:
         raise DataError(f"{path} is missing query field {exc}") from exc
+    except TypeError as exc:  # a non-object document or entry, a null number
+        raise DataError(f"{path} is not a valid query manifest: {exc}") from exc
     if check_files:
         base = path.parent
         for q in manifest.queries:

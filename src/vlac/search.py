@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import METHOD_TAGS, CompactDescriptor
+from .aggregation import METHOD_TAGS
 from .errors import (
     BadMagic,
     DataError,
@@ -22,6 +22,7 @@ from .errors import (
     EmptyStore,
     TruncatedFile,
 )
+from .fileio import atomic_write
 
 _STORE_MAGIC = b"VLACSTOR"
 _TAG_METHODS = {v: k for k, v in METHOD_TAGS.items()}
@@ -53,22 +54,6 @@ class DescriptorSequence:
         return int(self.descriptors.shape[1])
 
 
-def sequence_from_descriptors(
-    video_id: str, descriptors: list[CompactDescriptor]
-) -> DescriptorSequence:
-    """Stack encode_video output into a DescriptorSequence."""
-    if not descriptors:
-        raise DataError(f"video {video_id!r} produced no descriptors")
-    methods = {d.method for d in descriptors}
-    if len(methods) > 1:
-        raise DataError(f"descriptors mix methods {sorted(methods)}")
-    return DescriptorSequence(
-        video_id=video_id,
-        descriptors=np.stack([d.values for d in descriptors]),
-        method=methods.pop(),
-    )
-
-
 @dataclass(frozen=True)
 class RankedMatch:
     video_id: str
@@ -81,13 +66,10 @@ class RetrievalResult:
     matches: tuple[RankedMatch, ...]
 
 
-def _values(x) -> np.ndarray:
-    return np.asarray(getattr(x, "values", x), dtype=np.float64)
-
-
 def similarity(a, b) -> float:
     """Inner product of two compact descriptors."""
-    va, vb = _values(a), _values(b)
+    va = np.asarray(a, dtype=np.float64)
+    vb = np.asarray(b, dtype=np.float64)
     if va.shape != vb.shape:
         raise DimensionMismatch(
             f"descriptors have shapes {va.shape} and {vb.shape}"
@@ -180,11 +162,7 @@ def retrieve(
 
 def write_store(sequences, path, *, overwrite: bool = False) -> None:
     """Serialize sequences to a VLACSTOR file (bit-exact round trip)."""
-    sequences = list(sequences)
-    path = Path(path)
-    if path.exists() and not overwrite:
-        raise FileExistsError(f"{path} exists; pass overwrite=True to replace")
-    with open(path, "wb") as fh:
+    with atomic_write(path, overwrite=overwrite) as fh:
         fh.write(_STORE_MAGIC)
         for seq in sequences:
             encoded = seq.video_id.encode("utf-8")
@@ -223,13 +201,17 @@ def load_store(path) -> list[DescriptorSequence]:
             payload = fh.read(g * d * 4)
             if len(payload) != g * d * 4:
                 raise TruncatedFile(f"{path} record payload is truncated")
-            sequences.append(
-                DescriptorSequence(
-                    video_id=raw_id.decode("utf-8"),
-                    descriptors=np.frombuffer(payload, dtype="<f4")
-                    .reshape(g, d)
-                    .astype(np.float64),
-                    method=_TAG_METHODS[tag],
+            video_id = raw_id.decode("utf-8")
+            descriptors = (
+                np.frombuffer(payload, dtype="<f4")
+                .reshape(g, d)
+                .astype(np.float64)
+            )
+            if not np.isfinite(descriptors).all():
+                raise DataError(
+                    f"{path} record {video_id!r} holds a non-finite value"
                 )
+            sequences.append(
+                DescriptorSequence(video_id, descriptors, _TAG_METHODS[tag])
             )
     return sequences

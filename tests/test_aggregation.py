@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _helpers import make_frames, make_gof
 from vlac import (
@@ -25,6 +29,8 @@ from vlac import (
     vlac_encode,
     vlad_encode,
 )
+from dataclasses import replace
+
 from vlac.aggregation import stack_features
 from vlac.core_math import ProjectionBasis
 from vlac.errors import (
@@ -42,25 +48,30 @@ def cb(*centers):
     return Codebook(centers=arr, k=arr.shape[0], seed=0, inertia=0.0)
 
 
+def params(**fields):
+    """ModelParams for a direct trainer call; the trainer fills in f."""
+    return ModelParams(f=0, **fields)
+
+
 class TestVladEncode:
     def test_one_dimensional_fixture(self):
         got = vlad_encode(np.array([[1.0], [2.0], [11.0]]), cb([0.0], [10.0]))
-        np.testing.assert_allclose(got.values, [3.0, 1.0])
+        np.testing.assert_allclose(got, [3.0, 1.0])
 
     def test_features_on_centers_give_zero(self):
         book = cb([0.0, 0.0], [4.0, 4.0])
         got = vlad_encode(np.array([[0.0, 0.0], [4.0, 4.0]]), book)
-        np.testing.assert_allclose(got.values, np.zeros(4))
+        np.testing.assert_allclose(got, np.zeros(4))
 
     def test_two_dimensional_fixture(self):
         book = cb([0.0, 0.0], [4.0, 4.0])
         got = vlad_encode(np.array([[1.0, 0.0], [3.0, 4.0]]), book)
-        np.testing.assert_allclose(got.values, [1.0, 0.0, -1.0, 0.0])
+        np.testing.assert_allclose(got, [1.0, 0.0, -1.0, 0.0])
 
     def test_empty_features_zero_vector(self):
         got = vlad_encode(np.empty((0, 2)), cb([0.0, 0.0], [1.0, 1.0]))
-        np.testing.assert_allclose(got.values, np.zeros(4))
-        assert got.blocks == 2 and got.block_dim == 2
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, np.zeros(4))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -76,7 +87,7 @@ class TestVladEncode:
             centers = rng.normal(size=(k, dim))
             feats = rng.normal(size=(count, dim))
             book = Codebook(centers=centers, k=k, seed=0, inertia=0.0)
-            got = vlad_encode(feats, book).values.reshape(k, dim)
+            got = vlad_encode(feats, book).reshape(k, dim)
             mult = np.zeros(k)
             for f in feats:
                 dists = np.sum((centers - f) ** 2, axis=1)
@@ -89,10 +100,10 @@ class TestVladEncode:
         centers = rng.normal(size=(4, 3))
         book = Codebook(centers=centers, k=4, seed=0, inertia=0.0)
         feats = rng.normal(size=(60, 3)) * 100.0
-        base = vlad_encode(feats, book).values
+        base = vlad_encode(feats, book)
         for _ in range(5):
             perm = rng.permutation(60)
-            got = vlad_encode(feats[perm], book).values
+            got = vlad_encode(feats[perm], book)
             np.testing.assert_allclose(got, base, atol=1e-9)
 
 
@@ -100,12 +111,12 @@ class TestVlacEncode:
     def test_lfcs_on_clfcs_give_zero(self):
         clfc = cb([0.0], [10.0])
         np.testing.assert_allclose(
-            vlac_encode(cb([0.0], [10.0]), clfc).values, np.zeros(2)
+            vlac_encode(cb([0.0], [10.0]), clfc), np.zeros(2)
         )
 
     def test_one_dimensional_fixture(self):
         got = vlac_encode(cb([1.0], [9.0]), cb([0.0], [10.0]))
-        np.testing.assert_allclose(got.values, [1.0, -1.0])
+        np.testing.assert_allclose(got, [1.0, -1.0])
 
     def test_structurally_identical_to_vlad(self):
         rng = np.random.default_rng(2)
@@ -113,8 +124,8 @@ class TestVlacEncode:
             dim = int(rng.integers(1, 5))
             lfcs = cb(*rng.normal(size=(int(rng.integers(1, 10)), dim)))
             clfc = cb(*rng.normal(size=(int(rng.integers(1, 6)), dim)))
-            a = vlac_encode(lfcs, clfc).values
-            b = vlad_encode(lfcs.centers, clfc).values
+            a = vlac_encode(lfcs, clfc)
+            b = vlad_encode(lfcs.centers, clfc)
             assert np.array_equal(a, b)
 
     def test_dimension_mismatch(self):
@@ -162,7 +173,7 @@ class TestTrainVlad:
     def test_single_center_is_global_mean(self):
         rng = np.random.default_rng(3)
         frames = make_frames(rng, 6, 3)
-        model = train_vlad(frames, j=1, d=2, seed=0)
+        model = train_vlad(frames, params(j=1, d=2))
         pooled = np.concatenate([f.features for f in frames])
         np.testing.assert_allclose(
             model.codebook.centers[0], pooled.mean(axis=0), atol=1e-9
@@ -171,10 +182,10 @@ class TestTrainVlad:
     def test_basis_composes_kmeans_and_pca(self):
         rng = np.random.default_rng(4)
         frames = make_frames(rng, 8, 2, features_per_frame=5)
-        model = train_vlad(frames, j=2, d=2, seed=9)
+        model = train_vlad(frames, params(j=2, d=2, seed=9))
         pooled = np.concatenate([f.features for f in frames])
         book = kmeans_fit(pooled, 2, seed=9)
-        rows = np.stack([vlad_encode(f.features, book).values for f in frames])
+        rows = np.stack([vlad_encode(f.features, book) for f in frames])
         expected = pca_fit(rows, 2)
         assert np.array_equal(model.basis.rows, expected.rows)
         assert np.array_equal(model.basis.mean, expected.mean)
@@ -182,7 +193,7 @@ class TestTrainVlad:
     def test_identical_frames_degenerate_spectrum(self):
         feats = np.array([[1.0, 2.0], [3.0, 4.0], [-1.0, 0.5]])
         frames = [FrameFeatures(i, feats) for i in range(4)]
-        model = train_vlad(frames, j=2, d=2, seed=1)
+        model = train_vlad(frames, params(j=2, d=2, seed=1))
         np.testing.assert_allclose(model.basis.eigenvalues, 0.0, atol=1e-9)
 
 
@@ -192,19 +203,16 @@ class TestTrain:
         rng = np.random.default_rng(23)
         videos = [make_frames(rng, 7, 3, features_per_frame=6,
                               start_index=10 * v) for v in range(2)]
-        params = ModelParams(f=3, j=3, n=4, m=3, d=2, d0=5, alpha1=3,
+        schema = ModelParams(f=3, j=3, n=4, m=3, d=2, d0=5, alpha1=3,
                              alpha2=2, h=2, gof_size=3, overlap=1, seed=4,
                              normalize=True)
-        window = dict(gof_size=3, overlap=1, normalize=True)
         gofs = [g for v in videos for g in split_gofs(v, 3, 1)]
         expected = {
-            "vlad": lambda: train_vlad([f for v in videos for f in v],
-                                       j=3, d=2, seed=4, **window),
-            "vlac": lambda: train_vlac(gofs, n=4, m=3, d=2, seed=4, **window),
-            "hp": lambda: train_hp(gofs, alpha1=3, d0=5, alpha2=2, d=2,
-                                   seed=4, h=2, **window),
+            "vlad": lambda: train_vlad([f for v in videos for f in v], schema),
+            "vlac": lambda: train_vlac(gofs, schema),
+            "hp": lambda: train_hp(gofs, schema),
         }[method]()
-        save_model(train(method, videos, params), tmp_path / "a.bin")
+        save_model(train(method, videos, schema), tmp_path / "a.bin")
         save_model(expected, tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
@@ -212,6 +220,101 @@ class TestTrain:
         rng = np.random.default_rng(24)
         with pytest.raises(DataError):
             train("sift", [make_frames(rng, 4, 2)], ModelParams(f=2, d=1))
+
+
+class TestModelParams:
+    def test_for_method_zeroes_other_methods_fields(self):
+        schema = ModelParams(f=3, j=1, n=2, m=3, d=4, d0=5, alpha1=6,
+                             alpha2=7, h=8, seed=9, normalize=True)
+        assert schema.for_method("vlad") == ModelParams(
+            f=3, j=1, d=4, seed=9, normalize=True)
+        assert schema.for_method("vlac") == ModelParams(
+            f=3, n=2, m=3, d=4, seed=9, normalize=True)
+        assert schema.for_method("hp") == ModelParams(
+            f=3, d=4, d0=5, alpha1=6, alpha2=7, h=8, seed=9, normalize=True)
+
+    @pytest.mark.parametrize("method, field", [
+        ("vlad", "j"), ("vlac", "n"), ("vlac", "m"), ("hp", "d0"),
+        ("hp", "alpha1"), ("hp", "alpha2"), ("hp", "h"),
+    ])
+    def test_for_method_rejects_unset_field(self, method, field):
+        schema = ModelParams(f=3, j=1, n=1, m=1, d=1, d0=1, alpha1=1,
+                             alpha2=1, h=1)
+        schema.for_method(method)
+        with pytest.raises(DataError, match=field):
+            replace(schema, **{field: 0}).for_method(method)
+
+    def test_train_hp_rejects_default_h(self):
+        rng = np.random.default_rng(25)
+        gofs = [make_gof(rng, 3, 3, features_per_frame=8, gof_index=i)
+                for i in range(6)]
+        with pytest.raises(DataError):
+            train_hp(gofs, params(alpha1=4, d0=6, alpha2=3, d=2))
+
+    @pytest.mark.parametrize("fields", [
+        {"j": 2**32}, {"seed": -1}, {"f": 3.0}, {"normalize": 1},
+        {"d": True},
+    ])
+    def test_rejects_values_the_header_cannot_store(self, fields):
+        with pytest.raises(DataError):
+            ModelParams(**{"f": 3, **fields})
+
+
+def _random_videos(seed, dim, features_per_frame):
+    rng = np.random.default_rng(seed)
+    return [make_frames(rng, 7, dim, features_per_frame=features_per_frame,
+                        start_index=10 * v) for v in range(2)]
+
+
+def _model_bytes(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.bin"
+        save_model(model, path)
+        return path.read_bytes()
+
+
+training_cases = st.fixed_dictionaries({
+    "data_seed": st.integers(0, 2**32 - 1),
+    "dim": st.integers(2, 3),  # d0 <= alpha1 * dim
+    "features_per_frame": st.integers(4, 8),
+    "schema": st.builds(
+        ModelParams, f=st.just(0), j=st.integers(1, 3), n=st.integers(1, 4),
+        m=st.integers(1, 3), d=st.just(2), d0=st.integers(2, 4),
+        alpha1=st.integers(2, 3), alpha2=st.integers(1, 3),
+        h=st.integers(1, 4), gof_size=st.just(3), overlap=st.integers(0, 1),
+        seed=st.integers(0, 2**32 - 1), normalize=st.booleans(),
+    ),
+})
+
+
+class TestTrainingProperties:
+    @settings(max_examples=5, deadline=None)
+    @given(case=training_cases, method=st.sampled_from(["vlad", "vlac", "hp"]))
+    def test_training_twice_gives_identical_model_and_encoding(self, case,
+                                                              method):
+        videos = _random_videos(case["data_seed"], case["dim"],
+                                case["features_per_frame"])
+        first = train(method, videos, case["schema"])
+        second = train(method, videos, case["schema"])
+        assert _model_bytes(first) == _model_bytes(second)
+        a = encode_video(videos[0], first)
+        b = encode_video(videos[0], second)
+        windows = len(split_gofs(videos[0], 3, case["schema"].overlap))
+        assert a.shape == (windows, 2) and np.array_equal(a, b)
+
+    @settings(max_examples=5, deadline=None)
+    @given(case=training_cases, perm_seed=st.integers(0, 2**32 - 1))
+    def test_vlad_encoding_ignores_feature_order(self, case, perm_seed):
+        videos = _random_videos(case["data_seed"], case["dim"],
+                                case["features_per_frame"])
+        model = train("vlad", videos, case["schema"])
+        rng = np.random.default_rng(perm_seed)
+        shuffled = [
+            FrameFeatures(f.frame_index, f.features[rng.permutation(f.count)])
+            for f in videos[0]
+        ]
+        np.testing.assert_allclose(encode_video(shuffled, model),
+                                   encode_video(videos[0], model), atol=1e-9)
 
 
 class TestStackFeatures:
@@ -238,7 +341,7 @@ class TestTrainVlac:
         )
         # a d-dim basis cannot be fit on a single training row
         with pytest.raises(InsufficientRows):
-            train_vlac([gof], n=3, m=3, d=1, seed=2)
+            train_vlac([gof], params(n=3, m=3, d=1, seed=2))
 
     def test_two_gof_cross_cluster_means(self):
         # both windows hold the same two well-separated 1-D clusters, offset
@@ -260,7 +363,7 @@ class TestTrainVlac:
         rng = np.random.default_rng(6)
         frames = tuple(make_frames(rng, 3, 2, features_per_frame=5))
         gofs = [GroupOfFrames(gof_index=0, frames=frames) for _ in range(4)]
-        model = train_vlac(gofs, n=2, m=2, d=2, seed=3)
+        model = train_vlac(gofs, params(n=2, m=2, d=2, seed=3))
         np.testing.assert_allclose(model.basis.eigenvalues, 0.0, atol=1e-9)
 
     def test_n_does_not_change_dimensions(self):
@@ -269,9 +372,9 @@ class TestTrainVlac:
                 for i in range(5)]
         shapes = set()
         for n in (2, 8, 32):
-            model = train_vlac(gofs, n=n, m=3, d=2, seed=1)
+            model = train_vlac(gofs, params(n=n, m=3, d=2, seed=1))
             raw = vlac_encode(compute_lfcs(gofs[0], n, seed=1), model.codebook)
-            shapes.add(raw.values.shape)
+            shapes.add(raw.shape)
         assert shapes == {(3 * 4,)}
 
 
@@ -305,7 +408,7 @@ class TestHyperPooling:
             gof_index=0, frames=(FrameFeatures(0, np.zeros((1, 2))),)
         )
         got = hp_encode(gof, model)
-        np.testing.assert_allclose(got.values, np.zeros(4))
+        np.testing.assert_allclose(got, np.zeros(4))
 
     def test_two_frames_disjoint_centers_concatenate(self):
         model = self.tiny_model()
@@ -315,7 +418,7 @@ class TestHyperPooling:
         frame_b = FrameFeatures(1, np.array([[1.5, 1.5]]))
         gof = GroupOfFrames(gof_index=0, frames=(frame_a, frame_b))
         got = hp_encode(gof, model)
-        np.testing.assert_allclose(got.values, [0.5, 0.5, -0.5, -0.5])
+        np.testing.assert_allclose(got, [0.5, 0.5, -0.5, -0.5])
 
     def test_three_frame_hand_trace(self):
         model = self.tiny_model()
@@ -330,12 +433,12 @@ class TestHyperPooling:
         # step-by-step: projections (0.5,.5), (1.5,1.5), (0.25,.25);
         # assignments 0, 1, 0; residual sums (0.75,.75) and (-0.5,-0.5)
         got = hp_encode(gof, model)
-        np.testing.assert_allclose(got.values, [0.75, 0.75, -0.5, -0.5])
+        np.testing.assert_allclose(got, [0.75, 0.75, -0.5, -0.5])
 
     def test_requires_hp_model(self):
         rng = np.random.default_rng(8)
         frames = make_frames(rng, 4, 2)
-        vlad_model = train_vlad(frames, j=2, d=1, seed=0)
+        vlad_model = train_vlad(frames, params(j=2, d=1))
         with pytest.raises(UntrainedModel):
             hp_encode(make_gof(rng, 2, 2), vlad_model)
 
@@ -343,7 +446,8 @@ class TestHyperPooling:
         rng = np.random.default_rng(9)
         gofs = [make_gof(rng, 3, 3, features_per_frame=8, gof_index=i)
                 for i in range(6)]
-        model = train_hp(gofs, alpha1=4, d0=6, alpha2=3, d=2, seed=5, h=2)
+        model = train_hp(gofs, params(alpha1=4, d0=6, alpha2=3, d=2, seed=5,
+                                      h=2))
         assert model.hp_first_basis.rows.shape == (6, 4 * 3)
         assert model.hp_second_codebook.centers.shape == (3, 6)
         assert model.basis.rows.shape == (2, 3 * 6)
@@ -351,14 +455,14 @@ class TestHyperPooling:
         # second-stage centers restricted to the first h dims must agree
         # with quantization, i.e. every training window encodes cleanly
         raw = hp_encode(gofs[0], model)
-        assert raw.values.shape == (3 * 6,)
+        assert raw.shape == (3 * 6,)
 
 
 class TestEncodeVideo:
     @staticmethod
     def model_for(frames, gof_size, overlap):
         return train_vlad(
-            frames, j=2, d=2, seed=0, gof_size=gof_size, overlap=overlap
+            frames, params(j=2, d=2, gof_size=gof_size, overlap=overlap)
         )
 
     def test_per_frame_window_count(self):
@@ -379,8 +483,7 @@ class TestEncodeVideo:
         frames = make_frames(rng, 9, 2)
         model = self.model_for(frames, gof_size=5, overlap=1)
         descs = encode_video(frames, model)
-        assert len(descs) == 2
-        assert [d.gof_index for d in descs] == [0, 1]
+        assert descs.shape == (2, 2) and descs.dtype == np.float64
 
     def test_window_count_formula(self):
         rng = np.random.default_rng(13)
@@ -394,7 +497,7 @@ class TestEncodeVideo:
         rng = np.random.default_rng(14)
         frames = make_frames(rng, 3, 2)
         model = self.model_for(frames, gof_size=5, overlap=1)
-        assert encode_video(frames, model) == []
+        assert encode_video(frames, model).shape == (0, 2)
 
     def test_empty_video(self):
         rng = np.random.default_rng(15)
@@ -405,27 +508,27 @@ class TestEncodeVideo:
     def test_normalize_flag_round_trip(self):
         rng = np.random.default_rng(16)
         frames = make_frames(rng, 8, 3, features_per_frame=6)
-        plain = train_vlad(frames, j=2, d=2, seed=0, gof_size=2, overlap=0)
+        plain = train_vlad(frames, params(j=2, d=2, gof_size=2, overlap=0))
         normed = train_vlad(
-            frames, j=2, d=2, seed=0, gof_size=2, overlap=0, normalize=True
+            frames, params(j=2, d=2, gof_size=2, overlap=0, normalize=True)
         )
         a = encode_video(frames, plain)
         b = encode_video(frames, normed)
         assert len(a) == len(b)
-        assert not np.allclose(a[0].values, b[0].values)
+        assert not np.allclose(a[0], b[0])
 
     def test_permuting_features_in_frames_is_invariant(self):
         rng = np.random.default_rng(17)
         frames = make_frames(rng, 6, 3, features_per_frame=20, scale=50.0)
-        model = train_vlad(frames, j=3, d=2, seed=1, gof_size=3, overlap=1)
+        model = train_vlad(frames, params(j=3, d=2, seed=1, gof_size=3,
+                                          overlap=1))
         base = encode_video(frames, model)
         shuffled = [
             FrameFeatures(f.frame_index, f.features[rng.permutation(f.count)])
             for f in frames
         ]
         got = encode_video(shuffled, model)
-        for x, y in zip(base, got):
-            np.testing.assert_allclose(x.values, y.values, atol=1e-9)
+        np.testing.assert_allclose(got, base, atol=1e-9)
 
 
 class TestGroupOfFrames:
@@ -448,15 +551,14 @@ class TestModelPersistence:
         rng = np.random.default_rng(18)
         gofs = [make_gof(rng, 3, 3, features_per_frame=8, gof_index=i)
                 for i in range(6)]
+        schema = params(j=3, n=4, m=3, d=2, d0=5, alpha1=3, alpha2=2, h=2,
+                        seed=4, gof_size=3, overlap=0)
         if method == "vlad":
-            model = train_vlad([f for g in gofs for f in g.frames],
-                               j=3, d=2, seed=4, gof_size=3, overlap=0)
+            model = train_vlad([f for g in gofs for f in g.frames], schema)
         elif method == "vlac":
-            model = train_vlac(gofs, n=4, m=3, d=2, seed=4,
-                               gof_size=3, overlap=0)
+            model = train_vlac(gofs, schema)
         else:
-            model = train_hp(gofs, alpha1=3, d0=5, alpha2=2, d=2, seed=4,
-                             h=2, gof_size=3, overlap=0)
+            model = train_hp(gofs, schema)
         path = tmp_path / "model.bin"
         save_model(model, path)
         loaded = load_model(path)
@@ -471,26 +573,25 @@ class TestModelPersistence:
         gofs = [make_gof(rng, 3, 2, features_per_frame=6, gof_index=i)
                 for i in range(4)]
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_model(train_vlac(gofs, n=3, m=2, d=2, seed=7), a)
-        save_model(train_vlac(gofs, n=3, m=2, d=2, seed=7), b)
+        save_model(train_vlac(gofs, params(n=3, m=2, d=2, seed=7)), a)
+        save_model(train_vlac(gofs, params(n=3, m=2, d=2, seed=7)), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_loaded_model_encodes(self, tmp_path):
         rng = np.random.default_rng(20)
         gofs = [make_gof(rng, 3, 2, features_per_frame=6, gof_index=i)
                 for i in range(4)]
-        model = train_vlac(gofs, n=3, m=2, d=2, seed=7, gof_size=3, overlap=0)
+        model = train_vlac(gofs, params(n=3, m=2, d=2, seed=7, gof_size=3,
+                                        overlap=0))
         save_model(model, tmp_path / "m.bin")
         loaded = load_model(tmp_path / "m.bin")
         frames = make_frames(rng, 6, 2, features_per_frame=6)
-        descs = encode_video(frames, loaded)
-        assert len(descs) == 2
-        assert descs[0].values.shape == (2,)
+        assert encode_video(frames, loaded).shape == (2, 2)
 
     def test_overwrite_guard(self, tmp_path):
         rng = np.random.default_rng(21)
         frames = make_frames(rng, 4, 2)
-        model = train_vlad(frames, j=2, d=1, seed=0)
+        model = train_vlad(frames, params(j=2, d=1))
         path = tmp_path / "m.bin"
         save_model(model, path)
         with pytest.raises(FileExistsError):

@@ -18,6 +18,8 @@ from vlac import (
     save_model,
 )
 from vlac.cli import RESULTS_CSV_COLUMNS, build_parser, load_config, main
+from vlac.ingestion import load_features, write_features
+from vlac.search import DescriptorSequence, write_store
 
 
 def digest(path):
@@ -385,6 +387,60 @@ class TestErrors:
         bad.write_bytes(b"garbage!")
         assert run("search", "--store", bad, "--queries", bad,
                    "--out", tmp_path / "r.csv") == 2
+
+    def test_non_finite_feature_exit_2(self, dataset, trained, tmp_path):
+        doc = json.loads((dataset / "queries" / "manifest.json").read_text())
+        for entry in doc["queries"]:
+            frames = load_features(dataset / "queries" / entry["feature_file"])
+            write_features(frames, tmp_path / entry["feature_file"])
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        bad = tmp_path / doc["queries"][0]["feature_file"]
+        frames = load_features(bad)
+        frames[2].features[1, 3] = np.nan
+        write_features(frames, bad, overwrite=True)
+        assert run("encode", "--model", trained / "vlad.bin",
+                   "--manifest", tmp_path / "manifest.json", "--queries",
+                   "--out", tmp_path / "q.store") == 2
+        assert not (tmp_path / "q.store").exists()
+
+    def test_non_finite_descriptor_exit_2(self, tmp_path):
+        good = tmp_path / "good.store"
+        bad = tmp_path / "bad.store"
+        values = np.ones((2, 3))
+        write_store([DescriptorSequence("v", values, "vlac")], good)
+        values[1, 2] = np.inf
+        write_store([DescriptorSequence("v", values, "vlac")], bad)
+        for store, queries in ((good, bad), (bad, good)):
+            assert run("search", "--store", store, "--queries", queries,
+                       "--out", tmp_path / "r.csv") == 2
+
+    @pytest.mark.parametrize("case", ["top_level_list", "video_is_string",
+                                      "null_fps_sampled"])
+    def test_malformed_manifest_exit_2(self, dataset, tmp_path, case):
+        queries = dataset / "queries" / "manifest.json"
+        bad = tmp_path / "manifest.json"
+        if case == "null_fps_sampled":
+            doc = json.loads(queries.read_text())
+            doc["queries"][0]["fps_sampled"] = None
+            first = doc["queries"][0]
+            results = tmp_path / "r.csv"
+            results.write_text(
+                ",".join(RESULTS_CSV_COLUMNS) + "\n"
+                + f"{first['query_id']},1,{first['source_video_id']},1.0,0,"
+                "vlac,4\n"
+            )
+            argv = ["evaluate", "--results", results, "--queries", bad,
+                    "--out-prefix", tmp_path / "ev"]
+        else:
+            doc = json.loads((dataset / "train" / "manifest.json").read_text())
+            if case == "top_level_list":
+                doc = doc["videos"]
+            else:
+                doc["videos"][0] = doc["videos"][0]["video_id"]
+            argv = ["train", "--manifest", bad, "--method", "vlad",
+                    "--out", tmp_path / "m.bin", *PARAMS]
+        bad.write_text(json.dumps(doc))
+        assert run(*argv) == 2
 
 
 U32_MAX = 2**32 - 1

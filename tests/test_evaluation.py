@@ -44,6 +44,19 @@ class TestAveragePrecision:
         with pytest.raises(NoRelevant):
             average_precision([0, 0, 0])
 
+    def test_relevant_count_divides_the_sum(self):
+        # two relevant items, the ranking keeps one at rank 1: (1/1) / 2
+        assert average_precision([1, 0], relevant_count=2) == 0.5
+        assert average_precision([1, 0, 1], relevant_count=3) == 5 / 9
+
+    def test_relevant_count_with_no_hit_is_zero(self):
+        assert average_precision([0, 0], relevant_count=1) == 0.0
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_relevant_count_below_hits_rejected(self, count):
+        with pytest.raises(DataError):
+            average_precision([1, 1], relevant_count=count)
+
     def test_invariant_below_last_relevant(self):
         rng = np.random.default_rng(0)
         flags = [1, 0, 0, 1, 0, 0, 0]
@@ -153,6 +166,10 @@ class TestMapFromRetrievals:
             relevant={"q1": frozenset({"t1"}), "q2": frozenset({"t2"})}
         )
         assert map_from_retrievals(results, truth) == 0.5
+
+    def test_truncated_ranking_counts_dropped_relevant(self):
+        truth = GroundTruth(relevant={"q": frozenset({"a", "b"})})
+        assert map_from_retrievals({"q": [("a", 1.0)]}, truth) == 0.5
 
 
 class TestSignAlignedScore:

@@ -1,0 +1,73 @@
+import struct
+
+import numpy as np
+import pytest
+
+from vlac import (
+    Codebook,
+    DatasetManifest,
+    FrameFeatures,
+    ModelParams,
+    ProjectionBasis,
+    TrainedModel,
+    save_model,
+    write_features,
+    write_store,
+)
+from vlac.fileio import atomic_write
+from vlac.ingestion import VideoEntry, save_manifest
+from vlac.search import DescriptorSequence
+
+# A model whose method has no VLACMODL tag: save_model fails after the magic.
+UNTAGGED_MODEL = TrainedModel(
+    method="bogus",
+    params=ModelParams(f=2),
+    codebook=Codebook(centers=np.ones((1, 2)), k=1, seed=0, inertia=0.0),
+    basis=ProjectionBasis(rows=np.ones((1, 2)), mean=np.zeros(2),
+                          eigenvalues=np.ones(1)),
+)
+
+# Each writer given input that fails part-way through the write.
+FAILING_WRITES = {
+    "store": lambda path, overwrite: write_store(
+        [DescriptorSequence("v", np.ones((1, 2)), "vlac"),
+         DescriptorSequence("w", np.ones((1, 2)), "bogus")],
+        path, overwrite=overwrite),
+    "features": lambda path, overwrite: write_features(
+        [FrameFeatures(0, np.ones((1, 2))), FrameFeatures(2**32, np.ones((1, 2)))],
+        path, overwrite=overwrite),
+    "model": lambda path, overwrite: save_model(
+        UNTAGGED_MODEL, path, overwrite=overwrite),
+    "manifest": lambda path, overwrite: save_manifest(
+        DatasetManifest(videos=(VideoEntry("v", "v.vfeat", object(), ""),),
+                        feature_dim=2),
+        path, overwrite=overwrite),
+}
+WRITE_ERRORS = (KeyError, struct.error, TypeError)
+
+
+@pytest.mark.parametrize("writer", FAILING_WRITES)
+def test_failed_write_leaves_no_file(tmp_path, writer):
+    with pytest.raises(WRITE_ERRORS):
+        FAILING_WRITES[writer](tmp_path / "out", False)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("writer", FAILING_WRITES)
+def test_failed_overwrite_keeps_target(tmp_path, writer):
+    target = tmp_path / "out"
+    target.write_bytes(b"previous content")
+    with pytest.raises(WRITE_ERRORS):
+        FAILING_WRITES[writer](target, True)
+    assert target.read_bytes() == b"previous content"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_successful_write_replaces_target(tmp_path):
+    target = tmp_path / "out"
+    target.write_bytes(b"old")
+    with atomic_write(target, overwrite=True) as fh:
+        fh.write(b"new")
+    assert target.read_bytes() == b"new"
+    assert list(tmp_path.iterdir()) == [target]
+
