@@ -12,17 +12,18 @@ for element. Every encoder returns a plain float64 NumPy vector, and
 Each trainer takes the data and one :class:`ModelParams`; the field
 metadata records which method reads which field.
 
-Model files use the ``VLACMODL`` binary layout: magic, version (u16),
-method tag (u8), one u32 per :class:`ModelParams` field in field order,
-then each array as u32 row/col headers followed by little-endian float32
-data. Saving a loaded model reproduces the file byte for byte.
+A model file (``VLACMODL``) holds the magic, version (u16), method tag
+(u8) and one u32 per :class:`ModelParams` field in field order, then the
+arrays :func:`_model_arrays` lists, each as rows and cols (u32) and
+rows*cols float32 values. The parameters fix every array's shape. The
+checks and the float32 codec live in :mod:`vlac.fileio`; saving a loaded
+model reproduces the file byte for byte.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import astuple, dataclass, field, fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -35,15 +36,13 @@ from .core_math import (
     pca_project,
 )
 from .errors import (
-    BadMagic,
     DataError,
     DimensionMismatch,
     EmptyGof,
     EmptyVideo,
-    TruncatedFile,
     UntrainedModel,
 )
-from .fileio import atomic_write
+from .fileio import Reader, atomic_write, f32_bytes
 
 METHOD_VLAD = "vlad"
 METHOD_VLAC = "vlac"
@@ -51,7 +50,7 @@ METHOD_HP = "hp"
 METHODS = (METHOD_VLAD, METHOD_VLAC, METHOD_HP)
 
 METHOD_TAGS = {METHOD_VLAD: 1, METHOD_VLAC: 2, METHOD_HP: 3}
-_TAG_METHODS = {v: k for k, v in METHOD_TAGS.items()}
+TAG_METHODS = {v: k for k, v in METHOD_TAGS.items()}
 
 # Mixed into the model seed for the hyper-pooling second clustering stage
 # so it never reuses the first-stage initialization stream.
@@ -524,51 +523,53 @@ def encode_video(video_frames, model: TrainedModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _write_array(fh, arr: np.ndarray) -> None:
-    mat = np.atleast_2d(np.asarray(arr, dtype=np.float32))
-    fh.write(struct.pack("<II", mat.shape[0], mat.shape[1]))
-    fh.write(mat.astype("<f4").tobytes(order="C"))
+# The VLACMODL header: version (u16) and method tag (u8), then one u32 per
+# ModelParams field in field order (normalize as 0/1).
+_MODEL_HEADER = struct.Struct("<HB")
+_PARAMS_HEADER = struct.Struct(f"<{len(fields(ModelParams))}I")
+_ARRAY_SHAPE = struct.Struct("<II")
 
 
-def _read_array(fh, path) -> np.ndarray:
-    header = fh.read(8)
-    if len(header) != 8:
-        raise TruncatedFile(f"model file {path} ended early")
-    rows, cols = struct.unpack("<II", header)
-    payload = fh.read(rows * cols * 4)
-    if len(payload) != rows * cols * 4:
-        raise TruncatedFile(f"model file {path} ended early")
+def _model_arrays(method: str, p: ModelParams) -> list[tuple[str, str, tuple]]:
+    """Each array a ``method`` model stores, as (TrainedModel attribute,
+    part, shape) in file order. Vectors are stored as one row and a k-means
+    inertia as a 1x1 array; the shapes follow from the parameters."""
+    k = {METHOD_VLAD: p.j, METHOD_VLAC: p.m, METHOD_HP: p.alpha1}[method]
+    arrays = [("codebook", "centers", (k, p.f)), ("codebook", "inertia", (1, 1))]
+    if method != METHOD_HP:
+        return arrays + _basis_arrays("basis", p.d, k * p.f)
     return (
-        np.frombuffer(payload, dtype="<f4")
-        .reshape(rows, cols)
-        .astype(np.float64)
+        arrays
+        + _basis_arrays("hp_first_basis", p.d0, k * p.f)
+        + [("hp_second_codebook", "centers", (p.alpha2, p.d0)),
+           ("hp_second_codebook", "inertia", (1, 1))]
+        + _basis_arrays("basis", p.d, p.alpha2 * p.d0)
     )
 
 
-# The VLACMODL header: one u32 per ModelParams field, in field order
-# (normalize as 0/1).
-_PARAMS_HEADER = struct.Struct(f"<{len(fields(ModelParams))}I")
+def _basis_arrays(name: str, d: int, width: int) -> list[tuple[str, str, tuple]]:
+    return [(name, "rows", (d, width)), (name, "mean", (1, width)),
+            (name, "eigenvalues", (1, d))]
+
+
+def _check_shape(shape, expected: tuple, what: str) -> None:
+    if tuple(shape) != expected:
+        raise DataError(
+            f"{what} has shape {tuple(shape)}, the parameters imply {expected}"
+        )
 
 
 def save_model(model: TrainedModel, path, *, overwrite: bool = False) -> None:
     """Write a model to the VLACMODL binary format."""
     with atomic_write(path, overwrite=overwrite) as fh:
-        fh.write(_MODEL_MAGIC)
-        fh.write(struct.pack("<H", _MODEL_VERSION))
-        fh.write(struct.pack("<B", METHOD_TAGS[model.method]))
+        tag = METHOD_TAGS[model.method]
+        fh.write(_MODEL_MAGIC + _MODEL_HEADER.pack(_MODEL_VERSION, tag))
         fh.write(_PARAMS_HEADER.pack(*astuple(model.params)))
-        _write_array(fh, model.codebook.centers)
-        _write_array(fh, np.array([[model.codebook.inertia]]))
-        if model.method == METHOD_HP:
-            fb = model.hp_first_basis
-            _write_array(fh, fb.rows)
-            _write_array(fh, fb.mean)
-            _write_array(fh, fb.eigenvalues)
-            _write_array(fh, model.hp_second_codebook.centers)
-            _write_array(fh, np.array([[model.hp_second_codebook.inertia]]))
-        _write_array(fh, model.basis.rows)
-        _write_array(fh, model.basis.mean)
-        _write_array(fh, model.basis.eigenvalues)
+        for name, part, shape in _model_arrays(model.method, model.params):
+            arr = np.atleast_2d(getattr(getattr(model, name), part))
+            what = f"{path} {name}.{part}"
+            _check_shape(arr.shape, shape, what)
+            fh.write(_ARRAY_SHAPE.pack(*shape) + f32_bytes(arr, what))
 
 
 def load_model(path) -> TrainedModel:
@@ -577,59 +578,37 @@ def load_model(path) -> TrainedModel:
     Array values come back as float64 holding exactly the stored float32
     values, so saving a loaded model reproduces the file bit for bit.
     """
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MODEL_MAGIC:
-            raise BadMagic(f"{path} is not a VLACMODL file")
-        header = fh.read(3)
-        if len(header) != 3:
-            raise TruncatedFile(f"model file {path} ended early")
-        version, tag = struct.unpack("<HB", header)
-        if version != _MODEL_VERSION:
-            raise DataError(f"unsupported model version {version}")
-        if tag not in _TAG_METHODS:
-            raise DataError(f"unknown method tag {tag}")
-        method = _TAG_METHODS[tag]
-        raw = fh.read(_PARAMS_HEADER.size)
-        if len(raw) != _PARAMS_HEADER.size:
-            raise TruncatedFile(f"model file {path} ended early")
-        params = ModelParams(*(
-            _field_kind(fld)(value)
-            for fld, value in zip(fields(ModelParams), _PARAMS_HEADER.unpack(raw))
-        ))
-        centers = _read_array(fh, path)
-        inertia = float(_read_array(fh, path)[0, 0])
-        codebook = Codebook(
-            centers=centers, k=centers.shape[0], seed=params.seed,
-            inertia=inertia,
+    reader = Reader(path, _MODEL_MAGIC)
+    version, tag = reader.unpack(_MODEL_HEADER, "the header")
+    if version != _MODEL_VERSION:
+        raise DataError(f"unsupported model version {version}")
+    if tag not in TAG_METHODS:
+        raise DataError(f"unknown method tag {tag}")
+    method = TAG_METHODS[tag]
+    params = ModelParams(*(
+        _field_kind(fld)(value)
+        for fld, value in zip(
+            fields(ModelParams), reader.unpack(_PARAMS_HEADER, "the header")
         )
-        hp_first_basis = None
-        hp_second_codebook = None
-        if method == METHOD_HP:
-            rows = _read_array(fh, path)
-            mean = _read_array(fh, path)[0]
-            eig = _read_array(fh, path)[0]
-            hp_first_basis = ProjectionBasis(rows=rows, mean=mean, eigenvalues=eig)
-            sc = _read_array(fh, path)
-            s_inertia = float(_read_array(fh, path)[0, 0])
-            hp_second_codebook = Codebook(
-                centers=sc,
-                k=sc.shape[0],
-                seed=params.seed ^ _HP_SECOND_STAGE_SALT,
-                inertia=s_inertia,
-            )
-        rows = _read_array(fh, path)
-        mean = _read_array(fh, path)[0]
-        eig = _read_array(fh, path)[0]
-        basis = ProjectionBasis(rows=rows, mean=mean, eigenvalues=eig)
-        if fh.read(1):
-            raise DataError(f"model file {path} has trailing bytes")
-    return TrainedModel(
-        method=method,
-        params=params,
-        codebook=codebook,
-        basis=basis,
-        hp_first_basis=hp_first_basis,
-        hp_second_codebook=hp_second_codebook,
-    )
+    ))
+    stages: dict[str, dict[str, np.ndarray]] = {}
+    for name, part, shape in _model_arrays(method, params):
+        what = f"{name}.{part}"
+        _check_shape(reader.unpack(_ARRAY_SHAPE, what), shape, f"{path} {what}")
+        stages.setdefault(name, {})[part] = reader.f32(*shape, what)
+    reader.end()
+    seeds = {"hp_second_codebook": params.seed ^ _HP_SECOND_STAGE_SALT}
+    return TrainedModel(method=method, params=params, **{
+        name: _stage(arrays, seeds.get(name, params.seed))
+        for name, arrays in stages.items()
+    })
+
+
+def _stage(arrays: dict[str, np.ndarray], seed: int):
+    """The Codebook or ProjectionBasis stored as ``arrays``."""
+    if "centers" in arrays:
+        centers = arrays["centers"]
+        return Codebook(centers=centers, k=centers.shape[0], seed=seed,
+                        inertia=float(arrays["inertia"][0, 0]))
+    return ProjectionBasis(rows=arrays["rows"], mean=arrays["mean"][0],
+                           eigenvalues=arrays["eigenvalues"][0])

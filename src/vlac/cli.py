@@ -43,6 +43,7 @@ from .evaluation import (
 )
 from .core_math import basis_alignment_score
 from .ingestion import (
+    PERTURBATION_KINDS,
     DatasetManifest,
     PerturbationSpec,
     load_features,
@@ -413,8 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     encode.add_argument("--out", required=True)
     encode.add_argument("--queries", action="store_true",
                         help="manifest is a query manifest")
-    encode.add_argument("--perturb", choices=("additive_gaussian",
-                                              "component_dropout", "gain"))
+    encode.add_argument("--perturb", choices=PERTURBATION_KINDS)
     encode.add_argument("--magnitude", type=float, default=0.0)
     encode.add_argument("--perturb-seed", type=int, default=0)
     encode.set_defaults(func=cmd_encode)
@@ -449,8 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     stability.add_argument("--method",
                            choices=STABILITY_METHODS + ("all",),
                            default="all")
-    stability.add_argument("--kind", choices=("additive_gaussian",
-                                              "component_dropout", "gain"),
+    stability.add_argument("--kind", choices=PERTURBATION_KINDS,
                            default="additive_gaussian")
     stability.add_argument("--magnitude", type=float, required=True)
     stability.add_argument("--perturb-seed", type=int, default=0)

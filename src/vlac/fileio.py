@@ -1,11 +1,28 @@
-"""All-or-nothing file writes shared by the model, store, feature and
-manifest writers."""
+"""The on-disk primitives shared by every file the library writes.
+
+The three binary formats (``VLACFEAT`` feature files, ``VLACMODL`` models,
+``VLACSTOR`` descriptor stores) are an 8-byte magic followed by
+little-endian struct fields and float32 payloads. Their modules describe
+only the layout; the rules live here, once:
+
+* :func:`atomic_write` makes every write all-or-nothing;
+* :func:`f32_bytes` is the one float32 encoder, and it refuses a value
+  that is not finite in float32;
+* :class:`Reader` is the one decoder: a wrong magic raises ``BadMagic``, a
+  read past the end ``TruncatedFile``, a non-finite payload value or a
+  trailing byte ``DataError``.
+"""
 
 from __future__ import annotations
 
 import os
+import struct
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
+
+from .errors import BadMagic, DataError, TruncatedFile
 
 
 @contextmanager
@@ -29,3 +46,62 @@ def atomic_write(path, *, overwrite: bool = False):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def f32_bytes(arr, what: str) -> bytes:
+    """``arr`` as C-order little-endian float32 bytes.
+
+    Raises DataError if a value is not finite after the cast, so a float64
+    value beyond float32's range is refused like NaN and inf.
+    """
+    mat = np.ascontiguousarray(arr, dtype="<f4")
+    if not np.isfinite(mat).all():
+        raise DataError(f"{what} holds a non-finite value")
+    return mat.tobytes()
+
+
+class Reader:
+    """A binary file read once into memory and decoded front to back."""
+
+    def __init__(self, path, magic: bytes):
+        self.path = Path(path)
+        self._data = self.path.read_bytes()
+        if self._data[: len(magic)] != magic:
+            raise BadMagic(f"{self.path} is not a {magic.decode()} file")
+        self._pos = len(magic)
+
+    def _advance(self, n: int, what: str) -> int:
+        """Consume ``n`` bytes and return the offset they start at."""
+        start = self._pos
+        if n > len(self._data) - start:
+            raise TruncatedFile(f"{self.path} ended inside {what}")
+        self._pos = start + n
+        return start
+
+    def bytes(self, n: int, what: str) -> bytes:
+        start = self._advance(n, what)
+        return self._data[start : self._pos]
+
+    def unpack(self, layout: struct.Struct, what: str) -> tuple:
+        return layout.unpack_from(self._data, self._advance(layout.size, what))
+
+    def f32(self, rows: int, cols: int, what: str) -> np.ndarray:
+        """A (rows, cols) float32 payload as float64; DataError if any value
+        is not finite."""
+        start = self._advance(rows * cols * 4, what)
+        mat = (
+            np.frombuffer(self._data, dtype="<f4", count=rows * cols, offset=start)
+            .reshape(rows, cols)
+            .astype(np.float64)
+        )
+        if not np.isfinite(mat).all():
+            raise DataError(f"{self.path} {what} holds a non-finite value")
+        return mat
+
+    def at_end(self) -> bool:
+        return self._pos == len(self._data)
+
+    def end(self) -> None:
+        """Raise DataError unless every byte of the file has been read."""
+        if not self.at_end():
+            raise DataError(f"{self.path} has trailing bytes")

@@ -1,37 +1,32 @@
-"""Feature-file and manifest I/O, synthetic data, and feature perturbation.
+"""Feature files, manifests, synthetic data and feature perturbation.
 
-Feature files (``VLACFEAT``) are binary: an 8-byte magic, version (u16),
-feature dimension (u32) and frame count (u32), then per-frame records of
-frame_index (u32), feature count K (u32) and K*dim little-endian float32
-values. Round trips are bit-exact.
+A feature file (``VLACFEAT``) holds the magic, version (u16), feature
+dimension (u32) and frame count (u32), then per frame its frame_index
+(u32), feature count K (u32) and K*dim float32 values. The checks and the
+float32 codec live in :mod:`vlac.fileio`; round trips are bit-exact.
 
-Manifests are JSON with fixed field names; feature-file paths are stored
-relative to the manifest's directory.
+A manifest is the JSON form of a :class:`DatasetManifest` or
+:class:`QueryManifest`, field for field; feature-file paths are relative
+to the manifest's directory.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 from .aggregation import FrameFeatures
-from .errors import (
-    BadMagic,
-    DataError,
-    DimensionMismatch,
-    EmptyInput,
-    TruncatedFile,
-    VideoTooShort,
-)
-from .fileio import atomic_write
+from .errors import DataError, DimensionMismatch, EmptyInput, VideoTooShort
+from .fileio import Reader, atomic_write, f32_bytes
 
 _FEAT_MAGIC = b"VLACFEAT"
 _FEAT_VERSION = 1
+_FEAT_HEADER = struct.Struct("<HII")  # version, dim, frame count
+_FRAME_HEADER = struct.Struct("<II")  # frame index, feature count
 
 PERTURBATION_KINDS = ("additive_gaussian", "component_dropout", "gain")
 
@@ -113,61 +108,31 @@ def write_features(frames, path, *, overwrite: bool = False) -> None:
             raise DataError("frame indices must be strictly increasing")
         prev_index = f.frame_index
     with atomic_write(path, overwrite=overwrite) as fh:
-        fh.write(_FEAT_MAGIC)
-        fh.write(struct.pack("<HII", _FEAT_VERSION, dim, len(frames)))
+        fh.write(_FEAT_MAGIC + _FEAT_HEADER.pack(_FEAT_VERSION, dim, len(frames)))
         for f in frames:
-            fh.write(struct.pack("<II", f.frame_index, f.count))
-            fh.write(f.features.astype("<f4").tobytes(order="C"))
-
-
-def iter_features(path, *, expected_dim: int | None = None) -> Iterator[FrameFeatures]:
-    """Yield frames from a VLACFEAT file in order."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _FEAT_MAGIC:
-            raise BadMagic(f"{path} is not a VLACFEAT file")
-        header = fh.read(10)
-        if len(header) != 10:
-            raise TruncatedFile(f"{path} ended inside the header")
-        version, dim, frame_count = struct.unpack("<HII", header)
-        if version != _FEAT_VERSION:
-            raise DataError(f"unsupported feature file version {version}")
-        if expected_dim is not None and dim != expected_dim:
-            raise DimensionMismatch(
-                f"{path} holds {dim}-dim features, manifest says {expected_dim}"
-            )
-        prev_index = None
-        for _ in range(frame_count):
-            record = fh.read(8)
-            if len(record) != 8:
-                raise TruncatedFile(
-                    f"{path} declares {frame_count} frames but ended early"
-                )
-            frame_index, count = struct.unpack("<II", record)
-            if prev_index is not None and frame_index <= prev_index:
-                raise DataError(f"{path} frame indices are not increasing")
-            prev_index = frame_index
-            payload = fh.read(count * dim * 4)
-            if len(payload) != count * dim * 4:
-                raise TruncatedFile(f"{path} frame {frame_index} is truncated")
-            feats = (
-                np.frombuffer(payload, dtype="<f4")
-                .reshape(count, dim)
-                .astype(np.float64)
-            )
-            if not np.isfinite(feats).all():
-                raise DataError(
-                    f"{path} frame {frame_index} holds a non-finite value"
-                )
-            yield FrameFeatures(frame_index=frame_index, features=feats)
-        if fh.read(1):
-            raise DataError(f"{path} has trailing bytes after the last frame")
+            fh.write(_FRAME_HEADER.pack(f.frame_index, f.count))
+            fh.write(f32_bytes(f.features, f"{path} frame {f.frame_index}"))
 
 
 def load_features(path, *, expected_dim: int | None = None) -> list[FrameFeatures]:
     """Decode a whole VLACFEAT file."""
-    return list(iter_features(path, expected_dim=expected_dim))
+    reader = Reader(path, _FEAT_MAGIC)
+    version, dim, frame_count = reader.unpack(_FEAT_HEADER, "the header")
+    if version != _FEAT_VERSION:
+        raise DataError(f"unsupported feature file version {version}")
+    if expected_dim is not None and dim != expected_dim:
+        raise DimensionMismatch(
+            f"{path} holds {dim}-dim features, manifest says {expected_dim}"
+        )
+    frames = []
+    for _ in range(frame_count):
+        frame_index, count = reader.unpack(_FRAME_HEADER, "a frame header")
+        if frames and frame_index <= frames[-1].frame_index:
+            raise DataError(f"{path} frame indices are not increasing")
+        features = reader.f32(count, dim, f"frame {frame_index}")
+        frames.append(FrameFeatures(frame_index=frame_index, features=features))
+    reader.end()
+    return frames
 
 
 @dataclass(frozen=True)
@@ -367,108 +332,60 @@ def make_queries(
 # ---------------------------------------------------------------------------
 
 
-def _write_json(doc: dict, path, overwrite: bool) -> None:
+def save_manifest(manifest, path, *, overwrite: bool = False) -> None:
+    """Write a DatasetManifest or a QueryManifest as JSON."""
+    doc = json.dumps(asdict(manifest), indent=2, sort_keys=True)
     with atomic_write(path, overwrite=overwrite) as fh:
-        fh.write((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+        fh.write((doc + "\n").encode())
 
 
-def save_manifest(manifest: DatasetManifest, path, *, overwrite: bool = False) -> None:
-    doc = {
-        "videos": [
-            {
-                "video_id": v.video_id,
-                "feature_file": v.feature_file,
-                "fps_sampled": v.fps_sampled,
-                "label": v.label,
-            }
-            for v in manifest.videos
-        ],
-        "feature_dim": manifest.feature_dim,
-        "notes": manifest.notes,
-    }
-    _write_json(doc, path, overwrite)
+save_query_manifest = save_manifest
 
 
 def load_manifest(path, *, check_files: bool = True) -> DatasetManifest:
-    path = Path(path)
-    doc = json.loads(path.read_text())
-    try:
-        manifest = DatasetManifest(
-            videos=tuple(
-                VideoEntry(
-                    video_id=v["video_id"],
-                    feature_file=v["feature_file"],
-                    fps_sampled=float(v["fps_sampled"]),
-                    label=v["label"],
-                )
-                for v in doc["videos"]
-            ),
-            feature_dim=int(doc["feature_dim"]),
-            notes=doc.get("notes", ""),
-        )
-    except KeyError as exc:
-        raise DataError(f"{path} is missing manifest field {exc}") from exc
-    except TypeError as exc:  # a non-object document or entry, a null number
-        raise DataError(f"{path} is not a valid manifest: {exc}") from exc
-    if check_files:
-        base = path.parent
-        for v in manifest.videos:
-            if not (base / v.feature_file).exists():
-                raise DataError(
-                    f"{path} references missing feature file {v.feature_file}"
-                )
-    return manifest
-
-
-def save_query_manifest(
-    manifest: QueryManifest, path, *, overwrite: bool = False
-) -> None:
-    doc = {
-        "queries": [
-            {
-                "query_id": q.query_id,
-                "feature_file": q.feature_file,
-                "fps_sampled": q.fps_sampled,
-                "label": q.label,
-                "source_video_id": q.source_video_id,
-                "start_frame": q.start_frame,
-            }
-            for q in manifest.queries
-        ],
-        "feature_dim": manifest.feature_dim,
-        "notes": manifest.notes,
-    }
-    _write_json(doc, path, overwrite)
+    return _load(path, DatasetManifest, VideoEntry, check_files)
 
 
 def load_query_manifest(path, *, check_files: bool = True) -> QueryManifest:
+    return _load(path, QueryManifest, QueryEntry, check_files)
+
+
+def _load(path, cls, entry_cls, check_files: bool):
+    """Build ``cls`` from the JSON file at ``path``; its first field holds
+    the ``entry_cls`` entries, each naming a feature file relative to
+    ``path``'s directory."""
     path = Path(path)
     doc = json.loads(path.read_text())
     try:
-        manifest = QueryManifest(
-            queries=tuple(
-                QueryEntry(
-                    query_id=q["query_id"],
-                    feature_file=q["feature_file"],
-                    fps_sampled=float(q["fps_sampled"]),
-                    label=q["label"],
-                    source_video_id=q["source_video_id"],
-                    start_frame=int(q["start_frame"]),
-                )
-                for q in doc["queries"]
-            ),
-            feature_dim=int(doc["feature_dim"]),
-            notes=doc.get("notes", ""),
-        )
+        manifest = _from_json(cls, doc, entry_cls)
     except KeyError as exc:
-        raise DataError(f"{path} is missing query field {exc}") from exc
-    except TypeError as exc:  # a non-object document or entry, a null number
-        raise DataError(f"{path} is not a valid query manifest: {exc}") from exc
+        raise DataError(f"{path} is missing manifest field {exc}") from exc
+    except (TypeError, ValueError) as exc:  # a non-object, a wrong-typed value
+        raise DataError(f"{path} is not a valid manifest: {exc}") from exc
     if check_files:
-        base = path.parent
-        for q in manifest.queries:
-            if not (base / q.feature_file).exists():
+        for entry in getattr(manifest, fields(cls)[0].name):
+            if not (path.parent / entry.feature_file).exists():
                 raise DataError(
-                    f"{path} references missing feature file {q.feature_file}"
+                    f"{path} references missing feature file {entry.feature_file}"
                 )
     return manifest
+
+
+def _from_json(cls, doc, entry_cls=None):
+    """``cls`` from a JSON object, field by field: numbers are coerced to the
+    field's type, strings must be strings, and the one tuple field holds
+    ``entry_cls`` objects."""
+    values = {}
+    for fld in fields(cls):
+        if fld.name not in doc and fld.default is not MISSING:
+            continue
+        value = doc[fld.name]
+        if fld.type == "str":
+            if not isinstance(value, str):
+                raise TypeError(f"{fld.name} must be a string, got {value!r}")
+        elif fld.type in ("int", "float"):
+            value = int(value) if fld.type == "int" else float(value)
+        else:
+            value = tuple(_from_json(entry_cls, entry) for entry in value)
+        values[fld.name] = value
+    return cls(**values)

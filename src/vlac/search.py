@@ -2,30 +2,29 @@
 
 Similarity is the raw inner product of compact descriptors; sequences are
 compared at every alignment of the shorter one inside the longer one and
-the best alignment wins. The store is an in-memory flat scan serialized to
-the ``VLACSTOR`` binary format (bit-exact round trip).
+the best alignment wins. The store is an in-memory flat scan.
+
+A store file (``VLACSTOR``) holds the magic, then until the end of the
+file one record per video: the UTF-8 video_id's length (u32) and bytes,
+the GoF count G (u32), descriptor dimension d (u32) and method tag (u8),
+and G*d float32 values. The checks and the float32 codec live in
+:mod:`vlac.fileio`; round trips are bit-exact.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .aggregation import METHOD_TAGS
-from .errors import (
-    BadMagic,
-    DataError,
-    DimensionMismatch,
-    EmptyStore,
-    TruncatedFile,
-)
-from .fileio import atomic_write
+from .aggregation import METHOD_TAGS, TAG_METHODS
+from .errors import DataError, DimensionMismatch, EmptyStore
+from .fileio import Reader, atomic_write, f32_bytes
 
 _STORE_MAGIC = b"VLACSTOR"
-_TAG_METHODS = {v: k for k, v in METHOD_TAGS.items()}
+_ID_LENGTH = struct.Struct("<I")
+_RECORD = struct.Struct("<IIB")  # GoF count, descriptor dim, method tag
 
 
 @dataclass(frozen=True)
@@ -166,52 +165,21 @@ def write_store(sequences, path, *, overwrite: bool = False) -> None:
         fh.write(_STORE_MAGIC)
         for seq in sequences:
             encoded = seq.video_id.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(
-                struct.pack(
-                    "<IIB", seq.length, seq.d, METHOD_TAGS[seq.method]
-                )
-            )
-            fh.write(seq.descriptors.astype("<f4").tobytes(order="C"))
+            fh.write(_ID_LENGTH.pack(len(encoded)) + encoded)
+            fh.write(_RECORD.pack(seq.length, seq.d, METHOD_TAGS[seq.method]))
+            fh.write(f32_bytes(seq.descriptors, f"{path} record {seq.video_id!r}"))
 
 
 def load_store(path) -> list[DescriptorSequence]:
     """Read sequences from a VLACSTOR file."""
-    path = Path(path)
+    reader = Reader(path, _STORE_MAGIC)
     sequences = []
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _STORE_MAGIC:
-            raise BadMagic(f"{path} is not a VLACSTOR file")
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise TruncatedFile(f"{path} ended inside a record header")
-            (id_len,) = struct.unpack("<I", head)
-            raw_id = fh.read(id_len)
-            rest = fh.read(9)
-            if len(raw_id) != id_len or len(rest) != 9:
-                raise TruncatedFile(f"{path} ended inside a record header")
-            g, d, tag = struct.unpack("<IIB", rest)
-            if tag not in _TAG_METHODS:
-                raise DataError(f"{path} has unknown method tag {tag}")
-            payload = fh.read(g * d * 4)
-            if len(payload) != g * d * 4:
-                raise TruncatedFile(f"{path} record payload is truncated")
-            video_id = raw_id.decode("utf-8")
-            descriptors = (
-                np.frombuffer(payload, dtype="<f4")
-                .reshape(g, d)
-                .astype(np.float64)
-            )
-            if not np.isfinite(descriptors).all():
-                raise DataError(
-                    f"{path} record {video_id!r} holds a non-finite value"
-                )
-            sequences.append(
-                DescriptorSequence(video_id, descriptors, _TAG_METHODS[tag])
-            )
+    while not reader.at_end():
+        (id_length,) = reader.unpack(_ID_LENGTH, "a record header")
+        video_id = reader.bytes(id_length, "a record header").decode("utf-8")
+        g, d, tag = reader.unpack(_RECORD, "a record header")
+        if tag not in TAG_METHODS:
+            raise DataError(f"{path} has unknown method tag {tag}")
+        descriptors = reader.f32(g, d, f"record {video_id!r}")
+        sequences.append(DescriptorSequence(video_id, descriptors, TAG_METHODS[tag]))
     return sequences

@@ -2,13 +2,14 @@ import csv
 import hashlib
 import json
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _helpers import SENTINEL, poison, set_model_param
 from vlac import (
     Codebook,
     ModelParams,
@@ -396,8 +397,9 @@ class TestErrors:
         (tmp_path / "manifest.json").write_text(json.dumps(doc))
         bad = tmp_path / doc["queries"][0]["feature_file"]
         frames = load_features(bad)
-        frames[2].features[1, 3] = np.nan
+        frames[2].features[1, 3] = SENTINEL
         write_features(frames, bad, overwrite=True)
+        poison(bad, np.nan)
         assert run("encode", "--model", trained / "vlad.bin",
                    "--manifest", tmp_path / "manifest.json", "--queries",
                    "--out", tmp_path / "q.store") == 2
@@ -408,14 +410,25 @@ class TestErrors:
         bad = tmp_path / "bad.store"
         values = np.ones((2, 3))
         write_store([DescriptorSequence("v", values, "vlac")], good)
-        values[1, 2] = np.inf
+        values[1, 2] = SENTINEL
         write_store([DescriptorSequence("v", values, "vlac")], bad)
+        poison(bad, np.inf)
         for store, queries in ((good, bad), (bad, good)):
             assert run("search", "--store", store, "--queries", queries,
                        "--out", tmp_path / "r.csv") == 2
 
+    def test_model_shape_mismatch_exit_2(self, dataset, trained, tmp_path):
+        model = tmp_path / "vlad.bin"
+        model.write_bytes((trained / "vlad.bin").read_bytes())
+        set_model_param(model, "j", 9)
+        assert run("encode", "--model", model,
+                   "--manifest", dataset / "test" / "manifest.json",
+                   "--out", tmp_path / "db.store") == 2
+
     @pytest.mark.parametrize("case", ["top_level_list", "video_is_string",
-                                      "null_fps_sampled"])
+                                      "null_fps_sampled",
+                                      "feature_file_is_number",
+                                      "video_id_is_number"])
     def test_malformed_manifest_exit_2(self, dataset, tmp_path, case):
         queries = dataset / "queries" / "manifest.json"
         bad = tmp_path / "manifest.json"
@@ -433,10 +446,17 @@ class TestErrors:
                     "--out-prefix", tmp_path / "ev"]
         else:
             doc = json.loads((dataset / "train" / "manifest.json").read_text())
+            for video in doc["videos"]:  # so only the planted fault can fail
+                video["feature_file"] = str(
+                    dataset / "train" / video["feature_file"])
             if case == "top_level_list":
                 doc = doc["videos"]
-            else:
+            elif case == "video_is_string":
                 doc["videos"][0] = doc["videos"][0]["video_id"]
+            elif case == "feature_file_is_number":
+                doc["videos"][0]["feature_file"] = 5
+            else:
+                doc["videos"][0]["video_id"] = 7
             argv = ["train", "--manifest", bad, "--method", "vlad",
                     "--out", tmp_path / "m.bin", *PARAMS]
         bad.write_text(json.dumps(doc))
@@ -482,14 +502,19 @@ class TestParamSchema:
             assert load_config(args, params.f) == params
 
     @settings(max_examples=30, deadline=None)
-    @given(valid_params())
-    def test_model_header_keeps_every_field(self, params):
+    @given(valid_params(), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3))
+    def test_model_header_keeps_every_field(self, params, f, j, d):
+        # f, j and d fix the shapes of a vlad model's arrays, which
+        # load_model checks; every other field may take any u32 value
+        params = replace(params, f=f, j=j, d=d)
         model = TrainedModel(
             method="vlad", params=params,
-            codebook=Codebook(centers=np.ones((1, 2)), k=1, seed=0,
+            codebook=Codebook(centers=np.ones((j, f)), k=j, seed=0,
                               inertia=0.0),
-            basis=ProjectionBasis(rows=np.ones((1, 2)), mean=np.zeros(2),
-                                  eigenvalues=np.ones(1)),
+            basis=ProjectionBasis(rows=np.ones((d, j * f)),
+                                  mean=np.zeros(j * f),
+                                  eigenvalues=np.ones(d)),
         )
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.bin"
