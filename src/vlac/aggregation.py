@@ -559,8 +559,18 @@ def _check_shape(shape, expected: tuple, what: str) -> None:
         )
 
 
+def _check_hp_header(method: str, p: ModelParams, path) -> None:
+    """Hyper-pooling quantizes on h <= d0 components (train_hp clamps h)."""
+    if method == METHOD_HP and not 1 <= p.h <= p.d0:
+        raise DataError(
+            f"{path} hp header has h={p.h}, which must be between 1 and "
+            f"d0={p.d0}"
+        )
+
+
 def save_model(model: TrainedModel, path, *, overwrite: bool = False) -> None:
     """Write a model to the VLACMODL binary format."""
+    _check_hp_header(model.method, model.params, path)
     with atomic_write(path, overwrite=overwrite) as fh:
         tag = METHOD_TAGS[model.method]
         fh.write(_MODEL_MAGIC + _MODEL_HEADER.pack(_MODEL_VERSION, tag))
@@ -591,6 +601,7 @@ def load_model(path) -> TrainedModel:
             fields(ModelParams), reader.unpack(_PARAMS_HEADER, "the header")
         )
     ))
+    _check_hp_header(method, params, path)
     stages: dict[str, dict[str, np.ndarray]] = {}
     for name, part, shape in _model_arrays(method, params):
         what = f"{name}.{part}"

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -185,15 +186,25 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    start = time.perf_counter()
     params, videos = _training_inputs(args)
     model = train(args.method, videos, params)
     save_model(model, args.out, overwrite=True)
+    bases = {
+        name: {"solver": basis.solver,
+               "retained_variance": basis.retained_variance}
+        for name, basis in (("hp_first_basis", model.hp_first_basis),
+                            ("basis", model.basis))
+        if basis is not None
+    }
     _log(
         "trained",
         method=args.method,
         out=str(args.out),
         inertia=model.codebook.inertia,
         eigenvalues=[float(x) for x in model.basis.eigenvalues],
+        bases=bases,
+        duration_s=time.perf_counter() - start,
     )
     return 0
 

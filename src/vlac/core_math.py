@@ -20,7 +20,9 @@ from .errors import (
     KTooLarge,
 )
 
-# Covariance eigendecomposition below this input width, thin SVD above.
+# PCA solver for inputs with at least as many rows as columns: covariance
+# eigendecomposition up to this width, thin SVD above it. Wider inputs
+# (rows < columns) use the Gram matrix instead; see pca_fit.
 _EIG_MAX_DIM = 4096
 
 # Row chunk for pairwise distance computations, bounds peak memory.
@@ -58,12 +60,17 @@ class ProjectionBasis:
     ``rows[i]`` is the i-th eigenvector (unit norm, sign fixed so the
     largest-magnitude component is positive); ``eigenvalues`` are sorted
     non-increasing. ``mean`` is subtracted before projection, making the
-    basis self-contained.
+    basis self-contained. A basis from :func:`pca_fit` also records the
+    ``solver`` that ran ("gram", "eig" or "svd") and ``retained_variance``,
+    the kept eigenvalues over the total variance; both are None for a basis
+    read from a file or built by hand.
     """
 
     rows: np.ndarray
     mean: np.ndarray
     eigenvalues: np.ndarray
+    solver: str | None = None
+    retained_variance: float | None = None
 
     @property
     def d(self) -> int:
@@ -258,20 +265,48 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs * signs[:, None]
 
 
+def _gram_solve(centered: np.ndarray, d: int):
+    """Top-``d`` eigenpairs of the covariance through the n x n Gram matrix.
+
+    The snapshot method: if ``C C^T u = (n-1) lam u`` then ``C^T u / sqrt((n-1)
+    lam)`` is a unit eigenvector of ``C^T C / (n-1)`` with eigenvalue ``lam``.
+    Returns None when a kept eigenvalue is not clearly above the rounding
+    error of ``eigh`` (about n * eps * lam_max), because dividing by its root
+    would give NaN or noise; centered data has rank at most n - 1.
+    """
+    n = centered.shape[0]
+    evals, evecs = np.linalg.eigh(centered @ centered.T / (n - 1))
+    order = np.argsort(-evals, kind="stable")[:d]
+    eigenvalues = evals[order]
+    floor = n * np.finfo(np.float64).eps * eigenvalues[0]
+    if eigenvalues[-1] <= 0.0 or eigenvalues[-1] <= floor:
+        return None
+    vecs = evecs[:, order].T @ centered
+    vecs /= np.sqrt((n - 1) * eigenvalues)[:, None]
+    return eigenvalues, vecs
+
+
 def pca_fit(rows, d: int, method: str = "auto") -> ProjectionBasis:
     """Fit the top-``d`` principal directions of ``rows``.
 
-    The column-wise mean is subtracted and recorded on the basis. Inputs
-    of width at most 4096 use a covariance eigendecomposition, wider
-    inputs a thin SVD of the centered matrix; ``method`` ("eig"/"svd")
-    forces one path. Both paths agree within 1e-5 on well-conditioned
-    data. Eigenvector signs follow the largest-magnitude-component-positive
-    rule so fits are reproducible.
+    The column-wise mean is subtracted and recorded on the basis. With
+    ``method="auto"`` the input shape picks the solver. Wide inputs (fewer
+    rows than columns) use the eigendecomposition of the n x n Gram matrix,
+    mapped back to the input space (the snapshot method). Other inputs use
+    a covariance eigendecomposition up to width 4096 and a thin SVD of the
+    centered matrix above it. If a kept Gram eigenvalue is too small to
+    divide by (rank-deficient data), the fit falls back to that
+    covariance/SVD rule within the same call. ``method`` ("gram", "eig" or
+    "svd") forces a path; a forced "gram" falls back the same way. All
+    paths agree within 1e-5 on well-conditioned data. Eigenvector signs
+    follow the largest-magnitude-component-positive rule so fits are
+    reproducible. The basis records the solver that ran and the fraction
+    of the total variance the kept directions hold.
 
     Args:
         rows: (n, dim) array or sequence of equal-length vectors, n >= 2.
         d: directions to keep, 1 <= d <= min(n, dim).
-        method: "auto", "eig" or "svd".
+        method: "auto", "gram", "eig" or "svd".
 
     Returns:
         A :class:`ProjectionBasis` with d orthonormal rows.
@@ -288,12 +323,21 @@ def pca_fit(rows, d: int, method: str = "auto") -> ProjectionBasis:
         raise ValueError(f"d must be >= 1, got {d}")
     if d > min(n, dim):
         raise DTooLarge(f"d={d} exceeds min(rows={n}, dim={dim})")
+    if method not in ("auto", "gram", "eig", "svd"):
+        raise ValueError(f"unknown PCA method {method!r}")
     _check_finite(mat, "rows")
 
     mean = mat.mean(axis=0)
     centered = mat - mean
+    tall = "eig" if dim <= _EIG_MAX_DIM else "svd"
     if method == "auto":
-        method = "eig" if dim <= _EIG_MAX_DIM else "svd"
+        method = "gram" if n < dim else tall
+    if method == "gram":
+        solved = _gram_solve(centered, d)
+        if solved is None:
+            method = tall
+        else:
+            eigenvalues, vecs = solved
     if method == "eig":
         cov = centered.T @ centered / (n - 1)
         evals, evecs = np.linalg.eigh(cov)
@@ -304,13 +348,16 @@ def pca_fit(rows, d: int, method: str = "auto") -> ProjectionBasis:
         _, sing, vt = np.linalg.svd(centered, full_matrices=False)
         eigenvalues = (sing[:d] ** 2) / (n - 1)
         vecs = vt[:d]
-    else:
-        raise ValueError(f"unknown PCA method {method!r}")
 
+    total = float(np.vdot(centered, centered)) / (n - 1)
+    # identical rows have no variance, so no projection loses any
+    retained = float(np.sum(eigenvalues)) / total if total > 0.0 else 1.0
     return ProjectionBasis(
         rows=_fix_signs(np.ascontiguousarray(vecs)),
         mean=mean,
         eigenvalues=np.ascontiguousarray(eigenvalues, dtype=np.float64),
+        solver=method,
+        retained_variance=retained,
     )
 
 

@@ -176,7 +176,14 @@ def load_store(path) -> list[DescriptorSequence]:
     sequences = []
     while not reader.at_end():
         (id_length,) = reader.unpack(_ID_LENGTH, "a record header")
-        video_id = reader.bytes(id_length, "a record header").decode("utf-8")
+        raw_id = reader.bytes(id_length, "a record header")
+        try:
+            video_id = raw_id.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"{path} record {len(sequences)} has a video id that is not "
+                f"UTF-8: {raw_id!r}"
+            ) from exc
         g, d, tag = reader.unpack(_RECORD, "a record header")
         if tag not in TAG_METHODS:
             raise DataError(f"{path} has unknown method tag {tag}")

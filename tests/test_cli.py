@@ -91,6 +91,23 @@ class TestTrain:
         for method in ("vlad", "vlac", "hp"):
             assert (trained / f"{method}.bin").stat().st_size > 0
 
+    @pytest.mark.parametrize("method,extra,solvers", [
+        ("hp", [], {"hp_first_basis": "eig", "basis": "eig"}),
+        # 160 training frames of 32 x 8 VLAD dims: a wide fit
+        ("vlad", ["--j", "32"], {"basis": "gram"}),
+    ])
+    def test_trained_event_reports_bases(self, dataset, tmp_path, capsys,
+                                         method, extra, solvers):
+        assert run("train", "--manifest", dataset / "train" / "manifest.json",
+                   "--method", method, "--out", tmp_path / "m.bin", *PARAMS,
+                   *extra) == 0
+        event = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert event["event"] == "trained"
+        assert {k: v["solver"] for k, v in event["bases"].items()} == solvers
+        for basis in event["bases"].values():
+            assert 0.0 < basis["retained_variance"] <= 1.0
+        assert event["duration_s"] > 0.0
+
     def test_same_seed_bit_identical(self, dataset, tmp_path):
         for name in ("a.bin", "b.bin"):
             assert run("train", "--manifest",
@@ -424,6 +441,16 @@ class TestErrors:
         assert run("encode", "--model", model,
                    "--manifest", dataset / "test" / "manifest.json",
                    "--out", tmp_path / "db.store") == 2
+
+    @pytest.mark.parametrize("h", [0, 9])
+    def test_hp_h_out_of_range_exit_2(self, dataset, trained, tmp_path, h):
+        model = tmp_path / "hp.bin"
+        model.write_bytes((trained / "hp.bin").read_bytes())
+        set_model_param(model, "h", h)  # PARAMS train with d0 = 8
+        assert run("encode", "--model", model,
+                   "--manifest", dataset / "test" / "manifest.json",
+                   "--out", tmp_path / "db.store") == 2
+        assert not (tmp_path / "db.store").exists()
 
     @pytest.mark.parametrize("case", ["top_level_list", "video_is_string",
                                       "null_fps_sampled",

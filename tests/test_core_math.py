@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vlac import (
     Codebook,
@@ -140,12 +141,63 @@ class TestPCA:
 
     def test_eig_and_svd_paths_agree(self):
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            rows = rng.normal(size=(20, 6))
-            a = pca_fit(rows, 4, method="eig")
-            b = pca_fit(rows, 4, method="svd")
-            np.testing.assert_allclose(a.rows, b.rows, atol=1e-5)
-            np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, atol=1e-5)
+        for shape in [(20, 6)] * 10 + [(20, 60)] * 10:
+            rows = rng.normal(size=shape)
+            fits = [pca_fit(rows, 4, method=m) for m in ("gram", "eig", "svd")]
+            for other in fits[1:]:
+                np.testing.assert_allclose(fits[0].rows, other.rows, atol=1e-5)
+                np.testing.assert_allclose(
+                    fits[0].eigenvalues, other.eigenvalues, atol=1e-5)
+
+    def test_auto_picks_solver_by_shape(self):
+        rng = np.random.default_rng(5)
+        assert pca_fit(rng.normal(size=(10, 30)), 4).solver == "gram"
+        assert pca_fit(rng.normal(size=(30, 30)), 4).solver == "eig"
+        assert pca_fit(rng.normal(size=(40, 30)), 4).solver == "eig"
+        for method in ("gram", "eig", "svd"):
+            forced = pca_fit(rng.normal(size=(10, 30)), 4, method=method)
+            assert forced.solver == method
+
+    def test_rank_deficient_wide_falls_back(self):
+        # rank-2 data: the 3rd and 4th Gram eigenvalues are rounding noise
+        rng = np.random.default_rng(6)
+        rows = rng.normal(size=(10, 2)) @ rng.normal(size=(2, 50))
+        for method in ("auto", "gram"):
+            basis = pca_fit(rows, 4, method=method)
+            assert basis.solver == "eig"
+            assert np.isfinite(basis.rows).all()
+            np.testing.assert_allclose(
+                basis.rows @ basis.rows.T, np.eye(4), atol=1e-9)
+            np.testing.assert_allclose(basis.retained_variance, 1.0)
+
+    def test_retained_variance(self):
+        rng = np.random.default_rng(7)
+        for shape in ((12, 40), (40, 12)):
+            rows = rng.normal(size=shape)
+            centered = rows - rows.mean(axis=0)
+            total = np.sum(centered**2) / (shape[0] - 1)
+            basis = pca_fit(rows, 3)
+            np.testing.assert_allclose(
+                basis.retained_variance, basis.eigenvalues.sum() / total)
+            assert 0.0 < basis.retained_variance < 1.0
+            # every direction with variance kept: all of it retained
+            full = pca_fit(rows, min(shape[0] - 1, shape[1]))
+            np.testing.assert_allclose(full.retained_variance, 1.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 20),
+           extra=st.integers(1, 30), data=st.data())
+    def test_wide_gram_matches_eig(self, seed, n, extra, data):
+        d = data.draw(st.integers(1, n - 1), label="d")
+        rows = np.random.default_rng(seed).normal(size=(n, n + extra))
+        auto = pca_fit(rows, d)
+        assert auto.solver == "gram"
+        np.testing.assert_allclose(auto.rows @ auto.rows.T, np.eye(d),
+                                   atol=1e-9)
+        eig = pca_fit(rows, d, method="eig")
+        np.testing.assert_allclose(auto.rows, eig.rows, atol=1e-5)
+        np.testing.assert_allclose(auto.eigenvalues, eig.eigenvalues,
+                                   atol=1e-5)
 
     def test_errors(self):
         with pytest.raises(InsufficientRows):

@@ -206,24 +206,37 @@ def test_load_model_rejects_nan(tmp_path):
         load_model(path)
 
 
-# Per method, every header field that fixes an array shape.
+# Per method, every header field that fixes an array shape; each is bumped
+# by one.
 SHAPE_FIELDS = [("vlad", "f"), ("vlad", "j"), ("vlad", "d"),
                 ("vlac", "f"), ("vlac", "m"), ("vlac", "d"),
                 ("hp", "f"), ("hp", "alpha1"), ("hp", "d0"),
                 ("hp", "alpha2"), ("hp", "d")]
+# Header fields that fix no shape but have a range: the bad value and the
+# error it must raise. Hyper-pooling quantizes on h <= d0 (2) components.
+RANGE_FIELDS = {("hp", "h"): (3, "between 1 and d0")}
 
 
-@pytest.mark.parametrize("method,field", SHAPE_FIELDS)
+@pytest.mark.parametrize("method,field", SHAPE_FIELDS + list(RANGE_FIELDS))
 def test_header_must_match_array_shapes(tmp_path, method, field):
     model = MODELS[method]
-    wrong = getattr(model.params, field) + 1
+    wrong, match = RANGE_FIELDS.get(
+        (method, field), (getattr(model.params, field) + 1, "shape"))
     path = tmp_path / "m.bin"
     save_model(model, path)
     set_model_param(path, field, wrong)
-    with pytest.raises(DataError, match="shape"):
+    with pytest.raises(DataError, match=match):
         load_model(path)
     bad = replace(model, params=replace(model.params, **{field: wrong}))
-    with pytest.raises(DataError, match="shape"):
+    with pytest.raises(DataError, match=match):
         save_model(bad, tmp_path / "bad.bin")
     assert not (tmp_path / "bad.bin").exists()
 
+
+def test_store_id_not_utf8(tmp_path):
+    # the first id byte follows the magic and the u32 id length
+    path = damaged(tmp_path, "store",
+                   lambda data: data[:12] + b"\xff" + data[13:])
+    with pytest.raises(DataError, match="not UTF-8") as exc:
+        load_store(path)
+    assert str(path) in str(exc.value)
