@@ -25,6 +25,10 @@ from .errors import (
 # (rows < columns) use the Gram matrix instead; see pca_fit.
 _EIG_MAX_DIM = 4096
 
+# Largest entry of |V V^T - I| accepted from the Gram path before pca_fit
+# falls back to the covariance/SVD rule.
+_GRAM_ORTHO_TOL = 1e-9
+
 # Row chunk for pairwise distance computations, bounds peak memory.
 _DIST_CHUNK = 4096
 
@@ -272,7 +276,10 @@ def _gram_solve(centered: np.ndarray, d: int):
     lam)`` is a unit eigenvector of ``C^T C / (n-1)`` with eigenvalue ``lam``.
     Returns None when a kept eigenvalue is not clearly above the rounding
     error of ``eigh`` (about n * eps * lam_max), because dividing by its root
-    would give NaN or noise; centered data has rank at most n - 1.
+    would give NaN or noise; centered data has rank at most n - 1. Above that
+    floor the mapped rows still lose orthogonality by about eps * lam_max /
+    lam_k, so it also returns None when they are not orthonormal to
+    ``_GRAM_ORTHO_TOL``.
     """
     n = centered.shape[0]
     evals, evecs = np.linalg.eigh(centered @ centered.T / (n - 1))
@@ -283,6 +290,8 @@ def _gram_solve(centered: np.ndarray, d: int):
         return None
     vecs = evecs[:, order].T @ centered
     vecs /= np.sqrt((n - 1) * eigenvalues)[:, None]
+    if np.abs(vecs @ vecs.T - np.eye(d)).max() > _GRAM_ORTHO_TOL:
+        return None
     return eigenvalues, vecs
 
 
@@ -295,10 +304,10 @@ def pca_fit(rows, d: int, method: str = "auto") -> ProjectionBasis:
     mapped back to the input space (the snapshot method). Other inputs use
     a covariance eigendecomposition up to width 4096 and a thin SVD of the
     centered matrix above it. If a kept Gram eigenvalue is too small to
-    divide by (rank-deficient data), the fit falls back to that
-    covariance/SVD rule within the same call. ``method`` ("gram", "eig" or
-    "svd") forces a path; a forced "gram" falls back the same way. All
-    paths agree within 1e-5 on well-conditioned data. Eigenvector signs
+    divide by, or the mapped rows are not orthonormal to 1e-9 (rank-deficient
+    or nearly rank-deficient data), the fit falls back to that covariance/SVD
+    rule within the same call. ``method`` ("eig" or "svd") forces a path.
+    All paths agree within 1e-5 on well-conditioned data. Eigenvector signs
     follow the largest-magnitude-component-positive rule so fits are
     reproducible. The basis records the solver that ran and the fraction
     of the total variance the kept directions hold.
@@ -306,7 +315,7 @@ def pca_fit(rows, d: int, method: str = "auto") -> ProjectionBasis:
     Args:
         rows: (n, dim) array or sequence of equal-length vectors, n >= 2.
         d: directions to keep, 1 <= d <= min(n, dim).
-        method: "auto", "gram", "eig" or "svd".
+        method: "auto", "eig" or "svd".
 
     Returns:
         A :class:`ProjectionBasis` with d orthonormal rows.
@@ -323,21 +332,20 @@ def pca_fit(rows, d: int, method: str = "auto") -> ProjectionBasis:
         raise ValueError(f"d must be >= 1, got {d}")
     if d > min(n, dim):
         raise DTooLarge(f"d={d} exceeds min(rows={n}, dim={dim})")
-    if method not in ("auto", "gram", "eig", "svd"):
+    if method not in ("auto", "eig", "svd"):
         raise ValueError(f"unknown PCA method {method!r}")
     _check_finite(mat, "rows")
 
     mean = mat.mean(axis=0)
     centered = mat - mean
-    tall = "eig" if dim <= _EIG_MAX_DIM else "svd"
-    if method == "auto":
-        method = "gram" if n < dim else tall
-    if method == "gram":
+    solved = None
+    if method == "auto" and n < dim:
         solved = _gram_solve(centered, d)
-        if solved is None:
-            method = tall
-        else:
-            eigenvalues, vecs = solved
+    if solved is not None:
+        method = "gram"
+        eigenvalues, vecs = solved
+    elif method == "auto":
+        method = "eig" if dim <= _EIG_MAX_DIM else "svd"
     if method == "eig":
         cov = centered.T @ centered / (n - 1)
         evals, evecs = np.linalg.eigh(cov)
