@@ -35,8 +35,6 @@ from .core_math import (
     kmeans_fit,
     pca_fit,
     pca_project,
-    pca_reconstruct,
-    quantize,
 )
 from .errors import DataError, NumericError, VlacError
 from .evaluation import (

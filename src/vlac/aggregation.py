@@ -1,10 +1,11 @@
 """VLAD, VLAC and hyper-pooling encoders plus their training procedures.
 
 All three encoders aggregate nearest-center residuals. The residual kernel
-uses compensated (Kahan) summation in input order, so permuting features
-never moves an output by more than ~1e-9. VLAC is structurally the VLAD
-kernel applied to per-window local feature centers (LFCs) instead of raw
-features; both encoders literally share the kernel, so
+sums each center's residuals with plain float64 addition in input order,
+one scatter-add over all points, so permuting features moves an output
+only by float64 rounding. VLAC is structurally the VLAD kernel applied to
+per-window local feature centers (LFCs) instead of raw features; both
+encoders literally share the kernel, so
 ``vlac_encode(lfcs, c)`` equals ``vlad_encode(lfcs.centers, c)`` element
 for element. Every encoder returns a plain float64 NumPy vector, and
 :func:`encode_video` a (G, d) matrix.
@@ -30,6 +31,7 @@ import numpy as np
 from .core_math import (
     Codebook,
     ProjectionBasis,
+    cluster_sums,
     kmeans_fit,
     nearest_centers,
     pca_fit,
@@ -183,25 +185,18 @@ class TrainedModel:
 def _aggregate_residuals(
     points: np.ndarray, centers: np.ndarray, *, assign_dims: int | None = None
 ) -> np.ndarray:
-    """Sum (point - nearest center) into per-center blocks.
+    """Sum (point - nearest center) into per-center blocks, a (k, dim) array.
 
-    Shared by every encoder. Accumulation is Kahan-compensated in input
-    order; ``assign_dims`` restricts the nearest-center search to the
-    leading components while residuals always span all components.
+    Shared by every encoder. Each block is summed in input order with plain
+    float64 addition (see :func:`cluster_sums`); ``assign_dims`` restricts
+    the nearest-center search to the leading components while residuals
+    always span all components.
     """
-    k, dim = centers.shape
-    acc = np.zeros((k, dim), dtype=np.float64)
-    comp = np.zeros((k, dim), dtype=np.float64)
+    k = centers.shape[0]
     if points.shape[0] == 0:
-        return acc
+        return np.zeros(centers.shape, dtype=np.float64)
     assign = nearest_centers(points, centers, use_dims=assign_dims)
-    for i in range(points.shape[0]):
-        j = assign[i]
-        y = (points[i] - centers[j]) - comp[j]
-        t = acc[j] + y
-        comp[j] = (t - acc[j]) - y
-        acc[j] = t
-    return acc
+    return cluster_sums(points - centers[assign], assign, k)
 
 
 def vlad_encode(features, codebook: Codebook) -> np.ndarray:
@@ -437,13 +432,7 @@ def train_hp(training_gofs, params: ModelParams) -> TrainedModel:
         else:
             # final-iteration tie left the cluster empty in full space
             full_centers[c, :h] = head.centers[c]
-    second_codebook = Codebook(
-        centers=full_centers,
-        k=alpha2,
-        seed=second_seed,
-        inertia=head.inertia,
-        inertia_history=head.inertia_history,
-    )
+    second_codebook = replace(head, centers=full_centers)
 
     rows = np.stack(
         [_hp_raw(g, first_codebook, first_basis, second_codebook, h)
@@ -559,8 +548,24 @@ def _check_shape(shape, expected: tuple, what: str) -> None:
         )
 
 
-def _check_hp_header(method: str, p: ModelParams, path) -> None:
-    """Hyper-pooling quantizes on h <= d0 components (train_hp clamps h)."""
+def _check_header(method: str, p: ModelParams, path) -> None:
+    """Refuse a header no trainer writes: windows ``split_gofs`` cannot cut,
+    a field that only another method reads set (``for_method`` stores those
+    as 0), or hyper-pooling on more than d0 components (train_hp clamps h).
+    """
+    if not 0 <= p.overlap < p.gof_size:
+        raise DataError(
+            f"{path} header has gof_size={p.gof_size} and overlap="
+            f"{p.overlap}, which must satisfy 0 <= overlap < gof_size"
+        )
+    stored = p.for_method(method)
+    if stored != p:
+        extra = [f.name for f in fields(p)
+                 if getattr(p, f.name) != getattr(stored, f.name)]
+        raise DataError(
+            f"{path} {method} header sets {', '.join(extra)}, which only "
+            "other methods read"
+        )
     if method == METHOD_HP and not 1 <= p.h <= p.d0:
         raise DataError(
             f"{path} hp header has h={p.h}, which must be between 1 and "
@@ -570,7 +575,7 @@ def _check_hp_header(method: str, p: ModelParams, path) -> None:
 
 def save_model(model: TrainedModel, path, *, overwrite: bool = False) -> None:
     """Write a model to the VLACMODL binary format."""
-    _check_hp_header(model.method, model.params, path)
+    _check_header(model.method, model.params, path)
     with atomic_write(path, overwrite=overwrite) as fh:
         tag = METHOD_TAGS[model.method]
         fh.write(_MODEL_MAGIC + _MODEL_HEADER.pack(_MODEL_VERSION, tag))
@@ -601,7 +606,7 @@ def load_model(path) -> TrainedModel:
             fields(ModelParams), reader.unpack(_PARAMS_HEADER, "the header")
         )
     ))
-    _check_hp_header(method, params, path)
+    _check_header(method, params, path)
     stages: dict[str, dict[str, np.ndarray]] = {}
     for name, part, shape in _model_arrays(method, params):
         what = f"{name}.{part}"

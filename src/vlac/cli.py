@@ -197,6 +197,13 @@ def cmd_train(args) -> int:
                             ("basis", model.basis))
         if basis is not None
     }
+    codebooks = {
+        name: {"iterations": len(book.inertia_history),
+               "converged": book.converged, "refills": book.refills}
+        for name, book in (("codebook", model.codebook),
+                           ("hp_second_codebook", model.hp_second_codebook))
+        if book is not None
+    }
     _log(
         "trained",
         method=args.method,
@@ -204,6 +211,7 @@ def cmd_train(args) -> int:
         inertia=model.codebook.inertia,
         eigenvalues=[float(x) for x in model.basis.eigenvalues],
         bases=bases,
+        codebooks=codebooks,
         duration_s=time.perf_counter() - start,
     )
     return 0

@@ -32,6 +32,9 @@ _GRAM_ORTHO_TOL = 1e-9
 # Row chunk for pairwise distance computations, bounds peak memory.
 _DIST_CHUNK = 4096
 
+# Values per scatter-add in cluster_sums, bounds the int64 index it builds.
+_SCATTER_CHUNK = 1 << 18
+
 
 @dataclass(frozen=True)
 class Codebook:
@@ -44,6 +47,12 @@ class Codebook:
         seed: seed the fit was initialized with.
         inertia: final sum of squared distances to the nearest center.
         inertia_history: inertia after each Lloyd iteration (non-increasing).
+        converged: whether the fit stopped on ``tol`` rather than
+            ``max_iter``.
+        refills: empty clusters refilled over all iterations.
+
+    ``converged`` and ``refills`` are None for a codebook read from a file
+    or built by hand.
     """
 
     centers: np.ndarray
@@ -51,6 +60,8 @@ class Codebook:
     seed: int
     inertia: float
     inertia_history: tuple[float, ...] = ()
+    converged: bool | None = None
+    refills: int | None = None
 
     @property
     def dim(self) -> int:
@@ -141,34 +152,66 @@ def nearest_centers(
     return np.argmin(_sq_dists(pts, ctr), axis=1)
 
 
+def cluster_sums(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """Per-cluster sums of the rows of ``points``, a (k, dim) array.
+
+    Row ``j`` is bit-equal to ``points[assign == j].sum(axis=0)``: for two
+    or more columns numpy adds those rows in input order, and so does the
+    ``np.add.at`` scatter-add here, one block of rows at a time, with no
+    pass per cluster. A cluster with no rows sums to zero.
+    """
+    n, dim = points.shape
+    if dim == 1:
+        # numpy sums a lone contiguous column pairwise, not in input order
+        col = points[:, 0]
+        return np.array([[col[assign == j].sum()] for j in range(k)])
+    out = np.zeros(k * dim, dtype=np.float64)
+    cols = np.arange(dim)
+    step = max(1, _SCATTER_CHUNK // dim)
+    for start in range(0, n, step):
+        index = (assign[start : start + step, None] * dim + cols).ravel()
+        np.add.at(out, index, points[start : start + step].ravel())
+    return out.reshape(k, dim)
+
+
 def _kmeans_pp_init(
     points: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """k-means++ seeding: squared-distance-weighted center draws."""
+    """k-means++ seeding: squared-distance-weighted center draws.
+
+    A weighted draw takes the steps ``rng.choice(n, p=closest / total)``
+    takes, so it consumes the same stream and picks the same index.
+    """
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
     centers[0] = points[int(rng.integers(n))]
-    closest = np.einsum("ij,ij->i", points - centers[0], points - centers[0])
+    diff = points - centers[0]
+    closest = np.einsum("ij,ij->i", diff, diff)
     for i in range(1, k):
         total = float(closest.sum())
         if total > 0.0:
-            idx = int(rng.choice(n, p=closest / total))
+            cdf = np.cumsum(closest / total)
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             # all points coincide with chosen centers; fall back to uniform
             idx = int(rng.integers(n))
         centers[i] = points[idx]
-        diff = points - centers[i]
-        closest = np.minimum(closest, np.einsum("ij,ij->i", diff, diff))
+        np.subtract(points, centers[i], out=diff)
+        np.minimum(closest, np.einsum("ij,ij->i", diff, diff), out=closest)
     return centers
 
 
 def _fill_empty_clusters(
     assign: np.ndarray, dists: np.ndarray, k: int
-) -> np.ndarray:
-    """Move the point farthest from its center into each empty cluster."""
+) -> int:
+    """Move the point farthest from its center into each empty cluster.
+
+    Edits ``assign`` in place and returns the number of points moved.
+    """
     counts = np.bincount(assign, minlength=k)
     if not np.any(counts == 0):
-        return assign
+        return 0
     own = dists[np.arange(assign.shape[0]), assign].copy()
     guard = 0
     while np.any(counts == 0) and guard < 2 * k:
@@ -180,7 +223,7 @@ def _fill_empty_clusters(
         counts[j] += 1
         own[p] = -np.inf
         guard += 1
-    return assign
+    return guard
 
 
 def kmeans_fit(
@@ -228,14 +271,19 @@ def kmeans_fit(
 
     history: list[float] = []
     prev = np.inf
+    refills = 0
+    converged = False
     for _ in range(max_iter):
         dists = _sq_dists(pts, centers)
         assign = np.argmin(dists, axis=1)
-        assign = _fill_empty_clusters(assign, dists, k)
-        centers = np.stack([pts[assign == j].mean(axis=0) for j in range(k)])
+        refills += _fill_empty_clusters(assign, dists, k)
+        # every cluster holds a point after the refill: no division by zero
+        counts = np.bincount(assign, minlength=k)
+        centers = cluster_sums(pts, assign, k) / counts[:, None]
         inertia = float(np.sum((pts - centers[assign]) ** 2))
         history.append(inertia)
         if np.isfinite(prev) and prev - inertia <= tol * prev:
+            converged = True
             break
         prev = inertia
 
@@ -245,20 +293,9 @@ def kmeans_fit(
         seed=int(seed),
         inertia=history[-1],
         inertia_history=tuple(history),
+        converged=converged,
+        refills=refills,
     )
-
-
-def quantize(point, codebook: Codebook) -> int:
-    """Index of the codebook center nearest to ``point``.
-
-    Ties break toward the lowest index.
-    """
-    vec = np.asarray(point, dtype=np.float64).ravel()
-    if vec.shape[0] != codebook.dim:
-        raise DimensionMismatch(
-            f"point has dimension {vec.shape[0]}, codebook {codebook.dim}"
-        )
-    return int(nearest_centers(vec[None, :], codebook.centers)[0])
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -381,16 +418,6 @@ def pca_project(basis: ProjectionBasis, v: np.ndarray) -> np.ndarray:
             f"vector has dimension {arr.shape[-1]}, basis expects {basis.dim}"
         )
     return (arr - basis.mean) @ basis.rows.T
-
-
-def pca_reconstruct(basis: ProjectionBasis, y: np.ndarray) -> np.ndarray:
-    """Map projected coordinates back to the input space."""
-    arr = np.asarray(y, dtype=np.float64)
-    if arr.shape[-1] != basis.d:
-        raise DimensionMismatch(
-            f"coordinates have dimension {arr.shape[-1]}, basis keeps {basis.d}"
-        )
-    return arr @ basis.rows + basis.mean
 
 
 def basis_alignment_score(a: ProjectionBasis, b: ProjectionBasis) -> float:

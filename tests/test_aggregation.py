@@ -31,8 +31,8 @@ from vlac import (
 )
 from dataclasses import replace
 
-from vlac.aggregation import stack_features
-from vlac.core_math import ProjectionBasis
+from vlac.aggregation import _aggregate_residuals, stack_features
+from vlac.core_math import ProjectionBasis, nearest_centers
 from vlac.errors import (
     DataError,
     DimensionMismatch,
@@ -105,6 +105,28 @@ class TestVladEncode:
             perm = rng.permutation(60)
             got = vlad_encode(feats[perm], book)
             np.testing.assert_allclose(got, base, atol=1e-9)
+
+
+class TestResidualKernel:
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(0, 80), dim=st.integers(1, 6), k=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_matches_per_center_loop(self, n, dim, k, seed, data):
+        assign_dims = data.draw(st.none() | st.integers(1, dim),
+                                label="assign_dims")
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(n, dim)) * 100.0
+        centers = rng.normal(size=(k, dim))
+        assign = nearest_centers(points, centers, use_dims=assign_dims)
+        expected = np.zeros((k, dim))
+        for j in range(k):
+            expected[j] = (points[assign == j] - centers[j]).sum(axis=0)
+        got = _aggregate_residuals(points, centers, assign_dims=assign_dims)
+        # relative to the summed residual magnitudes, which bound the
+        # rounding error of any summation order
+        scale = np.abs(points - centers[assign]).sum()
+        np.testing.assert_allclose(got, expected, rtol=1e-12,
+                                   atol=1e-12 * scale)
 
 
 class TestVlacEncode:
@@ -564,6 +586,14 @@ class TestModelPersistence:
         loaded = load_model(path)
         assert loaded.method == model.method
         assert loaded.params == model.params
+        # fit diagnostics are not stored in the file
+        names = ["codebook"] + (["hp_second_codebook"] if method == "hp"
+                                else [])
+        for name in names:
+            fitted, read = getattr(model, name), getattr(loaded, name)
+            assert type(fitted.converged) is bool
+            assert type(fitted.refills) is int
+            assert read.converged is None and read.refills is None
         path2 = tmp_path / "model2.bin"
         save_model(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()

@@ -106,6 +106,13 @@ class TestTrain:
         assert {k: v["solver"] for k, v in event["bases"].items()} == solvers
         for basis in event["bases"].values():
             assert 0.0 < basis["retained_variance"] <= 1.0
+        books = {"codebook"} | ({"hp_second_codebook"} if method == "hp"
+                                else set())
+        assert set(event["codebooks"]) == books
+        for book in event["codebooks"].values():
+            assert book["iterations"] >= 1
+            assert type(book["converged"]) is bool
+            assert type(book["refills"]) is int and book["refills"] >= 0
         assert event["duration_s"] > 0.0
 
     def test_same_seed_bit_identical(self, dataset, tmp_path):
@@ -533,8 +540,9 @@ class TestParamSchema:
            st.integers(1, 3))
     def test_model_header_keeps_every_field(self, params, f, j, d):
         # f, j and d fix the shapes of a vlad model's arrays, which
-        # load_model checks; every other field may take any u32 value
-        params = replace(params, f=f, j=j, d=d)
+        # load_model checks; the fields of other methods are stored as 0,
+        # and every other field may take any u32 value
+        params = replace(params, f=f, j=j, d=d).for_method("vlad")
         model = TrainedModel(
             method="vlad", params=params,
             codebook=Codebook(centers=np.ones((j, f)), k=j, seed=0,

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vlac import (
-    Codebook,
     basis_alignment_score,
     kmeans_fit,
     pca_fit,
     pca_project,
-    pca_reconstruct,
-    quantize,
+)
+from vlac.core_math import (
+    _fill_empty_clusters,
+    _sq_dists,
+    cluster_sums,
+    nearest_centers,
 )
 from vlac.errors import (
     DimensionMismatch,
@@ -22,12 +25,101 @@ from vlac.errors import (
 )
 
 
-def cb(*centers):
-    arr = np.asarray(centers, dtype=np.float64)
-    return Codebook(centers=arr, k=arr.shape[0], seed=0, inertia=0.0)
+def nearest(point, *centers):
+    """Index of the center nearest to one point, as nearest_centers gives it."""
+    return int(nearest_centers([point], np.asarray(centers, dtype=float))[0])
+
+
+def reference_kmeans(points, k, seed, max_iter=100, tol=1e-4):
+    """kmeans_fit as first written: ``rng.choice`` k-means++ draws and one
+    masked mean per cluster. Distances and refills use the same helpers."""
+    rng = np.random.default_rng(seed)
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[int(rng.integers(n))]
+    closest = np.einsum("ij,ij->i", points - centers[0], points - centers[0])
+    for i in range(1, k):
+        total = float(closest.sum())
+        if total > 0.0:
+            idx = int(rng.choice(n, p=closest / total))
+        else:
+            idx = int(rng.integers(n))
+        centers[i] = points[idx]
+        diff = points - centers[i]
+        closest = np.minimum(closest, np.einsum("ij,ij->i", diff, diff))
+    history, prev = [], np.inf
+    for _ in range(max_iter):
+        dists = _sq_dists(points, centers)
+        assign = np.argmin(dists, axis=1)
+        _fill_empty_clusters(assign, dists, k)
+        centers = np.stack([points[assign == j].mean(axis=0) for j in range(k)])
+        history.append(float(np.sum((points - centers[assign]) ** 2)))
+        if np.isfinite(prev) and prev - history[-1] <= tol * prev:
+            break
+        prev = history[-1]
+    return centers, tuple(history)
+
+
+@st.composite
+def kmeans_cases(draw):
+    """Points, k and seed. ``unique`` < n repeats rows, so with k above the
+    number of distinct rows the seeding falls back to uniform draws; k near
+    n empties clusters that then get refilled; integer grids make ties."""
+    n = draw(st.integers(1, 60), label="n")
+    dim = draw(st.integers(1, 5), label="dim")
+    unique = draw(st.integers(1, n), label="unique")
+    k = draw(st.sampled_from(sorted({1, unique, n, max(1, n - 1),
+                                     draw(st.integers(1, n))})), label="k")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans(), label="grid"):
+        rows = rng.integers(-2, 3, size=(unique, dim)).astype(np.float64)
+    else:
+        rows = rng.normal(size=(unique, dim)) * 10.0 ** rng.integers(-3, 4)
+    points = rows[rng.integers(0, unique, size=n)] if unique < n else rows
+    return points, k, draw(st.integers(0, 2**32 - 1), label="seed")
 
 
 class TestKMeans:
+    @settings(max_examples=150, deadline=None)
+    @given(case=kmeans_cases())
+    def test_bit_identical_to_reference(self, case):
+        points, k, seed = case
+        centers, history = reference_kmeans(points, k, seed)
+        result = kmeans_fit(points, k, seed)
+        assert np.array_equal(result.centers, centers)
+        assert result.inertia_history == history
+
+    def test_reference_cases_reach_fallback_and_refill(self):
+        # the branches the property above must reach: with 3 distinct rows
+        # and k = 5 the weighted draws run out, the uniform fallback draws
+        # duplicate centers, and their empty clusters are refilled
+        points = np.repeat(np.eye(3), 2, axis=0)
+        result = kmeans_fit(points, 5, seed=0)
+        assert result.refills > 0
+        centers, history = reference_kmeans(points, 5, 0)
+        assert np.array_equal(result.centers, centers)
+        assert result.inertia_history == history
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 80), dim=st.integers(1, 6), k=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_cluster_sums_match_masked_sums(self, n, dim, k, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(n, dim))
+        assign = rng.integers(0, k, size=n)
+        expected = np.stack([points[assign == j].sum(axis=0)
+                             for j in range(k)])
+        assert np.array_equal(cluster_sums(points, assign, k), expected)
+
+    def test_reports_convergence_and_refills(self):
+        rng = np.random.default_rng(3)
+        points = rng.normal(size=(100, 3))
+        fit = kmeans_fit(points, 4, seed=1)
+        assert fit.converged is True and fit.refills == 0
+        capped = kmeans_fit(points, 4, seed=1, max_iter=1)
+        assert capped.converged is False
+        assert len(capped.inertia_history) == 1
+
     def test_two_separated_pairs(self):
         # unique local optimum: centers must be the two pair means
         points = np.array([[0.0], [0.2], [10.0], [10.2]])
@@ -76,22 +168,25 @@ class TestKMeans:
         result = kmeans_fit(points, 3, seed=0)
         assert result.centers.shape == (3, 2)
         assert np.isfinite(result.centers).all()
+        assert result.refills > 0
 
 
 class TestQuantize:
+    """Vector quantization: nearest_centers maps a point to its center."""
+
     def test_exact_match(self):
-        assert quantize([0.0], cb([0.0], [10.0])) == 0
+        assert nearest([0.0], [0.0], [10.0]) == 0
 
     def test_tie_breaks_to_lowest_index(self):
-        assert quantize([5.0], cb([0.0], [10.0])) == 0
+        assert nearest([5.0], [0.0], [10.0]) == 0
 
     def test_nearest_of_three(self):
         # exhaustive distance comparison puts 7.6 nearest to 7
-        assert quantize([7.6], cb([0.0], [10.0], [7.0])) == 2
+        assert nearest([7.6], [0.0], [10.0], [7.0]) == 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            quantize([1.0, 2.0], cb([0.0], [10.0]))
+            nearest([1.0, 2.0], [0.0], [10.0])
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(5)
@@ -100,11 +195,12 @@ class TestQuantize:
             k = int(rng.integers(1, 12))
             dim = int(rng.integers(1, 6))
             centers = rng.normal(size=(k, dim))
-            book = Codebook(centers=centers, k=k, seed=0, inertia=0.0)
-            for point in rng.normal(size=(n, dim)):
+            points = rng.normal(size=(n, dim))
+            got = nearest_centers(points, centers)
+            for point, index in zip(points, got):
                 dists = [float(np.sum((point - c) ** 2)) for c in centers]
                 best = min(range(k), key=lambda i: (dists[i], i))
-                assert quantize(point, book) == best
+                assert index == best
 
 
 class TestPCA:
@@ -125,7 +221,7 @@ class TestPCA:
         rows = rng.normal(size=(40, 6))
         basis = pca_fit(rows, 6)
         for v in rows[:10]:
-            back = pca_reconstruct(basis, pca_project(basis, v))
+            back = pca_project(basis, v) @ basis.rows + basis.mean
             np.testing.assert_allclose(back, v, rtol=1e-6, atol=1e-9)
 
     def test_orthonormal_rows(self):

@@ -212,9 +212,16 @@ SHAPE_FIELDS = [("vlad", "f"), ("vlad", "j"), ("vlad", "d"),
                 ("vlac", "f"), ("vlac", "m"), ("vlac", "d"),
                 ("hp", "f"), ("hp", "alpha1"), ("hp", "d0"),
                 ("hp", "alpha2"), ("hp", "d")]
-# Header fields that fix no shape but have a range: the bad value and the
-# error it must raise. Hyper-pooling quantizes on h <= d0 (2) components.
-RANGE_FIELDS = {("hp", "h"): (3, "between 1 and d0")}
+# Header fields that fix no shape but that no trainer writes at some values:
+# the bad value and the error it must raise. Hyper-pooling quantizes on
+# h <= d0 (2) components; split_gofs cannot cut windows with gof_size 0 or
+# overlap >= gof_size (5); a field only another method reads is stored as 0.
+RANGE_FIELDS = {
+    ("hp", "h"): (3, "between 1 and d0"),
+    ("vlad", "gof_size"): (0, "overlap < gof_size"),
+    ("vlad", "overlap"): (5, "overlap < gof_size"),
+    ("vlad", "alpha2"): (7, "alpha2, which only other methods read"),
+}
 
 
 @pytest.mark.parametrize("method,field", SHAPE_FIELDS + list(RANGE_FIELDS))
