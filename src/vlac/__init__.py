@@ -7,8 +7,6 @@ quality with precision-recall curves and mAP.
 """
 
 from .aggregation import (
-    FrameFeatures,
-    GroupOfFrames,
     METHOD_HP,
     METHOD_VLAC,
     METHOD_VLAD,
@@ -26,6 +24,7 @@ from .aggregation import (
     train_vlac,
     train_vlad,
     vlac_encode,
+    Video,
     vlad_encode,
 )
 from .core_math import (
@@ -36,7 +35,7 @@ from .core_math import (
     pca_fit,
     pca_project,
 )
-from .errors import DataError, NumericError, VlacError
+from .errors import DataError, VlacError
 from .evaluation import (
     GroundTruth,
     PRCurve,
@@ -46,7 +45,6 @@ from .evaluation import (
     mean_average_precision,
     pr_curve,
     sign_aligned_alignment_score,
-    stability_experiment,
 )
 from .ingestion import (
     DatasetManifest,
@@ -69,7 +67,6 @@ from .search import (
     aligned_similarity,
     load_store,
     retrieve,
-    similarity,
     write_store,
 )
 

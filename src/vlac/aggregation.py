@@ -1,5 +1,12 @@
 """VLAD, VLAC and hyper-pooling encoders plus their training procedures.
 
+A video is one :class:`Video`: a (total, dim) feature matrix plus the row
+offsets of its frames. A group of frames (GoF) is a range of consecutive
+frames, so its features are one contiguous row slice; :func:`split_gofs`
+gives the first frame of each window. VLAD and hyper-pooling assign a
+video's features to their codebook once and sum each window or frame over
+its rows.
+
 All three encoders aggregate nearest-center residuals. The residual kernel
 sums each center's residuals with plain float64 addition in input order,
 one scatter-add over all points, so permuting features moves an output
@@ -10,8 +17,9 @@ encoders literally share the kernel, so
 for element. Every encoder returns a plain float64 NumPy vector, and
 :func:`encode_video` a (G, d) matrix.
 
-Each trainer takes the data and one :class:`ModelParams`; the field
-metadata records which method reads which field.
+Each trainer takes the training videos and one :class:`ModelParams`,
+cuts the windows itself, and the field metadata records which method
+reads which field.
 
 A model file (``VLACMODL``) holds the magic, version (u16), method tag
 (u8) and one u32 per :class:`ModelParams` field in field order, then the
@@ -63,47 +71,71 @@ _MODEL_VERSION = 1
 
 
 @dataclass(frozen=True)
-class FrameFeatures:
-    """Local descriptors of one frame: a (count, dim) float64 array."""
+class Video:
+    """The local descriptors of one video, all frames in one matrix.
 
-    frame_index: int
+    ``features`` is a (total, dim) float64 matrix whose rows
+    ``offsets[t]:offsets[t + 1]`` are the features of frame ``t``, and
+    ``frame_index[t]`` is that frame's index. The input is checked once,
+    here: 2-D finite features, F + 1 offsets that start at 0, never
+    decrease and end at ``total``, and strictly increasing frame indices.
+    """
+
     features: np.ndarray
+    frame_index: np.ndarray
+    offsets: np.ndarray
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2:
             raise DimensionMismatch(
-                f"frame features must be 2-D (count, dim), got {feats.ndim}-D"
+                f"video features must be 2-D (total, dim), got {feats.ndim}-D"
             )
+        if not np.isfinite(feats).all():
+            raise DataError("video features contain non-finite values")
+        index = np.asarray(self.frame_index, dtype=np.int64)
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        if index.ndim != 1 or offsets.shape != (index.shape[0] + 1,):
+            raise DataError(
+                f"{index.shape} frame indices need {index.shape[0] + 1} "
+                f"offsets, got {offsets.shape}"
+            )
+        if (offsets[0] != 0 or offsets[-1] != feats.shape[0]
+                or np.any(np.diff(offsets) < 0)):
+            raise DataError(
+                "frame offsets must start at 0, never decrease and end at "
+                f"the {feats.shape[0]} feature rows"
+            )
+        if np.any(np.diff(index) <= 0):
+            raise DataError("frame indices must be strictly increasing")
         object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "frame_index", index)
+        object.__setattr__(self, "offsets", offsets)
 
-    @property
-    def count(self) -> int:
-        return int(self.features.shape[0])
+    @classmethod
+    def from_frames(cls, frames, frame_index=None) -> "Video":
+        """A video from per-frame (count, dim) arrays, indexed 0, 1, ...
+        unless ``frame_index`` is given."""
+        frames = [np.asarray(f, dtype=np.float64) for f in frames]
+        if frame_index is None:
+            frame_index = range(len(frames))
+        counts = [f.shape[0] for f in frames]
+        return cls(
+            features=np.concatenate(frames) if frames else np.empty((0, 0)),
+            frame_index=frame_index,
+            offsets=np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]),
+        )
+
+    def __len__(self) -> int:
+        return int(self.frame_index.shape[0])
 
     @property
     def dim(self) -> int:
         return int(self.features.shape[1])
 
-
-@dataclass(frozen=True)
-class GroupOfFrames:
-    """A fixed-size temporal window of consecutive frames."""
-
-    gof_index: int
-    frames: tuple[FrameFeatures, ...]
-
-    def __post_init__(self):
-        frames = tuple(self.frames)
-        if not frames:
-            raise DataError("a group of frames must contain frames")
-        for prev, cur in zip(frames, frames[1:]):
-            if cur.frame_index != prev.frame_index + 1:
-                raise DataError(
-                    "group frames must have consecutive indices, got "
-                    f"{prev.frame_index} then {cur.frame_index}"
-                )
-        object.__setattr__(self, "frames", frames)
+    def rows(self, start: int, stop: int) -> slice:
+        """The feature rows of frames ``start`` to ``stop - 1``."""
+        return slice(int(self.offsets[start]), int(self.offsets[stop]))
 
 
 @dataclass(frozen=True)
@@ -228,26 +260,61 @@ def vlac_encode(lfcs: Codebook, clfc: Codebook) -> np.ndarray:
     return _aggregate_residuals(lfcs.centers, clfc.centers).ravel()
 
 
-def compute_lfcs(gof: GroupOfFrames, n: int, seed: int) -> Codebook:
-    """Cluster the window's pooled features into local feature centers.
+def _frame_vlads(video: Video, codebook: Codebook) -> np.ndarray:
+    """The VLAD vector of every frame of ``video``, an (F, k * dim) matrix.
 
-    The center count is min(n, pooled count): sparse windows keep one
+    The whole video is assigned to the codebook at once, and the residuals
+    are summed per (frame, center) key in input order, so row ``t`` is what
+    ``vlad_encode`` gives for frame ``t`` alone, unless a feature sits
+    within rounding of two centers: the whole-video distance product may
+    round differently from a per-frame one.
+    """
+    centers = codebook.centers
+    k, dim = centers.shape
+    assign = nearest_centers(video.features, centers)
+    frame = np.repeat(np.arange(len(video)), np.diff(video.offsets))
+    sums = cluster_sums(
+        video.features - centers[assign], frame * k + assign, len(video) * k
+    )
+    return sums.reshape(len(video), k * dim)
+
+
+def hp_encode(
+    frame_vlads: np.ndarray,
+    first_basis: ProjectionBasis,
+    second_codebook: Codebook,
+    h: int,
+) -> np.ndarray:
+    """Hyper-pooling of one window from the VLAD rows of its frames:
+    project them to d0 dims, quantize on the top ``h`` components against
+    the second-stage codebook, and aggregate full-d0 residuals into an
+    (alpha2 * d0) vector.
+    """
+    vectors = pca_project(first_basis, frame_vlads)
+    return _aggregate_residuals(
+        vectors, second_codebook.centers, assign_dims=h
+    ).ravel()
+
+
+def compute_lfcs(features: np.ndarray, n: int, seed: int) -> Codebook:
+    """Cluster one window's features into local feature centers.
+
+    The center count is min(n, feature count): sparse windows keep one
     center per feature rather than failing.
     """
-    pooled = stack_features(gof.frames)
-    if pooled.shape[0] == 0:
-        raise EmptyGof(f"group {gof.gof_index} has no features")
-    k = min(int(n), pooled.shape[0])
-    return kmeans_fit(pooled, k, seed)
+    if features.shape[0] == 0:
+        raise EmptyGof("a group of frames has no features")
+    k = min(int(n), features.shape[0])
+    return kmeans_fit(features, k, seed)
 
 
-def split_gofs(
-    frames, gof_size: int, overlap: int
-) -> list[GroupOfFrames]:
-    """Window frames into groups of ``gof_size`` with ``overlap`` shared frames.
+def split_gofs(video: Video, gof_size: int, overlap: int) -> list[int]:
+    """The first frame of each window of ``gof_size`` frames, neighbouring
+    windows sharing ``overlap`` frames.
 
     The stride is ``gof_size - overlap``; a trailing window that cannot be
-    filled completely is dropped.
+    filled completely is dropped. Raises DataError for a window whose frame
+    indices are not consecutive.
     """
     if gof_size < 1:
         raise ValueError(f"gof_size must be >= 1, got {gof_size}")
@@ -255,31 +322,16 @@ def split_gofs(
         raise ValueError(
             f"overlap must satisfy 0 <= overlap < gof_size, got {overlap}"
         )
-    frames = list(frames)
-    stride = gof_size - overlap
-    gofs = []
-    start = 0
-    while start + gof_size <= len(frames):
-        gofs.append(
-            GroupOfFrames(
-                gof_index=len(gofs),
-                frames=tuple(frames[start : start + gof_size]),
-            )
+    starts = np.arange(0, len(video) - gof_size + 1, gof_size - overlap)
+    # gaps[t]: the breaks in the frame indices up to frame t
+    gaps = np.concatenate([[0], np.cumsum(np.diff(video.frame_index) != 1)])
+    broken = starts[gaps[starts + gof_size - 1] != gaps[starts]]
+    if broken.size:
+        first = video.frame_index[broken[0] : broken[0] + gof_size]
+        raise DataError(
+            f"a group of frames must have consecutive indices, got {first}"
         )
-        start += stride
-    return gofs
-
-
-def stack_features(frames) -> np.ndarray:
-    """All features of all frames stacked into one (total, dim) array."""
-    dims = {f.dim for f in frames}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"frames mix feature dimensions {sorted(dims)}")
-    parts = [f.features for f in frames if f.count > 0]
-    if not parts:
-        dim = dims.pop() if dims else 0
-        return np.empty((0, dim), dtype=np.float64)
-    return np.concatenate(parts, axis=0)
+    return starts.tolist()
 
 
 def _maybe_normalize(raw: np.ndarray, flag: bool) -> np.ndarray:
@@ -298,7 +350,7 @@ def _fit_basis(rows: np.ndarray, d: int, normalize: bool) -> ProjectionBasis:
     return pca_fit(rows, d)
 
 
-def train_vlad(training_frames, params: ModelParams) -> TrainedModel:
+def train_vlad(videos, params: ModelParams) -> TrainedModel:
     """Fit a VLAD model: a J-codebook over all pooled training features and
     a d-dimensional compaction basis over the per-frame VLAD rows.
 
@@ -306,10 +358,12 @@ def train_vlad(training_frames, params: ModelParams) -> TrainedModel:
     always fit on per-frame encodings of the training frames.
     """
     params = params.for_method(METHOD_VLAD)
-    frames = list(training_frames)
-    pooled = stack_features(frames)
+    videos = list(videos)
+    if not videos:
+        raise DataError("train_vlad requires at least one training video")
+    pooled = np.concatenate([v.features for v in videos])
     codebook = kmeans_fit(pooled, params.j, params.seed)
-    rows = np.stack([vlad_encode(f.features, codebook) for f in frames])
+    rows = np.concatenate([_frame_vlads(v, codebook) for v in videos])
     basis = _fit_basis(rows, params.d, params.normalize)
     return TrainedModel(
         method=METHOD_VLAD,
@@ -319,30 +373,34 @@ def train_vlad(training_frames, params: ModelParams) -> TrainedModel:
     )
 
 
-def fit_clfcs(
-    training_gofs, n: int, m: int, seed: int
-) -> tuple[Codebook, list[Codebook]]:
+def fit_clfcs(videos, params: ModelParams) -> tuple[Codebook, list[Codebook]]:
     """Two-stage clustering: per-window LFCs, then M centers of LFCs.
 
-    Returns the CLFC codebook together with the per-window LFC codebooks
-    (reused to encode the training windows). Each window's LFC clustering
-    is seeded with ``seed XOR gof_index``.
+    Returns the CLFC codebook together with the LFC codebooks of every
+    window of every video in order (reused to encode the training windows).
+    Each window's LFC clustering is seeded with ``seed XOR`` the window's
+    index within its video.
     """
-    gofs = list(training_gofs)
-    if not gofs:
+    g = params.gof_size
+    lfcs = [
+        compute_lfcs(video.features[video.rows(s, s + g)], params.n,
+                     params.seed ^ i)
+        for video in videos
+        for i, s in enumerate(split_gofs(video, g, params.overlap))
+    ]
+    if not lfcs:
         raise DataError("train_vlac requires at least one training group")
-    lfcs = [compute_lfcs(g, n, seed ^ g.gof_index) for g in gofs]
     all_centers = np.concatenate([cb.centers for cb in lfcs], axis=0)
-    clfc = kmeans_fit(all_centers, m, seed)
+    clfc = kmeans_fit(all_centers, params.m, params.seed)
     return clfc, lfcs
 
 
-def train_vlac(training_gofs, params: ModelParams) -> TrainedModel:
+def train_vlac(videos, params: ModelParams) -> TrainedModel:
     """Fit a VLAC model: LFCs per training window, an M-codebook of CLFCs
     over all of them, and a d-dimensional basis over per-window VLAC rows.
     """
     params = params.for_method(METHOD_VLAC)
-    clfc, lfcs = fit_clfcs(training_gofs, params.n, params.m, params.seed)
+    clfc, lfcs = fit_clfcs(videos, params)
     rows = np.stack([vlac_encode(cb, clfc) for cb in lfcs])
     basis = _fit_basis(rows, params.d, params.normalize)
     return TrainedModel(
@@ -353,91 +411,51 @@ def train_vlac(training_gofs, params: ModelParams) -> TrainedModel:
     )
 
 
-def _hp_frame_vectors(
-    frames,
-    first_codebook: Codebook,
-    first_basis: ProjectionBasis,
-) -> np.ndarray:
-    """Per-frame VLADs projected onto the first-stage basis, (W, d0)."""
-    rows = np.stack([vlad_encode(f.features, first_codebook) for f in frames])
-    return pca_project(first_basis, rows)
-
-
-def _hp_raw(
-    gof: GroupOfFrames,
-    first_codebook: Codebook,
-    first_basis: ProjectionBasis,
-    second_codebook: Codebook,
-    h: int,
-) -> np.ndarray:
-    vectors = _hp_frame_vectors(gof.frames, first_codebook, first_basis)
-    return _aggregate_residuals(
-        vectors, second_codebook.centers, assign_dims=h
-    ).ravel()
-
-
-def hp_encode(gof: GroupOfFrames, model: TrainedModel) -> np.ndarray:
-    """Hyper-pooling: VLAD each frame, project to d0 dims, quantize on the
-    top ``h`` components against the second-stage codebook, and aggregate
-    full-d0 residuals into an (alpha2 * d0) vector.
-    """
-    if model.method != METHOD_HP:
-        raise UntrainedModel(
-            f"hp_encode needs a hyper-pooling model, got {model.method!r}"
-        )
-    if model.hp_first_basis is None or model.hp_second_codebook is None:
-        raise UntrainedModel("model is missing its hyper-pooling stages")
-    return _hp_raw(
-        gof,
-        model.codebook,
-        model.hp_first_basis,
-        model.hp_second_codebook,
-        model.params.h,
-    )
-
-
-def train_hp(training_gofs, params: ModelParams) -> TrainedModel:
+def train_hp(videos, params: ModelParams) -> TrainedModel:
     """Fit a hyper-pooling model.
 
-    Stages: an alpha1-codebook over pooled training features; a d0-dim
-    basis over per-frame VLADs; an alpha2-codebook clustered on the top
-    ``h`` projected components (centers extended to all d0 dimensions as
-    the mean of their assigned frame vectors, so residuals are defined
-    everywhere); and a final d-dim basis over the per-window raw vectors.
-    ``h`` is clamped to ``d0``.
+    Stages: an alpha1-codebook over the pooled features of the training
+    windows; a d0-dim basis over their per-frame VLADs; an alpha2-codebook
+    clustered on the top ``h`` projected components (centers extended to
+    all d0 dimensions as the mean of their assigned frame vectors, so
+    residuals are defined everywhere); and a final d-dim basis over the
+    per-window raw vectors. Every stage sees the frames window by window,
+    so a frame two windows share counts twice. ``h`` is clamped to ``d0``.
     """
     params = params.for_method(METHOD_HP)
     params = replace(params, h=min(params.h, params.d0))
-    d0, alpha2, h = params.d0, params.alpha2, params.h
-    gofs = list(training_gofs)
-    if not gofs:
+    d0, alpha2, h, g = params.d0, params.alpha2, params.h, params.gof_size
+    videos = list(videos)
+    starts = [split_gofs(v, g, params.overlap) for v in videos]
+    if not any(starts):
         raise DataError("train_hp requires at least one training group")
-    frames = [f for g in gofs for f in g.frames]
-    pooled = stack_features(frames)
+    pooled = np.concatenate([
+        v.features[v.rows(s, s + g)]
+        for v, ss in zip(videos, starts) for s in ss
+    ])
     first_codebook = kmeans_fit(pooled, params.alpha1, params.seed)
-    frame_rows = np.stack(
-        [vlad_encode(f.features, first_codebook) for f in frames]
-    )
+    # the frames of each window in order, g rows per window
+    frame_rows = np.concatenate([
+        _frame_vlads(v, first_codebook)[np.add.outer(ss, np.arange(g)).ravel()]
+        for v, ss in zip(videos, starts) if ss
+    ])
     first_basis = pca_fit(frame_rows, d0)
     projected = pca_project(first_basis, frame_rows)
 
     second_seed = params.seed ^ _HP_SECOND_STAGE_SALT
     head = kmeans_fit(projected[:, :h], alpha2, second_seed)
     labels = nearest_centers(projected[:, :h], head.centers)
-    full_centers = np.zeros((alpha2, d0), dtype=np.float64)
-    for c in range(alpha2):
-        members = projected[labels == c]
-        if members.shape[0] > 0:
-            full_centers[c] = members.mean(axis=0)
-        else:
-            # final-iteration tie left the cluster empty in full space
-            full_centers[c, :h] = head.centers[c]
+    counts = np.bincount(labels, minlength=alpha2)
+    sums = cluster_sums(projected, labels, alpha2)
+    full_centers = sums / np.maximum(counts, 1)[:, None]
+    # a final-iteration tie can leave a cluster empty in full space
+    full_centers[counts == 0, :h] = head.centers[counts == 0]
     second_codebook = replace(head, centers=full_centers)
 
-    rows = np.stack(
-        [_hp_raw(g, first_codebook, first_basis, second_codebook, h)
-         for g in gofs]
-    )
+    rows = np.stack([
+        hp_encode(frame_rows[r : r + g], first_basis, second_codebook, h)
+        for r in range(0, frame_rows.shape[0], g)
+    ])
     basis = _fit_basis(rows, params.d, params.normalize)
     return TrainedModel(
         method=METHOD_HP,
@@ -450,40 +468,51 @@ def train_hp(training_gofs, params: ModelParams) -> TrainedModel:
 
 
 def train(method: str, videos, params: ModelParams) -> TrainedModel:
-    """Train ``method`` on ``videos``, each a sequence of FrameFeatures.
+    """Train ``method`` on ``videos``, a sequence of :class:`Video`.
 
-    VLAD trains on all frames; VLAC and hyper-pooling on each video's groups
-    of frames. ``params.f`` is not read: the data fixes the feature
-    dimension.
+    ``params.f`` is not read: the data fixes the feature dimension.
     """
     if method == METHOD_VLAD:
-        return train_vlad([f for video in videos for f in video], params)
-    if method not in METHODS:
-        raise DataError(f"unknown training method {method!r}")
-    gofs = [
-        g
-        for video in videos
-        for g in split_gofs(video, params.gof_size, params.overlap)
-    ]
+        return train_vlad(videos, params)
     if method == METHOD_VLAC:
-        return train_vlac(gofs, params)
-    return train_hp(gofs, params)
+        return train_vlac(videos, params)
+    if method == METHOD_HP:
+        return train_hp(videos, params)
+    raise DataError(f"unknown training method {method!r}")
 
 
-def _encode_gof_raw(gof: GroupOfFrames, model: TrainedModel) -> np.ndarray:
+def _encode_windows(video: Video, model: TrainedModel) -> list[np.ndarray]:
+    """The raw vector of every window of ``video``, in order."""
+    p = model.params
+    starts = split_gofs(video, p.gof_size, p.overlap)
+    spans = [video.rows(s, s + p.gof_size) for s in starts]
     if model.method == METHOD_VLAD:
-        return vlad_encode(stack_features(gof.frames), model.codebook)
+        centers = model.codebook.centers
+        assign = nearest_centers(video.features, centers)
+        residuals = video.features - centers[assign]
+        return [
+            cluster_sums(residuals[r], assign[r], centers.shape[0]).ravel()
+            for r in spans
+        ]
     if model.method == METHOD_VLAC:
-        lfcs = compute_lfcs(
-            gof, model.params.n, model.params.seed ^ gof.gof_index
-        )
-        return vlac_encode(lfcs, model.codebook)
+        return [
+            vlac_encode(compute_lfcs(video.features[r], p.n, p.seed ^ i),
+                        model.codebook)
+            for i, r in enumerate(spans)
+        ]
     if model.method == METHOD_HP:
-        return hp_encode(gof, model)
+        if model.hp_first_basis is None or model.hp_second_codebook is None:
+            raise UntrainedModel("model is missing its hyper-pooling stages")
+        frame_rows = _frame_vlads(video, model.codebook)
+        return [
+            hp_encode(frame_rows[s : s + p.gof_size], model.hp_first_basis,
+                      model.hp_second_codebook, p.h)
+            for s in starts
+        ]
     raise UntrainedModel(f"unknown model method {model.method!r}")
 
 
-def encode_video(video_frames, model: TrainedModel) -> np.ndarray:
+def encode_video(video: Video, model: TrainedModel) -> np.ndarray:
     """Encode a video into a (G, d) matrix, one row per group of frames.
 
     Frames are windowed with the model's gof_size/overlap (gof_size 1
@@ -492,15 +521,11 @@ def encode_video(video_frames, model: TrainedModel) -> np.ndarray:
     model's basis. A video shorter than one full window yields a (0, d)
     matrix.
     """
-    frames = list(video_frames)
-    if not frames:
+    if len(video) == 0:
         raise EmptyVideo("cannot encode a video with no frames")
     rows = [
-        pca_project(
-            model.basis,
-            _maybe_normalize(_encode_gof_raw(gof, model), model.params.normalize),
-        )
-        for gof in split_gofs(frames, model.params.gof_size, model.params.overlap)
+        pca_project(model.basis, _maybe_normalize(raw, model.params.normalize))
+        for raw in _encode_windows(video, model)
     ]
     if not rows:
         return np.empty((0, model.basis.rows.shape[0]), dtype=np.float64)

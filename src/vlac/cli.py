@@ -2,8 +2,9 @@
 
 Every command is reproducible under a fixed seed and emits structured logs
 (one JSON object per line) on stdout. Exit codes: 0 success, 2 data or
-usage error, 3 numeric failure. Commands overwrite their own output files
-so reruns are idempotent.
+usage error (``DataError``, ``ValueError``, ``OSError``, bad JSON), 3
+numeric failure (numpy's ``LinAlgError`` or ``FloatingPointError``).
+Commands overwrite their own output files so reruns are idempotent.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .aggregation import (
     train,
     train_hp,  # noqa: F401 (bench tests check tracing patches this name too)
 )
-from .errors import DataError, NumericError
+from .errors import DataError
 from .evaluation import (
     GroundTruth,
     STABILITY_METHODS,
@@ -51,7 +52,7 @@ from .ingestion import (
     load_manifest,
     load_query_manifest,
     make_queries,
-    perturb,
+    perturb_videos,
     save_manifest,
     synthesize_dataset,
 )
@@ -104,7 +105,7 @@ def load_config(args, feature_dim: int) -> ModelParams:
 
 
 def _training_inputs(args):
-    """The run's parameters and the frames of every manifest video."""
+    """The run's parameters and every manifest video."""
     manifest_path = Path(args.manifest)
     manifest = load_manifest(manifest_path)
     params = load_config(args, manifest.feature_dim)
@@ -217,11 +218,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _encode_one(item, model, pspec):
-    video_id, frames = item
-    if pspec is not None:
-        frames = perturb(frames, pspec)
-    descriptors = encode_video(frames, model)
+def _encode_one(video_id, video, model):
+    descriptors = encode_video(video, model)
     if descriptors.shape[0] == 0:
         raise DataError(
             f"{video_id} is shorter than one {model.params.gof_size}-frame window"
@@ -244,17 +242,14 @@ def cmd_encode(args) -> int:
         manifest = load_manifest(manifest_path)
         items = _load_videos(manifest, base)
 
-    specs = [None] * len(items)
+    ids = [video_id for video_id, _ in items]
+    videos = [video for _, video in items]
     if args.perturb:
-        root_spec = PerturbationSpec(
+        videos = perturb_videos(videos, PerturbationSpec(
             kind=args.perturb, magnitude=args.magnitude, seed=args.perturb_seed
-        )
-        specs = [
-            replace(root_spec, seed=(root_spec.seed ^ i) % 2**32)
-            for i in range(len(items))
-        ]
+        ))
 
-    sequences = [_encode_one(iv, model, s) for iv, s in zip(items, specs)]
+    sequences = [_encode_one(i, v, model) for i, v in zip(ids, videos)]
     write_store(sequences, args.out, overwrite=True)
     _log(
         "encoded",
@@ -489,7 +484,7 @@ def main(argv=None) -> int:
     except (DataError, ValueError, OSError, json.JSONDecodeError) as exc:
         _log("error", kind="data", message=str(exc))
         return 2
-    except (NumericError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         _log("error", kind="numeric", message=str(exc))
         return 3
 

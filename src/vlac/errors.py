@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the library.
 
-``DataError`` covers malformed inputs and violated contracts (the CLI maps
-these to exit code 2); ``NumericError`` covers failures inside the numeric
-routines themselves (exit code 3).
+``DataError`` covers malformed inputs and violated contracts; the CLI maps
+these to exit code 2. A failure inside the numeric routines surfaces as
+numpy's ``LinAlgError`` or ``FloatingPointError`` (exit code 3).
 """
 
 
@@ -12,10 +12,6 @@ class VlacError(Exception):
 
 class DataError(VlacError):
     """Invalid input data or a violated precondition."""
-
-
-class NumericError(VlacError):
-    """A numeric routine failed (non-finite values, no convergence)."""
 
 
 class EmptyInput(DataError):

@@ -2,9 +2,11 @@
 clean-vs-perturbed eigenbasis stability experiment.
 
 The stability experiment trains one method's full pipeline twice, on clean
-and on perturbed copies of the same videos with identical seeds, and
-scores how well the two final compaction bases align. Zero perturbation
-therefore returns the self-alignment value d exactly (up to float noise).
+and on perturbed copies of the same videos with identical seeds
+(:func:`stability_bases`); how well the two final compaction bases align
+is scored by ``basis_alignment_score`` and
+:func:`sign_aligned_alignment_score`. Zero perturbation therefore scores
+the self-alignment value d exactly (up to float noise).
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from .aggregation import (
     METHOD_VLAC,
     METHOD_VLAD,
     ModelParams,
-    stack_features,
     train,
 )
-from .core_math import ProjectionBasis, basis_alignment_score, pca_fit
+from .core_math import ProjectionBasis, pca_fit
 from .errors import DataError, EmptyResults, NoRelevant
 from .ingestion import PerturbationSpec, QueryManifest, perturb_videos
 
@@ -208,8 +209,7 @@ def sign_aligned_alignment_score(a: ProjectionBasis, b: ProjectionBasis) -> floa
 
 def _train_basis(videos, method: str, params: ModelParams) -> ProjectionBasis:
     if method == METHOD_SIFT_DIRECT:
-        frames = [f for video in videos for f in video]
-        return pca_fit(stack_features(frames), params.d)
+        return pca_fit(np.concatenate([v.features for v in videos]), params.d)
     return train(method, videos, params).basis
 
 
@@ -219,28 +219,18 @@ def stability_bases(
     method: str,
     params: ModelParams,
 ) -> tuple[ProjectionBasis, ProjectionBasis]:
-    """Final compaction bases of the clean and the perturbed pipeline."""
+    """Final compaction bases of the clean and the perturbed pipeline.
+
+    ``method`` is one of vlad/vlac/hp/sift; sift fits PCA directly on the
+    raw feature vectors. Deterministic under the seeds in ``params`` and
+    ``perturbation``; with zero magnitude both bases are equal, so
+    ``basis_alignment_score`` of the pair is d.
+    """
     noisy = perturb_videos(videos, perturbation)
     return (
         _train_basis(videos, method, params),
         _train_basis(noisy, method, params),
     )
-
-
-def stability_experiment(
-    videos,
-    perturbation: PerturbationSpec,
-    method: str,
-    params: ModelParams,
-) -> float:
-    """Alignment score between clean-trained and perturbed-trained bases.
-
-    ``method`` is one of vlad/vlac/hp/sift; sift fits PCA directly on the
-    raw feature vectors. Deterministic under the seeds in ``params`` and
-    ``perturbation``; zero magnitude returns d within float tolerance.
-    """
-    clean, noisy = stability_bases(videos, perturbation, method, params)
-    return basis_alignment_score(clean, noisy)
 
 
 # ---------------------------------------------------------------------------

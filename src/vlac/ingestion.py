@@ -1,9 +1,14 @@
 """Feature files, manifests, synthetic data and feature perturbation.
 
+Every function here takes or returns a video as one :class:`Video`: the
+features of all its frames in one (total, dim) matrix plus each frame's
+index and row offset.
+
 A feature file (``VLACFEAT``) holds the magic, version (u16), feature
 dimension (u32) and frame count (u32), then per frame its frame_index
-(u32), feature count K (u32) and K*dim float32 values. The checks and the
-float32 codec live in :mod:`vlac.fileio`; round trips are bit-exact.
+(u32), feature count K (u32) and K*dim float32 values: the frames' rows
+in order, which is the in-memory layout. The checks and the float32
+codec live in :mod:`vlac.fileio`; round trips are bit-exact.
 
 A manifest is the JSON form of a :class:`DatasetManifest` or
 :class:`QueryManifest`, field for field; feature-file paths are relative
@@ -19,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import FrameFeatures
+from .aggregation import Video
 from .errors import DataError, DimensionMismatch, EmptyInput, VideoTooShort
 from .fileio import Reader, atomic_write, f32_bytes
 
@@ -92,29 +97,20 @@ class PerturbationSpec:
             raise DataError("dropout probability must be in [0, 1]")
 
 
-def write_features(frames, path, *, overwrite: bool = False) -> None:
-    """Write frames to a VLACFEAT file. Refuses to clobber unless told to."""
-    frames = list(frames)
-    if not frames:
+def write_features(video: Video, path, *, overwrite: bool = False) -> None:
+    """Write a video to a VLACFEAT file. Refuses to clobber unless told to."""
+    if len(video) == 0:
         raise EmptyInput("cannot write a feature file with no frames")
-    dim = frames[0].dim
-    prev_index = None
-    for f in frames:
-        if f.dim != dim:
-            raise DimensionMismatch(
-                f"frame {f.frame_index} has dimension {f.dim}, expected {dim}"
-            )
-        if prev_index is not None and f.frame_index <= prev_index:
-            raise DataError("frame indices must be strictly increasing")
-        prev_index = f.frame_index
     with atomic_write(path, overwrite=overwrite) as fh:
-        fh.write(_FEAT_MAGIC + _FEAT_HEADER.pack(_FEAT_VERSION, dim, len(frames)))
-        for f in frames:
-            fh.write(_FRAME_HEADER.pack(f.frame_index, f.count))
-            fh.write(f32_bytes(f.features, f"{path} frame {f.frame_index}"))
+        fh.write(_FEAT_MAGIC
+                 + _FEAT_HEADER.pack(_FEAT_VERSION, video.dim, len(video)))
+        for t, frame_index in enumerate(video.frame_index.tolist()):
+            rows = video.features[video.rows(t, t + 1)]
+            fh.write(_FRAME_HEADER.pack(frame_index, rows.shape[0]))
+            fh.write(f32_bytes(rows, f"{path} frame {frame_index}"))
 
 
-def load_features(path, *, expected_dim: int | None = None) -> list[FrameFeatures]:
+def load_features(path, *, expected_dim: int | None = None) -> Video:
     """Decode a whole VLACFEAT file."""
     reader = Reader(path, _FEAT_MAGIC)
     version, dim, frame_count = reader.unpack(_FEAT_HEADER, "the header")
@@ -124,15 +120,13 @@ def load_features(path, *, expected_dim: int | None = None) -> list[FrameFeature
         raise DimensionMismatch(
             f"{path} holds {dim}-dim features, manifest says {expected_dim}"
         )
-    frames = []
+    index, frames = [], []
     for _ in range(frame_count):
         frame_index, count = reader.unpack(_FRAME_HEADER, "a frame header")
-        if frames and frame_index <= frames[-1].frame_index:
-            raise DataError(f"{path} frame indices are not increasing")
-        features = reader.f32(count, dim, f"frame {frame_index}")
-        frames.append(FrameFeatures(frame_index=frame_index, features=features))
+        index.append(frame_index)
+        frames.append(reader.f32(count, dim, f"frame {frame_index}"))
     reader.end()
-    return frames
+    return Video.from_frames(frames, index)
 
 
 @dataclass(frozen=True)
@@ -143,7 +137,7 @@ class SyntheticDataset:
     its own mixing weights, which is what makes videos distinguishable.
     """
 
-    videos: tuple[tuple[FrameFeatures, ...], ...]
+    videos: tuple[Video, ...]
     cluster_means: np.ndarray
     mixing_weights: np.ndarray
     noise_std: float
@@ -172,17 +166,17 @@ def synthesize_videos(
     rng = np.random.default_rng(seed)
     means = rng.normal(0.0, center_spread, size=(clusters, dim))
     weights = np.empty((num_videos, clusters), dtype=np.float64)
+    offsets = np.arange(frames_per_video + 1) * features_per_frame
     videos = []
     for v in range(num_videos):
         weights[v] = rng.dirichlet(np.full(clusters, mixing_concentration))
-        frames = []
+        feats = np.empty((offsets[-1], dim), dtype=np.float64)
         for t in range(frames_per_video):
             picks = rng.choice(clusters, size=features_per_frame, p=weights[v])
-            feats = means[picks] + rng.normal(
+            feats[offsets[t] : offsets[t + 1]] = means[picks] + rng.normal(
                 0.0, noise_std, size=(features_per_frame, dim)
             )
-            frames.append(FrameFeatures(frame_index=t, features=feats))
-        videos.append(tuple(frames))
+        videos.append(Video(feats, np.arange(frames_per_video), offsets))
     return SyntheticDataset(
         videos=tuple(videos),
         cluster_means=means,
@@ -213,10 +207,10 @@ def synthesize_dataset(
         num_videos, frames_per_video, dim, clusters, seed, **synth_kwargs
     )
     entries = []
-    for v, frames in enumerate(data.videos):
+    for v, video in enumerate(data.videos):
         video_id = f"{id_prefix}_{v:03d}"
         rel = f"{video_id}.vfeat"
-        write_features(frames, out_dir / rel, overwrite=overwrite)
+        write_features(video, out_dir / rel, overwrite=overwrite)
         entries.append(
             VideoEntry(
                 video_id=video_id,
@@ -232,36 +226,32 @@ def synthesize_dataset(
     return manifest
 
 
-def perturb(frames, spec: PerturbationSpec) -> list[FrameFeatures]:
+def perturb(video: Video, spec: PerturbationSpec) -> Video:
     """Apply a feature-space perturbation, deterministic under spec.seed.
 
     additive_gaussian adds N(0, magnitude^2) per component; gain multiplies
     every component by (1 + magnitude); component_dropout zeroes each
-    component with probability ``magnitude``. Frame and feature counts are
-    unchanged; magnitude 0 is the identity.
+    component with probability ``magnitude``. The random values are drawn
+    for the whole feature matrix at once, row after row. Frame and feature
+    counts are unchanged; magnitude 0 is the identity.
     """
     rng = np.random.default_rng(spec.seed)
-    out = []
-    for f in frames:
-        feats = f.features
-        if spec.kind == "additive_gaussian":
-            feats = feats + rng.normal(0.0, spec.magnitude, size=feats.shape)
-        elif spec.kind == "gain":
-            feats = feats * (1.0 + spec.magnitude)
-        else:
-            mask = rng.random(size=feats.shape) < spec.magnitude
-            feats = np.where(mask, 0.0, feats)
-        out.append(FrameFeatures(frame_index=f.frame_index, features=feats))
-    return out
+    feats = video.features
+    if spec.kind == "additive_gaussian":
+        feats = feats + rng.normal(0.0, spec.magnitude, size=feats.shape)
+    elif spec.kind == "gain":
+        feats = feats * (1.0 + spec.magnitude)
+    else:
+        mask = rng.random(size=feats.shape) < spec.magnitude
+        feats = np.where(mask, 0.0, feats)
+    return Video(feats, video.frame_index, video.offsets)
 
 
-def perturb_videos(
-    videos, spec: PerturbationSpec
-) -> list[list[FrameFeatures]]:
+def perturb_videos(videos, spec: PerturbationSpec) -> list[Video]:
     """Perturb several videos, decorrelated via seed XOR video index."""
     return [
-        perturb(frames, replace(spec, seed=(spec.seed ^ i) % 2**32))
-        for i, frames in enumerate(videos)
+        perturb(video, replace(spec, seed=(spec.seed ^ i) % 2**32))
+        for i, video in enumerate(videos)
     ]
 
 
@@ -294,19 +284,21 @@ def make_queries(
     rng = np.random.default_rng(seed)
     entries = []
     for entry in manifest.videos:
-        frames = load_features(
+        video = load_features(
             data_root / entry.feature_file, expected_dim=manifest.feature_dim
         )
         span = segment_len_frames + offset_frames
-        if len(frames) < span:
+        if len(video) < span:
             raise VideoTooShort(
-                f"{entry.video_id} has {len(frames)} frames, needs {span}"
+                f"{entry.video_id} has {len(video)} frames, needs {span}"
             )
-        start = int(rng.integers(0, len(frames) - span + 1)) + offset_frames
-        segment = [
-            FrameFeatures(frame_index=i, features=f.features)
-            for i, f in enumerate(frames[start : start + segment_len_frames])
-        ]
+        start = int(rng.integers(0, len(video) - span + 1)) + offset_frames
+        stop = start + segment_len_frames
+        segment = Video(
+            video.features[video.rows(start, stop)],
+            np.arange(segment_len_frames),
+            video.offsets[start : stop + 1] - video.offsets[start],
+        )
         query_id = f"{entry.video_id}_q"
         rel = f"{query_id}.vfeat"
         write_features(segment, out_dir / rel, overwrite=overwrite)

@@ -29,7 +29,8 @@ _RECORD = struct.Struct("<IIB")  # GoF count, descriptor dim, method tag
 
 @dataclass(frozen=True)
 class DescriptorSequence:
-    """Ordered per-GoF descriptors of one video, a (G, d) float64 matrix."""
+    """Ordered per-GoF descriptors of one video, a finite (G, d) float64
+    matrix."""
 
     video_id: str
     descriptors: np.ndarray
@@ -41,6 +42,10 @@ class DescriptorSequence:
             raise DataError(
                 f"sequence {self.video_id!r} needs a (G>=1, d) matrix, "
                 f"got shape {mat.shape}"
+            )
+        if not np.isfinite(mat).all():
+            raise DataError(
+                f"sequence {self.video_id!r} holds a non-finite descriptor"
             )
         object.__setattr__(self, "descriptors", mat)
 
@@ -63,17 +68,6 @@ class RankedMatch:
 @dataclass(frozen=True)
 class RetrievalResult:
     matches: tuple[RankedMatch, ...]
-
-
-def similarity(a, b) -> float:
-    """Inner product of two compact descriptors."""
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape:
-        raise DimensionMismatch(
-            f"descriptors have shapes {va.shape} and {vb.shape}"
-        )
-    return float(np.dot(va, vb))
 
 
 def aligned_similarity(

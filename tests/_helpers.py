@@ -5,26 +5,22 @@ from dataclasses import fields
 
 import numpy as np
 
-from vlac import FrameFeatures, GroupOfFrames, ModelParams
+from vlac import ModelParams, Video
 
 
-def make_frames(rng, num_frames, dim, features_per_frame=4, scale=1.0,
-                start_index=0):
-    """Random frames with Gaussian features."""
-    return [
-        FrameFeatures(
-            frame_index=start_index + t,
-            features=rng.normal(0.0, scale, size=(features_per_frame, dim)),
-        )
-        for t in range(num_frames)
-    ]
-
-
-def make_gof(rng, num_frames, dim, features_per_frame=4, gof_index=0):
-    return GroupOfFrames(
-        gof_index=gof_index,
-        frames=tuple(make_frames(rng, num_frames, dim, features_per_frame)),
+def make_video(rng, num_frames, dim, features_per_frame=4, scale=1.0,
+               start_index=0):
+    """A video of random frames with Gaussian features."""
+    return Video.from_frames(
+        [rng.normal(0.0, scale, size=(features_per_frame, dim))
+         for _ in range(num_frames)],
+        range(start_index, start_index + num_frames),
     )
+
+
+def frames_of(video):
+    """The (count, dim) feature block of each frame of ``video``."""
+    return [video.features[video.rows(t, t + 1)] for t in range(len(video))]
 
 
 # The binary writers refuse non-finite values, so a file holding one is

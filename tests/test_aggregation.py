@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _helpers import make_frames, make_gof
+from _helpers import frames_of, make_video
 from vlac import (
     Codebook,
-    FrameFeatures,
-    GroupOfFrames,
     ModelParams,
     TrainedModel,
+    Video,
     compute_lfcs,
     encode_video,
     fit_clfcs,
@@ -31,7 +30,7 @@ from vlac import (
 )
 from dataclasses import replace
 
-from vlac.aggregation import _aggregate_residuals, stack_features
+from vlac.aggregation import _aggregate_residuals
 from vlac.core_math import ProjectionBasis, nearest_centers
 from vlac.errors import (
     DataError,
@@ -157,65 +156,48 @@ class TestVlacEncode:
 
 class TestComputeLfcs:
     def test_distinct_features_become_lfcs(self):
-        gof = GroupOfFrames(
-            gof_index=0,
-            frames=(FrameFeatures(0, np.array([[0.0], [7.0]])),
-                    FrameFeatures(1, np.array([[20.0]]))),
-        )
-        lfcs = compute_lfcs(gof, 3, seed=0)
+        lfcs = compute_lfcs(np.array([[0.0], [7.0], [20.0]]), 3, seed=0)
         assert sorted(lfcs.centers.ravel().tolist()) == [0.0, 7.0, 20.0]
         assert lfcs.inertia == 0.0
 
     def test_lloyd_fixture(self):
-        gof = GroupOfFrames(
-            gof_index=0,
-            frames=(FrameFeatures(0, np.array([[0.0], [0.2]])),
-                    FrameFeatures(1, np.array([[10.0], [10.2]]))),
-        )
-        lfcs = compute_lfcs(gof, 2, seed=0)
+        lfcs = compute_lfcs(np.array([[0.0], [0.2], [10.0], [10.2]]), 2,
+                            seed=0)
         np.testing.assert_allclose(
             sorted(lfcs.centers.ravel().tolist()), [0.1, 10.1]
         )
 
     def test_clamps_to_pooled_count(self):
-        gof = GroupOfFrames(
-            gof_index=0, frames=(FrameFeatures(0, np.arange(3.0)[:, None]),)
-        )
-        assert compute_lfcs(gof, 128, seed=0).k == 3
+        assert compute_lfcs(np.arange(3.0)[:, None], 128, seed=0).k == 3
 
     def test_empty_gof(self):
-        gof = GroupOfFrames(
-            gof_index=0, frames=(FrameFeatures(0, np.empty((0, 2))),)
-        )
         with pytest.raises(EmptyGof):
-            compute_lfcs(gof, 4, seed=0)
+            compute_lfcs(np.empty((0, 2)), 4, seed=0)
 
 
 class TestTrainVlad:
     def test_single_center_is_global_mean(self):
         rng = np.random.default_rng(3)
-        frames = make_frames(rng, 6, 3)
-        model = train_vlad(frames, params(j=1, d=2))
-        pooled = np.concatenate([f.features for f in frames])
+        video = make_video(rng, 6, 3)
+        model = train_vlad([video], params(j=1, d=2))
         np.testing.assert_allclose(
-            model.codebook.centers[0], pooled.mean(axis=0), atol=1e-9
+            model.codebook.centers[0], video.features.mean(axis=0), atol=1e-9
         )
 
     def test_basis_composes_kmeans_and_pca(self):
         rng = np.random.default_rng(4)
-        frames = make_frames(rng, 8, 2, features_per_frame=5)
-        model = train_vlad(frames, params(j=2, d=2, seed=9))
-        pooled = np.concatenate([f.features for f in frames])
-        book = kmeans_fit(pooled, 2, seed=9)
-        rows = np.stack([vlad_encode(f.features, book) for f in frames])
+        video = make_video(rng, 8, 2, features_per_frame=5)
+        model = train_vlad([video], params(j=2, d=2, seed=9))
+        book = kmeans_fit(video.features, 2, seed=9)
+        rows = np.stack([vlad_encode(f, book) for f in frames_of(video)])
         expected = pca_fit(rows, 2)
         assert np.array_equal(model.basis.rows, expected.rows)
         assert np.array_equal(model.basis.mean, expected.mean)
 
     def test_identical_frames_degenerate_spectrum(self):
         feats = np.array([[1.0, 2.0], [3.0, 4.0], [-1.0, 0.5]])
-        frames = [FrameFeatures(i, feats) for i in range(4)]
-        model = train_vlad(frames, params(j=2, d=2, seed=1))
+        video = Video.from_frames([feats] * 4)
+        model = train_vlad([video], params(j=2, d=2, seed=1))
         np.testing.assert_allclose(model.basis.eigenvalues, 0.0, atol=1e-9)
 
 
@@ -223,17 +205,13 @@ class TestTrain:
     @pytest.mark.parametrize("method", ["vlad", "vlac", "hp"])
     def test_dispatches_to_the_method_trainer(self, method, tmp_path):
         rng = np.random.default_rng(23)
-        videos = [make_frames(rng, 7, 3, features_per_frame=6,
-                              start_index=10 * v) for v in range(2)]
+        videos = [make_video(rng, 7, 3, features_per_frame=6,
+                             start_index=10 * v) for v in range(2)]
         schema = ModelParams(f=3, j=3, n=4, m=3, d=2, d0=5, alpha1=3,
                              alpha2=2, h=2, gof_size=3, overlap=1, seed=4,
                              normalize=True)
-        gofs = [g for v in videos for g in split_gofs(v, 3, 1)]
-        expected = {
-            "vlad": lambda: train_vlad([f for v in videos for f in v], schema),
-            "vlac": lambda: train_vlac(gofs, schema),
-            "hp": lambda: train_hp(gofs, schema),
-        }[method]()
+        trainer = {"vlad": train_vlad, "vlac": train_vlac, "hp": train_hp}
+        expected = trainer[method](videos, schema)
         save_model(train(method, videos, schema), tmp_path / "a.bin")
         save_model(expected, tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
@@ -241,7 +219,7 @@ class TestTrain:
     def test_unknown_method(self):
         rng = np.random.default_rng(24)
         with pytest.raises(DataError):
-            train("sift", [make_frames(rng, 4, 2)], ModelParams(f=2, d=1))
+            train("sift", [make_video(rng, 4, 2)], ModelParams(f=2, d=1))
 
 
 class TestModelParams:
@@ -268,10 +246,11 @@ class TestModelParams:
 
     def test_train_hp_rejects_default_h(self):
         rng = np.random.default_rng(25)
-        gofs = [make_gof(rng, 3, 3, features_per_frame=8, gof_index=i)
-                for i in range(6)]
+        videos = [make_video(rng, 3, 3, features_per_frame=8)
+                  for _ in range(6)]
         with pytest.raises(DataError):
-            train_hp(gofs, params(alpha1=4, d0=6, alpha2=3, d=2))
+            train_hp(videos, params(alpha1=4, d0=6, alpha2=3, d=2,
+                                    gof_size=3, overlap=0))
 
     @pytest.mark.parametrize("fields", [
         {"j": 2**32}, {"seed": -1}, {"f": 3.0}, {"normalize": 1},
@@ -284,8 +263,8 @@ class TestModelParams:
 
 def _random_videos(seed, dim, features_per_frame):
     rng = np.random.default_rng(seed)
-    return [make_frames(rng, 7, dim, features_per_frame=features_per_frame,
-                        start_index=10 * v) for v in range(2)]
+    return [make_video(rng, 7, dim, features_per_frame=features_per_frame,
+                       start_index=10 * v) for v in range(2)]
 
 
 def _model_bytes(model):
@@ -331,71 +310,101 @@ class TestTrainingProperties:
                                 case["features_per_frame"])
         model = train("vlad", videos, case["schema"])
         rng = np.random.default_rng(perm_seed)
-        shuffled = [
-            FrameFeatures(f.frame_index, f.features[rng.permutation(f.count)])
-            for f in videos[0]
-        ]
+        shuffled = shuffle_within_frames(videos[0], rng)
         np.testing.assert_allclose(encode_video(shuffled, model),
                                    encode_video(videos[0], model), atol=1e-9)
 
 
-class TestStackFeatures:
-    def test_mixed_dimensions_rejected(self):
-        frames = [FrameFeatures(0, np.ones((2, 3))),
-                  FrameFeatures(1, np.ones((2, 4)))]
-        with pytest.raises(DimensionMismatch):
-            stack_features(frames)
+def shuffle_within_frames(video, rng):
+    """``video`` with the features of each frame in a random order."""
+    return Video.from_frames(
+        [f[rng.permutation(f.shape[0])] for f in frames_of(video)],
+        video.frame_index,
+    )
 
+
+class TestVideo:
     def test_empty_frames_keep_their_dimension(self):
-        frames = [FrameFeatures(0, np.empty((0, 3))),
-                  FrameFeatures(1, np.empty((0, 3)))]
-        assert stack_features(frames).shape == (0, 3)
+        video = Video.from_frames([np.empty((0, 3)), np.empty((0, 3))])
+        assert video.features.shape == (0, 3)
+        assert len(video) == 2 and video.dim == 3
+
+    def test_frame_rows(self):
+        video = Video.from_frames(
+            [np.ones((2, 2)), np.empty((0, 2)), 2 * np.ones((1, 2))],
+            [4, 5, 9])
+        assert video.offsets.tolist() == [0, 2, 2, 3]
+        assert video.frame_index.tolist() == [4, 5, 9]
+        assert video.rows(1, 3) == slice(2, 3)
+        np.testing.assert_array_equal(video.features[video.rows(0, 2)],
+                                      np.ones((2, 2)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, value):
+        features = np.ones((3, 2))
+        features[1, 0] = value
+        with pytest.raises(DataError, match="non-finite"):
+            Video(features, [0, 1], [0, 2, 3])
+
+    def test_rejects_features_that_are_not_a_matrix(self):
+        with pytest.raises(DimensionMismatch):
+            Video(np.ones(3), [0], [0, 3])
+
+    @pytest.mark.parametrize("index, offsets", [
+        ([0, 1], [0, 3]),         # one offset per frame plus one
+        ([0, 1], [1, 2, 3]),      # the first frame starts at row 0
+        ([0, 1], [0, 2, 2]),      # the last frame ends at the last row
+        ([0, 1], [0, 4, 3]),      # offsets never decrease
+        ([0, 0], [0, 1, 3]),      # frame indices strictly increase
+        ([3, 1], [0, 1, 3]),
+        ([[0, 1]], [0, 1, 3]),
+    ])
+    def test_rejects_inconsistent_layout(self, index, offsets):
+        with pytest.raises(DataError):
+            Video(np.ones((3, 2)), index, offsets)
 
 
 class TestTrainVlac:
     def test_single_gof_degenerate_clfcs(self):
         # T=1 and M=N make the second stage reproduce the window's LFCs
         rng = np.random.default_rng(5)
-        gof = make_gof(rng, 4, 2, features_per_frame=6)
-        clfc, lfcs = fit_clfcs([gof], n=3, m=3, seed=2)
+        video = make_video(rng, 4, 2, features_per_frame=6)
+        one_window = params(n=3, m=3, d=1, seed=2, gof_size=4, overlap=0)
+        clfc, lfcs = fit_clfcs([video], one_window)
         assert np.array_equal(
             np.sort(clfc.centers, axis=0), np.sort(lfcs[0].centers, axis=0)
         )
         # a d-dim basis cannot be fit on a single training row
         with pytest.raises(InsufficientRows):
-            train_vlac([gof], params(n=3, m=3, d=1, seed=2))
+            train_vlac([video], one_window)
 
     def test_two_gof_cross_cluster_means(self):
         # both windows hold the same two well-separated 1-D clusters, offset
         # by 0.2; the CLFCs land on the cross-window means
-        gof_a = GroupOfFrames(
-            gof_index=0,
-            frames=(FrameFeatures(0, np.array([[0.0], [10.0]])),),
-        )
-        gof_b = GroupOfFrames(
-            gof_index=1,
-            frames=(FrameFeatures(0, np.array([[0.2], [10.2]])),),
-        )
-        clfc, _ = fit_clfcs([gof_a, gof_b], n=2, m=2, seed=0)
+        video = Video.from_frames([np.array([[0.0], [10.0]]),
+                                   np.array([[0.2], [10.2]])])
+        clfc, _ = fit_clfcs(
+            [video], params(n=2, m=2, seed=0, gof_size=1, overlap=0))
         np.testing.assert_allclose(
             sorted(clfc.centers.ravel().tolist()), [0.1, 10.1]
         )
 
     def test_identical_gofs_zero_trailing_eigenvalues(self):
         rng = np.random.default_rng(6)
-        frames = tuple(make_frames(rng, 3, 2, features_per_frame=5))
-        gofs = [GroupOfFrames(gof_index=0, frames=frames) for _ in range(4)]
-        model = train_vlac(gofs, params(n=2, m=2, d=2, seed=3))
+        video = make_video(rng, 3, 2, features_per_frame=5)
+        model = train_vlac([video] * 4, params(n=2, m=2, d=2, seed=3,
+                                               gof_size=3, overlap=0))
         np.testing.assert_allclose(model.basis.eigenvalues, 0.0, atol=1e-9)
 
     def test_n_does_not_change_dimensions(self):
         rng = np.random.default_rng(7)
-        gofs = [make_gof(rng, 3, 4, features_per_frame=40, gof_index=i)
-                for i in range(5)]
+        video = make_video(rng, 15, 4, features_per_frame=40)
         shapes = set()
         for n in (2, 8, 32):
-            model = train_vlac(gofs, params(n=n, m=3, d=2, seed=1))
-            raw = vlac_encode(compute_lfcs(gofs[0], n, seed=1), model.codebook)
+            model = train_vlac([video], params(n=n, m=3, d=2, seed=1,
+                                               gof_size=3, overlap=0))
+            window = video.features[video.rows(0, 3)]
+            raw = vlac_encode(compute_lfcs(window, n, seed=1), model.codebook)
             shapes.add(raw.shape)
         assert shapes == {(3 * 4,)}
 
@@ -422,165 +431,158 @@ class TestHyperPooling:
             hp_first_basis=first_basis, hp_second_codebook=second,
         )
 
+    @staticmethod
+    def encode(model, *frames):
+        """hp_encode of one window of ``frames``."""
+        rows = np.stack([vlad_encode(f, model.codebook) for f in frames])
+        return hp_encode(rows, model.hp_first_basis,
+                         model.hp_second_codebook, model.params.h)
+
     def test_frame_on_second_center_gives_zero(self):
         model = self.tiny_model()
         # one feature at the first center: VLAD residual is zero, projects
         # to (0, 0), the first second-stage center exactly
-        gof = GroupOfFrames(
-            gof_index=0, frames=(FrameFeatures(0, np.zeros((1, 2))),)
-        )
-        got = hp_encode(gof, model)
+        got = self.encode(model, np.zeros((1, 2)))
         np.testing.assert_allclose(got, np.zeros(4))
 
     def test_two_frames_disjoint_centers_concatenate(self):
         model = self.tiny_model()
         # frame A -> projected (0.5, 0.5) quantizes to center 0
         # frame B -> projected (1.5, 1.5) quantizes to center 1
-        frame_a = FrameFeatures(0, np.array([[0.5, 0.5]]))
-        frame_b = FrameFeatures(1, np.array([[1.5, 1.5]]))
-        gof = GroupOfFrames(gof_index=0, frames=(frame_a, frame_b))
-        got = hp_encode(gof, model)
+        got = self.encode(model, np.array([[0.5, 0.5]]),
+                          np.array([[1.5, 1.5]]))
         np.testing.assert_allclose(got, [0.5, 0.5, -0.5, -0.5])
 
     def test_three_frame_hand_trace(self):
         model = self.tiny_model()
-        gof = GroupOfFrames(
-            gof_index=0,
-            frames=(
-                FrameFeatures(0, np.array([[0.5, 0.5]])),
-                FrameFeatures(1, np.array([[1.5, 1.5]])),
-                FrameFeatures(2, np.array([[0.25, 0.25]])),
-            ),
-        )
+        frames = [np.array([[0.5, 0.5]]), np.array([[1.5, 1.5]]),
+                  np.array([[0.25, 0.25]])]
         # step-by-step: projections (0.5,.5), (1.5,1.5), (0.25,.25);
         # assignments 0, 1, 0; residual sums (0.75,.75) and (-0.5,-0.5)
-        got = hp_encode(gof, model)
+        got = self.encode(model, *frames)
         np.testing.assert_allclose(got, [0.75, 0.75, -0.5, -0.5])
+        # encode_video projects that window onto the first basis row
+        video = Video.from_frames(frames)
+        np.testing.assert_allclose(encode_video(video, model), [[0.75]])
 
     def test_requires_hp_model(self):
-        rng = np.random.default_rng(8)
-        frames = make_frames(rng, 4, 2)
-        vlad_model = train_vlad(frames, params(j=2, d=1))
-        with pytest.raises(UntrainedModel):
-            hp_encode(make_gof(rng, 2, 2), vlad_model)
+        video = Video.from_frames([np.zeros((1, 2))] * 3)
+        for stage in ("hp_first_basis", "hp_second_codebook"):
+            model = replace(self.tiny_model(), **{stage: None})
+            with pytest.raises(UntrainedModel):
+                encode_video(video, model)
 
     def test_train_hp_round_numbers(self):
         rng = np.random.default_rng(9)
-        gofs = [make_gof(rng, 3, 3, features_per_frame=8, gof_index=i)
-                for i in range(6)]
-        model = train_hp(gofs, params(alpha1=4, d0=6, alpha2=3, d=2, seed=5,
-                                      h=2))
+        video = make_video(rng, 18, 3, features_per_frame=8)
+        model = train_hp([video], params(alpha1=4, d0=6, alpha2=3, d=2,
+                                         seed=5, h=2, gof_size=3, overlap=0))
         assert model.hp_first_basis.rows.shape == (6, 4 * 3)
         assert model.hp_second_codebook.centers.shape == (3, 6)
         assert model.basis.rows.shape == (2, 3 * 6)
         assert model.params.h == 2
         # second-stage centers restricted to the first h dims must agree
         # with quantization, i.e. every training window encodes cleanly
-        raw = hp_encode(gofs[0], model)
+        raw = self.encode(model, *frames_of(video)[:3])
         assert raw.shape == (3 * 6,)
 
 
 class TestEncodeVideo:
     @staticmethod
-    def model_for(frames, gof_size, overlap):
+    def model_for(video, gof_size, overlap):
         return train_vlad(
-            frames, params(j=2, d=2, gof_size=gof_size, overlap=overlap)
+            [video], params(j=2, d=2, gof_size=gof_size, overlap=overlap)
         )
 
     def test_per_frame_window_count(self):
         rng = np.random.default_rng(10)
-        frames = make_frames(rng, 5, 2)
-        model = self.model_for(frames, gof_size=1, overlap=0)
-        assert len(encode_video(frames, model)) == 5
+        video = make_video(rng, 5, 2)
+        model = self.model_for(video, gof_size=1, overlap=0)
+        assert len(encode_video(video, model)) == 5
 
     def test_single_full_window(self):
         rng = np.random.default_rng(11)
-        frames = make_frames(rng, 5, 2)
-        model = self.model_for(frames, gof_size=5, overlap=1)
-        descs = encode_video(frames, model)
+        video = make_video(rng, 5, 2)
+        model = self.model_for(video, gof_size=5, overlap=1)
+        descs = encode_video(video, model)
         assert len(descs) == 1
 
     def test_stride_windows(self):
         rng = np.random.default_rng(12)
-        frames = make_frames(rng, 9, 2)
-        model = self.model_for(frames, gof_size=5, overlap=1)
-        descs = encode_video(frames, model)
+        video = make_video(rng, 9, 2)
+        model = self.model_for(video, gof_size=5, overlap=1)
+        descs = encode_video(video, model)
         assert descs.shape == (2, 2) and descs.dtype == np.float64
 
     def test_window_count_formula(self):
         rng = np.random.default_rng(13)
         for num_frames in (5, 6, 11, 23):
             for gof_size, overlap in ((5, 1), (4, 2), (3, 0)):
-                frames = make_frames(rng, num_frames, 2)
+                video = make_video(rng, num_frames, 2)
                 expected = 1 + (num_frames - gof_size) // (gof_size - overlap)
-                assert len(split_gofs(frames, gof_size, overlap)) == expected
+                assert len(split_gofs(video, gof_size, overlap)) == expected
 
     def test_short_video_yields_nothing(self):
         rng = np.random.default_rng(14)
-        frames = make_frames(rng, 3, 2)
-        model = self.model_for(frames, gof_size=5, overlap=1)
-        assert encode_video(frames, model).shape == (0, 2)
+        video = make_video(rng, 3, 2)
+        model = self.model_for(video, gof_size=5, overlap=1)
+        assert encode_video(video, model).shape == (0, 2)
 
     def test_empty_video(self):
         rng = np.random.default_rng(15)
-        model = self.model_for(make_frames(rng, 4, 2), 2, 0)
+        model = self.model_for(make_video(rng, 4, 2), 2, 0)
         with pytest.raises(EmptyVideo):
-            encode_video([], model)
+            encode_video(Video.from_frames([]), model)
 
     def test_normalize_flag_round_trip(self):
         rng = np.random.default_rng(16)
-        frames = make_frames(rng, 8, 3, features_per_frame=6)
-        plain = train_vlad(frames, params(j=2, d=2, gof_size=2, overlap=0))
+        video = make_video(rng, 8, 3, features_per_frame=6)
+        plain = train_vlad([video], params(j=2, d=2, gof_size=2, overlap=0))
         normed = train_vlad(
-            frames, params(j=2, d=2, gof_size=2, overlap=0, normalize=True)
+            [video], params(j=2, d=2, gof_size=2, overlap=0, normalize=True)
         )
-        a = encode_video(frames, plain)
-        b = encode_video(frames, normed)
+        a = encode_video(video, plain)
+        b = encode_video(video, normed)
         assert len(a) == len(b)
         assert not np.allclose(a[0], b[0])
 
     def test_permuting_features_in_frames_is_invariant(self):
         rng = np.random.default_rng(17)
-        frames = make_frames(rng, 6, 3, features_per_frame=20, scale=50.0)
-        model = train_vlad(frames, params(j=3, d=2, seed=1, gof_size=3,
-                                          overlap=1))
-        base = encode_video(frames, model)
-        shuffled = [
-            FrameFeatures(f.frame_index, f.features[rng.permutation(f.count)])
-            for f in frames
-        ]
-        got = encode_video(shuffled, model)
+        video = make_video(rng, 6, 3, features_per_frame=20, scale=50.0)
+        model = train_vlad([video], params(j=3, d=2, seed=1, gof_size=3,
+                                           overlap=1))
+        base = encode_video(video, model)
+        got = encode_video(shuffle_within_frames(video, rng), model)
         np.testing.assert_allclose(got, base, atol=1e-9)
 
 
 class TestGroupOfFrames:
-    def test_rejects_empty(self):
-        with pytest.raises(DataError):
-            GroupOfFrames(gof_index=0, frames=())
+    def test_no_windows(self):
+        short = Video.from_frames([np.ones((1, 1))] * 3)
+        assert split_gofs(short, 4, 1) == []
+        assert split_gofs(Video.from_frames([]), 1, 0) == []
+
+    def test_window_starts(self):
+        video = Video.from_frames([np.ones((1, 1))] * 9)
+        assert split_gofs(video, 5, 1) == [0, 4]
+        assert split_gofs(video, 3, 2) == list(range(7))
 
     def test_rejects_gaps(self):
-        with pytest.raises(DataError):
-            GroupOfFrames(
-                gof_index=0,
-                frames=(FrameFeatures(0, np.ones((1, 1))),
-                        FrameFeatures(2, np.ones((1, 1)))),
-            )
+        video = Video.from_frames([np.ones((1, 1))] * 4, [0, 1, 3, 4])
+        with pytest.raises(DataError, match="consecutive"):
+            split_gofs(video, 3, 1)
+        # windows on either side of the gap are fine
+        assert split_gofs(video, 2, 0) == [0, 2]
 
 
 class TestModelPersistence:
     @pytest.mark.parametrize("method", ["vlad", "vlac", "hp"])
     def test_save_load_bit_exact(self, method, tmp_path):
         rng = np.random.default_rng(18)
-        gofs = [make_gof(rng, 3, 3, features_per_frame=8, gof_index=i)
-                for i in range(6)]
+        video = make_video(rng, 18, 3, features_per_frame=8)
         schema = params(j=3, n=4, m=3, d=2, d0=5, alpha1=3, alpha2=2, h=2,
                         seed=4, gof_size=3, overlap=0)
-        if method == "vlad":
-            model = train_vlad([f for g in gofs for f in g.frames], schema)
-        elif method == "vlac":
-            model = train_vlac(gofs, schema)
-        else:
-            model = train_hp(gofs, schema)
+        model = train(method, [video], schema)
         path = tmp_path / "model.bin"
         save_model(model, path)
         loaded = load_model(path)
@@ -600,28 +602,27 @@ class TestModelPersistence:
 
     def test_same_seed_same_bytes(self, tmp_path):
         rng = np.random.default_rng(19)
-        gofs = [make_gof(rng, 3, 2, features_per_frame=6, gof_index=i)
-                for i in range(4)]
+        video = make_video(rng, 12, 2, features_per_frame=6)
+        schema = params(n=3, m=2, d=2, seed=7, gof_size=3, overlap=0)
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_model(train_vlac(gofs, params(n=3, m=2, d=2, seed=7)), a)
-        save_model(train_vlac(gofs, params(n=3, m=2, d=2, seed=7)), b)
+        save_model(train_vlac([video], schema), a)
+        save_model(train_vlac([video], schema), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_loaded_model_encodes(self, tmp_path):
         rng = np.random.default_rng(20)
-        gofs = [make_gof(rng, 3, 2, features_per_frame=6, gof_index=i)
-                for i in range(4)]
-        model = train_vlac(gofs, params(n=3, m=2, d=2, seed=7, gof_size=3,
-                                        overlap=0))
+        video = make_video(rng, 12, 2, features_per_frame=6)
+        model = train_vlac([video], params(n=3, m=2, d=2, seed=7, gof_size=3,
+                                           overlap=0))
         save_model(model, tmp_path / "m.bin")
         loaded = load_model(tmp_path / "m.bin")
-        frames = make_frames(rng, 6, 2, features_per_frame=6)
-        assert encode_video(frames, loaded).shape == (2, 2)
+        other = make_video(rng, 6, 2, features_per_frame=6)
+        assert encode_video(other, loaded).shape == (2, 2)
 
     def test_overwrite_guard(self, tmp_path):
         rng = np.random.default_rng(21)
-        frames = make_frames(rng, 4, 2)
-        model = train_vlad(frames, params(j=2, d=1))
+        video = make_video(rng, 4, 2)
+        model = train_vlad([video], params(j=2, d=1))
         path = tmp_path / "m.bin"
         save_model(model, path)
         with pytest.raises(FileExistsError):

@@ -416,13 +416,13 @@ class TestErrors:
     def test_non_finite_feature_exit_2(self, dataset, trained, tmp_path):
         doc = json.loads((dataset / "queries" / "manifest.json").read_text())
         for entry in doc["queries"]:
-            frames = load_features(dataset / "queries" / entry["feature_file"])
-            write_features(frames, tmp_path / entry["feature_file"])
+            video = load_features(dataset / "queries" / entry["feature_file"])
+            write_features(video, tmp_path / entry["feature_file"])
         (tmp_path / "manifest.json").write_text(json.dumps(doc))
         bad = tmp_path / doc["queries"][0]["feature_file"]
-        frames = load_features(bad)
-        frames[2].features[1, 3] = SENTINEL
-        write_features(frames, bad, overwrite=True)
+        video = load_features(bad)
+        video.features[video.offsets[2] + 1, 3] = SENTINEL
+        write_features(video, bad, overwrite=True)
         poison(bad, np.nan)
         assert run("encode", "--model", trained / "vlad.bin",
                    "--manifest", tmp_path / "manifest.json", "--queries",

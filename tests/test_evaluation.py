@@ -3,7 +3,6 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from _helpers import make_frames
 from vlac import (
     GroundTruth,
     ModelParams,
@@ -11,8 +10,8 @@ from vlac import (
     average_precision,
     mean_average_precision,
     pr_curve,
+    basis_alignment_score,
     sign_aligned_alignment_score,
-    stability_experiment,
     synthesize_videos,
 )
 from vlac.core_math import ProjectionBasis, pca_fit
@@ -179,8 +178,6 @@ class TestSignAlignedScore:
                             eigenvalues=np.ones(2))
         b = ProjectionBasis(rows=rows * np.array([[1.0], [-1.0]]),
                             mean=np.zeros(3), eigenvalues=np.ones(2))
-        from vlac import basis_alignment_score
-
         assert basis_alignment_score(a, b) == 0.0
         assert sign_aligned_alignment_score(a, b) == 2.0
 
@@ -198,40 +195,43 @@ def videos():
         4, 15, 6, clusters=5, seed=13, features_per_frame=10,
         center_spread=6.0, noise_std=0.8,
     )
-    return [list(v) for v in data.videos]
+    return list(data.videos)
+
+
+def stability_score(videos, spec, method, params):
+    """Raw alignment of the clean and the perturbed final basis."""
+    return basis_alignment_score(*stability_bases(videos, spec, method, params))
 
 
 class TestStabilityExperiment:
     @pytest.mark.parametrize("method", ["vlad", "vlac", "hp", "sift"])
     def test_zero_perturbation_self_alignment(self, videos, method):
         spec = PerturbationSpec(kind="additive_gaussian", magnitude=0.0, seed=1)
-        score = stability_experiment(videos, spec, method, desk_params(d=4))
+        score = stability_score(videos, spec, method, desk_params(d=4))
         assert abs(score - 4.0) <= 1e-6
 
     @pytest.mark.parametrize("method", ["vlad", "vlac", "hp", "sift"])
     def test_score_bounded_by_d(self, videos, method):
         spec = PerturbationSpec(kind="additive_gaussian", magnitude=2.0, seed=3)
-        score = stability_experiment(videos, spec, method, desk_params(d=4))
+        score = stability_score(videos, spec, method, desk_params(d=4))
         assert abs(score) <= 4.0 + 1e-9
 
     def test_deterministic(self, videos):
         spec = PerturbationSpec(kind="additive_gaussian", magnitude=0.5, seed=5)
-        a = stability_experiment(videos, spec, "vlac", desk_params(d=3))
-        b = stability_experiment(videos, spec, "vlac", desk_params(d=3))
+        a = stability_score(videos, spec, "vlac", desk_params(d=3))
+        b = stability_score(videos, spec, "vlac", desk_params(d=3))
         assert a == b
 
     def test_sift_direct_small_noise_near_d(self, videos):
         # tiny noise on well-conditioned raw features barely moves the basis
         spec = PerturbationSpec(kind="additive_gaussian", magnitude=0.01,
                                 seed=7)
-        score = stability_experiment(videos, spec, "sift", desk_params(d=4))
+        score = stability_score(videos, spec, "sift", desk_params(d=4))
         assert score / 4.0 >= 0.95
 
     def test_bases_exposed_for_both_score_views(self, videos):
         spec = PerturbationSpec(kind="additive_gaussian", magnitude=0.5, seed=9)
         clean, noisy = stability_bases(videos, spec, "sift", desk_params(d=3))
-        from vlac import basis_alignment_score
-
         raw = basis_alignment_score(clean, noisy)
         aligned = sign_aligned_alignment_score(clean, noisy)
         assert aligned >= raw - 1e-12
@@ -239,9 +239,7 @@ class TestStabilityExperiment:
     def test_sift_direct_matches_plain_pca(self, videos):
         spec = PerturbationSpec(kind="additive_gaussian", magnitude=0.0, seed=1)
         clean, _ = stability_bases(videos, spec, "sift", desk_params(d=4))
-        pooled = np.concatenate(
-            [f.features for frames in videos for f in frames]
-        )
+        pooled = np.concatenate([video.features for video in videos])
         expected = pca_fit(pooled, 4)
         assert np.array_equal(clean.rows, expected.rows)
 

@@ -6,10 +6,10 @@ import pytest
 from vlac import (
     Codebook,
     DatasetManifest,
-    FrameFeatures,
     ModelParams,
     ProjectionBasis,
     TrainedModel,
+    Video,
     save_model,
     write_features,
     write_store,
@@ -34,7 +34,7 @@ FAILING_WRITES = {
          DescriptorSequence("w", np.ones((1, 2)), "bogus")],
         path, overwrite=overwrite),
     "features": lambda path, overwrite: write_features(
-        [FrameFeatures(0, np.ones((1, 2))), FrameFeatures(2**32, np.ones((1, 2)))],
+        Video.from_frames([np.ones((1, 2))] * 2, [0, 2**32]),
         path, overwrite=overwrite),
     "model": lambda path, overwrite: save_model(
         UNTAGGED_MODEL, path, overwrite=overwrite),

@@ -12,11 +12,11 @@ from _helpers import SENTINEL, poison, set_model_param
 from vlac import (
     Codebook,
     DatasetManifest,
-    FrameFeatures,
     ModelParams,
     ProjectionBasis,
     QueryManifest,
     TrainedModel,
+    Video,
     load_features,
     load_model,
     load_store,
@@ -57,7 +57,7 @@ MODELS = {
         codebook=codebook(2, 2), basis=basis(1, 4),
         hp_first_basis=basis(2, 4), hp_second_codebook=codebook(2, 2)),
 }
-FRAMES = [FrameFeatures(0, grid(2, 3)), FrameFeatures(3, grid(1, 3, 6.0))]
+VIDEO = Video.from_frames([grid(2, 3), grid(1, 3, 6.0)], [0, 3])
 SEQUENCES = [DescriptorSequence("a", grid(2, 2), "vlac"),
              DescriptorSequence("b", grid(1, 2, 4.0), "vlac")]
 MANIFEST = DatasetManifest(
@@ -68,7 +68,7 @@ QUERIES = QueryManifest(
     feature_dim=3)
 
 WRITERS = {
-    "features": lambda path: write_features(FRAMES, path),
+    "features": lambda path: write_features(VIDEO, path),
     "store": lambda path: write_store(SEQUENCES, path),
     "vlad_model": lambda path: save_model(MODELS["vlad"], path),
     "vlac_model": lambda path: save_model(MODELS["vlac"], path),
@@ -180,7 +180,7 @@ def with_value(value):
     model = MODELS["vlad"]
     return {
         "features": lambda path: write_features(
-            [FrameFeatures(0, features)], path),
+            Video.from_frames([features]), path),
         "store": lambda path: write_store(
             [DescriptorSequence("v", descriptors, "vlac")], path),
         "model": lambda path: save_model(

@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from _helpers import make_frames
+from _helpers import make_video
 from vlac import (
     DatasetManifest,
-    FrameFeatures,
     PerturbationSpec,
+    Video,
     load_features,
     load_manifest,
     load_query_manifest,
@@ -31,54 +31,48 @@ from vlac.ingestion import VideoEntry, save_manifest
 class TestFeatureFiles:
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(0)
-        frames = make_frames(rng, 5, 3, features_per_frame=4)
+        video = make_video(rng, 5, 3, features_per_frame=4)
         path = tmp_path / "x.vfeat"
-        write_features(frames, path)
+        write_features(video, path)
         # float32 payload: a second write of the loaded frames must be
         # byte-identical
         loaded = load_features(path)
         path2 = tmp_path / "y.vfeat"
         write_features(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
-        assert [f.frame_index for f in loaded] == [f.frame_index for f in frames]
+        assert np.array_equal(loaded.frame_index, video.frame_index)
 
     def test_random_shapes_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         for trial in range(10):
             dim = int(rng.integers(1, 6))
-            frames = [
-                FrameFeatures(
-                    frame_index=t,
-                    features=rng.normal(size=(int(rng.integers(0, 5)), dim)),
-                )
+            video = Video.from_frames([
+                rng.normal(size=(int(rng.integers(0, 5)), dim))
                 for t in range(int(rng.integers(1, 6)))
-            ]
+            ])
             path = tmp_path / f"t{trial}.vfeat"
-            write_features(frames, path)
+            write_features(video, path)
             loaded = load_features(path)
-            assert len(loaded) == len(frames)
-            for a, b in zip(frames, loaded):
-                assert a.frame_index == b.frame_index
-                np.testing.assert_array_equal(
-                    a.features.astype(np.float32), b.features.astype(np.float32)
-                )
+            assert len(loaded) == len(video)
+            assert np.array_equal(loaded.frame_index, video.frame_index)
+            assert np.array_equal(loaded.offsets, video.offsets)
+            np.testing.assert_array_equal(
+                video.features.astype(np.float32),
+                loaded.features.astype(np.float32)
+            )
 
     def test_empty_frame_record(self, tmp_path):
-        frames = [
-            FrameFeatures(0, np.empty((0, 2))),
-            FrameFeatures(1, np.ones((2, 2))),
-        ]
+        video = Video.from_frames([np.empty((0, 2)), np.ones((2, 2))])
         path = tmp_path / "k0.vfeat"
-        write_features(frames, path)
+        write_features(video, path)
         loaded = load_features(path)
-        assert loaded[0].count == 0
-        assert loaded[0].dim == 2
+        assert loaded.offsets.tolist() == [0, 0, 2]
+        assert loaded.dim == 2
 
     def test_truncated_file(self, tmp_path):
         rng = np.random.default_rng(2)
-        frames = make_frames(rng, 2, 2)
         path = tmp_path / "t.vfeat"
-        write_features(frames, path)
+        write_features(make_video(rng, 2, 2), path)
         data = path.read_bytes()
         # keep the header (frame_count=2) but drop the second record
         short = tmp_path / "short.vfeat"
@@ -95,18 +89,18 @@ class TestFeatureFiles:
     def test_manifest_dimension_check(self, tmp_path):
         rng = np.random.default_rng(3)
         path = tmp_path / "d.vfeat"
-        write_features(make_frames(rng, 2, 3), path)
+        write_features(make_video(rng, 2, 3), path)
         with pytest.raises(DimensionMismatch):
             load_features(path, expected_dim=4)
 
     def test_overwrite_guard(self, tmp_path):
         rng = np.random.default_rng(4)
-        frames = make_frames(rng, 2, 2)
+        video = make_video(rng, 2, 2)
         path = tmp_path / "o.vfeat"
-        write_features(frames, path)
+        write_features(video, path)
         with pytest.raises(FileExistsError):
-            write_features(frames, path)
-        write_features(frames, path, overwrite=True)
+            write_features(video, path)
+        write_features(video, path, overwrite=True)
 
 
 class TestSynthesize:
@@ -122,20 +116,17 @@ class TestSynthesize:
     def test_different_seeds_differ(self):
         x = synthesize_videos(2, 3, 4, 2, seed=0)
         y = synthesize_videos(2, 3, 4, 2, seed=1)
-        mean_x = np.concatenate(
-            [f.features for v in x.videos for f in v]).mean(axis=0)
-        mean_y = np.concatenate(
-            [f.features for v in y.videos for f in v]).mean(axis=0)
+        mean_x = np.concatenate([v.features for v in x.videos]).mean(axis=0)
+        mean_y = np.concatenate([v.features for v in y.videos]).mean(axis=0)
         assert not np.allclose(mean_x, mean_y)
 
     def test_single_cluster_zero_variance(self):
         data = synthesize_videos(2, 3, 4, clusters=1, seed=5, noise_std=0.0)
         for video in data.videos:
-            for frame in video:
-                np.testing.assert_array_equal(
-                    frame.features, np.broadcast_to(
-                        data.cluster_means[0], frame.features.shape)
-                )
+            np.testing.assert_array_equal(
+                video.features, np.broadcast_to(
+                    data.cluster_means[0], video.features.shape)
+            )
 
     def test_video_means_follow_mixing_weights(self):
         # pooled video mean approaches sum_c w_c * mean_c; with
@@ -147,8 +138,7 @@ class TestSynthesize:
         )
         expected = data.mixing_weights @ data.cluster_means
         for v, video in enumerate(data.videos):
-            pooled = np.concatenate([f.features for f in video])
-            err = np.linalg.norm(pooled.mean(axis=0) - expected[v])
+            err = np.linalg.norm(video.features.mean(axis=0) - expected[v])
             assert err < 5.0  # sampling error of the mixture, not spread
         separation = np.linalg.norm(expected[0] - expected[1])
         assert separation > data.noise_std
@@ -169,52 +159,50 @@ class TestPerturb:
                                       "gain"])
     def test_zero_magnitude_is_identity(self, kind):
         rng = np.random.default_rng(7)
-        frames = make_frames(rng, 3, 4)
-        out = perturb(frames, PerturbationSpec(kind=kind, magnitude=0.0, seed=3))
-        for a, b in zip(frames, out):
-            np.testing.assert_array_equal(a.features, b.features)
+        video = make_video(rng, 3, 4)
+        out = perturb(video, PerturbationSpec(kind=kind, magnitude=0.0, seed=3))
+        np.testing.assert_array_equal(out.features, video.features)
+        np.testing.assert_array_equal(out.offsets, video.offsets)
 
     def test_gain_doubles(self):
         rng = np.random.default_rng(8)
-        frames = make_frames(rng, 2, 3)
-        out = perturb(frames, PerturbationSpec(kind="gain", magnitude=1.0, seed=0))
-        for a, b in zip(frames, out):
-            np.testing.assert_allclose(b.features, a.features * 2.0)
+        video = make_video(rng, 2, 3)
+        out = perturb(video, PerturbationSpec(kind="gain", magnitude=1.0, seed=0))
+        np.testing.assert_allclose(out.features, video.features * 2.0)
 
     def test_gaussian_empirical_std(self):
-        frames = [FrameFeatures(0, np.zeros((100, 100)))]
+        video = Video.from_frames([np.zeros((100, 100))])
         out = perturb(
-            frames,
+            video,
             PerturbationSpec(kind="additive_gaussian", magnitude=0.1, seed=1),
         )
-        std = out[0].features.std()
+        std = out.features.std()
         assert 0.097 <= std <= 0.103
 
     def test_dropout_probability(self):
-        frames = [FrameFeatures(0, np.ones((100, 100)))]
+        video = Video.from_frames([np.ones((100, 100))])
         out = perturb(
-            frames,
+            video,
             PerturbationSpec(kind="component_dropout", magnitude=0.25, seed=2),
         )
-        frac = float((out[0].features == 0.0).mean())
+        frac = float((out.features == 0.0).mean())
         assert 0.22 <= frac <= 0.28
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
-        frames = make_frames(rng, 3, 4)
+        video = make_video(rng, 3, 4)
         spec = PerturbationSpec(kind="additive_gaussian", magnitude=0.5, seed=10)
-        a = perturb(frames, spec)
-        b = perturb(frames, spec)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.features, y.features)
+        a = perturb(video, spec)
+        b = perturb(video, spec)
+        np.testing.assert_array_equal(a.features, b.features)
 
     def test_videos_decorrelated(self):
         rng = np.random.default_rng(10)
-        videos = [make_frames(rng, 2, 3), make_frames(rng, 2, 3)]
+        videos = [make_video(rng, 2, 3), make_video(rng, 2, 3)]
         spec = PerturbationSpec(kind="additive_gaussian", magnitude=1.0, seed=0)
         out = perturb_videos(videos, spec)
-        delta0 = out[0][0].features - videos[0][0].features
-        delta1 = out[1][0].features - videos[1][0].features
+        delta0 = out[0].features - videos[0].features
+        delta1 = out[1].features - videos[1].features
         assert not np.allclose(delta0, delta1)
 
     def test_invalid_spec(self):
@@ -240,12 +228,12 @@ class TestMakeQueries:
                                  segment_len_frames=10, offset_frames=0,
                                  seed=0)
         for q, v in zip(qmanifest.queries, manifest.videos):
-            q_frames = load_features(qdir / q.feature_file)
-            v_frames = load_features(tmp_path / v.feature_file)
+            query = load_features(qdir / q.feature_file)
+            video = load_features(tmp_path / v.feature_file)
             assert q.start_frame == 0
-            assert len(q_frames) == len(v_frames)
-            for a, b in zip(q_frames, v_frames):
-                np.testing.assert_array_equal(a.features, b.features)
+            assert len(query) == len(video)
+            np.testing.assert_array_equal(query.offsets, video.offsets)
+            np.testing.assert_array_equal(query.features, video.features)
 
     def test_deterministic_bytes(self, tmp_path):
         manifest = self.make_dataset(tmp_path)
@@ -271,8 +259,15 @@ class TestMakeQueries:
         qmanifest = make_queries(manifest, tmp_path, tmp_path / "q",
                                  segment_len_frames=4, offset_frames=2,
                                  seed=2)
-        frames = load_features(tmp_path / "q" / qmanifest.queries[0].feature_file)
-        assert [f.frame_index for f in frames] == [0, 1, 2, 3]
+        query = load_features(tmp_path / "q" / qmanifest.queries[0].feature_file)
+        assert query.frame_index.tolist() == [0, 1, 2, 3]
+        entry = manifest.videos[0]
+        video = load_features(tmp_path / entry.feature_file)
+        start = qmanifest.queries[0].start_frame
+        rows = video.rows(start, start + 4)
+        np.testing.assert_array_equal(query.features, video.features[rows])
+        np.testing.assert_array_equal(
+            query.offsets, video.offsets[start:start + 5] - rows.start)
 
     def test_video_too_short(self, tmp_path):
         manifest = self.make_dataset(tmp_path, frames_per_video=3)

@@ -6,7 +6,6 @@ from vlac import (
     aligned_similarity,
     load_store,
     retrieve,
-    similarity,
     write_store,
 )
 from vlac.errors import DataError, DimensionMismatch, EmptyStore
@@ -35,26 +34,17 @@ def brute_force_best(query, target):
     return best_score, best_k
 
 
-class TestSimilarity:
-    def test_identical_unit_vectors(self):
-        v = np.array([0.6, 0.8])
-        assert abs(similarity(v, v) - 1.0) < 1e-12
+class TestDescriptorSequence:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        matrix = np.ones((2, 3))
+        matrix[1, 2] = value
+        with pytest.raises(DataError, match="non-finite"):
+            seq("b", matrix)
 
-    def test_orthogonal(self):
-        assert similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_arithmetic(self):
-        assert similarity(np.array([1.0, 2.0]), np.array([3.0, -1.0])) == 1.0
-
-    def test_bilinear_scaling(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.normal(size=4), rng.normal(size=4)
-        for alpha in (0.5, -2.0, 3.25):
-            assert abs(similarity(alpha * a, b) - alpha * similarity(a, b)) <= 1e-9
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            similarity(np.ones(3), np.ones(4))
+    def test_rejects_empty_sequence(self):
+        with pytest.raises(DataError):
+            seq("a", np.empty((0, 3)))
 
 
 class TestAlignedSimilarity:
@@ -132,6 +122,11 @@ class TestAlignedSimilarity:
         with pytest.raises(DataError):
             aligned_similarity(equal, seq("f", [[1.0], [2.0], [3.0]]),
                                strict_paper_range=True)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            aligned_similarity(seq("a", np.ones((2, 3))),
+                               seq("b", np.ones((2, 4))))
 
     def test_method_mismatch(self):
         with pytest.raises(DataError):
