@@ -56,8 +56,8 @@ from .ingestion import (
     make_queries,
     perturb,
     perturb_videos,
-    synthesize_dataset,
     synthesize_videos,
+    write_dataset,
     write_features,
 )
 from .search import (

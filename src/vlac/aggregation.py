@@ -638,18 +638,15 @@ def load_model(path) -> TrainedModel:
         _check_shape(reader.unpack(_ARRAY_SHAPE, what), shape, f"{path} {what}")
         stages.setdefault(name, {})[part] = reader.f32(*shape, what)
     reader.end()
-    seeds = {"hp_second_codebook": params.seed ^ _HP_SECOND_STAGE_SALT}
     return TrainedModel(method=method, params=params, **{
-        name: _stage(arrays, seeds.get(name, params.seed))
-        for name, arrays in stages.items()
+        name: _stage(arrays) for name, arrays in stages.items()
     })
 
 
-def _stage(arrays: dict[str, np.ndarray], seed: int):
+def _stage(arrays: dict[str, np.ndarray]):
     """The Codebook or ProjectionBasis stored as ``arrays``."""
     if "centers" in arrays:
-        centers = arrays["centers"]
-        return Codebook(centers=centers, k=centers.shape[0], seed=seed,
+        return Codebook(centers=arrays["centers"],
                         inertia=float(arrays["inertia"][0, 0]))
     return ProjectionBasis(rows=arrays["rows"], mean=arrays["mean"][0],
                            eigenvalues=arrays["eigenvalues"][0])

@@ -1,10 +1,13 @@
 """Command-line front end: synth, train, encode, search, evaluate, stability.
 
 Every command is reproducible under a fixed seed and emits structured logs
-(one JSON object per line) on stdout. Exit codes: 0 success, 2 data or
-usage error (``DataError``, ``ValueError``, ``OSError``, bad JSON), 3
-numeric failure (numpy's ``LinAlgError`` or ``FloatingPointError``).
-Commands overwrite their own output files so reruns are idempotent.
+(one JSON object per line) on stdout; each command's events carry
+``duration_s``, the seconds the command (for ``stability``, the method)
+took. Exit codes: 0 success, 2 data or usage error (``DataError``,
+``ValueError``, ``OSError``, bad JSON), 3 numeric failure (numpy's
+``LinAlgError`` or ``FloatingPointError``). Commands overwrite their own
+output files so reruns are idempotent, and every output file is written
+all-or-nothing: a failed command leaves an existing file unchanged.
 """
 
 from __future__ import annotations
@@ -44,17 +47,17 @@ from .evaluation import (
     write_pr_csv,
 )
 from .core_math import basis_alignment_score
+from .fileio import write_csv
 from .ingestion import (
     PERTURBATION_KINDS,
-    DatasetManifest,
     PerturbationSpec,
     load_features,
     load_manifest,
     load_query_manifest,
     make_queries,
     perturb_videos,
-    save_manifest,
-    synthesize_dataset,
+    synthesize_videos,
+    write_dataset,
 )
 from .search import DescriptorSequence, load_store, retrieve, write_store
 
@@ -104,23 +107,22 @@ def load_config(args, feature_dim: int) -> ModelParams:
     return params
 
 
-def _training_inputs(args):
-    """The run's parameters and every manifest video."""
-    manifest_path = Path(args.manifest)
-    manifest = load_manifest(manifest_path)
-    params = load_config(args, manifest.feature_dim)
-    videos = [v for _, v in _load_videos(manifest, manifest_path.parent)]
-    return params, videos
-
-
-def _load_videos(manifest: DatasetManifest, base: Path):
-    return [
-        (
-            v.video_id,
-            load_features(base / v.feature_file, expected_dim=manifest.feature_dim),
-        )
-        for v in manifest.videos
-    ]
+def _manifest_videos(path, *, queries: bool = False):
+    """The feature dimension of a dataset (or, with ``queries``, a query)
+    manifest and its videos read from their feature files, keyed by video
+    (or query) id in manifest order."""
+    path = Path(path)
+    if queries:
+        manifest = load_query_manifest(path)
+        entries = [(q.query_id, q.feature_file) for q in manifest.queries]
+    else:
+        manifest = load_manifest(path)
+        entries = [(v.video_id, v.feature_file) for v in manifest.videos]
+    return manifest.feature_dim, {
+        video_id: load_features(path.parent / rel,
+                                expected_dim=manifest.feature_dim)
+        for video_id, rel in entries
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -129,46 +131,29 @@ def _load_videos(manifest: DatasetManifest, base: Path):
 
 
 def cmd_synth(args) -> int:
+    start = time.perf_counter()
     root = Path(args.data_root)
-    train_dir, test_dir, query_dir = root / "train", root / "test", root / "queries"
-    common = dict(
-        frames_per_video=args.frames,
-        dim=args.dim,
-        clusters=args.clusters,
-        features_per_frame=args.features_per_frame,
-        center_spread=args.center_spread,
-        noise_std=args.noise_std,
-        fps_sampled=args.fps,
-        overwrite=True,
+    # one synthesis covers train + test so both share the feature vocabulary;
+    # the first train_videos videos are the training split
+    data = synthesize_videos(
+        args.train_videos + args.videos, args.frames, args.dim, args.clusters,
+        args.seed, features_per_frame=args.features_per_frame,
+        center_spread=args.center_spread, noise_std=args.noise_std,
     )
-    # one synthesis covers train + test so both share the feature vocabulary,
-    # then the videos are split into disjoint manifests
-    total = args.train_videos + args.videos
-    all_dir = root / "test"
-    manifest = synthesize_dataset(
-        all_dir, num_videos=total, seed=args.seed, id_prefix="video", **common
+    ids = [f"video_{v:03d}" for v in range(len(data.videos))]
+    cut = args.train_videos
+    train_manifest = write_dataset(
+        root / "train", ids[:cut], data.videos[:cut], fps_sampled=args.fps,
+        notes="training split", overwrite=True,
     )
-    train_entries = manifest.videos[: args.train_videos]
-    test_entries = manifest.videos[args.train_videos :]
-    train_dir.mkdir(parents=True, exist_ok=True)
-    for entry in train_entries:
-        src = all_dir / entry.feature_file
-        (train_dir / entry.feature_file).write_bytes(src.read_bytes())
-        src.unlink()
-    train_manifest = DatasetManifest(
-        videos=tuple(train_entries), feature_dim=manifest.feature_dim,
-        notes="training split",
+    test_manifest = write_dataset(
+        root / "test", ids[cut:], data.videos[cut:], fps_sampled=args.fps,
+        notes="test split", overwrite=True,
     )
-    test_manifest = DatasetManifest(
-        videos=tuple(test_entries), feature_dim=manifest.feature_dim,
-        notes="test split",
-    )
-    save_manifest(train_manifest, train_dir / "manifest.json", overwrite=True)
-    save_manifest(test_manifest, test_dir / "manifest.json", overwrite=True)
     qmanifest = make_queries(
         test_manifest,
-        test_dir,
-        query_dir,
+        data.videos[cut:],
+        root / "queries",
         segment_len_frames=args.segment_len,
         offset_frames=args.offset,
         seed=args.seed + 1,
@@ -176,20 +161,21 @@ def cmd_synth(args) -> int:
     )
     _log(
         "synthesized",
-        train_manifest=str(train_dir / "manifest.json"),
-        test_manifest=str(test_dir / "manifest.json"),
-        query_manifest=str(query_dir / "manifest.json"),
+        train_manifest=str(root / "train" / "manifest.json"),
+        test_manifest=str(root / "test" / "manifest.json"),
+        query_manifest=str(root / "queries" / "manifest.json"),
         train_videos=len(train_manifest.videos),
         test_videos=len(test_manifest.videos),
         queries=len(qmanifest.queries),
+        duration_s=time.perf_counter() - start,
     )
     return 0
 
 
 def cmd_train(args) -> int:
     start = time.perf_counter()
-    params, videos = _training_inputs(args)
-    model = train(args.method, videos, params)
+    dim, videos = _manifest_videos(args.manifest)
+    model = train(args.method, list(videos.values()), load_config(args, dim))
     save_model(model, args.out, overwrite=True)
     bases = {
         name: {"solver": basis.solver,
@@ -228,28 +214,16 @@ def _encode_one(video_id, video, model):
 
 
 def cmd_encode(args) -> int:
+    start = time.perf_counter()
     model = load_model(args.model)
-    manifest_path = Path(args.manifest)
-    base = manifest_path.parent
-    if args.queries:
-        qmanifest = load_query_manifest(manifest_path)
-        items = [
-            (q.query_id, load_features(base / q.feature_file,
-                                       expected_dim=qmanifest.feature_dim))
-            for q in qmanifest.queries
-        ]
-    else:
-        manifest = load_manifest(manifest_path)
-        items = _load_videos(manifest, base)
-
-    ids = [video_id for video_id, _ in items]
-    videos = [video for _, video in items]
+    _, items = _manifest_videos(args.manifest, queries=args.queries)
+    videos = list(items.values())
     if args.perturb:
         videos = perturb_videos(videos, PerturbationSpec(
             kind=args.perturb, magnitude=args.magnitude, seed=args.perturb_seed
         ))
 
-    sequences = [_encode_one(i, v, model) for i, v in zip(ids, videos)]
+    sequences = [_encode_one(i, v, model) for i, v in zip(items, videos)]
     write_store(sequences, args.out, overwrite=True)
     _log(
         "encoded",
@@ -257,11 +231,13 @@ def cmd_encode(args) -> int:
         method=model.method,
         videos=len(sequences),
         gofs=[s.length for s in sequences],
+        duration_s=time.perf_counter() - start,
     )
     return 0
 
 
 def cmd_search(args) -> int:
+    start = time.perf_counter()
     store = load_store(args.store)
     queries = load_store(args.queries)
     if args.threshold is not None:
@@ -281,24 +257,20 @@ def cmd_search(args) -> int:
 
     d = store[0].d if store else 0
     method = store[0].method if store else ""
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_CSV_COLUMNS)
-        for seq, result in zip(queries, results):
-            for rank, m in enumerate(result.matches, start=1):
-                writer.writerow(
-                    [seq.video_id, rank, m.video_id, repr(m.score),
-                     m.offset, method, d]
-                )
+    write_csv(args.out, RESULTS_CSV_COLUMNS, (
+        [seq.video_id, rank, m.video_id, repr(m.score), m.offset, method, d]
+        for seq, result in zip(queries, results)
+        for rank, m in enumerate(result.matches, start=1)
+    ))
     _log("searched", out=str(args.out), queries=len(queries),
-         store=len(store))
+         store=len(store), duration_s=time.perf_counter() - start)
     return 0
 
 
 def _read_results_csv(path):
     by_query: dict[str, list[tuple[str, float]]] = {}
     method, d = "", 0
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = set(RESULTS_CSV_COLUMNS) - set(reader.fieldnames or ())
         if missing:
@@ -318,6 +290,7 @@ def _read_results_csv(path):
 
 
 def cmd_evaluate(args) -> int:
+    start = time.perf_counter()
     by_query, method, d = _read_results_csv(args.results)
     truth = GroundTruth.from_queries(
         load_query_manifest(Path(args.queries), check_files=False)
@@ -334,28 +307,31 @@ def cmd_evaluate(args) -> int:
     if args.svg:
         plot_pr_svg(Path(f"{prefix}_pr.svg"), {f"{method} D={d}": curve})
     _log("evaluated", map=map_value, pr_csv=str(pr_path),
-         map_csv=str(map_path), queries=len(by_query))
+         map_csv=str(map_path), queries=len(truth.relevant),
+         duration_s=time.perf_counter() - start)
     return 0
 
 
 def cmd_stability(args) -> int:
-    params, videos = _training_inputs(args)
+    dim, items = _manifest_videos(args.manifest)
+    params = load_config(args, dim)
+    videos = list(items.values())
     spec = PerturbationSpec(
         kind=args.kind, magnitude=args.magnitude, seed=args.perturb_seed
     )
     methods = list(STABILITY_METHODS) if args.method == "all" else [args.method]
     rows = []
     for method in methods:
+        start = time.perf_counter()
         clean, noisy = stability_bases(videos, spec, method, params)
         raw = basis_alignment_score(clean, noisy)
         aligned = sign_aligned_alignment_score(clean, noisy)
         rows.append((method, params.d, raw, aligned))
         _log("stability", method=method, d=params.d, score_raw=raw,
-             score_sign_aligned=aligned)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "D", "score_raw", "score_sign_aligned"])
-        writer.writerows(rows)
+             score_sign_aligned=aligned,
+             duration_s=time.perf_counter() - start)
+    write_csv(args.out, ("method", "D", "score_raw", "score_sign_aligned"),
+              rows)
     return 0
 
 

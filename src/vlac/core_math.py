@@ -29,6 +29,10 @@ _EIG_MAX_DIM = 4096
 # falls back to the covariance/SVD rule.
 _GRAM_ORTHO_TOL = 1e-9
 
+# k-means stops once an iteration lowers the inertia by at most this
+# fraction of the previous inertia.
+_KMEANS_TOL = 1e-4
+
 # Row chunk for pairwise distance computations, bounds peak memory.
 _DIST_CHUNK = 4096
 
@@ -43,12 +47,10 @@ class Codebook:
     Attributes:
         centers: (k, dim) float64 array; row order is deterministic for a
             fixed (input, k, seed) triple.
-        k: number of centers.
-        seed: seed the fit was initialized with.
         inertia: final sum of squared distances to the nearest center.
         inertia_history: inertia after each Lloyd iteration (non-increasing).
-        converged: whether the fit stopped on ``tol`` rather than
-            ``max_iter``.
+        converged: whether the fit stopped on the relative inertia
+            decrease rather than ``max_iter``.
         refills: empty clusters refilled over all iterations.
 
     ``converged`` and ``refills`` are None for a codebook read from a file
@@ -56,12 +58,14 @@ class Codebook:
     """
 
     centers: np.ndarray
-    k: int
-    seed: int
     inertia: float
     inertia_history: tuple[float, ...] = ()
     converged: bool | None = None
     refills: int | None = None
+
+    @property
+    def k(self) -> int:
+        return int(self.centers.shape[0])
 
     @property
     def dim(self) -> int:
@@ -231,21 +235,19 @@ def kmeans_fit(
     k: int,
     seed: int,
     max_iter: int = 100,
-    tol: float = 1e-4,
 ) -> Codebook:
     """Lloyd iterations from k-means++ seeding, deterministic under ``seed``.
 
-    Stops when the relative inertia decrease falls below ``tol`` or after
-    ``max_iter`` iterations. Empty clusters are refilled with the point
-    currently farthest from its assigned center so exactly ``k`` centers
-    always come back.
+    Stops when an iteration lowers the inertia by at most ``_KMEANS_TOL``
+    of its previous value, or after ``max_iter`` iterations. Empty clusters
+    are refilled with the point currently farthest from its assigned center
+    so exactly ``k`` centers always come back.
 
     Args:
         points: (n, dim) array or sequence of equal-length vectors.
         k: number of centers, 1 <= k <= n.
         seed: initialization seed.
         max_iter: iteration cap.
-        tol: relative inertia-decrease threshold, >= 0.
 
     Returns:
         A :class:`Codebook` with k centers.
@@ -262,8 +264,6 @@ def kmeans_fit(
         raise ValueError(f"k must be >= 1, got {k}")
     if k > pts.shape[0]:
         raise KTooLarge(f"k={k} exceeds the {pts.shape[0]} available points")
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
     _check_finite(pts, "points")
 
     rng = np.random.default_rng(seed)
@@ -282,15 +282,13 @@ def kmeans_fit(
         centers = cluster_sums(pts, assign, k) / counts[:, None]
         inertia = float(np.sum((pts - centers[assign]) ** 2))
         history.append(inertia)
-        if np.isfinite(prev) and prev - inertia <= tol * prev:
+        if np.isfinite(prev) and prev - inertia <= _KMEANS_TOL * prev:
             converged = True
             break
         prev = inertia
 
     return Codebook(
         centers=centers,
-        k=k,
-        seed=int(seed),
         inertia=history[-1],
         inertia_history=tuple(history),
         converged=converged,

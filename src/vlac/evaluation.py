@@ -11,12 +11,10 @@ the self-alignment value d exactly (up to float noise).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from html import escape
 from math import fsum
-from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +27,7 @@ from .aggregation import (
 )
 from .core_math import ProjectionBasis, pca_fit
 from .errors import DataError, EmptyResults, NoRelevant
+from .fileio import atomic_write, write_csv
 from .ingestion import PerturbationSpec, QueryManifest, perturb_videos
 
 METHOD_SIFT_DIRECT = "sift"
@@ -83,19 +82,18 @@ def pr_curve(results, truth: GroundTruth) -> PRCurve:
 
     ``results`` maps query_id to its scored (video_id, score) pairs, which
     must cover the full store for recall to reach 1. The total relevant
-    count comes from the ground truth, so unscored relevant pairs count as
-    misses. Thresholds descend; points where nothing is retrieved are
-    omitted (precision is undefined there).
+    count comes from every ground-truth query, so unscored relevant pairs,
+    including those of a query with no results, count as misses.
+    Thresholds descend; points where nothing is retrieved are omitted
+    (precision is undefined there).
     """
+    _check_queries(results, truth)
     pairs = []
-    total_relevant = 0
     for query_id, scored in results.items():
-        if query_id not in truth.relevant:
-            raise DataError(f"query {query_id!r} is missing from ground truth")
         relevant = truth.relevant[query_id]
-        total_relevant += len(relevant)
         for video_id, score in _scored_pairs(scored):
             pairs.append((float(score), video_id in relevant))
+    total_relevant = sum(len(ids) for ids in truth.relevant.values())
     if not pairs:
         raise EmptyResults("no scored pairs to evaluate")
 
@@ -121,6 +119,12 @@ def pr_curve(results, truth: GroundTruth) -> PRCurve:
             )
         )
     return PRCurve(points=tuple(points))
+
+
+def _check_queries(results, truth: GroundTruth) -> None:
+    for query_id in results:
+        if query_id not in truth.relevant:
+            raise DataError(f"query {query_id!r} is missing from ground truth")
 
 
 def _scored_pairs(scored):
@@ -178,20 +182,19 @@ def relevance_flags(result, relevant) -> list[bool]:
 
 
 def map_from_retrievals(results, truth: GroundTruth) -> float:
-    """mAP over per-query rankings.
+    """mAP over every ground-truth query.
 
     Each AP is divided by the query's relevant count in the ground truth,
     so a ranking cut by top-k or a threshold is not credited for the
-    relevant items it dropped; one that holds none scores AP 0.
+    relevant items it dropped; one that holds none, or a query with no
+    ranking in ``results``, scores AP 0.
     """
-    aps = []
-    for query_id, result in results.items():
-        if query_id not in truth.relevant:
-            raise DataError(f"query {query_id!r} is missing from ground truth")
-        relevant = truth.relevant[query_id]
-        flags = relevance_flags(result, relevant)
-        aps.append(average_precision(flags, len(relevant)))
-    return mean_average_precision(aps)
+    _check_queries(results, truth)
+    return mean_average_precision(
+        average_precision(relevance_flags(results.get(query_id, ()), relevant),
+                          len(relevant))
+        for query_id, relevant in truth.relevant.items()
+    )
 
 
 def sign_aligned_alignment_score(a: ProjectionBasis, b: ProjectionBasis) -> float:
@@ -240,24 +243,15 @@ def stability_bases(
 
 def write_pr_csv(path, rows) -> None:
     """Write (method, D, threshold, precision, recall) rows."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PR_CSV_COLUMNS)
-        for method, d, point in rows:
-            writer.writerow(
-                [method, d, point.threshold, point.precision, point.recall]
-            )
+    write_csv(path, PR_CSV_COLUMNS, (
+        [method, d, point.threshold, point.precision, point.recall]
+        for method, d, point in rows
+    ))
 
 
 def write_map_csv(path, rows) -> None:
     """Write (method, D, mAP) rows."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MAP_CSV_COLUMNS)
-        for method, d, value in rows:
-            writer.writerow([method, d, value])
+    write_csv(path, MAP_CSV_COLUMNS, rows)
 
 
 def plot_pr_svg(path, curves) -> None:
@@ -305,5 +299,5 @@ def plot_pr_svg(path, curves) -> None:
                      f'text-anchor="end" fill="{colour}">'
                      f'{escape(label)}</text>')
     lines.append("</svg>")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8",
-                          newline="\n")
+    with atomic_write(path, overwrite=True) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))

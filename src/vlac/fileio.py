@@ -5,7 +5,8 @@ The three binary formats (``VLACFEAT`` feature files, ``VLACMODL`` models,
 little-endian struct fields and float32 payloads. Their modules describe
 only the layout; the rules live here, once:
 
-* :func:`atomic_write` makes every write all-or-nothing;
+* :func:`atomic_write` makes every write all-or-nothing, the text outputs
+  (CSV through :func:`write_csv`, SVG) included;
 * :func:`f32_bytes` is the one float32 encoder, and it refuses a value
   that is not finite in float32;
 * :class:`Reader` is the one decoder: a wrong magic raises ``BadMagic``, a
@@ -15,6 +16,8 @@ only the layout; the rules live here, once:
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import struct
 from contextlib import contextmanager
@@ -46,6 +49,17 @@ def atomic_write(path, *, overwrite: bool = False):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Replace ``path`` with a UTF-8 CSV file of ``header`` and then
+    ``rows``, all-or-nothing."""
+    with atomic_write(path, overwrite=True) as fh:
+        text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+        writer = csv.writer(text)
+        writer.writerow(header)
+        writer.writerows(rows)
+        text.detach()  # flushes into fh, which atomic_write closes
 
 
 def f32_bytes(arr, what: str) -> bytes:

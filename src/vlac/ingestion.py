@@ -13,6 +13,12 @@ codec live in :mod:`vlac.fileio`; round trips are bit-exact.
 A manifest is the JSON form of a :class:`DatasetManifest` or
 :class:`QueryManifest`, field for field; feature-file paths are relative
 to the manifest's directory.
+
+A synthetic dataset is drawn once, in memory, by
+:func:`synthesize_videos`. :func:`write_dataset` writes each split
+(``<video_id>.vfeat`` files plus ``manifest.json``) straight from those
+videos, and :func:`make_queries` cuts the query segments from the same
+in-memory videos; neither reads a feature file back.
 """
 
 from __future__ import annotations
@@ -34,6 +40,10 @@ _FEAT_HEADER = struct.Struct("<HII")  # version, dim, frame count
 _FRAME_HEADER = struct.Struct("<II")  # frame index, feature count
 
 PERTURBATION_KINDS = ("additive_gaussian", "component_dropout", "gain")
+
+# Dirichlet concentration of each synthetic video's cluster weights: below 1,
+# a video draws most features from a few clusters.
+_MIXING_CONCENTRATION = 0.3
 
 
 @dataclass(frozen=True)
@@ -153,12 +163,12 @@ def synthesize_videos(
     features_per_frame: int = 15,
     center_spread: float = 10.0,
     noise_std: float = 0.5,
-    mixing_concentration: float = 0.3,
 ) -> SyntheticDataset:
     """Draw videos from a shared Gaussian-mixture vocabulary, in memory.
 
     Deterministic under ``seed``: the cluster means are drawn once, then
-    per video a Dirichlet mixing vector and per frame ``features_per_frame``
+    per video a Dirichlet mixing vector (concentration
+    ``_MIXING_CONCENTRATION``) and per frame ``features_per_frame``
     features (a cluster pick plus isotropic noise of ``noise_std``).
     """
     if min(num_videos, frames_per_video, dim, clusters, features_per_frame) < 1:
@@ -169,7 +179,7 @@ def synthesize_videos(
     offsets = np.arange(frames_per_video + 1) * features_per_frame
     videos = []
     for v in range(num_videos):
-        weights[v] = rng.dirichlet(np.full(clusters, mixing_concentration))
+        weights[v] = rng.dirichlet(np.full(clusters, _MIXING_CONCENTRATION))
         feats = np.empty((offsets[-1], dim), dtype=np.float64)
         for t in range(frames_per_video):
             picks = rng.choice(clusters, size=features_per_frame, p=weights[v])
@@ -185,42 +195,24 @@ def synthesize_videos(
     )
 
 
-def synthesize_dataset(
-    out_dir,
-    num_videos: int,
-    frames_per_video: int,
-    dim: int,
-    clusters: int,
-    seed: int,
-    *,
-    fps_sampled: float = 1.0 / 3.0,
-    id_prefix: str = "video",
-    label: str = "clean",
-    notes: str = "",
+def write_dataset(
+    out_dir, ids, videos, *, fps_sampled: float, notes: str,
     overwrite: bool = False,
-    **synth_kwargs,
 ) -> DatasetManifest:
-    """Synthesize videos and write feature files plus a manifest.json."""
+    """Write each video to ``<id>.vfeat`` in ``out_dir`` plus a manifest.json
+    listing them in order, and return that manifest."""
+    if not videos:
+        raise EmptyInput("a dataset needs at least one video")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    data = synthesize_videos(
-        num_videos, frames_per_video, dim, clusters, seed, **synth_kwargs
-    )
     entries = []
-    for v, video in enumerate(data.videos):
-        video_id = f"{id_prefix}_{v:03d}"
+    for video_id, video in zip(ids, videos, strict=True):
         rel = f"{video_id}.vfeat"
         write_features(video, out_dir / rel, overwrite=overwrite)
-        entries.append(
-            VideoEntry(
-                video_id=video_id,
-                feature_file=rel,
-                fps_sampled=fps_sampled,
-                label=label,
-            )
-        )
+        entries.append(VideoEntry(video_id=video_id, feature_file=rel,
+                                  fps_sampled=fps_sampled, label="clean"))
     manifest = DatasetManifest(
-        videos=tuple(entries), feature_dim=dim, notes=notes
+        videos=tuple(entries), feature_dim=videos[0].dim, notes=notes
     )
     save_manifest(manifest, out_dir / "manifest.json", overwrite=overwrite)
     return manifest
@@ -257,18 +249,19 @@ def perturb_videos(videos, spec: PerturbationSpec) -> list[Video]:
 
 def make_queries(
     manifest: DatasetManifest,
-    data_root,
+    videos,
     out_dir,
     segment_len_frames: int,
     offset_frames: int,
     seed: int,
     *,
     overwrite: bool = False,
-    notes: str = "",
 ) -> QueryManifest:
-    """Cut one query segment per video, emulating a sampling-grid shift.
+    """Cut one query segment per manifest video, emulating a sampling-grid
+    shift, and write the segments plus a manifest.json to ``out_dir``.
 
-    The extraction start is drawn per video from a seeded stream and then
+    ``videos`` are the manifest's videos in manifest order, in memory. The
+    extraction start is drawn per video from a seeded stream and then
     shifted by ``offset_frames`` against the database grid (the paper's
     sub-frame 0.25 s shift is approximated by integer start jitter). Query
     frames are re-indexed from 0. The ground-truth source video id is
@@ -278,16 +271,12 @@ def make_queries(
         raise DataError("segment_len_frames must be >= 1")
     if offset_frames < 0:
         raise DataError("offset_frames must be >= 0")
-    data_root = Path(data_root)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
+    span = segment_len_frames + offset_frames
     entries = []
-    for entry in manifest.videos:
-        video = load_features(
-            data_root / entry.feature_file, expected_dim=manifest.feature_dim
-        )
-        span = segment_len_frames + offset_frames
+    for entry, video in zip(manifest.videos, videos, strict=True):
         if len(video) < span:
             raise VideoTooShort(
                 f"{entry.video_id} has {len(video)} frames, needs {span}"
@@ -313,7 +302,7 @@ def make_queries(
             )
         )
     qmanifest = QueryManifest(
-        queries=tuple(entries), feature_dim=manifest.feature_dim, notes=notes
+        queries=tuple(entries), feature_dim=manifest.feature_dim
     )
     save_query_manifest(qmanifest, out_dir / "manifest.json", overwrite=overwrite)
     return qmanifest

@@ -44,7 +44,7 @@ from vlac.errors import (
 
 def cb(*centers):
     arr = np.asarray(centers, dtype=np.float64)
-    return Codebook(centers=arr, k=arr.shape[0], seed=0, inertia=0.0)
+    return Codebook(centers=arr, inertia=0.0)
 
 
 def params(**fields):
@@ -85,7 +85,7 @@ class TestVladEncode:
             count = int(rng.integers(0, 50))
             centers = rng.normal(size=(k, dim))
             feats = rng.normal(size=(count, dim))
-            book = Codebook(centers=centers, k=k, seed=0, inertia=0.0)
+            book = Codebook(centers=centers, inertia=0.0)
             got = vlad_encode(feats, book).reshape(k, dim)
             mult = np.zeros(k)
             for f in feats:
@@ -97,7 +97,7 @@ class TestVladEncode:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
         centers = rng.normal(size=(4, 3))
-        book = Codebook(centers=centers, k=4, seed=0, inertia=0.0)
+        book = Codebook(centers=centers, inertia=0.0)
         feats = rng.normal(size=(60, 3)) * 100.0
         base = vlad_encode(feats, book)
         for _ in range(5):

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
@@ -15,6 +16,7 @@ from vlac import (
     ModelParams,
     ProjectionBasis,
     TrainedModel,
+    average_precision,
     load_model,
     save_model,
 )
@@ -79,6 +81,35 @@ class TestSynth:
             assert [p.name for p in ours] == [p.name for p in theirs]
             for a, b in zip(ours, theirs):
                 assert digest(a) == digest(b), a.name
+
+    def test_pinned_output(self, dataset):
+        """Every file ``vlac synth`` writes for SYNTH, by sha256."""
+        expected = {
+            "queries/manifest.json": "106d2863f5109c3bde5c17655002bf3d7a6312fbb56a0abfc77955b156e8f3f6",
+            "queries/video_004_q.vfeat": "0ffe77644d0404994c08dd42c9371d63aa8ed1dc7ddba6caf6320021d1671ae3",
+            "queries/video_005_q.vfeat": "75a57fd1e4d5464a6f5ccc6d558302d0dec4312b1dd9d0dac38cded05679a599",
+            "queries/video_006_q.vfeat": "d1656252842be14e3ec1362972da2f7fb49ecad386f7820e030ddcc6329be837",
+            "queries/video_007_q.vfeat": "659cba935ad8d38efbc88ca031646fb7482947f1704057678e1054b3cf744a35",
+            "queries/video_008_q.vfeat": "7770eb44df43689808299cd3967e4e454262b691856b1c6155061e2dd8164c6a",
+            "queries/video_009_q.vfeat": "03b16a684149788da667014098e07b57989c3574b295899252a5219ac4d8824c",
+            "test/manifest.json": "8aa6824709b146d3a918dca389474d2a64eb450b77803f28d342c5c703436865",
+            "test/video_004.vfeat": "4323d634a2ed45788bd52f4ca6f5f2651919e7dd4194fe426f3d898c3e8fcd17",
+            "test/video_005.vfeat": "aaa3196200e92959b7050fcb0a4f6e508364679ae0fa6cc0e36c6033ff69784e",
+            "test/video_006.vfeat": "83f36244356731148baae8452154571b36a82738c47fa72162ebef6734389389",
+            "test/video_007.vfeat": "9204a55612d19314375a070dc2f1b8b8eb5831585c085478f5954cf0003d72d4",
+            "test/video_008.vfeat": "7ef1ec8c4201218ce4837f0cbda4d53341875f0d225d671fcda59b7d1ef021f2",
+            "test/video_009.vfeat": "188480a9be52283ff1887eb0720bacba31e2c3e77acbb3c839d34988f6ef0d15",
+            "train/manifest.json": "abe2e71a2d1075b0a010f05ad78ff66af3dd5d527ddcd94acb200f41f4b23909",
+            "train/video_000.vfeat": "c85b4fdeb63d43b0822bc205ecf7e00dec4aa36570aceb1ecb37df465e94e876",
+            "train/video_001.vfeat": "0ba9615228462b4eadb3b6d09796a83e1788ec98fc1ab5e6abf13e2406f44a70",
+            "train/video_002.vfeat": "162858efc86223dab3dfcf7754726a491bd8a1dc4ecf5199e738ad112c47afb2",
+            "train/video_003.vfeat": "a54f64f21c40dec9010a552ad83a8acc6897374837f35574f76077c36762357f",
+        }
+        written = {
+            p.relative_to(dataset).as_posix(): digest(p)
+            for p in dataset.rglob("*") if p.is_file()
+        }
+        assert written == expected
 
     def test_zero_videos_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -347,20 +378,59 @@ class TestSearchEvaluate:
 
     def test_missed_query_scores_ap_zero(self, dataset, tmp_path):
         # a top-1 ranking: the first query hits its source video, the
-        # second ranks the wrong video first
-        queries = json.loads(
-            (dataset / "queries" / "manifest.json").read_text())["queries"]
-        hit, miss = queries[:2]
+        # second ranks the wrong video first; the ground truth holds these
+        # two queries, since every query in it is scored
+        doc = json.loads((dataset / "queries" / "manifest.json").read_text())
+        hit, miss = doc["queries"] = doc["queries"][:2]
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps(doc))
         results = tmp_path / "top1.csv"
         self.write_results(results, [
             (hit["query_id"], hit["source_video_id"], "2.0"),
             (miss["query_id"], hit["source_video_id"], "1.0"),
         ])
-        assert run("evaluate", "--results", results,
-                   "--queries", dataset / "queries" / "manifest.json",
+        assert run("evaluate", "--results", results, "--queries", truth,
                    "--out-prefix", tmp_path / "eval") == 0
         with open(tmp_path / "eval_map.csv", newline="") as fh:
             assert float(next(csv.DictReader(fh))["mAP"]) == 0.5
+
+    def test_threshold_dropped_query_scores_ap_zero(self, dataset, tmp_path,
+                                                    stores):
+        # a threshold between the two lowest best scores leaves one query
+        # without rows; evaluate still counts it, with AP 0 and no recall
+        def search(out, *extra):
+            assert run("search", "--store", stores / "db.store",
+                       "--queries", stores / "q.store", "--out", out,
+                       *extra) == 0
+            with open(out, newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        best = {}
+        for row in search(tmp_path / "all.csv"):
+            best[row["query_id"]] = max(best.get(row["query_id"], -math.inf),
+                                        float(row["score"]))
+        low, second = sorted(best.values())[:2]
+        assert low < second
+        rows = search(tmp_path / "cut.csv", "--threshold",
+                      repr((low + second) / 2))
+        queries = json.loads(
+            (dataset / "queries" / "manifest.json").read_text())["queries"]
+        source = {q["query_id"]: q["source_video_id"] for q in queries}
+        flags = {}
+        for row in rows:
+            flags.setdefault(row["query_id"], []).append(
+                row["video_id"] == source[row["query_id"]])
+        assert len(flags) == len(source) - 1
+        assert run("evaluate", "--results", tmp_path / "cut.csv",
+                   "--queries", dataset / "queries" / "manifest.json",
+                   "--out-prefix", tmp_path / "eval") == 0
+        with open(tmp_path / "eval_map.csv", newline="") as fh:
+            map_value = float(next(csv.DictReader(fh))["mAP"])
+        assert map_value == math.fsum(
+            average_precision(f, 1) for f in flags.values()) / len(source)
+        with open(tmp_path / "eval_pr.csv", newline="") as fh:
+            recall = float(list(csv.DictReader(fh))[-1]["recall"])
+        assert recall == sum(any(f) for f in flags.values()) / len(source)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_score_exit_2(self, dataset, tmp_path, capsys, bad):
@@ -400,6 +470,35 @@ class TestStabilityCommand:
         for row in rows:
             assert abs(float(row["score_raw"]) - 4.0) <= 1e-6
             assert abs(float(row["score_sign_aligned"]) - 4.0) <= 1e-6
+
+
+class TestEvents:
+    def test_every_command_reports_duration(self, dataset, stores, tmp_path,
+                                            capsys):
+        train_manifest = dataset / "train" / "manifest.json"
+        capsys.readouterr()
+        assert run(*SYNTH, "--data-root", tmp_path / "data") == 0
+        assert run("train", "--manifest", train_manifest, "--method", "vlac",
+                   "--out", tmp_path / "m.bin", *PARAMS) == 0
+        assert run("encode", "--model", tmp_path / "m.bin",
+                   "--manifest", dataset / "test" / "manifest.json",
+                   "--out", tmp_path / "db.store") == 0
+        assert run("search", "--store", stores / "db.store",
+                   "--queries", stores / "q.store",
+                   "--out", tmp_path / "r.csv") == 0
+        assert run("evaluate", "--results", tmp_path / "r.csv",
+                   "--queries", dataset / "queries" / "manifest.json",
+                   "--out-prefix", tmp_path / "eval") == 0
+        assert run("stability", "--manifest", train_manifest,
+                   "--magnitude", "0.5", "--out", tmp_path / "s.csv",
+                   *PARAMS) == 0
+        events = [json.loads(line)
+                  for line in capsys.readouterr().out.splitlines()]
+        assert [e["event"] for e in events] == [
+            "synthesized", "trained", "encoded", "searched", "evaluated",
+            "stability", "stability", "stability", "stability"]
+        for event in events:
+            assert event["duration_s"] > 0.0, event["event"]
 
 
 class TestErrors:
@@ -545,8 +644,7 @@ class TestParamSchema:
         params = replace(params, f=f, j=j, d=d).for_method("vlad")
         model = TrainedModel(
             method="vlad", params=params,
-            codebook=Codebook(centers=np.ones((j, f)), k=j, seed=0,
-                              inertia=0.0),
+            codebook=Codebook(centers=np.ones((j, f)), inertia=0.0),
             basis=ProjectionBasis(rows=np.ones((d, j * f)),
                                   mean=np.zeros(j * f),
                                   eigenvalues=np.ones(d)),

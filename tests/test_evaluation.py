@@ -130,6 +130,12 @@ class TestPRCurve:
         with pytest.raises(DataError):
             pr_curve({"mystery": [("a", 1.0)]}, self.truth(q={"a"}))
 
+    def test_query_without_rows_counts_as_missed(self):
+        # q2 scored below a search threshold everywhere and has no rows
+        results = {"q1": [("a", 1.0)]}
+        curve = pr_curve(results, self.truth(q1={"a"}, q2={"b"}))
+        assert curve.points[-1].recall == 0.5
+
     def test_accepts_retrieval_results(self):
         result = RetrievalResult(
             matches=(RankedMatch("rel", 2.0, 0), RankedMatch("irr", 1.0, 0))
@@ -165,6 +171,13 @@ class TestMapFromRetrievals:
             relevant={"q1": frozenset({"t1"}), "q2": frozenset({"t2"})}
         )
         assert map_from_retrievals(results, truth) == 0.5
+
+    def test_query_without_rows_scores_zero(self):
+        # q2 scored below a search threshold everywhere and has no rows
+        truth = GroundTruth(
+            relevant={"q1": frozenset({"a"}), "q2": frozenset({"b"})}
+        )
+        assert map_from_retrievals({"q1": [("a", 1.0)]}, truth) == 0.5
 
     def test_truncated_ranking_counts_dropped_relevant(self):
         truth = GroundTruth(relevant={"q": frozenset({"a", "b"})})

@@ -14,6 +14,7 @@ from vlac import (
     write_features,
     write_store,
 )
+from vlac.evaluation import PRPoint, write_map_csv, write_pr_csv
 from vlac.fileio import atomic_write
 from vlac.ingestion import VideoEntry, save_manifest
 from vlac.search import DescriptorSequence
@@ -22,12 +23,20 @@ from vlac.search import DescriptorSequence
 UNTAGGED_MODEL = TrainedModel(
     method="bogus",
     params=ModelParams(f=2),
-    codebook=Codebook(centers=np.ones((1, 2)), k=1, seed=0, inertia=0.0),
+    codebook=Codebook(centers=np.ones((1, 2)), inertia=0.0),
     basis=ProjectionBasis(rows=np.ones((1, 2)), mean=np.zeros(2),
                           eigenvalues=np.ones(1)),
 )
 
-# Each writer given input that fails part-way through the write.
+
+def rows_then_fail(first):
+    """Yield one row, then fail as a broken row source would."""
+    yield first
+    raise KeyError("no second row")
+
+
+# Each writer given input that fails part-way through the write. The CSV
+# writers always replace their target, so they ignore ``overwrite``.
 FAILING_WRITES = {
     "store": lambda path, overwrite: write_store(
         [DescriptorSequence("v", np.ones((1, 2)), "vlac"),
@@ -42,6 +51,10 @@ FAILING_WRITES = {
         DatasetManifest(videos=(VideoEntry("v", "v.vfeat", object(), ""),),
                         feature_dim=2),
         path, overwrite=overwrite),
+    "pr_csv": lambda path, overwrite: write_pr_csv(
+        path, rows_then_fail(("vlac", 8, PRPoint(0.5, 1.0, 0.25)))),
+    "map_csv": lambda path, overwrite: write_map_csv(
+        path, rows_then_fail(("vlad", 16, 0.75))),
 }
 WRITE_ERRORS = (KeyError, struct.error, TypeError)
 

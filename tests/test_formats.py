@@ -35,7 +35,7 @@ def grid(rows, cols, start=0.0):
 
 
 def codebook(k, dim):
-    return Codebook(centers=grid(k, dim, 1.0), k=k, seed=0, inertia=2.5)
+    return Codebook(centers=grid(k, dim, 1.0), inertia=2.5)
 
 
 def basis(d, width):

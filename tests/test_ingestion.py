@@ -14,8 +14,8 @@ from vlac import (
     make_queries,
     perturb,
     perturb_videos,
-    synthesize_dataset,
     synthesize_videos,
+    write_dataset,
     write_features,
 )
 from vlac.errors import (
@@ -26,6 +26,17 @@ from vlac.errors import (
     VideoTooShort,
 )
 from vlac.ingestion import VideoEntry, save_manifest
+
+
+def write_synthetic(out_dir, num_videos, frames_per_video, dim, clusters,
+                    seed):
+    """Synthesize videos, write them as a dataset, return the manifest and
+    the in-memory videos."""
+    data = synthesize_videos(num_videos, frames_per_video, dim, clusters, seed)
+    ids = [f"video_{v:03d}" for v in range(num_videos)]
+    manifest = write_dataset(out_dir, ids, data.videos, fps_sampled=1.0 / 3.0,
+                             notes="")
+    return manifest, data.videos
 
 
 class TestFeatureFiles:
@@ -108,8 +119,8 @@ class TestSynthesize:
         a = tmp_path / "a"
         b = tmp_path / "b"
         for out in (a, b):
-            synthesize_dataset(out, num_videos=3, frames_per_video=4, dim=3,
-                               clusters=2, seed=11)
+            write_synthetic(out, num_videos=3, frames_per_video=4, dim=3,
+                            clusters=2, seed=11)
         for name in sorted(p.name for p in a.iterdir()):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -144,7 +155,7 @@ class TestSynthesize:
         assert separation > data.noise_std
 
     def test_manifest_written(self, tmp_path):
-        manifest = synthesize_dataset(
+        manifest, _ = write_synthetic(
             tmp_path, num_videos=2, frames_per_video=3, dim=2, clusters=2,
             seed=0,
         )
@@ -216,15 +227,15 @@ class TestPerturb:
 
 class TestMakeQueries:
     def make_dataset(self, tmp_path, frames_per_video=10):
-        return synthesize_dataset(
+        return write_synthetic(
             tmp_path, num_videos=3, frames_per_video=frames_per_video,
             dim=2, clusters=2, seed=21,
         )
 
     def test_full_video_query(self, tmp_path):
-        manifest = self.make_dataset(tmp_path)
+        manifest, videos = self.make_dataset(tmp_path)
         qdir = tmp_path / "q"
-        qmanifest = make_queries(manifest, tmp_path, qdir,
+        qmanifest = make_queries(manifest, videos, qdir,
                                  segment_len_frames=10, offset_frames=0,
                                  seed=0)
         for q, v in zip(qmanifest.queries, manifest.videos):
@@ -236,17 +247,17 @@ class TestMakeQueries:
             np.testing.assert_array_equal(query.features, video.features)
 
     def test_deterministic_bytes(self, tmp_path):
-        manifest = self.make_dataset(tmp_path)
+        manifest, videos = self.make_dataset(tmp_path)
         qa, qb = tmp_path / "qa", tmp_path / "qb"
         for qdir in (qa, qb):
-            make_queries(manifest, tmp_path, qdir, segment_len_frames=4,
+            make_queries(manifest, videos, qdir, segment_len_frames=4,
                          offset_frames=1, seed=9)
         for name in sorted(p.name for p in qa.iterdir()):
             assert (qa / name).read_bytes() == (qb / name).read_bytes()
 
     def test_ground_truth_linkage(self, tmp_path):
-        manifest = self.make_dataset(tmp_path)
-        qmanifest = make_queries(manifest, tmp_path, tmp_path / "q",
+        manifest, videos = self.make_dataset(tmp_path)
+        qmanifest = make_queries(manifest, videos, tmp_path / "q",
                                  segment_len_frames=4, offset_frames=1,
                                  seed=1)
         assert len(qmanifest.queries) == 3
@@ -255,8 +266,8 @@ class TestMakeQueries:
         ]
 
     def test_query_frames_reindexed(self, tmp_path):
-        manifest = self.make_dataset(tmp_path)
-        qmanifest = make_queries(manifest, tmp_path, tmp_path / "q",
+        manifest, videos = self.make_dataset(tmp_path)
+        qmanifest = make_queries(manifest, videos, tmp_path / "q",
                                  segment_len_frames=4, offset_frames=2,
                                  seed=2)
         query = load_features(tmp_path / "q" / qmanifest.queries[0].feature_file)
@@ -270,15 +281,15 @@ class TestMakeQueries:
             query.offsets, video.offsets[start:start + 5] - rows.start)
 
     def test_video_too_short(self, tmp_path):
-        manifest = self.make_dataset(tmp_path, frames_per_video=3)
+        manifest, videos = self.make_dataset(tmp_path, frames_per_video=3)
         with pytest.raises(VideoTooShort):
-            make_queries(manifest, tmp_path, tmp_path / "q",
+            make_queries(manifest, videos, tmp_path / "q",
                          segment_len_frames=4, offset_frames=0, seed=0)
 
 
 class TestManifests:
     def test_json_round_trip(self, tmp_path):
-        manifest = synthesize_dataset(
+        manifest, _ = write_synthetic(
             tmp_path, num_videos=2, frames_per_video=3, dim=2, clusters=2,
             seed=1,
         )
@@ -286,8 +297,8 @@ class TestManifests:
         assert loaded == manifest
 
     def test_exact_field_names(self, tmp_path):
-        synthesize_dataset(tmp_path, num_videos=1, frames_per_video=3, dim=2,
-                           clusters=2, seed=1)
+        write_synthetic(tmp_path, num_videos=1, frames_per_video=3, dim=2,
+                        clusters=2, seed=1)
         doc = json.loads((tmp_path / "manifest.json").read_text())
         assert set(doc) == {"videos", "feature_dim", "notes"}
         assert set(doc["videos"][0]) == {
@@ -295,11 +306,11 @@ class TestManifests:
         }
 
     def test_query_manifest_fields(self, tmp_path):
-        manifest = synthesize_dataset(
+        manifest, videos = write_synthetic(
             tmp_path, num_videos=1, frames_per_video=6, dim=2, clusters=2,
             seed=1,
         )
-        make_queries(manifest, tmp_path, tmp_path / "q",
+        make_queries(manifest, videos, tmp_path / "q",
                      segment_len_frames=3, offset_frames=0, seed=0)
         doc = json.loads((tmp_path / "q" / "manifest.json").read_text())
         assert set(doc) == {"queries", "feature_dim", "notes"}
