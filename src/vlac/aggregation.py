@@ -3,19 +3,20 @@
 A video is one :class:`Video`: a (total, dim) feature matrix plus the row
 offsets of its frames. A group of frames (GoF) is a range of consecutive
 frames, so its features are one contiguous row slice; :func:`split_gofs`
-gives the first frame of each window. VLAD and hyper-pooling assign a
-video's features to their codebook once and sum each window or frame over
-its rows.
+gives the first frame of each window.
 
-All three encoders aggregate nearest-center residuals. The residual kernel
-sums each center's residuals with plain float64 addition in input order,
-one scatter-add over all points, so permuting features moves an output
-only by float64 rounding. VLAC is structurally the VLAD kernel applied to
-per-window local feature centers (LFCs) instead of raw features; both
-encoders literally share the kernel, so
+Every encoder aggregates nearest-center residuals through one kernel,
+:func:`_residual_sums`: it assigns a matrix of points to the centers once
+and sums the residuals of any list of row windows, plain float64 addition
+in input order, so permuting features moves an output only by float64
+rounding. :func:`vlad_encode`, :func:`vlac_encode` and :func:`hp_encode`
+pass it one window, the per-frame VLAD rows one window per frame, and VLAD
+encoding one window per GoF. VLAC is the VLAD kernel applied to per-window
+local feature centers (LFCs) instead of raw features, so
 ``vlac_encode(lfcs, c)`` equals ``vlad_encode(lfcs.centers, c)`` element
-for element. Every encoder returns a plain float64 NumPy vector, and
-:func:`encode_video` a (G, d) matrix.
+for element; :func:`_window_lfcs` is the one place that fits a video's
+window LFCs, for training and encoding alike. Every encoder returns a plain
+float64 NumPy vector, and :func:`encode_video` a (G, d) matrix.
 
 Each trainer takes the training videos and one :class:`ModelParams`,
 cuts the windows itself, and the field metadata records which method
@@ -214,21 +215,30 @@ class TrainedModel:
     hp_second_codebook: Codebook | None = None
 
 
-def _aggregate_residuals(
-    points: np.ndarray, centers: np.ndarray, *, assign_dims: int | None = None
+def _residual_sums(
+    points: np.ndarray, centers: np.ndarray, windows, *,
+    assign_dims: int | None = None,
 ) -> np.ndarray:
-    """Sum (point - nearest center) into per-center blocks, a (k, dim) array.
+    """Nearest-center residual sums over row windows, a (W, k * dim) matrix.
 
-    Shared by every encoder. Each block is summed in input order with plain
-    float64 addition (see :func:`cluster_sums`); ``assign_dims`` restricts
-    the nearest-center search to the leading components while residuals
-    always span all components.
+    ``windows`` lists (start, stop) row ranges of ``points``; they may
+    overlap or be empty. The points are assigned once, and row ``w`` holds
+    each center's sum of (point - center) over window ``w``'s rows, added
+    in input order by one keyed :func:`cluster_sums`, so it is bit-equal to
+    summing that window alone. ``assign_dims`` restricts the nearest-center
+    search to the leading components; residuals span all of them.
     """
-    k = centers.shape[0]
-    if points.shape[0] == 0:
-        return np.zeros(centers.shape, dtype=np.float64)
+    k, dim = centers.shape
     assign = nearest_centers(points, centers, use_dims=assign_dims)
-    return cluster_sums(points - centers[assign], assign, k)
+    starts, stops = np.asarray(windows, dtype=np.int64).reshape(-1, 2).T
+    lengths = stops - starts
+    owner = np.repeat(np.arange(starts.size), lengths)
+    # every window's rows in order: row i of window w is starts[w] + i
+    first = np.cumsum(lengths) - lengths
+    rows = np.arange(owner.size) + np.repeat(starts - first, lengths)
+    sums = cluster_sums(points[rows] - centers[assign[rows]],
+                        owner * k + assign[rows], starts.size * k)
+    return sums.reshape(starts.size, k * dim)
 
 
 def vlad_encode(features, codebook: Codebook) -> np.ndarray:
@@ -244,7 +254,7 @@ def vlad_encode(features, codebook: Codebook) -> np.ndarray:
             f"features of dimension {feats.shape[-1] if feats.ndim else 0} "
             f"do not match codebook dimension {codebook.dim}"
         )
-    return _aggregate_residuals(feats, codebook.centers).ravel()
+    return _residual_sums(feats, codebook.centers, [(0, len(feats))])[0]
 
 
 def vlac_encode(lfcs: Codebook, clfc: Codebook) -> np.ndarray:
@@ -257,26 +267,18 @@ def vlac_encode(lfcs: Codebook, clfc: Codebook) -> np.ndarray:
         raise DimensionMismatch(
             f"LFC dimension {lfcs.dim} does not match CLFC dimension {clfc.dim}"
         )
-    return _aggregate_residuals(lfcs.centers, clfc.centers).ravel()
+    return _residual_sums(lfcs.centers, clfc.centers, [(0, lfcs.k)])[0]
 
 
 def _frame_vlads(video: Video, codebook: Codebook) -> np.ndarray:
     """The VLAD vector of every frame of ``video``, an (F, k * dim) matrix.
 
-    The whole video is assigned to the codebook at once, and the residuals
-    are summed per (frame, center) key in input order, so row ``t`` is what
-    ``vlad_encode`` gives for frame ``t`` alone, unless a feature sits
-    within rounding of two centers: the whole-video distance product may
-    round differently from a per-frame one.
+    Row ``t`` is what ``vlad_encode`` gives for frame ``t`` alone, unless a
+    feature sits within rounding of two centers: the whole-video distance
+    product may round differently from a per-frame one.
     """
-    centers = codebook.centers
-    k, dim = centers.shape
-    assign = nearest_centers(video.features, centers)
-    frame = np.repeat(np.arange(len(video)), np.diff(video.offsets))
-    sums = cluster_sums(
-        video.features - centers[assign], frame * k + assign, len(video) * k
-    )
-    return sums.reshape(len(video), k * dim)
+    frames = np.column_stack((video.offsets[:-1], video.offsets[1:]))
+    return _residual_sums(video.features, codebook.centers, frames)
 
 
 def hp_encode(
@@ -291,9 +293,8 @@ def hp_encode(
     (alpha2 * d0) vector.
     """
     vectors = pca_project(first_basis, frame_vlads)
-    return _aggregate_residuals(
-        vectors, second_codebook.centers, assign_dims=h
-    ).ravel()
+    return _residual_sums(vectors, second_codebook.centers,
+                          [(0, len(vectors))], assign_dims=h)[0]
 
 
 def compute_lfcs(features: np.ndarray, n: int, seed: int) -> Codebook:
@@ -334,20 +335,28 @@ def split_gofs(video: Video, gof_size: int, overlap: int) -> list[int]:
     return starts.tolist()
 
 
-def _maybe_normalize(raw: np.ndarray, flag: bool) -> np.ndarray:
-    if not flag:
-        return raw
-    norm = float(np.linalg.norm(raw))
-    return raw / norm if norm > 0 else raw
+def _window_lfcs(video: Video, params: ModelParams) -> list[Codebook]:
+    """The LFCs of every window of ``video`` in order, window ``i``
+    clustered with ``seed XOR i``."""
+    g = params.gof_size
+    return [
+        compute_lfcs(video.features[video.rows(s, s + g)], params.n,
+                     params.seed ^ i)
+        for i, s in enumerate(split_gofs(video, g, params.overlap))
+    ]
+
+
+def _l2_normalize(x: np.ndarray) -> np.ndarray:
+    """``x`` scaled to unit L2 norm along its last axis (a vector, or each
+    row of a matrix); zero vectors stay zero."""
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    return x / np.where(norms > 0, norms, 1.0)
 
 
 def _fit_basis(rows: np.ndarray, d: int, normalize: bool) -> ProjectionBasis:
     """The d-dim compaction basis over training rows, L2-normalized first
-    when ``normalize`` is set (zero rows stay zero)."""
-    if normalize:
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        rows = rows / np.where(norms > 0, norms, 1.0)
-    return pca_fit(rows, d)
+    when ``normalize`` is set."""
+    return pca_fit(_l2_normalize(rows) if normalize else rows, d)
 
 
 def train_vlad(videos, params: ModelParams) -> TrainedModel:
@@ -381,13 +390,7 @@ def fit_clfcs(videos, params: ModelParams) -> tuple[Codebook, list[Codebook]]:
     Each window's LFC clustering is seeded with ``seed XOR`` the window's
     index within its video.
     """
-    g = params.gof_size
-    lfcs = [
-        compute_lfcs(video.features[video.rows(s, s + g)], params.n,
-                     params.seed ^ i)
-        for video in videos
-        for i, s in enumerate(split_gofs(video, g, params.overlap))
-    ]
+    lfcs = [cb for video in videos for cb in _window_lfcs(video, params)]
     if not lfcs:
         raise DataError("train_vlac requires at least one training group")
     all_centers = np.concatenate([cb.centers for cb in lfcs], axis=0)
@@ -481,25 +484,18 @@ def train(method: str, videos, params: ModelParams) -> TrainedModel:
     raise DataError(f"unknown training method {method!r}")
 
 
-def _encode_windows(video: Video, model: TrainedModel) -> list[np.ndarray]:
-    """The raw vector of every window of ``video``, in order."""
+def _encode_windows(video: Video, model: TrainedModel):
+    """The raw vector of every window of ``video``, in order (a list or the
+    rows of a matrix)."""
     p = model.params
-    starts = split_gofs(video, p.gof_size, p.overlap)
-    spans = [video.rows(s, s + p.gof_size) for s in starts]
-    if model.method == METHOD_VLAD:
-        centers = model.codebook.centers
-        assign = nearest_centers(video.features, centers)
-        residuals = video.features - centers[assign]
-        return [
-            cluster_sums(residuals[r], assign[r], centers.shape[0]).ravel()
-            for r in spans
-        ]
     if model.method == METHOD_VLAC:
-        return [
-            vlac_encode(compute_lfcs(video.features[r], p.n, p.seed ^ i),
-                        model.codebook)
-            for i, r in enumerate(spans)
-        ]
+        return [vlac_encode(lfcs, model.codebook)
+                for lfcs in _window_lfcs(video, p)]
+    starts = split_gofs(video, p.gof_size, p.overlap)
+    if model.method == METHOD_VLAD:
+        windows = [(video.offsets[s], video.offsets[s + p.gof_size])
+                   for s in starts]
+        return _residual_sums(video.features, model.codebook.centers, windows)
     if model.method == METHOD_HP:
         if model.hp_first_basis is None or model.hp_second_codebook is None:
             raise UntrainedModel("model is missing its hyper-pooling stages")
@@ -523,8 +519,9 @@ def encode_video(video: Video, model: TrainedModel) -> np.ndarray:
     """
     if len(video) == 0:
         raise EmptyVideo("cannot encode a video with no frames")
+    normalize = model.params.normalize
     rows = [
-        pca_project(model.basis, _maybe_normalize(raw, model.params.normalize))
+        pca_project(model.basis, _l2_normalize(raw) if normalize else raw)
         for raw in _encode_windows(video, model)
     ]
     if not rows:

@@ -30,8 +30,9 @@ _EIG_MAX_DIM = 4096
 _GRAM_ORTHO_TOL = 1e-9
 
 # k-means stops once an iteration lowers the inertia by at most this
-# fraction of the previous inertia.
+# fraction of the previous inertia, or after this many iterations.
 _KMEANS_TOL = 1e-4
+_KMEANS_MAX_ITER = 100
 
 # Row chunk for pairwise distance computations, bounds peak memory.
 _DIST_CHUNK = 4096
@@ -50,7 +51,7 @@ class Codebook:
         inertia: final sum of squared distances to the nearest center.
         inertia_history: inertia after each Lloyd iteration (non-increasing).
         converged: whether the fit stopped on the relative inertia
-            decrease rather than ``max_iter``.
+            decrease rather than the iteration cap.
         refills: empty clusters refilled over all iterations.
 
     ``converged`` and ``refills`` are None for a codebook read from a file
@@ -230,24 +231,18 @@ def _fill_empty_clusters(
     return guard
 
 
-def kmeans_fit(
-    points,
-    k: int,
-    seed: int,
-    max_iter: int = 100,
-) -> Codebook:
+def kmeans_fit(points, k: int, seed: int) -> Codebook:
     """Lloyd iterations from k-means++ seeding, deterministic under ``seed``.
 
     Stops when an iteration lowers the inertia by at most ``_KMEANS_TOL``
-    of its previous value, or after ``max_iter`` iterations. Empty clusters
-    are refilled with the point currently farthest from its assigned center
-    so exactly ``k`` centers always come back.
+    of its previous value, or after ``_KMEANS_MAX_ITER`` iterations. Empty
+    clusters are refilled with the point currently farthest from its
+    assigned center so exactly ``k`` centers always come back.
 
     Args:
         points: (n, dim) array or sequence of equal-length vectors.
         k: number of centers, 1 <= k <= n.
         seed: initialization seed.
-        max_iter: iteration cap.
 
     Returns:
         A :class:`Codebook` with k centers.
@@ -273,7 +268,7 @@ def kmeans_fit(
     prev = np.inf
     refills = 0
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         dists = _sq_dists(pts, centers)
         assign = np.argmin(dists, axis=1)
         refills += _fill_empty_clusters(assign, dists, k)

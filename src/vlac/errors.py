@@ -62,9 +62,5 @@ class EmptyStore(DataError):
     """A descriptor store holds no sequences."""
 
 
-class EmptyResults(DataError):
-    """No scored pairs were supplied to the evaluator."""
-
-
 class NoRelevant(DataError):
     """A ranking contains no relevant items."""

@@ -26,7 +26,7 @@ from .aggregation import (
     train,
 )
 from .core_math import ProjectionBasis, pca_fit
-from .errors import DataError, EmptyResults, NoRelevant
+from .errors import DataError, NoRelevant
 from .fileio import atomic_write, write_csv
 from .ingestion import PerturbationSpec, QueryManifest, perturb_videos
 
@@ -85,7 +85,8 @@ def pr_curve(results, truth: GroundTruth) -> PRCurve:
     count comes from every ground-truth query, so unscored relevant pairs,
     including those of a query with no results, count as misses.
     Thresholds descend; points where nothing is retrieved are omitted
-    (precision is undefined there).
+    (precision is undefined there), so results without a scored pair give
+    a curve with no points.
     """
     _check_queries(results, truth)
     pairs = []
@@ -94,8 +95,6 @@ def pr_curve(results, truth: GroundTruth) -> PRCurve:
         for video_id, score in _scored_pairs(scored):
             pairs.append((float(score), video_id in relevant))
     total_relevant = sum(len(ids) for ids in truth.relevant.values())
-    if not pairs:
-        raise EmptyResults("no scored pairs to evaluate")
 
     pairs.sort(key=lambda p: -p[0])
     scores = np.array([p[0] for p in pairs])

@@ -30,7 +30,7 @@ from vlac import (
 )
 from dataclasses import replace
 
-from vlac.aggregation import _aggregate_residuals
+from vlac.aggregation import _residual_sums
 from vlac.core_math import ProjectionBasis, nearest_centers
 from vlac.errors import (
     DataError,
@@ -113,19 +113,23 @@ class TestResidualKernel:
     def test_matches_per_center_loop(self, n, dim, k, seed, data):
         assign_dims = data.draw(st.none() | st.integers(1, dim),
                                 label="assign_dims")
+        # overlapping and empty windows, and one over all rows
+        bound = st.integers(0, n)
+        windows = data.draw(st.lists(st.tuples(bound, bound).map(sorted),
+                                     max_size=6), label="windows")
+        windows.append((0, n))
         rng = np.random.default_rng(seed)
         points = rng.normal(size=(n, dim)) * 100.0
         centers = rng.normal(size=(k, dim))
         assign = nearest_centers(points, centers, use_dims=assign_dims)
-        expected = np.zeros((k, dim))
-        for j in range(k):
-            expected[j] = (points[assign == j] - centers[j]).sum(axis=0)
-        got = _aggregate_residuals(points, centers, assign_dims=assign_dims)
-        # relative to the summed residual magnitudes, which bound the
-        # rounding error of any summation order
-        scale = np.abs(points - centers[assign]).sum()
-        np.testing.assert_allclose(got, expected, rtol=1e-12,
-                                   atol=1e-12 * scale)
+        got = _residual_sums(points, centers, windows,
+                             assign_dims=assign_dims)
+        assert got.shape == (len(windows), k * dim)
+        for row, (start, stop) in zip(got, windows):
+            part, owner = points[start:stop], assign[start:stop]
+            expected = [(part[owner == j] - centers[j]).sum(axis=0)
+                        for j in range(k)]
+            assert np.array_equal(row, np.concatenate(expected))
 
 
 class TestVlacEncode:

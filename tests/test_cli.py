@@ -298,13 +298,22 @@ class TestSearchEvaluate:
         assert len(rows) == 6
         assert all(r["query_id"] == r["video_id"] for r in rows)
 
-    def test_threshold_above_scores_empty_body(self, tmp_path, stores):
+    def test_threshold_above_scores_empty_body(self, dataset, tmp_path,
+                                               stores):
         results = tmp_path / "none.csv"
         assert run("search", "--store", stores / "db.store",
                    "--queries", stores / "q.store",
                    "--threshold", "1e18", "--out", results) == 0
         lines = results.read_text().strip().splitlines()
         assert len(lines) == 1  # header only
+        # every query is missed: mAP 0, and no threshold retrieves anything
+        assert run("evaluate", "--results", results,
+                   "--queries", dataset / "queries" / "manifest.json",
+                   "--out-prefix", tmp_path / "eval") == 0
+        with open(tmp_path / "eval_map.csv", newline="") as fh:
+            assert float(next(csv.DictReader(fh))["mAP"]) == 0.0
+        lines = (tmp_path / "eval_pr.csv").read_text().strip().splitlines()
+        assert lines == ["method,D,threshold,precision,recall"]
 
     def test_rerun_identical_results(self, tmp_path, stores):
         digests = set()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vlac import core_math
 from vlac import (
     basis_alignment_score,
     kmeans_fit,
@@ -111,12 +112,13 @@ class TestKMeans:
                              for j in range(k)])
         assert np.array_equal(cluster_sums(points, assign, k), expected)
 
-    def test_reports_convergence_and_refills(self):
+    def test_reports_convergence_and_refills(self, monkeypatch):
         rng = np.random.default_rng(3)
         points = rng.normal(size=(100, 3))
         fit = kmeans_fit(points, 4, seed=1)
         assert fit.converged is True and fit.refills == 0
-        capped = kmeans_fit(points, 4, seed=1, max_iter=1)
+        monkeypatch.setattr(core_math, "_KMEANS_MAX_ITER", 1)
+        capped = kmeans_fit(points, 4, seed=1)
         assert capped.converged is False
         assert len(capped.inertia_history) == 1
 

@@ -15,7 +15,7 @@ from vlac import (
     synthesize_videos,
 )
 from vlac.core_math import ProjectionBasis, pca_fit
-from vlac.errors import DataError, EmptyResults, NoRelevant
+from vlac.errors import DataError, NoRelevant
 from vlac.evaluation import (
     PRCurve,
     PRPoint,
@@ -123,8 +123,8 @@ class TestPRCurve:
         assert curve.points[-1].recall == 1.0
 
     def test_empty_results(self):
-        with pytest.raises(EmptyResults):
-            pr_curve({}, self.truth(q={"a"}))
+        # no scored pair: nothing is retrieved at any threshold
+        assert pr_curve({}, self.truth(q={"a"})) == PRCurve(points=())
 
     def test_unknown_query(self):
         with pytest.raises(DataError):

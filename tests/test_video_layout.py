@@ -24,9 +24,9 @@ from vlac import (
 )
 from vlac.aggregation import (
     _HP_SECOND_STAGE_SALT,
-    _aggregate_residuals,
     _fit_basis,
-    _maybe_normalize,
+    _l2_normalize,
+    hp_encode,
     vlac_encode,
     vlad_encode,
 )
@@ -54,8 +54,7 @@ def ref_lfcs(window, n, seed):
 
 def ref_hp_raw(window, first, first_basis, second, h):
     rows = np.stack([vlad_encode(f, first) for f in window])
-    vectors = pca_project(first_basis, rows)
-    return _aggregate_residuals(vectors, second.centers, assign_dims=h).ravel()
+    return hp_encode(rows, first_basis, second, h)
 
 
 def ref_train(method, videos, p):
@@ -116,8 +115,9 @@ def ref_encode(frames, model):
         else:
             raw = ref_hp_raw(window, model.codebook, model.hp_first_basis,
                              model.hp_second_codebook, p.h)
-        rows.append(pca_project(model.basis, _maybe_normalize(raw,
-                                                              p.normalize)))
+        if p.normalize:
+            raw = _l2_normalize(raw)
+        rows.append(pca_project(model.basis, raw))
     return np.stack(rows) if rows else np.empty((0, model.basis.d))
 
 
