@@ -116,13 +116,15 @@ class Video:
     @classmethod
     def from_frames(cls, frames, frame_index=None) -> "Video":
         """A video from per-frame (count, dim) arrays, indexed 0, 1, ...
-        unless ``frame_index`` is given."""
-        frames = [np.asarray(f, dtype=np.float64) for f in frames]
+        unless ``frame_index`` is given. The frames are cast to float64 as
+        they are copied into the one feature matrix."""
+        frames = [np.asarray(f) for f in frames]
         if frame_index is None:
             frame_index = range(len(frames))
         counts = [f.shape[0] for f in frames]
         return cls(
-            features=np.concatenate(frames) if frames else np.empty((0, 0)),
+            features=(np.concatenate(frames, dtype=np.float64) if frames
+                      else np.empty((0, 0))),
             frame_index=frame_index,
             offsets=np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]),
         )
@@ -226,18 +228,23 @@ def _residual_sums(
     each center's sum of (point - center) over window ``w``'s rows, added
     in input order by one keyed :func:`cluster_sums`, so it is bit-equal to
     summing that window alone. ``assign_dims`` restricts the nearest-center
-    search to the leading components; residuals span all of them.
+    search to the leading components; residuals span all of them. A
+    single window is summed through a row slice, with no row index.
     """
     k, dim = centers.shape
     assign = nearest_centers(points, centers, use_dims=assign_dims)
     starts, stops = np.asarray(windows, dtype=np.int64).reshape(-1, 2).T
-    lengths = stops - starts
-    owner = np.repeat(np.arange(starts.size), lengths)
-    # every window's rows in order: row i of window w is starts[w] + i
-    first = np.cumsum(lengths) - lengths
-    rows = np.arange(owner.size) + np.repeat(starts - first, lengths)
-    sums = cluster_sums(points[rows] - centers[assign[rows]],
-                        owner * k + assign[rows], starts.size * k)
+    if starts.size == 1:
+        rows, owner = slice(starts[0], stops[0]), 0
+    else:
+        lengths = stops - starts
+        owner = np.repeat(np.arange(starts.size), lengths)
+        # every window's rows in order: row i of window w is starts[w] + i
+        first = np.cumsum(lengths) - lengths
+        rows = np.arange(owner.size) + np.repeat(starts - first, lengths)
+    keys = assign[rows]
+    sums = cluster_sums(points[rows] - centers[keys], owner * k + keys,
+                        starts.size * k)
     return sums.reshape(starts.size, k * dim)
 
 

@@ -186,7 +186,8 @@ def cmd_train(args) -> int:
     }
     codebooks = {
         name: {"iterations": len(book.inertia_history),
-               "converged": book.converged, "refills": book.refills}
+               "converged": book.converged, "refills": book.refills,
+               "seeding": book.seeding}
         for name, book in (("codebook", model.codebook),
                            ("hp_second_codebook", model.hp_second_codebook))
         if book is not None

@@ -3,6 +3,15 @@
 Feature vectors are rows of float64 arrays. Every routine here is pure:
 fixed inputs (including the seed) produce bit-identical outputs, which the
 rest of the pipeline relies on for reproducible training and matching.
+
+k-means++ seeding computes its distances in Gram form, ``|x|^2 + |y|^2 -
+2 x.y``, from one n x n Gram matrix for small inputs or one matrix-vector
+product per draw for large ones. Those distances only choose which rows
+become centers, and every draw is certified: a rounding-error bound shows
+that the direct ``(x - y).(x - y)`` distances would have drawn the same
+row. A draw the bound cannot certify reruns the seeding on the direct
+distances, so the drawn indices, and with them every fit, are always
+those of the direct path.
 """
 
 from __future__ import annotations
@@ -40,6 +49,10 @@ _DIST_CHUNK = 4096
 # Values per scatter-add in cluster_sums, bounds the int64 index it builds.
 _SCATTER_CHUNK = 1 << 18
 
+# k-means++ seeding builds the n x n Gram distance matrix (2 MB at this
+# size) up to this many rows, and one matrix-vector product per draw above.
+_PP_GRAM_ROWS = 512
+
 
 @dataclass(frozen=True)
 class Codebook:
@@ -53,9 +66,11 @@ class Codebook:
         converged: whether the fit stopped on the relative inertia
             decrease rather than the iteration cap.
         refills: empty clusters refilled over all iterations.
+        seeding: which k-means++ distances drew the centers, "gram" or
+            "exact" (the fallback when a Gram draw was not certified).
 
-    ``converged`` and ``refills`` are None for a codebook read from a file
-    or built by hand.
+    ``converged``, ``refills`` and ``seeding`` are None for a codebook read
+    from a file or built by hand.
     """
 
     centers: np.ndarray
@@ -63,6 +78,7 @@ class Codebook:
     inertia_history: tuple[float, ...] = ()
     converged: bool | None = None
     refills: int | None = None
+    seeding: str | None = None
 
     @property
     def k(self) -> int:
@@ -179,10 +195,24 @@ def cluster_sums(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
     return out.reshape(k, dim)
 
 
-def _kmeans_pp_init(
+def _kmeans_pp_init(points: np.ndarray, k: int, seed: int):
+    """k-means++ seeding: squared-distance-weighted center draws.
+
+    Returns the (k, dim) centers and the path that drew them: "gram" when
+    :func:`_gram_pp_draws` certified every draw, else "exact", the direct
+    distances of :func:`_exact_pp_init` from a fresh stream. Both draw the
+    same indices, so the centers are bit-identical either way.
+    """
+    idx = _gram_pp_draws(points, k, np.random.default_rng(seed))
+    if idx is not None:
+        return points[idx], "gram"
+    return _exact_pp_init(points, k, np.random.default_rng(seed)), "exact"
+
+
+def _exact_pp_init(
     points: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """k-means++ seeding: squared-distance-weighted center draws.
+    """k-means++ seeding on direct ``(x - c).(x - c)`` distances.
 
     A weighted draw takes the steps ``rng.choice(n, p=closest / total)``
     takes, so it consumes the same stream and picks the same index.
@@ -205,6 +235,62 @@ def _kmeans_pp_init(
         np.subtract(points, centers[i], out=diff)
         np.minimum(closest, np.einsum("ij,ij->i", diff, diff), out=closest)
     return centers
+
+
+def _gram_pp_draws(
+    points: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray | None:
+    """The indices :func:`_exact_pp_init` draws, from Gram-form distances.
+
+    A Gram distance ``x2[i] + x2[j] - 2 G[i, j]`` (clamped at 0) differs
+    from the direct one by at most ``delta``, the standard dot-product
+    rounding bound, so a cumulative sum of n distances moves by at most
+    ``n * delta``. A draw is certified when the total lies clearly above
+    that and ``u * total`` lies farther than the propagated slack (those
+    errors plus the rounding of both paths' cumulative sums) from both
+    neighbouring cumulative sums: then the direct path's CDF puts ``u``
+    between the same two entries. Returns None at the first draw that is
+    not certified.
+    """
+    n, dim = points.shape
+    eps = np.finfo(np.float64).eps
+    x2 = np.einsum("ij,ij->i", points, points)
+    # the dot-product rounding bound, plus a term for underflowing products
+    delta = (4 * dim + 16) * 2 * (eps * float(x2.max())
+                                  + np.finfo(np.float64).tiny)
+    err = n * delta
+    if n <= _PP_GRAM_ROWS:
+        dists = _gram_dists(points @ points.T, x2[:, None], x2)
+        row = dists.__getitem__
+    else:
+        def row(i):
+            return _gram_dists(points @ points[i], x2, x2[i])
+    idx = np.empty(k, dtype=np.intp)
+    idx[0] = int(rng.integers(n))
+    closest = row(idx[0]).copy()
+    for i in range(1, k):
+        cum = closest.cumsum()
+        total = float(cum[-1])
+        if not total > 4.0 * err:
+            return None
+        slack = 3.0 * err + 8.0 * (n + 2) * eps * total
+        target = rng.random() * total
+        j = min(int(cum.searchsorted(target, side="right")), n - 1)
+        if j > 0 and not cum[j - 1] < target - slack:
+            return None
+        if j < n - 1 and not cum[j] > target + slack:
+            return None
+        idx[i] = j
+        np.minimum(closest, row(j), out=closest)
+    return idx
+
+
+def _gram_dists(gram: np.ndarray, a2, b2) -> np.ndarray:
+    """``a2 + b2 - 2 * gram`` clamped at 0, computed in place in ``gram``."""
+    gram *= -2.0
+    gram += a2
+    gram += b2
+    return np.maximum(gram, 0.0, out=gram)
 
 
 def _fill_empty_clusters(
@@ -234,6 +320,10 @@ def _fill_empty_clusters(
 def kmeans_fit(points, k: int, seed: int) -> Codebook:
     """Lloyd iterations from k-means++ seeding, deterministic under ``seed``.
 
+    The seeding draws with Gram-form distances and certifies each draw
+    against a rounding-error bound; a draw it cannot certify reruns the
+    seeding on direct distances. The drawn indices are always those of the
+    direct path, and the codebook records which path ran as ``seeding``.
     Stops when an iteration lowers the inertia by at most ``_KMEANS_TOL``
     of its previous value, or after ``_KMEANS_MAX_ITER`` iterations. Empty
     clusters are refilled with the point currently farthest from its
@@ -261,8 +351,7 @@ def kmeans_fit(points, k: int, seed: int) -> Codebook:
         raise KTooLarge(f"k={k} exceeds the {pts.shape[0]} available points")
     _check_finite(pts, "points")
 
-    rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(pts, k, rng)
+    centers, seeding = _kmeans_pp_init(pts, k, seed)
 
     history: list[float] = []
     prev = np.inf
@@ -288,6 +377,7 @@ def kmeans_fit(points, k: int, seed: int) -> Codebook:
         inertia_history=tuple(history),
         converged=converged,
         refills=refills,
+        seeding=seeding,
     )
 
 

@@ -11,7 +11,8 @@ only the layout; the rules live here, once:
   that is not finite in float32;
 * :class:`Reader` is the one decoder: a wrong magic raises ``BadMagic``, a
   read past the end ``TruncatedFile``, a non-finite payload value or a
-  trailing byte ``DataError``.
+  trailing byte ``DataError``. ``Reader.f32_view`` leaves the finiteness
+  check to its caller, which casts the payload once and checks it there.
 """
 
 from __future__ import annotations
@@ -99,15 +100,18 @@ class Reader:
     def unpack(self, layout: struct.Struct, what: str) -> tuple:
         return layout.unpack_from(self._data, self._advance(layout.size, what))
 
+    def f32_view(self, rows: int, cols: int, what: str) -> np.ndarray:
+        """A (rows, cols) float32 payload as a read-only view of the file's
+        bytes, not checked for finiteness."""
+        start = self._advance(rows * cols * 4, what)
+        return np.frombuffer(
+            self._data, dtype="<f4", count=rows * cols, offset=start
+        ).reshape(rows, cols)
+
     def f32(self, rows: int, cols: int, what: str) -> np.ndarray:
         """A (rows, cols) float32 payload as float64; DataError if any value
         is not finite."""
-        start = self._advance(rows * cols * 4, what)
-        mat = (
-            np.frombuffer(self._data, dtype="<f4", count=rows * cols, offset=start)
-            .reshape(rows, cols)
-            .astype(np.float64)
-        )
+        mat = self.f32_view(rows, cols, what).astype(np.float64)
         if not np.isfinite(mat).all():
             raise DataError(f"{self.path} {what} holds a non-finite value")
         return mat

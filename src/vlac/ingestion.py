@@ -121,7 +121,13 @@ def write_features(video: Video, path, *, overwrite: bool = False) -> None:
 
 
 def load_features(path, *, expected_dim: int | None = None) -> Video:
-    """Decode a whole VLACFEAT file."""
+    """Decode a whole VLACFEAT file.
+
+    The frame headers are walked first, keeping each payload as a float32
+    view of the file; :meth:`Video.from_frames` then casts every payload
+    once into one float64 matrix, which ``Video`` checks once. A
+    non-finite value raises DataError naming the file.
+    """
     reader = Reader(path, _FEAT_MAGIC)
     version, dim, frame_count = reader.unpack(_FEAT_HEADER, "the header")
     if version != _FEAT_VERSION:
@@ -134,9 +140,12 @@ def load_features(path, *, expected_dim: int | None = None) -> Video:
     for _ in range(frame_count):
         frame_index, count = reader.unpack(_FRAME_HEADER, "a frame header")
         index.append(frame_index)
-        frames.append(reader.f32(count, dim, f"frame {frame_index}"))
+        frames.append(reader.f32_view(count, dim, f"frame {frame_index}"))
     reader.end()
-    return Video.from_frames(frames, index)
+    try:
+        return Video.from_frames(frames, index)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

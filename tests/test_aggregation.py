@@ -131,6 +131,19 @@ class TestResidualKernel:
                         for j in range(k)]
             assert np.array_equal(row, np.concatenate(expected))
 
+    def test_one_window_equals_its_row_in_a_window_list(self):
+        # a lone window is summed through a row slice; it must give the
+        # bits that the row index of a multi-window call gives
+        rng = np.random.default_rng(12)
+        points = rng.normal(size=(50, 4)) * 100.0
+        centers = rng.normal(size=(6, 4))
+        windows = [(0, 50), (7, 31), (31, 31), (3, 45)]
+        together = _residual_sums(points, centers, windows, assign_dims=2)
+        for window, row in zip(windows, together):
+            alone = _residual_sums(points, centers, [window], assign_dims=2)
+            assert alone.shape == (1, 6 * 4)
+            assert np.array_equal(alone[0], row)
+
 
 class TestVlacEncode:
     def test_lfcs_on_clfcs_give_zero(self):
@@ -599,7 +612,9 @@ class TestModelPersistence:
             fitted, read = getattr(model, name), getattr(loaded, name)
             assert type(fitted.converged) is bool
             assert type(fitted.refills) is int
+            assert fitted.seeding in ("gram", "exact")
             assert read.converged is None and read.refills is None
+            assert read.seeding is None
         path2 = tmp_path / "model2.bin"
         save_model(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()

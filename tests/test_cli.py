@@ -144,6 +144,7 @@ class TestTrain:
             assert book["iterations"] >= 1
             assert type(book["converged"]) is bool
             assert type(book["refills"]) is int and book["refills"] >= 0
+            assert book["seeding"] in ("gram", "exact")
         assert event["duration_s"] > 0.0
 
     def test_same_seed_bit_identical(self, dataset, tmp_path):

@@ -101,6 +101,56 @@ class TestKMeans:
         assert np.array_equal(result.centers, centers)
         assert result.inertia_history == history
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 300), dim=st.integers(1, 64),
+           k=st.integers(1, 64), scale=st.integers(-3, 3),
+           data_seed=st.integers(0, 2**32 - 1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gram_seeding_at_window_shapes(self, n, dim, k, scale, data_seed,
+                                           seed):
+        # LFC-window shapes (200 x 64, k = 64 in the build workload) on
+        # spread-out data: every draw is certified on the Gram path
+        points = np.random.default_rng(data_seed).normal(size=(n, dim))
+        points *= 10.0 ** scale
+        k = min(k, n)
+        centers, history = reference_kmeans(points, k, seed)
+        result = kmeans_fit(points, k, seed)
+        assert result.seeding == "gram"
+        assert np.array_equal(result.centers, centers)
+        assert result.inertia_history == history
+
+    @pytest.mark.parametrize("case", ["offset", "duplicates"])
+    def test_uncertified_draw_falls_back_to_exact(self, case):
+        rng = np.random.default_rng(21)
+        if case == "offset":
+            # |x|^2 ~ 1e16 against distances ~ 1: cancellation swamps the
+            # Gram form, so the first draw cannot be certified
+            points = 1e8 + rng.normal(size=(50, 4))
+            k = 6
+        else:
+            # 4 distinct rows and k = 6: once they are drawn every direct
+            # distance is 0 and the seeding takes its uniform draws
+            points = rng.normal(size=(4, 3))[rng.integers(0, 4, size=40)]
+            k = 6
+        centers, history = reference_kmeans(points, k, 5)
+        result = kmeans_fit(points, k, 5)
+        assert result.seeding == "exact"
+        assert np.array_equal(result.centers, centers)
+        assert result.inertia_history == history
+
+    def test_gram_seeding_above_the_row_limit(self, monkeypatch):
+        # above the limit each draw is one matrix-vector product
+        monkeypatch.setattr(core_math, "_PP_GRAM_ROWS", 16)
+        rng = np.random.default_rng(33)
+        for trial, (n, dim, k) in enumerate([(17, 3, 5), (120, 8, 16),
+                                             (400, 64, 64)]):
+            points = rng.normal(size=(n, dim)) * 10.0 ** (trial - 1)
+            centers, history = reference_kmeans(points, k, trial)
+            result = kmeans_fit(points, k, trial)
+            assert result.seeding == "gram"
+            assert np.array_equal(result.centers, centers)
+            assert result.inertia_history == history
+
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(1, 80), dim=st.integers(1, 6), k=st.integers(1, 9),
            seed=st.integers(0, 2**32 - 1))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from _helpers import make_video
+from _helpers import SENTINEL, make_video, poison
 from vlac import (
     DatasetManifest,
     PerturbationSpec,
@@ -90,6 +90,17 @@ class TestFeatureFiles:
         short.write_bytes(data[: len(data) - 1])
         with pytest.raises(TruncatedFile):
             load_features(short)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_a_later_frame(self, tmp_path, value):
+        rng = np.random.default_rng(5)
+        video = make_video(rng, 4, 3)
+        video.features[video.offsets[3] + 2, 1] = SENTINEL
+        path = tmp_path / "p.vfeat"
+        write_features(video, path)
+        poison(path, value)
+        with pytest.raises(DataError, match="p.vfeat"):
+            load_features(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.vfeat"
