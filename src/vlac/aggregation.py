@@ -9,10 +9,14 @@ Every encoder aggregates nearest-center residuals through one kernel,
 :func:`_residual_sums`: it assigns a matrix of points to the centers once
 and sums the residuals of any list of row windows, plain float64 addition
 in input order, so permuting features moves an output only by float64
-rounding. :func:`vlad_encode`, :func:`vlac_encode` and :func:`hp_encode`
-pass it one window, the per-frame VLAD rows one window per frame, and VLAD
-encoding one window per GoF. VLAC is the VLAD kernel applied to per-window
-local feature centers (LFCs) instead of raw features, so
+rounding. :func:`encode_video` makes one kernel call per video for every
+method, one window per GoF: over the features (VLAD), over the stacked
+window LFCs (VLAC), or over the frame VLAD rows projected once to d0 dims
+(hyper-pooling); the per-frame VLAD rows are one window per frame. It then
+projects all windows' raw vectors onto the basis in one product.
+:func:`vlac_encode` and :func:`hp_encode` are the one-window forms that
+training uses, and :func:`vlad_encode` is VLAD's one-window form. VLAC is the VLAD kernel applied to
+per-window local feature centers (LFCs) instead of raw features, so
 ``vlac_encode(lfcs, c)`` equals ``vlad_encode(lfcs.centers, c)`` element
 for element; :func:`_window_lfcs` is the one place that fits a video's
 window LFCs, for training and encoding alike. Every encoder returns a plain
@@ -491,27 +495,35 @@ def train(method: str, videos, params: ModelParams) -> TrainedModel:
     raise DataError(f"unknown training method {method!r}")
 
 
-def _encode_windows(video: Video, model: TrainedModel):
-    """The raw vector of every window of ``video``, in order (a list or the
-    rows of a matrix)."""
+def _encode_windows(video: Video, model: TrainedModel) -> np.ndarray:
+    """The raw vector of every window of ``video``, a (G, raw) matrix.
+
+    Each method sums all its windows in one :func:`_residual_sums` call,
+    one window per GoF: VLAD over the video's features, VLAC over its
+    window LFCs stacked in order, and hyper-pooling over its frame VLAD
+    rows projected once to d0 dims, quantized on the top ``h`` components.
+    """
     p = model.params
     if model.method == METHOD_VLAC:
-        return [vlac_encode(lfcs, model.codebook)
-                for lfcs in _window_lfcs(video, p)]
-    starts = split_gofs(video, p.gof_size, p.overlap)
+        lfcs = [cb.centers for cb in _window_lfcs(video, p)]
+        counts = np.array([len(c) for c in lfcs], dtype=np.int64)
+        ends = np.cumsum(counts)
+        points = np.concatenate(lfcs) if lfcs else np.empty((0, video.dim))
+        return _residual_sums(points, model.codebook.centers,
+                              np.column_stack((ends - counts, ends)))
+    starts = np.array(split_gofs(video, p.gof_size, p.overlap), dtype=np.int64)
     if model.method == METHOD_VLAD:
-        windows = [(video.offsets[s], video.offsets[s + p.gof_size])
-                   for s in starts]
+        windows = np.column_stack((video.offsets[starts],
+                                   video.offsets[starts + p.gof_size]))
         return _residual_sums(video.features, model.codebook.centers, windows)
     if model.method == METHOD_HP:
         if model.hp_first_basis is None or model.hp_second_codebook is None:
             raise UntrainedModel("model is missing its hyper-pooling stages")
-        frame_rows = _frame_vlads(video, model.codebook)
-        return [
-            hp_encode(frame_rows[s : s + p.gof_size], model.hp_first_basis,
-                      model.hp_second_codebook, p.h)
-            for s in starts
-        ]
+        projected = pca_project(model.hp_first_basis,
+                                _frame_vlads(video, model.codebook))
+        return _residual_sums(projected, model.hp_second_codebook.centers,
+                              np.column_stack((starts, starts + p.gof_size)),
+                              assign_dims=p.h)
     raise UntrainedModel(f"unknown model method {model.method!r}")
 
 
@@ -519,21 +531,16 @@ def encode_video(video: Video, model: TrainedModel) -> np.ndarray:
     """Encode a video into a (G, d) matrix, one row per group of frames.
 
     Frames are windowed with the model's gof_size/overlap (gof_size 1
-    reproduces per-frame operation); each window is encoded with the
-    model's method, optionally L2-normalized, then projected onto the
-    model's basis. A video shorter than one full window yields a (0, d)
-    matrix.
+    reproduces per-frame operation). :func:`_encode_windows` gives every
+    window's raw vector at once; the rows are optionally L2-normalized,
+    then projected onto the model's basis in one product. A video shorter
+    than one full window yields a (0, d) matrix.
     """
     if len(video) == 0:
         raise EmptyVideo("cannot encode a video with no frames")
-    normalize = model.params.normalize
-    rows = [
-        pca_project(model.basis, _l2_normalize(raw) if normalize else raw)
-        for raw in _encode_windows(video, model)
-    ]
-    if not rows:
-        return np.empty((0, model.basis.rows.shape[0]), dtype=np.float64)
-    return np.stack(rows)
+    raw = _encode_windows(video, model)
+    return pca_project(model.basis,
+                       _l2_normalize(raw) if model.params.normalize else raw)
 
 
 # ---------------------------------------------------------------------------

@@ -246,15 +246,19 @@ def cmd_search(args) -> int:
     else:
         mode = dict(top_k=args.top_k)
 
-    results = [
-        retrieve(
+    results, latencies_ms = [], []
+    for seq in queries:
+        begin = time.perf_counter()
+        results.append(retrieve(
             seq, store,
             normalize_by_length=args.normalize_by_length,
             strict_paper_range=args.strict_alignment,
             **mode,
-        )
-        for seq in queries
-    ]
+        ))
+        latencies_ms.append(1000.0 * (time.perf_counter() - begin))
+    # how far each query's best match stands above its second best
+    margins = [r.matches[0].score - r.matches[1].score
+               for r in results if len(r.matches) >= 2]
 
     d = store[0].d if store else 0
     method = store[0].method if store else ""
@@ -264,13 +268,25 @@ def cmd_search(args) -> int:
         for rank, m in enumerate(result.matches, start=1)
     ))
     _log("searched", out=str(args.out), queries=len(queries),
-         store=len(store), duration_s=time.perf_counter() - start)
+         store=len(store),
+         retrieve_p50_ms=_percentile(latencies_ms, 50),
+         retrieve_p90_ms=_percentile(latencies_ms, 90),
+         top_margin_min=min(margins, default=None),
+         top_margin_median=_percentile(margins, 50),
+         duration_s=time.perf_counter() - start)
     return 0
 
 
+def _percentile(values, q):
+    """The ``q``-th percentile of ``values``, or None when there are none."""
+    return float(np.percentile(values, q)) if values else None
+
+
 def _read_results_csv(path):
+    """The (video_id, score) rows of each query, and the method and D of
+    the rows; both are None for a file without rows, which cannot say."""
     by_query: dict[str, list[tuple[str, float]]] = {}
-    method, d = "", 0
+    method, d = None, None
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = set(RESULTS_CSV_COLUMNS) - set(reader.fieldnames or ())
@@ -306,8 +322,9 @@ def cmd_evaluate(args) -> int:
     write_pr_csv(pr_path, [(method, d, p) for p in curve.points])
     write_map_csv(map_path, [(method, d, map_value)])
     if args.svg:
-        plot_pr_svg(Path(f"{prefix}_pr.svg"), {f"{method} D={d}": curve})
-    _log("evaluated", map=map_value, pr_csv=str(pr_path),
+        label = "unknown" if method is None else f"{method} D={d}"
+        plot_pr_svg(Path(f"{prefix}_pr.svg"), {label: curve})
+    _log("evaluated", method=method, d=d, map=map_value, pr_csv=str(pr_path),
          map_csv=str(map_path), queries=len(truth.relevant),
          duration_s=time.perf_counter() - start)
     return 0

@@ -1,8 +1,15 @@
-"""Similarity scoring, max-over-alignment matching and flat-scan retrieval.
+"""Similarity scoring, max-over-alignment matching and retrieval.
 
 Similarity is the raw inner product of compact descriptors; sequences are
 compared at every alignment of the shorter one inside the longer one and
-the best alignment wins. The store is an in-memory flat scan.
+the best alignment wins. :func:`retrieve` stacks the store's descriptors
+into one (sum of G, d) matrix and takes one product of the query with it;
+each shift's score is then a diagonal sum over that product, made by
+adding the shorter sequence's rows in order. When the query is longer
+than a stored sequence the roles swap and the stored one slides along the
+query. Within an entry the smallest best shift wins; between entries a
+higher score ranks first and equal scores rank by video_id.
+:func:`aligned_similarity` is the same scoring on a one-entry store.
 
 A store file (``VLACSTOR``) holds the magic, then until the end of the
 file one record per video: the UTF-8 video_id's length (u32) and bytes,
@@ -70,6 +77,74 @@ class RetrievalResult:
     matches: tuple[RankedMatch, ...]
 
 
+def _check_pair(query: DescriptorSequence, target: DescriptorSequence,
+                strict_paper_range: bool) -> None:
+    """Refuse a pair no alignment is defined for: different descriptor dims
+    or methods, or equal lengths under the strict shift range."""
+    if query.d != target.d:
+        raise DimensionMismatch(
+            f"sequences have descriptor dims {query.d} and {target.d}"
+        )
+    if query.method != target.method:
+        raise DataError(
+            f"sequences mix methods {query.method!r} and {target.method!r}"
+        )
+    if strict_paper_range and query.length == target.length:
+        raise DataError(
+            "strict alignment range {1..G2-G1} is empty for equal lengths"
+        )
+
+
+def _best_alignments(
+    query: np.ndarray, packed: np.ndarray, lengths: np.ndarray,
+    first_k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best aligned score and shift of ``query`` against every entry of a
+    packed store, two arrays with one value per entry.
+
+    ``packed`` stacks the entries' (G, d) matrices in order and ``lengths``
+    holds their G. One product ``query @ packed.T`` gives every per-position
+    inner product. An entry at least as long as the query scores shift k
+    as the sum over query rows i of ``products[i, start + i + k]``; an
+    entry shorter than the query swaps roles and sums over its own rows j
+    of ``products[k + j, start + j]``. Either way the shorter sequence's
+    rows are added in order, starting from 0. Shifts run from ``first_k``
+    to the length difference; the first maximum wins.
+    """
+    g = query.shape[0]
+    starts = np.cumsum(lengths) - lengths
+    products = query @ packed.T
+    # diagonals from row 0, one per column, for entries at least g long
+    width = packed.shape[0] - g + 1
+    diagonals = np.zeros(max(width, 0))
+    if np.any(lengths >= g):
+        for i in range(g):
+            diagonals += products[i, i : i + width]
+    # diagonals from each shorter entry's first column, one per query row
+    shorter = np.flatnonzero(lengths < g)
+    swapped = np.zeros((g, shorter.size))
+    for j in range(int(lengths[shorter].max(initial=0))):
+        adding = lengths[shorter] > j
+        swapped[: g - j, adding] += products[j:, starts[shorter[adding]] + j]
+
+    # every entry's candidate scores in one flat array: entry e's shift k
+    # is candidates[base[e] + k * stride[e]]
+    candidates = np.concatenate([diagonals, swapped.ravel()])
+    base, stride = starts.copy(), np.ones_like(lengths)
+    base[shorter] = diagonals.size + np.arange(shorter.size)
+    stride[shorter] = shorter.size
+    counts = np.abs(lengths - g) + 1 - first_k
+    first = np.cumsum(counts) - counts
+    k = np.arange(counts.sum()) - np.repeat(first, counts) + first_k
+    scores = candidates[np.repeat(base, counts) + k * np.repeat(stride, counts)]
+    best = np.maximum.reduceat(scores, first)
+    # the first position reaching its entry's maximum ("not below" so that
+    # a NaN maximum still marks a position inside its own entry)
+    hits = np.flatnonzero(~(scores < np.repeat(best, counts)))
+    at = hits[np.searchsorted(hits, first)]
+    return scores[at], k[at]
+
+
 def aligned_similarity(
     query: DescriptorSequence,
     target: DescriptorSequence,
@@ -80,37 +155,19 @@ def aligned_similarity(
 
     The shorter of the two sequences is slid over the longer one; at shift
     k the score is the sum of per-position inner products. Returns the
-    maximum score and its shift, ties resolved to the smallest shift.
+    maximum score and its shift, ties resolved to the smallest shift. This
+    is :func:`retrieve`'s scoring applied to a one-entry store.
 
     By default the shift range is {0, ..., G2 - G1}, which always includes
     the identity alignment. ``strict_paper_range`` restricts it to
     {1, ..., G2 - G1}, which is empty for equal lengths and then raises.
     """
-    if query.d != target.d:
-        raise DimensionMismatch(
-            f"sequences have descriptor dims {query.d} and {target.d}"
-        )
-    if query.method != target.method:
-        raise DataError(
-            f"sequences mix methods {query.method!r} and {target.method!r}"
-        )
-    short, long_ = query.descriptors, target.descriptors
-    if short.shape[0] > long_.shape[0]:
-        short, long_ = long_, short
-    g1, g2 = short.shape[0], long_.shape[0]
-    first_k = 1 if strict_paper_range else 0
-    if first_k > g2 - g1:
-        raise DataError(
-            "strict alignment range {1..G2-G1} is empty for equal lengths"
-        )
-    scores = np.array(
-        [
-            np.sum(short * long_[k : k + g1])
-            for k in range(first_k, g2 - g1 + 1)
-        ]
+    _check_pair(query, target, strict_paper_range)
+    scores, shifts = _best_alignments(
+        query.descriptors, target.descriptors, np.array([target.length]),
+        int(strict_paper_range),
     )
-    best = int(np.argmax(scores))
-    return float(scores[best]), best + first_k
+    return float(scores[0]), int(shifts[0])
 
 
 def retrieve(
@@ -124,11 +181,13 @@ def retrieve(
 ) -> RetrievalResult:
     """Rank store entries by aligned similarity to the query.
 
-    Exactly one of ``threshold`` (keep scores >= threshold) and ``top_k``
-    (keep the k best; 0 keeps everything) must be given. The ranking sorts
-    by score descending with video_id as the tie-breaker, so equal inputs
-    always produce identical output. ``normalize_by_length`` divides each
-    score by the aligned length for cross-length comparability.
+    Every entry is scored as :func:`aligned_similarity` scores it, from one
+    product of the query with the whole store. Exactly one of
+    ``threshold`` (keep scores >= threshold) and ``top_k`` (keep the k
+    best; 0 keeps everything) must be given. The ranking sorts by score
+    descending with video_id as the tie-breaker, so equal inputs always
+    produce identical output. ``normalize_by_length`` divides each score
+    by the aligned length for cross-length comparability.
     """
     if (threshold is None) == (top_k is None):
         raise ValueError("pass exactly one of threshold= or top_k=")
@@ -137,14 +196,19 @@ def retrieve(
     entries = list(store)
     if not entries:
         raise EmptyStore("cannot retrieve from an empty store")
-    matches = []
     for seq in entries:
-        score, offset = aligned_similarity(
-            query, seq, strict_paper_range=strict_paper_range
-        )
-        if normalize_by_length:
-            score /= min(query.length, seq.length)
-        matches.append(RankedMatch(seq.video_id, score, offset))
+        _check_pair(query, seq, strict_paper_range)
+    lengths = np.array([seq.length for seq in entries])
+    scores, shifts = _best_alignments(
+        query.descriptors, np.concatenate([s.descriptors for s in entries]),
+        lengths, int(strict_paper_range),
+    )
+    if normalize_by_length:
+        scores = scores / np.minimum(lengths, query.length)
+    matches = [
+        RankedMatch(seq.video_id, score, shift)
+        for seq, score, shift in zip(entries, scores.tolist(), shifts.tolist())
+    ]
     matches.sort(key=lambda m: (-m.score, m.video_id))
     if threshold is not None:
         matches = [m for m in matches if m.score >= threshold]

@@ -572,6 +572,38 @@ class TestEncodeVideo:
         got = encode_video(shuffle_within_frames(video, rng), model)
         np.testing.assert_allclose(got, base, atol=1e-9)
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("method", ["vlad", "vlac", "hp"])
+    def test_matches_one_window_encoders(self, method, normalize):
+        # each window through its one-window encoder, projected on its own
+        rng = np.random.default_rng(19)
+        videos = [make_video(rng, 14, 3, features_per_frame=8)
+                  for _ in range(2)]
+        model = train(method, videos, params(
+            j=3, n=4, m=3, d=2, d0=5, alpha1=3, alpha2=2, h=2, gof_size=4,
+            overlap=1, seed=2, normalize=normalize))
+        video, p = videos[1], model.params
+        expected = []
+        for i, s in enumerate(split_gofs(video, p.gof_size, p.overlap)):
+            window = video.features[video.rows(s, s + p.gof_size)]
+            if method == "vlad":
+                raw = vlad_encode(window, model.codebook)
+            elif method == "vlac":
+                raw = vlac_encode(compute_lfcs(window, p.n, p.seed ^ i),
+                                  model.codebook)
+            else:
+                frame_rows = np.stack([
+                    vlad_encode(f, model.codebook)
+                    for f in frames_of(video)[s : s + p.gof_size]])
+                raw = hp_encode(frame_rows, model.hp_first_basis,
+                                model.hp_second_codebook, p.h)
+            if normalize:
+                raw = raw / np.linalg.norm(raw)
+            expected.append(pca_project(model.basis, raw))
+        expected = np.stack(expected)
+        np.testing.assert_allclose(encode_video(video, model), expected,
+                                   rtol=0, atol=1e-12 * np.abs(expected).max())
+
 
 class TestGroupOfFrames:
     def test_no_windows(self):

@@ -316,6 +316,24 @@ class TestSearchEvaluate:
         lines = (tmp_path / "eval_pr.csv").read_text().strip().splitlines()
         assert lines == ["method,D,threshold,precision,recall"]
 
+    def test_header_only_results_report_unknown_method(self, dataset,
+                                                       tmp_path, stores,
+                                                       capsys):
+        # a header-only results CSV cannot say which method and D made it
+        results = tmp_path / "none.csv"
+        assert run("search", "--store", stores / "db.store",
+                   "--queries", stores / "q.store",
+                   "--threshold", "1e18", "--out", results) == 0
+        capsys.readouterr()
+        assert run("evaluate", "--results", results,
+                   "--queries", dataset / "queries" / "manifest.json",
+                   "--out-prefix", tmp_path / "eval", "--svg") == 0
+        event = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert event["event"] == "evaluated"
+        assert event["method"] is None and event["d"] is None
+        lines = (tmp_path / "eval_map.csv").read_text().splitlines()
+        assert lines == ["method,D,mAP", ",,0.0"]
+
     def test_rerun_identical_results(self, tmp_path, stores):
         digests = set()
         for name in ("a", "b"):
@@ -509,6 +527,21 @@ class TestEvents:
             "stability", "stability", "stability", "stability"]
         for event in events:
             assert event["duration_s"] > 0.0, event["event"]
+
+
+    def test_search_reports_latency_and_margin(self, stores, tmp_path,
+                                               capsys):
+        capsys.readouterr()
+        assert run("search", "--store", stores / "db.store",
+                   "--queries", stores / "q.store",
+                   "--out", tmp_path / "r.csv") == 0
+        event = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert event["event"] == "searched"
+        for name in ("retrieve_p50_ms", "retrieve_p90_ms", "top_margin_min",
+                     "top_margin_median"):
+            assert math.isfinite(event[name]), name
+        assert 0 < event["retrieve_p50_ms"] <= event["retrieve_p90_ms"]
+        assert 0 <= event["top_margin_min"] <= event["top_margin_median"]
 
 
 class TestErrors:

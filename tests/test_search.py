@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vlac import (
     DescriptorSequence,
@@ -18,14 +19,15 @@ def seq(video_id, matrix, method="vlac"):
     )
 
 
-def brute_force_best(query, target):
-    """Naive enumeration over all shifts of the shorter sequence."""
+def brute_force_best(query, target, first_k=0):
+    """Naive enumeration over shifts ``first_k`` to G2 - G1 of the shorter
+    sequence."""
     a, b = query, target
     if a.shape[0] > b.shape[0]:
         a, b = b, a
     g1, g2 = a.shape[0], b.shape[0]
     best_score, best_k = -np.inf, None
-    for k in range(g2 - g1 + 1):
+    for k in range(first_k, g2 - g1 + 1):
         s = 0.0
         for g in range(g1):
             s += float(np.dot(a[g], b[g + k]))
@@ -205,6 +207,120 @@ class TestRetrieve:
         store = [seq("a", [[1.0]]), seq("b", [[2.0]])]
         with pytest.raises(ValueError):
             retrieve(seq("q", [[1.0]]), store, top_k=-1)
+
+
+@st.composite
+def mixed_stores(draw):
+    """A query and a store holding entries of length 1, of the query's
+    length, shorter and longer than it, in a drawn order. On the integer
+    grid every score is exact, so shifts and ids tie exactly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 6))
+    g = draw(st.integers(2, 7))
+    grid = draw(st.booleans())
+    lengths = [1, g, draw(st.integers(1, g - 1))] + draw(
+        st.lists(st.integers(1, g + 6), max_size=5))
+    lengths = draw(st.permutations(lengths))
+
+    def values(n):
+        if grid:
+            return rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        return rng.normal(size=(n, d))
+
+    store = [seq(f"v{i}", values(n)) for i, n in enumerate(lengths)]
+    if grid:  # an entry again under another id
+        store.append(seq("dup", store[0].descriptors))
+    return seq("q", values(g)), store
+
+
+def close(got, expected):
+    return abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+class TestRetrieveProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(case=mixed_stores(), strict=st.booleans(), normalize=st.booleans())
+    def test_matches_brute_force(self, case, strict, normalize):
+        query, store = case
+        if strict:  # the strict range is empty for equal lengths
+            store = [s for s in store if s.length != query.length]
+        expected = []
+        for s in store:
+            score, shift = brute_force_best(query.descriptors, s.descriptors,
+                                            first_k=int(strict))
+            if normalize:
+                score /= min(query.length, s.length)
+            expected.append((s.video_id, score, shift))
+        expected.sort(key=lambda row: (-row[1], row[0]))
+        got = retrieve(query, store, top_k=0, strict_paper_range=strict,
+                       normalize_by_length=normalize).matches
+        assert [(m.video_id, m.offset) for m in got] == [
+            (vid, shift) for vid, _, shift in expected]
+        for m, (_, score, _) in zip(got, expected):
+            assert close(m.score, score), (m, score)
+        by_id = {s.video_id: s for s in store}
+        for m in got:
+            score, shift = aligned_similarity(query, by_id[m.video_id],
+                                              strict_paper_range=strict)
+            if normalize:
+                score /= min(query.length, by_id[m.video_id].length)
+            assert shift == m.offset and close(score, m.score)
+
+
+class TestRetrieveTies:
+    # shifts 0 and 2 of "a" and "b" score 3, as do shifts 1 and 3 of "d";
+    # "c" is shorter than the query and scores 1 at its shifts 0 and 2
+    QUERY = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+    STORE = {
+        "b": [[1.0, 0.0], [0.0, 1.0]] * 2 + [[1.0, 0.0]],
+        "d": [[0.0, 1.0], [1.0, 0.0]] * 3,
+        "c": [[1.0, 0.0]],
+        "a": [[1.0, 0.0], [0.0, 1.0]] * 2 + [[1.0, 0.0]],
+    }
+
+    @pytest.mark.parametrize("strict, expected", [
+        (False, [("a", 3.0, 0), ("b", 3.0, 0), ("d", 3.0, 1), ("c", 1.0, 0)]),
+        (True, [("a", 3.0, 2), ("b", 3.0, 2), ("d", 3.0, 1), ("c", 1.0, 2)]),
+    ])
+    def test_smallest_shift_then_smallest_id(self, strict, expected):
+        query = seq("q", self.QUERY)
+        store = [seq(vid, m) for vid, m in self.STORE.items()]
+        result = retrieve(query, store, top_k=0, strict_paper_range=strict)
+        assert [(m.video_id, m.score, m.offset)
+                for m in result.matches] == expected
+        for vid, score, shift in expected:
+            assert aligned_similarity(query, seq(vid, self.STORE[vid]),
+                                      strict_paper_range=strict) == (
+                score, shift)
+
+
+class TestRetrieveErrors:
+    """Every entry is checked, not only the first."""
+
+    def store_with(self, bad):
+        return [seq("a", np.ones((3, 2))), bad, seq("c", np.ones((4, 2)))]
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            retrieve(seq("q", np.ones((2, 2))),
+                     self.store_with(seq("b", np.ones((3, 3)))), top_k=0)
+
+    def test_mixed_methods(self):
+        with pytest.raises(DataError, match="mix methods"):
+            retrieve(seq("q", np.ones((2, 2))),
+                     self.store_with(seq("b", np.ones((3, 2)), "vlad")),
+                     top_k=0)
+
+    def test_strict_range_empty_for_equal_lengths(self):
+        query = seq("q", np.ones((2, 2)))
+        store = self.store_with(seq("b", np.ones((2, 2))))
+        with pytest.raises(DataError, match="strict"):
+            retrieve(query, store, top_k=0, strict_paper_range=True)
+        assert len(retrieve(query, store, top_k=0).matches) == 3
+
+    def test_empty_store(self):
+        with pytest.raises(EmptyStore):
+            retrieve(seq("q", np.ones((2, 2))), iter([]), threshold=0.0)
 
 
 class TestStoreIO:

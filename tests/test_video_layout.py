@@ -104,21 +104,33 @@ def ref_train(method, videos, p):
 
 
 def ref_encode(frames, model):
+    """Encode window by window, then project the stacked raw rows once;
+    hyper-pooling projects the video's frame VLAD rows once and windows
+    the projected rows."""
     p = model.params
-    rows = []
+    if model.method == "hp":
+        projected = pca_project(
+            model.hp_first_basis,
+            np.stack([vlad_encode(f, model.codebook) for f in frames]))
+        second = model.hp_second_codebook.centers
+    raws = []
     for i, window in enumerate(ref_windows(frames, p)):
         if model.method == "vlad":
-            raw = vlad_encode(ref_stack(window), model.codebook)
+            raws.append(vlad_encode(ref_stack(window), model.codebook))
         elif model.method == "vlac":
-            raw = vlac_encode(ref_lfcs(window, p.n, p.seed ^ i),
-                              model.codebook)
+            raws.append(vlac_encode(ref_lfcs(window, p.n, p.seed ^ i),
+                                    model.codebook))
         else:
-            raw = ref_hp_raw(window, model.codebook, model.hp_first_basis,
-                             model.hp_second_codebook, p.h)
-        if p.normalize:
-            raw = _l2_normalize(raw)
-        rows.append(pca_project(model.basis, raw))
-    return np.stack(rows) if rows else np.empty((0, model.basis.d))
+            start = i * (p.gof_size - p.overlap)
+            rows = projected[start : start + p.gof_size]
+            labels = nearest_centers(rows[:, :p.h], second[:, :p.h])
+            raws.append(np.concatenate([
+                (rows[labels == c] - second[c]).sum(axis=0)
+                for c in range(len(second))]))
+    if not raws:
+        return np.empty((0, model.basis.d))
+    raw = np.stack(raws)
+    return pca_project(model.basis, _l2_normalize(raw) if p.normalize else raw)
 
 
 def outcome(fn):
