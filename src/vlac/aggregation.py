@@ -19,8 +19,11 @@ training uses, and :func:`vlad_encode` is VLAD's one-window form. VLAC is the VL
 per-window local feature centers (LFCs) instead of raw features, so
 ``vlac_encode(lfcs, c)`` equals ``vlad_encode(lfcs.centers, c)`` element
 for element; :func:`_window_lfcs` is the one place that fits a video's
-window LFCs, for training and encoding alike. Every encoder returns a plain
-float64 NumPy vector, and :func:`encode_video` a (G, d) matrix.
+window LFCs, for training and encoding alike. It groups a video's windows
+by feature count, draws each group's k-means++ seeding in lockstep, and
+then fits every window on its own, each exactly as a lone
+:func:`compute_lfcs` call would. Every encoder returns a plain float64
+NumPy vector, and :func:`encode_video` a (G, d) matrix.
 
 Each trainer takes the training videos and one :class:`ModelParams`,
 cuts the windows itself, and the field metadata records which method
@@ -46,6 +49,7 @@ from .core_math import (
     ProjectionBasis,
     cluster_sums,
     kmeans_fit,
+    kmeans_pp_draws,
     nearest_centers,
     pca_fit,
     pca_project,
@@ -210,7 +214,9 @@ class TrainedModel:
     ``codebook`` is the method's primary codebook (VLAD: J centers, VLAC:
     M CLFCs, HP: the alpha1 first-stage centers); ``basis`` performs the
     final compaction to d dimensions. The hyper-pooling fields are None
-    for the other methods.
+    for the other methods. ``lfc_fits`` sums up a VLAC model's window LFC
+    fits (see :func:`_fit_summary`); it is not stored in the file, so it
+    is None for a loaded model and for the other methods.
     """
 
     method: str
@@ -219,6 +225,7 @@ class TrainedModel:
     basis: ProjectionBasis
     hp_first_basis: ProjectionBasis | None = None
     hp_second_codebook: Codebook | None = None
+    lfc_fits: dict[str, int] | None = None
 
 
 def _residual_sums(
@@ -308,16 +315,20 @@ def hp_encode(
                           [(0, len(vectors))], assign_dims=h)[0]
 
 
-def compute_lfcs(features: np.ndarray, n: int, seed: int) -> Codebook:
+def compute_lfcs(
+    features: np.ndarray, n: int, seed: int, *,
+    draws: tuple[np.ndarray, str] | None = None,
+) -> Codebook:
     """Cluster one window's features into local feature centers.
 
     The center count is min(n, feature count): sparse windows keep one
-    center per feature rather than failing.
+    center per feature rather than failing. ``draws`` hands the window's
+    k-means++ seeding, drawn ahead, to :func:`kmeans_fit`.
     """
     if features.shape[0] == 0:
         raise EmptyGof("a group of frames has no features")
     k = min(int(n), features.shape[0])
-    return kmeans_fit(features, k, seed)
+    return kmeans_fit(features, k, seed, draws=draws)
 
 
 def split_gofs(video: Video, gof_size: int, overlap: int) -> list[int]:
@@ -348,13 +359,32 @@ def split_gofs(video: Video, gof_size: int, overlap: int) -> list[int]:
 
 def _window_lfcs(video: Video, params: ModelParams) -> list[Codebook]:
     """The LFCs of every window of ``video`` in order, window ``i``
-    clustered with ``seed XOR i``."""
+    clustered with ``seed XOR i``.
+
+    Windows with the same feature count share k = min(n, count), so each
+    such group draws its k-means++ seeding in lockstep through one
+    :func:`kmeans_pp_draws` call; every window is then fitted on its own
+    through :func:`compute_lfcs`, in order, so the first window without
+    features raises EmptyGof.
+    """
     g = params.gof_size
-    return [
-        compute_lfcs(video.features[video.rows(s, s + g)], params.n,
-                     params.seed ^ i)
-        for i, s in enumerate(split_gofs(video, g, params.overlap))
-    ]
+    windows = [video.features[video.rows(s, s + g)]
+               for s in split_gofs(video, g, params.overlap)]
+    seeds = [params.seed ^ i for i in range(len(windows))]
+    groups: dict[int, list[int]] = {}
+    for i, window in enumerate(windows):
+        groups.setdefault(window.shape[0], []).append(i)
+    draws = [None] * len(windows)
+    for count, members in groups.items():
+        k = min(params.n, count)
+        if k < 1:
+            continue  # compute_lfcs refuses these windows
+        drawn = kmeans_pp_draws([windows[i] for i in members], k,
+                                [seeds[i] for i in members])
+        for i, window_draws in zip(members, drawn):
+            draws[i] = window_draws
+    return [compute_lfcs(w, params.n, s, draws=d)
+            for w, s, d in zip(windows, seeds, draws)]
 
 
 def _l2_normalize(x: np.ndarray) -> np.ndarray:
@@ -409,6 +439,19 @@ def fit_clfcs(videos, params: ModelParams) -> tuple[Codebook, list[Codebook]]:
     return clfc, lfcs
 
 
+def _fit_summary(books) -> dict[str, int]:
+    """The fit count, the total Lloyd iterations, the fits that converged,
+    the total empty-cluster refills and the fits whose k-means++ seeding
+    took the exact fallback, over the fitted codebooks ``books``."""
+    return {
+        "fits": len(books),
+        "iterations": sum(len(b.inertia_history) for b in books),
+        "converged": sum(bool(b.converged) for b in books),
+        "refills": sum(b.refills for b in books),
+        "exact_seeding": sum(b.seeding == "exact" for b in books),
+    }
+
+
 def train_vlac(videos, params: ModelParams) -> TrainedModel:
     """Fit a VLAC model: LFCs per training window, an M-codebook of CLFCs
     over all of them, and a d-dimensional basis over per-window VLAC rows.
@@ -422,6 +465,7 @@ def train_vlac(videos, params: ModelParams) -> TrainedModel:
         params=replace(params, f=clfc.dim),
         codebook=clfc,
         basis=basis,
+        lfc_fits=_fit_summary(lfcs),
     )
 
 
@@ -609,9 +653,16 @@ def _check_header(method: str, p: ModelParams, path) -> None:
         )
 
 
-def save_model(model: TrainedModel, path, *, overwrite: bool = False) -> None:
-    """Write a model to the VLACMODL binary format."""
+def save_model(
+    model: TrainedModel, path, *, overwrite: bool = False
+) -> dict[str, float]:
+    """Write a model to the VLACMODL binary format.
+
+    Returns the largest float32 rounding error of each stored array,
+    ``|stored - value|``, keyed ``attribute.part`` in file order.
+    """
     _check_header(model.method, model.params, path)
+    errors = {}
     with atomic_write(path, overwrite=overwrite) as fh:
         tag = METHOD_TAGS[model.method]
         fh.write(_MODEL_MAGIC + _MODEL_HEADER.pack(_MODEL_VERSION, tag))
@@ -620,7 +671,12 @@ def save_model(model: TrainedModel, path, *, overwrite: bool = False) -> None:
             arr = np.atleast_2d(getattr(getattr(model, name), part))
             what = f"{path} {name}.{part}"
             _check_shape(arr.shape, shape, what)
-            fh.write(_ARRAY_SHAPE.pack(*shape) + f32_bytes(arr, what))
+            data = f32_bytes(arr, what)
+            fh.write(_ARRAY_SHAPE.pack(*shape) + data)
+            stored = np.frombuffer(data, dtype="<f4").reshape(shape)
+            errors[f"{name}.{part}"] = float(
+                np.abs(stored - arr).max(initial=0.0))
+    return errors
 
 
 def load_model(path) -> TrainedModel:

@@ -176,7 +176,7 @@ def cmd_train(args) -> int:
     start = time.perf_counter()
     dim, videos = _manifest_videos(args.manifest)
     model = train(args.method, list(videos.values()), load_config(args, dim))
-    save_model(model, args.out, overwrite=True)
+    f32_error = save_model(model, args.out, overwrite=True)
     bases = {
         name: {"solver": basis.solver,
                "retained_variance": basis.retained_variance}
@@ -200,6 +200,8 @@ def cmd_train(args) -> int:
         eigenvalues=[float(x) for x in model.basis.eigenvalues],
         bases=bases,
         codebooks=codebooks,
+        lfc_fits=model.lfc_fits,
+        f32_error=f32_error,
         duration_s=time.perf_counter() - start,
     )
     return 0

@@ -9,9 +9,19 @@ k-means++ seeding computes its distances in Gram form, ``|x|^2 + |y|^2 -
 product per draw for large ones. Those distances only choose which rows
 become centers, and every draw is certified: a rounding-error bound shows
 that the direct ``(x - y).(x - y)`` distances would have drawn the same
-row. A draw the bound cannot certify reruns the seeding on the direct
-distances, so the drawn indices, and with them every fit, are always
-those of the direct path.
+row. :func:`kmeans_pp_draws` seeds a stack of same-shape windows in
+lockstep, each window from its own stream: every step draws for all of
+them with one cumulative sum, and the certificate checks all their draws
+at once after the loop. A window with a draw the bound cannot certify
+reruns alone on the direct distances, so the drawn indices, and with them
+every fit, are always those of the direct path. A single fit is the
+one-window case.
+
+Lloyd iterations work in arrays allocated once per fit: the (n, k)
+distances, the product of one row chunk and the (n, dim) residuals are
+rewritten in place by every iteration, with the same operations in the
+same order as fresh temporaries would take, so the results are bit for
+bit those of the plain expressions.
 """
 
 from __future__ import annotations
@@ -49,9 +59,17 @@ _DIST_CHUNK = 4096
 # Values per scatter-add in cluster_sums, bounds the int64 index it builds.
 _SCATTER_CHUNK = 1 << 18
 
+# Values per block of an elementwise pass that should stay in cache.
+_BLOCK_VALUES = 1 << 15
+
 # k-means++ seeding builds the n x n Gram distance matrix (2 MB at this
 # size) up to this many rows, and one matrix-vector product per draw above.
 _PP_GRAM_ROWS = 512
+
+# k-means++ seeding of a stack of windows draws as many windows in lockstep
+# as keep their Gram distance matrices and kept cumulative sums under this
+# many bytes.
+_PP_STACK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -138,17 +156,40 @@ def _check_finite(arr: np.ndarray, name: str) -> None:
         raise DataError(f"{name} contain non-finite values")
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, (n, k), chunked over rows."""
-    n = points.shape[0]
-    c2 = np.einsum("ij,ij->i", centers, centers)
-    out = np.empty((n, centers.shape[0]), dtype=np.float64)
+def _sq_norms(points: np.ndarray) -> np.ndarray:
+    """The squared norm of every row."""
+    return np.einsum("ij,ij->i", points, points)
+
+
+def _sq_dists(
+    points: np.ndarray,
+    centers: np.ndarray,
+    x2: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    prod: np.ndarray | None = None,
+) -> np.ndarray:
+    """Squared Euclidean distances ``(x2 + c2) - 2 * points @ centers.T``.
+
+    Chunked over rows and written into ``out``, (n, k). ``x2`` holds the
+    rows' squared norms and ``prod`` is room for one chunk's product,
+    (min(n, _DIST_CHUNK), k); each is allocated when not given, so a caller
+    that computes many distance matrices of one shape passes its own.
+    """
+    n, k = points.shape[0], centers.shape[0]
+    if x2 is None:
+        x2 = _sq_norms(points)
+    if out is None:
+        out = np.empty((n, k), dtype=np.float64)
+    if prod is None:
+        prod = np.empty((min(n, _DIST_CHUNK), k), dtype=np.float64)
+    c2 = _sq_norms(centers)
     for start in range(0, n, _DIST_CHUNK):
-        block = points[start : start + _DIST_CHUNK]
-        x2 = np.einsum("ij,ij->i", block, block)
-        out[start : start + _DIST_CHUNK] = (
-            x2[:, None] + c2[None, :] - 2.0 * (block @ centers.T)
-        )
+        block = out[start : start + _DIST_CHUNK]
+        gram = np.matmul(points[start : start + _DIST_CHUNK], centers.T,
+                         out=prod[: block.shape[0]])
+        gram *= 2.0
+        np.add(x2[start : start + _DIST_CHUNK, None], c2, out=block)
+        block -= gram
     return out
 
 
@@ -195,18 +236,34 @@ def cluster_sums(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
     return out.reshape(k, dim)
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, seed: int):
-    """k-means++ seeding: squared-distance-weighted center draws.
+def kmeans_pp_draws(windows, k: int, seeds) -> list[tuple[np.ndarray, str]]:
+    """k-means++ seeding of B same-shape windows, drawn in lockstep.
 
-    Returns the (k, dim) centers and the path that drew them: "gram" when
+    ``windows`` are (n, dim) float64 arrays, all of one shape, and window
+    ``b`` draws ``k`` rows from ``default_rng(seeds[b])``. Returns, for each
+    window, the drawn row indices and the path that drew them: "gram" when
     :func:`_gram_pp_draws` certified every draw, else "exact", the direct
-    distances of :func:`_exact_pp_init` from a fresh stream. Both draw the
-    same indices, so the centers are bit-identical either way.
+    distances of :func:`_exact_pp_init` from a fresh stream, run for that
+    window alone. Both draw the same indices, so the centers, and with them
+    the fit, are bit-identical either way. The windows are drawn a block
+    at a time, so the work arrays stay under ``_PP_STACK_BYTES``.
     """
-    idx = _gram_pp_draws(points, k, np.random.default_rng(seed))
-    if idx is not None:
-        return points[idx], "gram"
-    return _exact_pp_init(points, k, np.random.default_rng(seed)), "exact"
+    n = windows[0].shape[0]
+    per_window = 8 * n * ((n if n <= _PP_GRAM_ROWS else 0) + k)
+    step = max(1, _PP_STACK_BYTES // per_window)
+    out = []
+    for start in range(0, len(windows), step):
+        block = windows[start : start + step]
+        block_seeds = seeds[start : start + step]
+        idx, certified = _gram_pp_draws(
+            block, k, [np.random.default_rng(s) for s in block_seeds])
+        for points, seed, rows, ok in zip(block, block_seeds, idx, certified):
+            if ok:
+                out.append((rows, "gram"))
+            else:
+                rng = np.random.default_rng(seed)
+                out.append((_exact_pp_init(points, k, rng), "exact"))
+    return out
 
 
 def _exact_pp_init(
@@ -214,33 +271,32 @@ def _exact_pp_init(
 ) -> np.ndarray:
     """k-means++ seeding on direct ``(x - c).(x - c)`` distances.
 
-    A weighted draw takes the steps ``rng.choice(n, p=closest / total)``
-    takes, so it consumes the same stream and picks the same index.
+    Returns the k drawn row indices. A weighted draw takes the steps
+    ``rng.choice(n, p=closest / total)`` takes, so it consumes the same
+    stream and picks the same index.
     """
     n = points.shape[0]
-    centers = np.empty((k, points.shape[1]), dtype=np.float64)
-    centers[0] = points[int(rng.integers(n))]
-    diff = points - centers[0]
-    closest = np.einsum("ij,ij->i", diff, diff)
+    idx = np.empty(k, dtype=np.intp)
+    idx[0] = rng.integers(n)
+    diff = points - points[idx[0]]
+    closest = _sq_norms(diff)
     for i in range(1, k):
         total = float(closest.sum())
         if total > 0.0:
             cdf = np.cumsum(closest / total)
             cdf /= cdf[-1]
-            idx = int(cdf.searchsorted(rng.random(), side="right"))
+            idx[i] = cdf.searchsorted(rng.random(), side="right")
         else:
             # all points coincide with chosen centers; fall back to uniform
-            idx = int(rng.integers(n))
-        centers[i] = points[idx]
-        np.subtract(points, centers[i], out=diff)
-        np.minimum(closest, np.einsum("ij,ij->i", diff, diff), out=closest)
-    return centers
+            idx[i] = rng.integers(n)
+        np.subtract(points, points[idx[i]], out=diff)
+        np.minimum(closest, _sq_norms(diff), out=closest)
+    return idx
 
 
-def _gram_pp_draws(
-    points: np.ndarray, k: int, rng: np.random.Generator
-) -> np.ndarray | None:
-    """The indices :func:`_exact_pp_init` draws, from Gram-form distances.
+def _gram_pp_draws(windows, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """The indices :func:`_exact_pp_init` draws for each window, from
+    Gram-form distances, and whether each window's draws are certified.
 
     A Gram distance ``x2[i] + x2[j] - 2 G[i, j]`` (clamped at 0) differs
     from the direct one by at most ``delta``, the standard dot-product
@@ -249,40 +305,66 @@ def _gram_pp_draws(
     that and ``u * total`` lies farther than the propagated slack (those
     errors plus the rounding of both paths' cumulative sums) from both
     neighbouring cumulative sums: then the direct path's CDF puts ``u``
-    between the same two entries. Returns None at the first draw that is
-    not certified.
+    between the same two entries.
+
+    Every window takes its first index with ``integers(n)`` and each later
+    draw with one ``random()``, as the direct path does while the total is
+    positive; a total too small to certify gives the window up anyway, so
+    the uniforms are drawn up front with ``random(k - 1)``. Each step then
+    serves all B windows with one ``cumsum``, one counting search and one
+    ``minimum``. The cumulative sums are kept, and the certificate runs
+    over every draw at once after the loop; a window whose draws went
+    astray after an uncertified one is given up whole.
+
+    Returns a (B, k) index array and a (B,) bool array.
     """
-    n, dim = points.shape
+    b = len(windows)
+    n, dim = windows[0].shape
     eps = np.finfo(np.float64).eps
-    x2 = np.einsum("ij,ij->i", points, points)
+    x2 = np.stack([_sq_norms(w) for w in windows])
     # the dot-product rounding bound, plus a term for underflowing products
-    delta = (4 * dim + 16) * 2 * (eps * float(x2.max())
+    delta = (4 * dim + 16) * 2 * (eps * x2.max(axis=1)
                                   + np.finfo(np.float64).tiny)
     err = n * delta
     if n <= _PP_GRAM_ROWS:
-        dists = _gram_dists(points @ points.T, x2[:, None], x2)
-        row = dists.__getitem__
+        # each window's n x n distances, built while its product is in cache
+        dists = np.empty((b, n, n), dtype=np.float64)
+        for w, w2, d in zip(windows, x2, dists):
+            _gram_dists(np.matmul(w, w.T, out=d), w2[:, None], w2)
+        every = np.arange(b)
+
+        def rows(j):
+            return dists[every, j]
     else:
-        def row(i):
-            return _gram_dists(points @ points[i], x2, x2[i])
-    idx = np.empty(k, dtype=np.intp)
-    idx[0] = int(rng.integers(n))
-    closest = row(idx[0]).copy()
-    for i in range(1, k):
-        cum = closest.cumsum()
-        total = float(cum[-1])
-        if not total > 4.0 * err:
-            return None
-        slack = 3.0 * err + 8.0 * (n + 2) * eps * total
-        target = rng.random() * total
-        j = min(int(cum.searchsorted(target, side="right")), n - 1)
-        if j > 0 and not cum[j - 1] < target - slack:
-            return None
-        if j < n - 1 and not cum[j] > target + slack:
-            return None
-        idx[i] = j
-        np.minimum(closest, row(j), out=closest)
-    return idx
+        def rows(j):
+            return np.stack([_gram_dists(w @ w[i], w2, w2[i])
+                             for w, w2, i in zip(windows, x2, j)])
+
+    idx = np.empty((k, b), dtype=np.intp)
+    idx[0] = [rng.integers(n) for rng in rngs]
+    uniforms = np.array([rng.random(k - 1) for rng in rngs]).T
+    cum = np.empty((k - 1, b, n), dtype=np.float64)
+    target = np.empty((k - 1, b), dtype=np.float64)
+    closest = rows(idx[0])
+    for c, t, u, j in zip(cum, target, uniforms, idx[1:]):
+        np.add.accumulate(closest, axis=1, out=c)
+        np.multiply(u, c[:, -1], out=t)
+        # searchsorted(side="right") on the ascending sums, capped at n - 1
+        np.add.reduce(c[:, :-1] <= t[:, None], axis=1, out=j)
+        np.minimum(closest, rows(j), out=closest)
+
+    total = cum[:, :, -1]
+    drawn = idx[1:, :, None]
+    below = np.take_along_axis(cum, np.maximum(drawn - 1, 0), axis=2)[..., 0]
+    above = np.take_along_axis(cum, drawn, axis=2)[..., 0]
+    drawn = drawn[..., 0]
+    slack = 3.0 * err + 8.0 * (n + 2) * eps * total
+    certified = (
+        (total > 4.0 * err)
+        & ((drawn == 0) | (below < target - slack))
+        & ((drawn == n - 1) | (above > target + slack))
+    )
+    return idx.T, certified.all(axis=0)
 
 
 def _gram_dists(gram: np.ndarray, a2, b2) -> np.ndarray:
@@ -291,6 +373,22 @@ def _gram_dists(gram: np.ndarray, a2, b2) -> np.ndarray:
     gram += a2
     gram += b2
     return np.maximum(gram, 0.0, out=gram)
+
+
+def _inertia(points, centers, assign, diff) -> float:
+    """``np.sum((points - centers[assign]) ** 2)``, bit for bit.
+
+    The squared residuals are formed in ``diff``, an (n, dim) work array,
+    ``_BLOCK_VALUES`` values at a time so each block's three passes stay in
+    cache, and then summed in one call, as the expression sums them.
+    """
+    step = max(1, _BLOCK_VALUES // points.shape[1])
+    for start in range(0, points.shape[0], step):
+        block = diff[start : start + step]
+        np.take(centers, assign[start : start + step], axis=0, out=block)
+        np.subtract(points[start : start + step], block, out=block)
+        np.square(block, out=block)
+    return float(diff.sum())
 
 
 def _fill_empty_clusters(
@@ -317,22 +415,32 @@ def _fill_empty_clusters(
     return guard
 
 
-def kmeans_fit(points, k: int, seed: int) -> Codebook:
+def kmeans_fit(
+    points, k: int, seed: int, *, draws: tuple[np.ndarray, str] | None = None
+) -> Codebook:
     """Lloyd iterations from k-means++ seeding, deterministic under ``seed``.
 
-    The seeding draws with Gram-form distances and certifies each draw
-    against a rounding-error bound; a draw it cannot certify reruns the
-    seeding on direct distances. The drawn indices are always those of the
-    direct path, and the codebook records which path ran as ``seeding``.
+    The seeding is :func:`kmeans_pp_draws` of this one input: Gram-form
+    draws from ``default_rng(seed)``, certified together after the draw
+    loop against a rounding-error bound, with a rerun on direct distances
+    when a draw cannot be certified. The drawn indices are always those of
+    the direct path, and the codebook records which path ran as
+    ``seeding``. ``draws``, when given, is what :func:`kmeans_pp_draws`
+    returned for these points, ``k`` and ``seed``, drawn ahead together
+    with other windows; the fit is then the one it would draw itself.
     Stops when an iteration lowers the inertia by at most ``_KMEANS_TOL``
     of its previous value, or after ``_KMEANS_MAX_ITER`` iterations. Empty
     clusters are refilled with the point currently farthest from its
-    assigned center so exactly ``k`` centers always come back.
+    assigned center so exactly ``k`` centers always come back. The
+    points' squared norms are computed once per fit, and every iteration
+    rewrites the same distance and residual arrays.
 
     Args:
         points: (n, dim) array or sequence of equal-length vectors.
         k: number of centers, 1 <= k <= n.
         seed: initialization seed.
+        draws: the k-means++ (indices, path) for this input, or None to
+            draw them here.
 
     Returns:
         A :class:`Codebook` with k centers.
@@ -351,20 +459,29 @@ def kmeans_fit(points, k: int, seed: int) -> Codebook:
         raise KTooLarge(f"k={k} exceeds the {pts.shape[0]} available points")
     _check_finite(pts, "points")
 
-    centers, seeding = _kmeans_pp_init(pts, k, seed)
+    if draws is None:
+        draws = kmeans_pp_draws([pts], k, [seed])[0]
+    idx, seeding = draws
+    centers = pts[idx]
 
+    # work arrays of the whole fit, reused by every iteration
+    n, dim = pts.shape
+    x2 = _sq_norms(pts)
+    dists = np.empty((n, k), dtype=np.float64)
+    prod = np.empty((min(n, _DIST_CHUNK), k), dtype=np.float64)
+    diff = np.empty((n, dim), dtype=np.float64)
     history: list[float] = []
     prev = np.inf
     refills = 0
     converged = False
     for _ in range(_KMEANS_MAX_ITER):
-        dists = _sq_dists(pts, centers)
+        _sq_dists(pts, centers, x2, dists, prod)
         assign = np.argmin(dists, axis=1)
         refills += _fill_empty_clusters(assign, dists, k)
         # every cluster holds a point after the refill: no division by zero
         counts = np.bincount(assign, minlength=k)
         centers = cluster_sums(pts, assign, k) / counts[:, None]
-        inertia = float(np.sum((pts - centers[assign]) ** 2))
+        inertia = _inertia(pts, centers, assign, diff)
         history.append(inertia)
         if np.isfinite(prev) and prev - inertia <= _KMEANS_TOL * prev:
             converged = True

@@ -30,7 +30,8 @@ from vlac import (
 )
 from dataclasses import replace
 
-from vlac.aggregation import _residual_sums
+from vlac import core_math
+from vlac.aggregation import _model_arrays, _residual_sums, _window_lfcs
 from vlac.core_math import ProjectionBasis, nearest_centers
 from vlac.errors import (
     DataError,
@@ -190,6 +191,81 @@ class TestComputeLfcs:
     def test_empty_gof(self):
         with pytest.raises(EmptyGof):
             compute_lfcs(np.empty((0, 2)), 4, seed=0)
+
+
+def assert_same_fit(got, want):
+    assert np.array_equal(got.centers, want.centers)
+    assert got.inertia_history == want.inertia_history
+    assert got.converged == want.converged
+    assert got.refills == want.refills
+    assert got.seeding == want.seeding
+
+
+def each_window_alone(video, p):
+    """kmeans_fit of every window of ``video`` on its own, as _window_lfcs
+    fits it: k = min(n, rows) and seed XOR the window index."""
+    g = p.gof_size
+    windows = [video.features[video.rows(s, s + g)]
+               for s in split_gofs(video, g, p.overlap)]
+    return [kmeans_fit(w, min(p.n, len(w)), p.seed ^ i)
+            for i, w in enumerate(windows)]
+
+
+class TestWindowLfcs:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_lockstep_matches_each_window_alone(self, data):
+        # frames of 1-6 features make windows of several row counts, some
+        # with fewer rows than n; an offset frame (1e8 + noise) makes the
+        # windows holding it fall back to exact seeding
+        frames = data.draw(st.integers(1, 14), label="frames")
+        counts = data.draw(st.lists(st.integers(1, 6), min_size=frames,
+                                    max_size=frames), label="counts")
+        dim = data.draw(st.integers(1, 5), label="dim")
+        gof = data.draw(st.integers(1, 4), label="gof_size")
+        p = params(n=data.draw(st.integers(1, 16), label="n"), gof_size=gof,
+                   overlap=data.draw(st.integers(0, gof - 1), label="overlap"),
+                   seed=data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        feats = [rng.normal(size=(c, dim)) * 10.0 ** rng.integers(-3, 4)
+                 for c in counts]
+        offset = data.draw(st.none() | st.integers(0, frames - 1),
+                           label="offset_frame")
+        if offset is not None:
+            feats[offset] += 1e8
+        video = Video.from_frames(feats)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core_math, "_PP_GRAM_ROWS",
+                          data.draw(st.sampled_from([512, 3]),
+                                    label="gram_rows"))
+            got = _window_lfcs(video, p)
+            want = each_window_alone(video, p)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same_fit(a, b)
+
+    def test_exact_fallback_stays_with_its_window(self):
+        # three disjoint windows of 40 rows; the middle one is offset
+        rng = np.random.default_rng(50)
+        frames = [rng.normal(size=(20, 4)) for _ in range(6)]
+        frames[2] += 1e8
+        frames[3] += 1e8
+        video = Video.from_frames(frames)
+        p = params(n=8, gof_size=2, overlap=0, seed=3)
+        got = _window_lfcs(video, p)
+        assert [cb.seeding for cb in got] == ["gram", "exact", "gram"]
+        for a, b in zip(got, each_window_alone(video, p)):
+            assert_same_fit(a, b)
+
+    def test_empty_window_raises(self):
+        frames = [np.ones((3, 2)), np.ones((3, 2)), np.empty((0, 2)),
+                  np.ones((3, 2))]
+        with pytest.raises(EmptyGof):
+            _window_lfcs(Video.from_frames(frames),
+                         params(n=2, gof_size=1, overlap=0))
+        with pytest.raises(ValueError):
+            _window_lfcs(Video.from_frames(frames[:2]),
+                         params(n=0, gof_size=1, overlap=0))
 
 
 class TestTrainVlad:
@@ -647,9 +723,36 @@ class TestModelPersistence:
             assert fitted.seeding in ("gram", "exact")
             assert read.converged is None and read.refills is None
             assert read.seeding is None
+        assert loaded.lfc_fits is None
+        assert (model.lfc_fits is None) == (method != "vlac")
         path2 = tmp_path / "model2.bin"
         save_model(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("method", ["vlad", "vlac", "hp"])
+    def test_save_reports_float32_error(self, method, tmp_path):
+        rng = np.random.default_rng(22)
+        video = make_video(rng, 18, 3, features_per_frame=8, scale=3.0)
+        schema = params(j=3, n=4, m=3, d=2, d0=5, alpha1=3, alpha2=2, h=2,
+                        seed=4, gof_size=3, overlap=0)
+        model = train(method, [video], schema)
+        errors = save_model(model, tmp_path / "m.bin")
+        assert list(errors) == [f"{name}.{part}" for name, part, _
+                                in _model_arrays(method, model.params)]
+        for key, error in errors.items():
+            name, part = key.split(".")
+            arr = np.atleast_2d(getattr(getattr(model, name), part))
+            # a value is off by at most half a float32 ulp of itself
+            half_ulp = np.spacing(np.float32(np.abs(arr).max())) / 2
+            assert np.isfinite(error) and 0.0 <= error <= half_ulp, key
+        assert max(errors.values()) > 0.0
+        # a loaded model holds float32 values already
+        loaded = load_model(tmp_path / "m.bin")
+        again = save_model(loaded, tmp_path / "m2.bin")
+        assert list(again) == list(errors)
+        assert set(again.values()) == {0.0}
+        assert ((tmp_path / "m.bin").read_bytes()
+                == (tmp_path / "m2.bin").read_bytes())
 
     def test_same_seed_same_bytes(self, tmp_path):
         rng = np.random.default_rng(19)

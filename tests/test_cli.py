@@ -147,6 +147,35 @@ class TestTrain:
             assert book["seeding"] in ("gram", "exact")
         assert event["duration_s"] > 0.0
 
+    @pytest.mark.parametrize("method", ["vlad", "vlac"])
+    def test_trained_event_reports_lfc_fits_and_f32_error(
+            self, dataset, tmp_path, capsys, method):
+        assert run("train", "--manifest", dataset / "train" / "manifest.json",
+                   "--method", method, "--out", tmp_path / "m.bin",
+                   *PARAMS) == 0
+        event = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert event["event"] == "trained"
+        fits = event["lfc_fits"]
+        if method == "vlac":
+            # 4 training videos of 40 frames: 9 windows of 5 frames each
+            assert fits["fits"] == 36
+            assert fits["iterations"] >= fits["fits"]
+            assert 0 <= fits["converged"] <= fits["fits"]
+            assert fits["refills"] >= 0
+            assert 0 <= fits["exact_seeding"] <= fits["fits"]
+        else:
+            assert fits is None
+        model = load_model(tmp_path / "m.bin")
+        errors = event["f32_error"]
+        assert set(errors) == {"codebook.centers", "codebook.inertia",
+                               "basis.rows", "basis.mean",
+                               "basis.eigenvalues"}
+        for key, error in errors.items():
+            name, part = key.split(".")
+            stored = np.atleast_2d(getattr(getattr(model, name), part))
+            half_ulp = np.spacing(np.float32(np.abs(stored).max())) / 2
+            assert math.isfinite(error) and 0.0 <= error <= half_ulp
+
     def test_same_seed_bit_identical(self, dataset, tmp_path):
         for name in ("a.bin", "b.bin"):
             assert run("train", "--manifest",

@@ -12,9 +12,11 @@ from vlac import (
     pca_project,
 )
 from vlac.core_math import (
+    _exact_pp_init,
     _fill_empty_clusters,
     _sq_dists,
     cluster_sums,
+    kmeans_pp_draws,
     nearest_centers,
 )
 from vlac.errors import (
@@ -31,9 +33,25 @@ def nearest(point, *centers):
     return int(nearest_centers([point], np.asarray(centers, dtype=float))[0])
 
 
+def reference_sq_dists(points, centers):
+    """Squared distances as first written: per chunk of ``_DIST_CHUNK`` rows,
+    ``x2 + c2 - 2 * (block @ centers.T)`` from fresh temporaries."""
+    c2 = np.einsum("ij,ij->i", centers, centers)
+    out = np.empty((points.shape[0], centers.shape[0]))
+    chunk = core_math._DIST_CHUNK
+    for start in range(0, points.shape[0], chunk):
+        block = points[start : start + chunk]
+        x2 = np.einsum("ij,ij->i", block, block)
+        out[start : start + chunk] = (
+            x2[:, None] + c2[None, :] - 2.0 * (block @ centers.T)
+        )
+    return out
+
+
 def reference_kmeans(points, k, seed, max_iter=100, tol=1e-4):
-    """kmeans_fit as first written: ``rng.choice`` k-means++ draws and one
-    masked mean per cluster. Distances and refills use the same helpers."""
+    """kmeans_fit as first written: ``rng.choice`` k-means++ draws, distances
+    from fresh temporaries and one masked mean per cluster. Refills use the
+    same helper."""
     rng = np.random.default_rng(seed)
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
@@ -50,7 +68,7 @@ def reference_kmeans(points, k, seed, max_iter=100, tol=1e-4):
         closest = np.minimum(closest, np.einsum("ij,ij->i", diff, diff))
     history, prev = [], np.inf
     for _ in range(max_iter):
-        dists = _sq_dists(points, centers)
+        dists = reference_sq_dists(points, centers)
         assign = np.argmin(dists, axis=1)
         _fill_empty_clusters(assign, dists, k)
         centers = np.stack([points[assign == j].mean(axis=0) for j in range(k)])
@@ -87,6 +105,21 @@ class TestKMeans:
         points, k, seed = case
         centers, history = reference_kmeans(points, k, seed)
         result = kmeans_fit(points, k, seed)
+        assert np.array_equal(result.centers, centers)
+        assert result.inertia_history == history
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=kmeans_cases())
+    def test_bit_identical_to_reference_across_chunks(self, case):
+        # 7-row distance chunks and 5-value residual blocks put their
+        # boundaries inside the data, so the reused work arrays are checked
+        # across chunks too
+        points, k, seed = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core_math, "_DIST_CHUNK", 7)
+            patch.setattr(core_math, "_BLOCK_VALUES", 5)
+            centers, history = reference_kmeans(points, k, seed)
+            result = kmeans_fit(points, k, seed)
         assert np.array_equal(result.centers, centers)
         assert result.inertia_history == history
 
@@ -150,6 +183,80 @@ class TestKMeans:
             assert result.seeding == "gram"
             assert np.array_equal(result.centers, centers)
             assert result.inertia_history == history
+
+    @pytest.mark.parametrize("draws", [1, 5, 64])
+    def test_uniforms_drawn_up_front_are_the_same_stream(self, draws):
+        # the lockstep seeding takes each window's uniforms with one
+        # random(k - 1) after integers(n); the direct path takes them one
+        # random() at a time
+        for seed in range(20):
+            ahead, one_by_one = (np.random.default_rng(seed) for _ in "ab")
+            assert ahead.integers(200) == one_by_one.integers(200)
+            assert (ahead.random(draws).tolist()
+                    == [one_by_one.random() for _ in range(draws)])
+
+    @pytest.mark.parametrize("gram_rows", [512, 8])
+    def test_lockstep_draws_match_each_window_alone(self, monkeypatch,
+                                                    gram_rows):
+        # five windows in lockstep, the fourth offset so that its draws
+        # cannot be certified; every window draws what the direct path
+        # draws, and what it draws alone
+        monkeypatch.setattr(core_math, "_PP_GRAM_ROWS", gram_rows)
+        rng = np.random.default_rng(40)
+        windows = [rng.normal(size=(30, 4)) * 10.0 ** (b - 2)
+                   for b in range(5)]
+        windows[3] += 1e8
+        seeds = [9 ^ b for b in range(5)]
+        together = kmeans_pp_draws(windows, 7, seeds)
+        assert [path for _, path in together] == ["gram"] * 3 + ["exact",
+                                                                 "gram"]
+        for window, seed, (idx, path) in zip(windows, seeds, together):
+            direct = _exact_pp_init(window, 7, np.random.default_rng(seed))
+            assert idx.tolist() == direct.tolist()
+            alone_idx, alone_path = kmeans_pp_draws([window], 7, [seed])[0]
+            assert alone_idx.tolist() == direct.tolist()
+            assert alone_path == path
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_draw_within_slack_of_a_cdf_step_is_not_certified(self, side):
+        # three points on a line whose weighted draw puts u * total a few
+        # ulps below (side -1) or above (side 1) the CDF step at the second
+        # point: both paths may round it to either side, so the Gram draw
+        # must not be certified
+        seed = next(s for s in range(100)
+                    if np.random.default_rng(s).integers(3) == 0)
+        rng = np.random.default_rng(seed)
+        rng.integers(3)
+        u = rng.random()
+        eps = np.finfo(np.float64).eps
+        points = np.array([[0.0], [np.sqrt(u * (1 - side * 16 * eps))],
+                           [-np.sqrt(1 - u)]])
+        cum = np.cumsum(points[:, 0] ** 2)
+        assert 0 < side * (u * cum[-1] - cum[1]) < 100 * eps
+        idx, path = kmeans_pp_draws([points], 2, [seed])[0]
+        assert path == "exact"
+        direct = _exact_pp_init(points, 2, np.random.default_rng(seed))
+        assert idx.tolist() == direct.tolist()
+
+    def test_lockstep_draws_in_blocks(self, monkeypatch):
+        # a stack bigger than the work-array budget is drawn in blocks
+        rng = np.random.default_rng(41)
+        windows = [rng.normal(size=(20, 3)) for _ in range(6)]
+        whole = kmeans_pp_draws(windows, 5, list(range(6)))
+        monkeypatch.setattr(core_math, "_PP_STACK_BYTES", 2 * 8 * 20 * 25)
+        blocks = kmeans_pp_draws(windows, 5, list(range(6)))
+        for (a, path_a), (b, path_b) in zip(whole, blocks):
+            assert a.tolist() == b.tolist() and path_a == path_b == "gram"
+
+    def test_handed_draws_give_the_same_fit(self):
+        rng = np.random.default_rng(42)
+        points = rng.normal(size=(40, 3))
+        draws = kmeans_pp_draws([points], 6, [3])[0]
+        own = kmeans_fit(points, 6, 3)
+        handed = kmeans_fit(points, 6, 3, draws=draws)
+        assert np.array_equal(own.centers, handed.centers)
+        assert own.inertia_history == handed.inertia_history
+        assert own.seeding == handed.seeding == "gram"
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(1, 80), dim=st.integers(1, 6), k=st.integers(1, 9),
@@ -239,6 +346,19 @@ class TestQuantize:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             nearest([1.0, 2.0], [0.0], [10.0])
+
+    @pytest.mark.parametrize("chunk", [7, 4096])
+    def test_chunked_distances_match_reference(self, monkeypatch, chunk):
+        monkeypatch.setattr(core_math, "_DIST_CHUNK", chunk)
+        rng = np.random.default_rng(12)
+        for n, k, dim in [(1, 1, 1), (7, 3, 2), (8, 5, 3), (50, 9, 4),
+                          (200, 64, 64)]:
+            points = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4)
+            centers = rng.normal(size=(k, dim))
+            expected = reference_sq_dists(points, centers)
+            assert np.array_equal(_sq_dists(points, centers), expected)
+            assert np.array_equal(nearest_centers(points, centers),
+                                  np.argmin(expected, axis=1))
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(5)
