@@ -312,7 +312,9 @@ def _gram_pp_draws(windows, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     positive; a total too small to certify gives the window up anyway, so
     the uniforms are drawn up front with ``random(k - 1)``. Each step then
     serves all B windows with one ``cumsum``, one counting search and one
-    ``minimum``. The cumulative sums are kept, and the certificate runs
+    ``minimum``; a single window instead takes ``searchsorted`` on its sums
+    and a view of its distance row, which costs less than the stacked
+    forms at B = 1. The cumulative sums are kept, and the certificate runs
     over every draw at once after the loop; a window whose draws went
     astray after an uncertified one is given up whole.
 
@@ -321,7 +323,9 @@ def _gram_pp_draws(windows, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     b = len(windows)
     n, dim = windows[0].shape
     eps = np.finfo(np.float64).eps
-    x2 = np.stack([_sq_norms(w) for w in windows])
+    x2 = np.empty((b, n), dtype=np.float64)
+    for w, w2 in zip(windows, x2):
+        np.einsum("ij,ij->i", w, w, out=w2)
     # the dot-product rounding bound, plus a term for underflowing products
     delta = (4 * dim + 16) * 2 * (eps * x2.max(axis=1)
                                   + np.finfo(np.float64).tiny)
@@ -331,33 +335,46 @@ def _gram_pp_draws(windows, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
         dists = np.empty((b, n, n), dtype=np.float64)
         for w, w2, d in zip(windows, x2, dists):
             _gram_dists(np.matmul(w, w.T, out=d), w2[:, None], w2)
-        every = np.arange(b)
+        if b == 1:
+            def rows(j):
+                return dists[:, j[0]]
+        else:
+            every = np.arange(b)
+
+            def rows(j):
+                return dists[every, j]
+    else:
+        row_buf = np.empty((b, n), dtype=np.float64)
 
         def rows(j):
-            return dists[every, j]
-    else:
-        def rows(j):
-            return np.stack([_gram_dists(w @ w[i], w2, w2[i])
-                             for w, w2, i in zip(windows, x2, j)])
+            for w, w2, i, r in zip(windows, x2, j, row_buf):
+                _gram_dists(np.matmul(w, w[i], out=r), w2, w2[i])
+            return row_buf
 
     idx = np.empty((k, b), dtype=np.intp)
     idx[0] = [rng.integers(n) for rng in rngs]
     uniforms = np.array([rng.random(k - 1) for rng in rngs]).T
     cum = np.empty((k - 1, b, n), dtype=np.float64)
-    target = np.empty((k - 1, b), dtype=np.float64)
-    closest = rows(idx[0])
-    for c, t, u, j in zip(cum, target, uniforms, idx[1:]):
+    closest = rows(idx[0]).copy()
+    for c, u, j in zip(cum, uniforms, idx[1:]):
         np.add.accumulate(closest, axis=1, out=c)
-        np.multiply(u, c[:, -1], out=t)
-        # searchsorted(side="right") on the ascending sums, capped at n - 1
-        np.add.reduce(c[:, :-1] <= t[:, None], axis=1, out=j)
+        # searchsorted(side="right") of u * total on the ascending sums,
+        # capped at n - 1; one window searches its row, a stack counts
+        if b == 1:
+            j[0] = c[0, :-1].searchsorted(u[0] * c[0, -1], side="right")
+        else:
+            np.add.reduce(c[:, :-1] <= (u * c[:, -1])[:, None], axis=1,
+                          out=j)
         np.minimum(closest, rows(j), out=closest)
 
     total = cum[:, :, -1]
-    drawn = idx[1:, :, None]
-    below = np.take_along_axis(cum, np.maximum(drawn - 1, 0), axis=2)[..., 0]
-    above = np.take_along_axis(cum, drawn, axis=2)[..., 0]
-    drawn = drawn[..., 0]
+    target = uniforms * total
+    drawn = idx[1:]
+    # flat positions of the drawn sums; a first-row draw has no sum below,
+    # and the mask below ignores what its position - 1 reads
+    at = drawn + np.arange(0, cum.size, n).reshape(k - 1, b)
+    below = cum.take(at - 1)
+    above = cum.take(at)
     slack = 3.0 * err + 8.0 * (n + 2) * eps * total
     certified = (
         (total > 4.0 * err)
@@ -425,9 +442,12 @@ def kmeans_fit(
     loop against a rounding-error bound, with a rerun on direct distances
     when a draw cannot be certified. The drawn indices are always those of
     the direct path, and the codebook records which path ran as
-    ``seeding``. ``draws``, when given, is what :func:`kmeans_pp_draws`
-    returned for these points, ``k`` and ``seed``, drawn ahead together
-    with other windows; the fit is then the one it would draw itself.
+    ``seeding``. ``draws``, when given, replaces that seeding: the fit
+    starts from those indices and records that path. Only their shape,
+    range and path are checked, so the fit is the one ``seed`` gives only
+    when ``draws`` is what :func:`kmeans_pp_draws` returned for these
+    points, ``k`` and ``seed``, as when a caller draws a stack of windows
+    ahead together.
     Stops when an iteration lowers the inertia by at most ``_KMEANS_TOL``
     of its previous value, or after ``_KMEANS_MAX_ITER`` iterations. Empty
     clusters are refilled with the point currently farthest from its
@@ -449,6 +469,8 @@ def kmeans_fit(
         EmptyInput: no points were given.
         KTooLarge: k exceeds the number of points.
         DimensionMismatch: points have inconsistent dimensions.
+        ValueError: k < 1, or ``draws`` are not k row indices of
+            ``points`` with the path "gram" or "exact".
     """
     pts = _as_points(points)
     if pts.shape[0] == 0:
@@ -462,6 +484,15 @@ def kmeans_fit(
     if draws is None:
         draws = kmeans_pp_draws([pts], k, [seed])[0]
     idx, seeding = draws
+    idx = np.asarray(idx)
+    if (idx.shape != (k,) or idx.dtype.kind not in "iu"
+            or seeding not in ("gram", "exact")
+            or idx.min() < 0 or idx.max() >= pts.shape[0]):
+        raise ValueError(
+            f"draws must be {k} row indices in [0, {pts.shape[0]}) and a "
+            f"path 'gram' or 'exact', got shape {idx.shape} of "
+            f"{idx.dtype} and path {seeding!r}"
+        )
     centers = pts[idx]
 
     # work arrays of the whole fit, reused by every iteration

@@ -258,6 +258,19 @@ class TestKMeans:
         assert own.inertia_history == handed.inertia_history
         assert own.seeding == handed.seeding == "gram"
 
+    @pytest.mark.parametrize("draws", [
+        (np.arange(5), "gram"),             # one index short
+        (np.arange(7), "gram"),             # one index too many
+        (np.array([0, 1, 2, 3, 4, 40]), "gram"),  # a row past the end
+        (np.array([-1, 1, 2, 3, 4, 5]), "exact"),  # a negative row
+        (np.arange(6.0), "gram"),           # not integers
+        (np.arange(6), "direct"),           # an unknown path
+    ])
+    def test_handed_draws_are_checked(self, draws):
+        points = np.random.default_rng(43).normal(size=(40, 3))
+        with pytest.raises(ValueError, match="draws must be"):
+            kmeans_fit(points, 6, 3, draws=draws)
+
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(1, 80), dim=st.integers(1, 6), k=st.integers(1, 9),
            seed=st.integers(0, 2**32 - 1))
