@@ -323,9 +323,7 @@ def _gram_pp_draws(windows, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     b = len(windows)
     n, dim = windows[0].shape
     eps = np.finfo(np.float64).eps
-    x2 = np.empty((b, n), dtype=np.float64)
-    for w, w2 in zip(windows, x2):
-        np.einsum("ij,ij->i", w, w, out=w2)
+    x2 = np.stack([_sq_norms(w) for w in windows])
     # the dot-product rounding bound, plus a term for underflowing products
     delta = (4 * dim + 16) * 2 * (eps * x2.max(axis=1)
                                   + np.finfo(np.float64).tiny)
@@ -370,8 +368,8 @@ def _gram_pp_draws(windows, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     total = cum[:, :, -1]
     target = uniforms * total
     drawn = idx[1:]
-    # flat positions of the drawn sums; a first-row draw has no sum below,
-    # and the mask below ignores what its position - 1 reads
+    # flat positions of the drawn sums; a draw of row 0 has no sum below
+    # it, and the certificate ignores what its position - 1 reads
     at = drawn + np.arange(0, cum.size, n).reshape(k - 1, b)
     below = cum.take(at - 1)
     above = cum.take(at)
@@ -482,17 +480,17 @@ def kmeans_fit(
     _check_finite(pts, "points")
 
     if draws is None:
-        draws = kmeans_pp_draws([pts], k, [seed])[0]
-    idx, seeding = draws
-    idx = np.asarray(idx)
-    if (idx.shape != (k,) or idx.dtype.kind not in "iu"
-            or seeding not in ("gram", "exact")
-            or idx.min() < 0 or idx.max() >= pts.shape[0]):
-        raise ValueError(
-            f"draws must be {k} row indices in [0, {pts.shape[0]}) and a "
-            f"path 'gram' or 'exact', got shape {idx.shape} of "
-            f"{idx.dtype} and path {seeding!r}"
-        )
+        idx, seeding = kmeans_pp_draws([pts], k, [seed])[0]
+    else:
+        idx, seeding = np.asarray(draws[0]), draws[1]
+        if (idx.shape != (k,) or idx.dtype.kind not in "iu"
+                or seeding not in ("gram", "exact")
+                or idx.min() < 0 or idx.max() >= pts.shape[0]):
+            raise ValueError(
+                f"draws must be {k} row indices in [0, {pts.shape[0]}) and "
+                f"a path 'gram' or 'exact', got shape {idx.shape} of "
+                f"{idx.dtype} and path {seeding!r}"
+            )
     centers = pts[idx]
 
     # work arrays of the whole fit, reused by every iteration
