@@ -14,8 +14,10 @@ method, one window per GoF: over the features (VLAD), over the stacked
 window LFCs (VLAC), or over the frame VLAD rows projected once to d0 dims
 (hyper-pooling); the per-frame VLAD rows are one window per frame. It then
 projects all windows' raw vectors onto the basis in one product.
-:func:`vlac_encode` and :func:`hp_encode` are the one-window forms that
-training uses, and :func:`vlad_encode` is VLAD's one-window form. VLAC is the VLAD kernel applied to
+:func:`vlac_encode` is the one-window form that VLAC training uses,
+:func:`hp_encode` the one-window form whose steps hyper-pooling training
+repeats on its centered frame rows, and :func:`vlad_encode` is VLAD's
+one-window form. VLAC is the VLAD kernel applied to
 per-window local feature centers (LFCs) instead of raw features, so
 ``vlac_encode(lfcs, c)`` equals ``vlad_encode(lfcs.centers, c)`` element
 for element; :func:`_window_lfcs` is the one place that fits a video's
@@ -27,7 +29,13 @@ NumPy vector, and :func:`encode_video` a (G, d) matrix.
 
 Each trainer takes the training videos and one :class:`ModelParams`,
 cuts the windows itself, and the field metadata records which method
-reads which field.
+reads which field. A trainer holds each training matrix once: it drops
+its pooled features as soon as the codebook is fit, and every basis fit
+L2-normalizes (with ``normalize``) and centers the rows built for it in
+place (``pca_fit(..., overwrite_rows=True)``) instead of copying them.
+Hyper-pooling then projects its centered frame rows with a plain product,
+each training window on its own exactly as :func:`hp_encode` projects it,
+so training gives the bits of the one-window path.
 
 A model file (``VLACMODL``) holds the magic, version (u16), method tag
 (u8) and one u32 per :class:`ModelParams` field in field order, then the
@@ -387,17 +395,24 @@ def _window_lfcs(video: Video, params: ModelParams) -> list[Codebook]:
             for w, s, d in zip(windows, seeds, draws)]
 
 
-def _l2_normalize(x: np.ndarray) -> np.ndarray:
+def _l2_normalize(x: np.ndarray, *, out: np.ndarray | None = None
+                  ) -> np.ndarray:
     """``x`` scaled to unit L2 norm along its last axis (a vector, or each
-    row of a matrix); zero vectors stay zero."""
+    row of a matrix); zero vectors stay zero. Written into ``out`` if given."""
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    return x / np.where(norms > 0, norms, 1.0)
+    return np.divide(x, np.where(norms > 0, norms, 1.0), out=out)
 
 
 def _fit_basis(rows: np.ndarray, d: int, normalize: bool) -> ProjectionBasis:
     """The d-dim compaction basis over training rows, L2-normalized first
-    when ``normalize`` is set."""
-    return pca_fit(_l2_normalize(rows) if normalize else rows, d)
+    when ``normalize`` is set.
+
+    ``rows`` must be a float64 matrix the caller built for this fit: it is
+    normalized and centered in place.
+    """
+    if normalize:
+        _l2_normalize(rows, out=rows)
+    return pca_fit(rows, d, overwrite_rows=True)
 
 
 def train_vlad(videos, params: ModelParams) -> TrainedModel:
@@ -413,6 +428,7 @@ def train_vlad(videos, params: ModelParams) -> TrainedModel:
         raise DataError("train_vlad requires at least one training video")
     pooled = np.concatenate([v.features for v in videos])
     codebook = kmeans_fit(pooled, params.j, params.seed)
+    del pooled
     rows = np.concatenate([_frame_vlads(v, codebook) for v in videos])
     basis = _fit_basis(rows, params.d, params.normalize)
     return TrainedModel(
@@ -492,13 +508,17 @@ def train_hp(videos, params: ModelParams) -> TrainedModel:
         for v, ss in zip(videos, starts) for s in ss
     ])
     first_codebook = kmeans_fit(pooled, params.alpha1, params.seed)
+    del pooled
     # the frames of each window in order, g rows per window
     frame_rows = np.concatenate([
         _frame_vlads(v, first_codebook)[np.add.outer(ss, np.arange(g)).ravel()]
         for v, ss in zip(videos, starts) if ss
     ])
-    first_basis = pca_fit(frame_rows, d0)
-    projected = pca_project(first_basis, frame_rows)
+    # the fit centers frame_rows in place, so a plain product projects them,
+    # bit for bit as pca_project would
+    first_basis = pca_fit(frame_rows, d0, overwrite_rows=True)
+    to_d0 = first_basis.rows.T
+    projected = frame_rows @ to_d0
 
     second_seed = params.seed ^ _HP_SECOND_STAGE_SALT
     head = kmeans_fit(projected[:, :h], alpha2, second_seed)
@@ -510,8 +530,10 @@ def train_hp(videos, params: ModelParams) -> TrainedModel:
     full_centers[counts == 0, :h] = head.centers[counts == 0]
     second_codebook = replace(head, centers=full_centers)
 
+    # each window projected on its own, as hp_encode projects it
     rows = np.stack([
-        hp_encode(frame_rows[r : r + g], first_basis, second_codebook, h)
+        _residual_sums(frame_rows[r : r + g] @ to_d0, second_codebook.centers,
+                       [(0, g)], assign_dims=h)[0]
         for r in range(0, frame_rows.shape[0], g)
     ])
     basis = _fit_basis(rows, params.d, params.normalize)

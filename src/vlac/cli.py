@@ -2,12 +2,15 @@
 
 Every command is reproducible under a fixed seed and emits structured logs
 (one JSON object per line) on stdout; each command's events carry
-``duration_s``, the seconds the command (for ``stability``, the method)
-took. Exit codes: 0 success, 2 data or usage error (``DataError``,
-``ValueError``, ``OSError``, bad JSON), 3 numeric failure (numpy's
-``LinAlgError`` or ``FloatingPointError``). Commands overwrite their own
-output files so reruns are idempotent, and every output file is written
-all-or-nothing: a failed command leaves an existing file unchanged.
+``duration_s``, the seconds the command (for ``stability``, the method,
+after the one perturbation all methods share) took; the ``trained`` and
+``stability`` events also carry ``peak_rss_mb``, the process's resident
+memory high-water mark so far. Exit codes: 0 success, 2 data or usage
+error (``DataError``, ``ValueError``, ``OSError``, bad JSON), 3 numeric
+failure (numpy's ``LinAlgError`` or ``FloatingPointError``). Commands
+overwrite their own output files so reruns are idempotent, and every
+output file is written all-or-nothing: a failed command leaves an
+existing file unchanged.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import csv
 import json
 import math
+import resource
 import sys
 import time
 from dataclasses import fields, replace
@@ -77,6 +81,11 @@ _SETTABLE = tuple(field for field in fields(ModelParams) if field.name != "f")
 
 def _log(event: str, **extra) -> None:
     print(json.dumps({"event": event, **extra}, sort_keys=True), flush=True)
+
+
+def _peak_rss_mb() -> float:
+    """The process's resident-memory high-water mark so far, in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def load_config(args, feature_dim: int) -> ModelParams:
@@ -202,6 +211,7 @@ def cmd_train(args) -> int:
         codebooks=codebooks,
         lfc_fits=model.lfc_fits,
         f32_error=f32_error,
+        peak_rss_mb=_peak_rss_mb(),
         duration_s=time.perf_counter() - start,
     )
     return 0
@@ -339,16 +349,17 @@ def cmd_stability(args) -> int:
     spec = PerturbationSpec(
         kind=args.kind, magnitude=args.magnitude, seed=args.perturb_seed
     )
+    noisy_videos = perturb_videos(videos, spec)
     methods = list(STABILITY_METHODS) if args.method == "all" else [args.method]
     rows = []
     for method in methods:
         start = time.perf_counter()
-        clean, noisy = stability_bases(videos, spec, method, params)
+        clean, noisy = stability_bases(videos, noisy_videos, method, params)
         raw = basis_alignment_score(clean, noisy)
         aligned = sign_aligned_alignment_score(clean, noisy)
         rows.append((method, params.d, raw, aligned))
         _log("stability", method=method, d=params.d, score_raw=raw,
-             score_sign_aligned=aligned,
+             score_sign_aligned=aligned, peak_rss_mb=_peak_rss_mb(),
              duration_s=time.perf_counter() - start)
     write_csv(args.out, ("method", "D", "score_raw", "score_sign_aligned"),
               rows)

@@ -561,7 +561,9 @@ def _gram_solve(centered: np.ndarray, d: int):
     return eigenvalues, vecs
 
 
-def pca_fit(rows, d: int, method: str = "auto") -> ProjectionBasis:
+def pca_fit(
+    rows, d: int, method: str = "auto", *, overwrite_rows: bool = False
+) -> ProjectionBasis:
     """Fit the top-``d`` principal directions of ``rows``.
 
     The column-wise mean is subtracted and recorded on the basis. With
@@ -578,10 +580,17 @@ def pca_fit(rows, d: int, method: str = "auto") -> ProjectionBasis:
     reproducible. The basis records the solver that ran and the fraction
     of the total variance the kept directions hold.
 
+    By default ``rows`` is never written. With ``overwrite_rows`` set, the
+    fit centers ``rows`` in place instead of copying it: a C-contiguous
+    float64 ``rows`` holds ``rows - basis.mean`` afterwards, and any other
+    input is converted to a new array first and left unchanged. The basis
+    is bit for bit the same either way.
+
     Args:
         rows: (n, dim) array or sequence of equal-length vectors, n >= 2.
         d: directions to keep, 1 <= d <= min(n, dim).
         method: "auto", "eig" or "svd".
+        overwrite_rows: let the fit center ``rows`` in place.
 
     Returns:
         A :class:`ProjectionBasis` with d orthonormal rows.
@@ -603,7 +612,10 @@ def pca_fit(rows, d: int, method: str = "auto") -> ProjectionBasis:
     _check_finite(mat, "rows")
 
     mean = mat.mean(axis=0)
-    centered = mat - mean
+    if overwrite_rows:
+        centered = np.subtract(mat, mean, out=mat)
+    else:
+        centered = mat - mean
     solved = None
     if method == "auto" and n < dim:
         solved = _gram_solve(centered, d)

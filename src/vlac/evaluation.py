@@ -28,7 +28,7 @@ from .aggregation import (
 from .core_math import ProjectionBasis, pca_fit
 from .errors import DataError, NoRelevant
 from .fileio import atomic_write, write_csv
-from .ingestion import PerturbationSpec, QueryManifest, perturb_videos
+from .ingestion import QueryManifest
 
 METHOD_SIFT_DIRECT = "sift"
 STABILITY_METHODS = (METHOD_VLAD, METHOD_HP, METHOD_VLAC, METHOD_SIFT_DIRECT)
@@ -211,24 +211,25 @@ def sign_aligned_alignment_score(a: ProjectionBasis, b: ProjectionBasis) -> floa
 
 def _train_basis(videos, method: str, params: ModelParams) -> ProjectionBasis:
     if method == METHOD_SIFT_DIRECT:
-        return pca_fit(np.concatenate([v.features for v in videos]), params.d)
+        return pca_fit(np.concatenate([v.features for v in videos]), params.d,
+                       overwrite_rows=True)
     return train(method, videos, params).basis
 
 
 def stability_bases(
     videos,
-    perturbation: PerturbationSpec,
+    noisy,
     method: str,
     params: ModelParams,
 ) -> tuple[ProjectionBasis, ProjectionBasis]:
     """Final compaction bases of the clean and the perturbed pipeline.
 
-    ``method`` is one of vlad/vlac/hp/sift; sift fits PCA directly on the
-    raw feature vectors. Deterministic under the seeds in ``params`` and
-    ``perturbation``; with zero magnitude both bases are equal, so
+    ``noisy`` is ``videos`` after ``ingestion.perturb_videos``, made once and
+    shared by every method. ``method`` is one of vlad/vlac/hp/sift; sift
+    fits PCA directly on the raw feature vectors. Deterministic under the
+    seeds in ``params``; with zero-magnitude noise both bases are equal, so
     ``basis_alignment_score`` of the pair is d.
     """
-    noisy = perturb_videos(videos, perturbation)
     return (
         _train_basis(videos, method, params),
         _train_basis(noisy, method, params),

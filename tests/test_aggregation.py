@@ -31,8 +31,15 @@ from vlac import (
 from dataclasses import replace
 
 from vlac import core_math
-from vlac.aggregation import _model_arrays, _residual_sums, _window_lfcs
-from vlac.core_math import ProjectionBasis, nearest_centers
+from vlac.aggregation import (
+    _HP_SECOND_STAGE_SALT,
+    _frame_vlads,
+    _model_arrays,
+    _residual_sums,
+    _window_lfcs,
+)
+from vlac.core_math import ProjectionBasis, cluster_sums, nearest_centers
+from vlac.ingestion import synthesize_videos
 from vlac.errors import (
     DataError,
     DimensionMismatch,
@@ -578,6 +585,57 @@ class TestHyperPooling:
         # with quantization, i.e. every training window encodes cleanly
         raw = self.encode(model, *frames_of(video)[:3])
         assert raw.shape == (3 * 6,)
+
+
+class TestTrainHpReference:
+    """``train_hp`` against the public one-window path, bit for bit."""
+
+    @staticmethod
+    def same(got, want):
+        return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_matches_one_window_path(self, normalize):
+        # the stability workload's data and model dims: every fit is tall
+        videos = synthesize_videos(20, 60, 32, 32, 17,
+                                   features_per_frame=20).videos
+        p = params(alpha1=32, d0=32, alpha2=8, h=16, d=32, gof_size=5,
+                   overlap=1, seed=4, normalize=normalize)
+        model = train_hp(videos, p)
+        g, h = p.gof_size, p.h
+
+        frame_rows = np.concatenate([
+            _frame_vlads(v, model.codebook)[s : s + g]
+            for v in videos for s in split_gofs(v, g, p.overlap)
+        ])
+        first = pca_fit(frame_rows.copy(), p.d0)
+        assert first.solver == model.hp_first_basis.solver == "eig"
+        for name in ("rows", "mean", "eigenvalues"):
+            assert self.same(getattr(model.hp_first_basis, name),
+                             getattr(first, name)), name
+
+        projected = pca_project(first, frame_rows)
+        head = kmeans_fit(projected[:, :h], p.alpha2,
+                          p.seed ^ _HP_SECOND_STAGE_SALT)
+        labels = nearest_centers(projected[:, :h], head.centers)
+        counts = np.bincount(labels, minlength=p.alpha2)
+        centers = (cluster_sums(projected, labels, p.alpha2)
+                   / np.maximum(counts, 1)[:, None])
+        centers[counts == 0, :h] = head.centers[counts == 0]
+        assert self.same(model.hp_second_codebook.centers, centers)
+
+        rows = np.stack([
+            hp_encode(frame_rows[r : r + g], first,
+                      model.hp_second_codebook, h)
+            for r in range(0, len(frame_rows), g)
+        ])
+        if normalize:
+            rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        final = pca_fit(rows, p.d)
+        assert final.solver == model.basis.solver == "eig"
+        for name in ("rows", "mean", "eigenvalues"):
+            assert self.same(getattr(model.basis, name),
+                             getattr(final, name)), name
 
 
 class TestEncodeVideo:

@@ -122,6 +122,16 @@ class TestTrain:
         for method in ("vlad", "vlac", "hp"):
             assert (trained / f"{method}.bin").stat().st_size > 0
 
+    def test_pinned_models(self, trained):
+        """The model file ``vlac train`` writes per method for SYNTH and
+        PARAMS (which set --normalize), by sha256."""
+        expected = {
+            "vlad": "eb4107f246054c2dc77a77867182d84db50fc9a4f11d5e64ad4c863c6e4ef164",
+            "vlac": "1bcea16390f897e5eeb026d55ad5f88e528731d78bb2968e996fb045de838af9",
+            "hp": "4efbc2d89277d28c12143514bfe383147f22da21b843d1be081441b03b903fd5",
+        }
+        assert {m: digest(trained / f"{m}.bin") for m in expected} == expected
+
     @pytest.mark.parametrize("method,extra,solvers", [
         ("hp", [], {"hp_first_basis": "eig", "basis": "eig"}),
         # 160 training frames of 32 x 8 VLAD dims: a wide fit
@@ -528,6 +538,17 @@ class TestStabilityCommand:
             assert abs(float(row["score_raw"]) - 4.0) <= 1e-6
             assert abs(float(row["score_sign_aligned"]) - 4.0) <= 1e-6
 
+    def test_pinned_output(self, dataset, tmp_path):
+        """The CSV ``vlac stability`` writes for SYNTH and PARAMS at
+        magnitude 0.5, by sha256."""
+        out = tmp_path / "stab.csv"
+        assert run("stability", "--manifest",
+                   dataset / "train" / "manifest.json",
+                   "--method", "all", "--kind", "additive_gaussian",
+                   "--magnitude", "0.5", "--out", out, *PARAMS) == 0
+        assert digest(out) == (
+            "7fe3e3a3de92284d0ef33b3c64ff302e7bc38247ca0713be0d6fb679bf5ee9aa")
+
 
 class TestEvents:
     def test_every_command_reports_duration(self, dataset, stores, tmp_path,
@@ -556,6 +577,13 @@ class TestEvents:
             "stability", "stability", "stability", "stability"]
         for event in events:
             assert event["duration_s"] > 0.0, event["event"]
+        # the process high-water mark: positive, and never falling
+        peaks = [e["peak_rss_mb"] for e in events
+                 if e["event"] in ("trained", "stability")]
+        assert len(peaks) == 5
+        assert 0.0 < peaks[0] and peaks == sorted(peaks)
+        assert all("peak_rss_mb" not in e for e in events
+                   if e["event"] not in ("trained", "stability"))
 
 
     def test_search_reports_latency_and_margin(self, stores, tmp_path,

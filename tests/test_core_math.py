@@ -495,6 +495,53 @@ class TestPCA:
             pca_fit(np.ones((4, 3)), 4)
 
 
+class TestPCAOwnership:
+    """``pca_fit`` writes to its input only with ``overwrite_rows`` set, and
+    the basis does not depend on whether it did."""
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(8)
+        rank_two = rng.normal(size=(10, 2)) @ rng.normal(size=(2, 50))
+        return [
+            ("gram", rng.normal(size=(12, 40)), "auto"),
+            ("eig", rng.normal(size=(40, 12)), "auto"),
+            ("svd", rng.normal(size=(40, 12)), "svd"),
+            # wide but rank-deficient: the Gram path falls back to eig
+            ("eig", rank_two + 1e-6 * rng.normal(size=rank_two.shape), "auto"),
+        ]
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_default_leaves_rows_unchanged(self, case):
+        solver, rows, method = self.inputs()[case]
+        before = rows.tobytes()
+        basis = pca_fit(rows, 4, method)
+        assert basis.solver == solver
+        assert rows.tobytes() == before
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_overwrite_gives_the_same_basis(self, case):
+        solver, rows, method = self.inputs()[case]
+        kept = pca_fit(rows, 4, method)
+        owned = rows.copy()
+        basis = pca_fit(owned, 4, method, overwrite_rows=True)
+        assert basis.solver == kept.solver == solver
+        for name in ("rows", "mean", "eigenvalues"):
+            got, want = getattr(basis, name), getattr(kept, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+        assert basis.retained_variance == kept.retained_variance
+        # the caller's matrix now holds the centered rows
+        assert owned.tobytes() == (rows - kept.mean).tobytes()
+
+    def test_overwrite_converts_other_inputs_first(self):
+        rows = np.random.default_rng(9).normal(size=(12, 5)).astype(np.float32)
+        before = rows.tobytes()
+        basis = pca_fit(rows, 3, overwrite_rows=True)
+        assert rows.tobytes() == before
+        assert basis.rows.tobytes() == pca_fit(rows, 3).rows.tobytes()
+
+
 class TestProjection:
     def test_mean_projects_to_zero(self):
         rng = np.random.default_rng(4)

@@ -9,6 +9,7 @@ from vlac import (
     PerturbationSpec,
     average_precision,
     mean_average_precision,
+    perturb_videos,
     pr_curve,
     basis_alignment_score,
     sign_aligned_alignment_score,
@@ -213,7 +214,9 @@ def videos():
 
 def stability_score(videos, spec, method, params):
     """Raw alignment of the clean and the perturbed final basis."""
-    return basis_alignment_score(*stability_bases(videos, spec, method, params))
+    noisy = perturb_videos(videos, spec)
+    return basis_alignment_score(*stability_bases(videos, noisy, method,
+                                                  params))
 
 
 class TestStabilityExperiment:
@@ -244,14 +247,16 @@ class TestStabilityExperiment:
 
     def test_bases_exposed_for_both_score_views(self, videos):
         spec = PerturbationSpec(kind="additive_gaussian", magnitude=0.5, seed=9)
-        clean, noisy = stability_bases(videos, spec, "sift", desk_params(d=3))
+        clean, noisy = stability_bases(videos, perturb_videos(videos, spec),
+                                       "sift", desk_params(d=3))
         raw = basis_alignment_score(clean, noisy)
         aligned = sign_aligned_alignment_score(clean, noisy)
         assert aligned >= raw - 1e-12
 
     def test_sift_direct_matches_plain_pca(self, videos):
         spec = PerturbationSpec(kind="additive_gaussian", magnitude=0.0, seed=1)
-        clean, _ = stability_bases(videos, spec, "sift", desk_params(d=4))
+        clean, _ = stability_bases(videos, perturb_videos(videos, spec),
+                                   "sift", desk_params(d=4))
         pooled = np.concatenate([video.features for video in videos])
         expected = pca_fit(pooled, 4)
         assert np.array_equal(clean.rows, expected.rows)
