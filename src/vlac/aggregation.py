@@ -395,8 +395,9 @@ def _window_lfcs(video: Video, params: ModelParams) -> list[Codebook]:
             for w, s, d in zip(windows, seeds, draws)]
 
 
-def _l2_normalize(x: np.ndarray, *, out: np.ndarray | None = None
-                  ) -> np.ndarray:
+def _l2_normalize(
+    x: np.ndarray, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """``x`` scaled to unit L2 norm along its last axis (a vector, or each
     row of a matrix); zero vectors stay zero. Written into ``out`` if given."""
     norms = np.linalg.norm(x, axis=-1, keepdims=True)

@@ -582,8 +582,6 @@ class TestEvents:
                  if e["event"] in ("trained", "stability")]
         assert len(peaks) == 5
         assert 0.0 < peaks[0] and peaks == sorted(peaks)
-        assert all("peak_rss_mb" not in e for e in events
-                   if e["event"] not in ("trained", "stability"))
 
 
     def test_search_reports_latency_and_margin(self, stores, tmp_path,
