@@ -14,10 +14,12 @@ method, one window per GoF: over the features (VLAD), over the stacked
 window LFCs (VLAC), or over the frame VLAD rows projected once to d0 dims
 (hyper-pooling); the per-frame VLAD rows are one window per frame. It then
 projects all windows' raw vectors onto the basis in one product.
-:func:`vlac_encode` is the one-window form that VLAC training uses,
-:func:`hp_encode` the one-window form whose steps hyper-pooling training
-repeats on its centered frame rows, and :func:`vlad_encode` is VLAD's
-one-window form. VLAC is the VLAD kernel applied to
+VLAC training shares that encode kernel: :func:`_vlac_rows` stacks the
+window LFCs of every training video and sums them in one call, as it
+does for one video's windows at encode time. :func:`vlac_encode`,
+:func:`vlad_encode` and :func:`hp_encode` are the public one-window forms
+of the three methods; hyper-pooling training repeats :func:`hp_encode`'s
+steps on its centered frame rows. VLAC is the VLAD kernel applied to
 per-window local feature centers (LFCs) instead of raw features, so
 ``vlac_encode(lfcs, c)`` equals ``vlad_encode(lfcs.centers, c)`` element
 for element; :func:`_window_lfcs` is the one place that fits a video's
@@ -296,6 +298,23 @@ def vlac_encode(lfcs: Codebook, clfc: Codebook) -> np.ndarray:
     return _residual_sums(lfcs.centers, clfc.centers, [(0, lfcs.k)])[0]
 
 
+def _vlac_rows(lfcs, clfc: Codebook, dim: int) -> np.ndarray:
+    """The VLAC vector of every window from its LFCs, a (W, M * dim) matrix.
+
+    The windows' LFCs are stacked in order and summed in one
+    :func:`_residual_sums` call, one window each; row ``w`` is bit-equal to
+    ``vlac_encode(lfcs[w], clfc)``. Without windows the stack is an empty
+    (0, ``dim``) matrix, which the kernel still checks against the CLFC
+    dimension.
+    """
+    counts = np.array([cb.k for cb in lfcs], dtype=np.int64)
+    ends = np.cumsum(counts)
+    points = (np.concatenate([cb.centers for cb in lfcs]) if lfcs
+              else np.empty((0, dim)))
+    return _residual_sums(points, clfc.centers,
+                          np.column_stack((ends - counts, ends)))
+
+
 def _frame_vlads(video: Video, codebook: Codebook) -> np.ndarray:
     """The VLAD vector of every frame of ``video``, an (F, k * dim) matrix.
 
@@ -475,7 +494,7 @@ def train_vlac(videos, params: ModelParams) -> TrainedModel:
     """
     params = params.for_method(METHOD_VLAC)
     clfc, lfcs = fit_clfcs(videos, params)
-    rows = np.stack([vlac_encode(cb, clfc) for cb in lfcs])
+    rows = _vlac_rows(lfcs, clfc, clfc.dim)
     basis = _fit_basis(rows, params.d, params.normalize)
     return TrainedModel(
         method=METHOD_VLAC,
@@ -572,12 +591,7 @@ def _encode_windows(video: Video, model: TrainedModel) -> np.ndarray:
     """
     p = model.params
     if model.method == METHOD_VLAC:
-        lfcs = [cb.centers for cb in _window_lfcs(video, p)]
-        counts = np.array([len(c) for c in lfcs], dtype=np.int64)
-        ends = np.cumsum(counts)
-        points = np.concatenate(lfcs) if lfcs else np.empty((0, video.dim))
-        return _residual_sums(points, model.codebook.centers,
-                              np.column_stack((ends - counts, ends)))
+        return _vlac_rows(_window_lfcs(video, p), model.codebook, video.dim)
     starts = np.array(split_gofs(video, p.gof_size, p.overlap), dtype=np.int64)
     if model.method == METHOD_VLAD:
         windows = np.column_stack((video.offsets[starts],

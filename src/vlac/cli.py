@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--out", required=True)
     mode = search.add_mutually_exclusive_group()
     mode.add_argument("--threshold", type=float)
-    mode.add_argument("--top-k", type=_non_negative, default=None,
+    mode.add_argument("--top-k", type=_non_negative, default=0,
                       help="0 ranks the whole store (default)")
     search.add_argument("--normalize-by-length", action="store_true")
     search.add_argument("--strict-alignment", action="store_true",
@@ -484,8 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "search" and args.threshold is None and args.top_k is None:
-        args.top_k = 0
     try:
         return args.func(args)
     except (DataError, ValueError, OSError, json.JSONDecodeError) as exc:

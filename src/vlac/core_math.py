@@ -535,6 +535,14 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs * signs[:, None]
 
 
+def _top_eigenpairs(sym: np.ndarray, d: int):
+    """The ``d`` largest eigenvalues of the symmetric ``sym``, descending
+    (ties in ``eigh``'s order), and their unit eigenvectors as rows."""
+    evals, evecs = np.linalg.eigh(sym)
+    order = np.argsort(-evals, kind="stable")[:d]
+    return evals[order], evecs[:, order].T
+
+
 def _gram_solve(centered: np.ndarray, d: int):
     """Top-``d`` eigenpairs of the covariance through the n x n Gram matrix.
 
@@ -548,37 +556,33 @@ def _gram_solve(centered: np.ndarray, d: int):
     ``_GRAM_ORTHO_TOL``.
     """
     n = centered.shape[0]
-    evals, evecs = np.linalg.eigh(centered @ centered.T / (n - 1))
-    order = np.argsort(-evals, kind="stable")[:d]
-    eigenvalues = evals[order]
+    eigenvalues, snapshots = _top_eigenpairs(centered @ centered.T / (n - 1), d)
     floor = n * np.finfo(np.float64).eps * eigenvalues[0]
     if eigenvalues[-1] <= 0.0 or eigenvalues[-1] <= floor:
         return None
-    vecs = evecs[:, order].T @ centered
+    vecs = snapshots @ centered
     vecs /= np.sqrt((n - 1) * eigenvalues)[:, None]
     if np.abs(vecs @ vecs.T - np.eye(d)).max() > _GRAM_ORTHO_TOL:
         return None
     return eigenvalues, vecs
 
 
-def pca_fit(
-    rows, d: int, method: str = "auto", *, overwrite_rows: bool = False
-) -> ProjectionBasis:
+def pca_fit(rows, d: int, *, overwrite_rows: bool = False) -> ProjectionBasis:
     """Fit the top-``d`` principal directions of ``rows``.
 
-    The column-wise mean is subtracted and recorded on the basis. With
-    ``method="auto"`` the input shape picks the solver. Wide inputs (fewer
-    rows than columns) use the eigendecomposition of the n x n Gram matrix,
-    mapped back to the input space (the snapshot method). Other inputs use
-    a covariance eigendecomposition up to width 4096 and a thin SVD of the
-    centered matrix above it. If a kept Gram eigenvalue is too small to
-    divide by, or the mapped rows are not orthonormal to 1e-9 (rank-deficient
-    or nearly rank-deficient data), the fit falls back to that covariance/SVD
-    rule within the same call. ``method`` ("eig" or "svd") forces a path.
-    All paths agree within 1e-5 on well-conditioned data. Eigenvector signs
-    follow the largest-magnitude-component-positive rule so fits are
-    reproducible. The basis records the solver that ran and the fraction
-    of the total variance the kept directions hold.
+    The column-wise mean is subtracted and recorded on the basis. The input
+    shape picks the solver. A wide input (fewer rows than columns) goes
+    through the eigendecomposition of the n x n Gram matrix, mapped back to
+    the input space (the snapshot method). A tall input goes through the
+    eigendecomposition of the covariance up to width ``_EIG_MAX_DIM`` (4096)
+    and a thin SVD of the centered matrix above it. A wide input takes that
+    tall rule too, within the same call, when a kept Gram eigenvalue is too
+    small to divide by or the mapped rows are not orthonormal to 1e-9
+    (rank-deficient or nearly rank-deficient data). All paths agree within
+    1e-5 on well-conditioned data. Eigenvector signs follow the
+    largest-magnitude-component-positive rule so fits are reproducible. The
+    basis records the solver that ran ("gram", "eig" or "svd") and the
+    fraction of the total variance the kept directions hold.
 
     By default ``rows`` is never written. With ``overwrite_rows`` set, the
     fit centers ``rows`` in place instead of copying it: a C-contiguous
@@ -589,7 +593,6 @@ def pca_fit(
     Args:
         rows: (n, dim) array or sequence of equal-length vectors, n >= 2.
         d: directions to keep, 1 <= d <= min(n, dim).
-        method: "auto", "eig" or "svd".
         overwrite_rows: let the fit center ``rows`` in place.
 
     Returns:
@@ -607,8 +610,6 @@ def pca_fit(
         raise ValueError(f"d must be >= 1, got {d}")
     if d > min(n, dim):
         raise DTooLarge(f"d={d} exceeds min(rows={n}, dim={dim})")
-    if method not in ("auto", "eig", "svd"):
-        raise ValueError(f"unknown PCA method {method!r}")
     _check_finite(mat, "rows")
 
     mean = mat.mean(axis=0)
@@ -616,21 +617,15 @@ def pca_fit(
         centered = np.subtract(mat, mean, out=mat)
     else:
         centered = mat - mean
-    solved = None
-    if method == "auto" and n < dim:
-        solved = _gram_solve(centered, d)
+    solved = _gram_solve(centered, d) if n < dim else None
     if solved is not None:
-        method = "gram"
+        solver = "gram"
         eigenvalues, vecs = solved
-    elif method == "auto":
-        method = "eig" if dim <= _EIG_MAX_DIM else "svd"
-    if method == "eig":
-        cov = centered.T @ centered / (n - 1)
-        evals, evecs = np.linalg.eigh(cov)
-        order = np.argsort(-evals, kind="stable")[:d]
-        eigenvalues = evals[order]
-        vecs = evecs[:, order].T
-    elif method == "svd":
+    elif dim <= _EIG_MAX_DIM:
+        solver = "eig"
+        eigenvalues, vecs = _top_eigenpairs(centered.T @ centered / (n - 1), d)
+    else:
+        solver = "svd"
         _, sing, vt = np.linalg.svd(centered, full_matrices=False)
         eigenvalues = (sing[:d] ** 2) / (n - 1)
         vecs = vt[:d]
@@ -642,7 +637,7 @@ def pca_fit(
         rows=_fix_signs(np.ascontiguousarray(vecs)),
         mean=mean,
         eigenvalues=np.ascontiguousarray(eigenvalues, dtype=np.float64),
-        solver=method,
+        solver=solver,
         retained_variance=retained,
     )
 

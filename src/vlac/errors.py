@@ -60,7 +60,3 @@ class VideoTooShort(DataError):
 
 class EmptyStore(DataError):
     """A descriptor store holds no sequences."""
-
-
-class NoRelevant(DataError):
-    """A ranking contains no relevant items."""

@@ -26,7 +26,7 @@ from .aggregation import (
     train,
 )
 from .core_math import ProjectionBasis, pca_fit
-from .errors import DataError, NoRelevant
+from .errors import DataError
 from .fileio import atomic_write, write_csv
 from .ingestion import QueryManifest
 
@@ -92,7 +92,7 @@ def pr_curve(results, truth: GroundTruth) -> PRCurve:
     pairs = []
     for query_id, scored in results.items():
         relevant = truth.relevant[query_id]
-        for video_id, score in _scored_pairs(scored):
+        for video_id, score in scored:
             pairs.append((float(score), video_id in relevant))
     total_relevant = sum(len(ids) for ids in truth.relevant.values())
 
@@ -126,30 +126,20 @@ def _check_queries(results, truth: GroundTruth) -> None:
             raise DataError(f"query {query_id!r} is missing from ground truth")
 
 
-def _scored_pairs(scored):
-    matches = getattr(scored, "matches", None)
-    if matches is not None:
-        return [(m.video_id, m.score) for m in matches]
-    return list(scored)
-
-
-def average_precision(ranked, relevant_count: int | None = None) -> float:
+def average_precision(ranked, relevant_count: int) -> float:
     """Sum of precision-at-r over the relevant ranks r of a ranking,
     divided by ``relevant_count``.
 
-    ``relevant_count`` is the number of relevant items in the ground truth;
-    a relevant item the ranking misses adds 0 to the sum. It defaults to
-    the relevant items the ranking holds, which then must be at least one.
-    Accumulates in exact rational arithmetic (ranks are integers), so
-    fixture values like 5/6 come back as the correctly rounded float.
+    ``ranked`` holds one relevance flag per rank. ``relevant_count`` is the
+    number of relevant items in the ground truth, at least one and at least
+    the relevant items the ranking holds; a relevant item the ranking
+    misses adds 0 to the sum. Accumulates in exact rational arithmetic
+    (ranks are integers), so fixture values like 5/6 come back as the
+    correctly rounded float.
     """
     flags = [bool(x) for x in ranked]
     found = sum(flags)
-    if relevant_count is None:
-        if not found:
-            raise NoRelevant("ranking contains no relevant item")
-        relevant_count = found
-    elif relevant_count < max(found, 1):
+    if relevant_count < max(found, 1):
         raise DataError(
             f"ranking holds {found} relevant items, more than the "
             f"relevant_count {relevant_count}"
@@ -171,27 +161,20 @@ def mean_average_precision(aps) -> float:
     return fsum(aps) / len(aps)
 
 
-def relevance_flags(result, relevant) -> list[bool]:
-    """Relevance flags of a ranking against a relevant-id set.
-
-    ``result`` is a retrieval result or a ranked list of (video_id, score)
-    pairs.
-    """
-    return [video_id in relevant for video_id, _ in _scored_pairs(result)]
-
-
 def map_from_retrievals(results, truth: GroundTruth) -> float:
     """mAP over every ground-truth query.
 
-    Each AP is divided by the query's relevant count in the ground truth,
+    ``results`` maps query_id to its ranked (video_id, score) pairs. Each
+    AP is divided by the query's relevant count in the ground truth,
     so a ranking cut by top-k or a threshold is not credited for the
     relevant items it dropped; one that holds none, or a query with no
     ranking in ``results``, scores AP 0.
     """
     _check_queries(results, truth)
     return mean_average_precision(
-        average_precision(relevance_flags(results.get(query_id, ()), relevant),
-                          len(relevant))
+        average_precision(
+            [video_id in relevant for video_id, _ in results.get(query_id, ())],
+            len(relevant))
         for query_id, relevant in truth.relevant.items()
     )
 

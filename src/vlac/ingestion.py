@@ -101,6 +101,10 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.kind not in PERTURBATION_KINDS:
             raise DataError(f"unknown perturbation kind {self.kind!r}")
+        if not np.isfinite(self.magnitude):
+            raise DataError(
+                f"perturbation magnitude must be finite, got {self.magnitude}"
+            )
         if self.magnitude < 0:
             raise DataError("perturbation magnitude must be >= 0")
         if self.kind == "component_dropout" and self.magnitude > 1:

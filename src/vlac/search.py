@@ -183,14 +183,17 @@ def retrieve(
 
     Every entry is scored as :func:`aligned_similarity` scores it, from one
     product of the query with the whole store. Exactly one of
-    ``threshold`` (keep scores >= threshold) and ``top_k`` (keep the k
-    best; 0 keeps everything) must be given. The ranking sorts by score
-    descending with video_id as the tie-breaker, so equal inputs always
-    produce identical output. ``normalize_by_length`` divides each score
+    ``threshold`` (keep scores >= threshold; -inf keeps everything, inf
+    nothing, NaN is refused) and ``top_k`` (keep the k best; 0 keeps
+    everything) must be given. The ranking sorts by score descending with
+    video_id as the tie-breaker, so equal inputs always produce identical
+    output. ``normalize_by_length`` divides each score
     by the aligned length for cross-length comparability.
     """
     if (threshold is None) == (top_k is None):
         raise ValueError("pass exactly one of threshold= or top_k=")
+    if threshold is not None and np.isnan(threshold):
+        raise ValueError("threshold must be a number, got nan")
     if top_k is not None and top_k < 0:
         raise ValueError(f"top_k must be >= 0, got {top_k}")
     entries = list(store)

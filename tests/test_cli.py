@@ -599,6 +599,12 @@ class TestEvents:
         assert 0 <= event["top_margin_min"] <= event["top_margin_median"]
 
 
+# NaN dropout used to leave every feature in place; NaN noise and an
+# infinite gain used to fail later, blaming the video's features
+NON_FINITE_MAGNITUDES = [("component_dropout", "nan"),
+                         ("additive_gaussian", "nan"), ("gain", "inf")]
+
+
 class TestErrors:
     def test_missing_manifest_exit_2(self, tmp_path):
         assert run("train", "--manifest", tmp_path / "nope.json",
@@ -645,6 +651,43 @@ class TestErrors:
         assert run("encode", "--model", model,
                    "--manifest", dataset / "test" / "manifest.json",
                    "--out", tmp_path / "db.store") == 2
+
+    @staticmethod
+    def error_message(capsys):
+        events = [json.loads(line)
+                  for line in capsys.readouterr().out.splitlines()]
+        assert events[-1]["event"] == "error"
+        return events[-1]["message"]
+
+    @pytest.mark.parametrize("kind,magnitude", NON_FINITE_MAGNITUDES)
+    def test_non_finite_magnitude_encode_exit_2(self, dataset, trained,
+                                                tmp_path, capsys, kind,
+                                                magnitude):
+        out = tmp_path / "q.store"
+        assert run("encode", "--model", trained / "vlac.bin", "--queries",
+                   "--manifest", dataset / "queries" / "manifest.json",
+                   "--out", out, "--perturb", kind,
+                   "--magnitude", magnitude) == 2
+        assert "magnitude" in self.error_message(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,magnitude", NON_FINITE_MAGNITUDES)
+    def test_non_finite_magnitude_stability_exit_2(self, dataset, tmp_path,
+                                                   capsys, kind, magnitude):
+        out = tmp_path / "stab.csv"
+        assert run("stability", "--manifest",
+                   dataset / "train" / "manifest.json", "--method", "sift",
+                   "--kind", kind, "--magnitude", magnitude,
+                   "--out", out, *PARAMS) == 2
+        assert "magnitude" in self.error_message(capsys)
+        assert not out.exists()
+
+    def test_nan_threshold_exit_2(self, stores, tmp_path):
+        results = tmp_path / "r.csv"
+        assert run("search", "--store", stores / "db.store",
+                   "--queries", stores / "q.store",
+                   "--threshold", "nan", "--out", results) == 2
+        assert not results.exists()
 
     @pytest.mark.parametrize("h", [0, 9])
     def test_hp_h_out_of_range_exit_2(self, dataset, trained, tmp_path, h):

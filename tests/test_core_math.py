@@ -33,6 +33,24 @@ def nearest(point, *centers):
     return int(nearest_centers([point], np.asarray(centers, dtype=float))[0])
 
 
+def reference_pca(rows, d):
+    """The top-``d`` (eigenvalues, directions) of ``rows`` twice over: from
+    ``eigh`` of the covariance and from the SVD of the centered rows, each
+    direction flipped so its largest-magnitude component is positive."""
+    centered = rows - rows.mean(axis=0)
+    n = rows.shape[0]
+    evals, evecs = np.linalg.eigh(centered.T @ centered / (n - 1))
+    order = np.argsort(-evals)[:d]
+    _, sing, vt = np.linalg.svd(centered, full_matrices=False)
+
+    def signed(vecs):
+        top = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1)]
+        return vecs * np.sign(top)[:, None]
+
+    return [(evals[order], signed(evecs[:, order].T)),
+            (sing[:d] ** 2 / (n - 1), signed(vt[:d]))]
+
+
 def reference_sq_dists(points, centers):
     """Squared distances as first written: per chunk of ``_DIST_CHUNK`` rows,
     ``x2 + c2 - 2 * (block @ centers.T)`` from fresh temporaries."""
@@ -422,27 +440,32 @@ class TestPCA:
         assert np.all(np.diff(basis.eigenvalues) <= 1e-12)
         assert np.all(basis.eigenvalues >= -1e-9)
 
-    def test_eig_and_svd_paths_agree(self):
+    def test_eig_and_svd_paths_agree(self, monkeypatch):
         rng = np.random.default_rng(3)
-        for shape in [(20, 6)] * 10 + [(20, 60)] * 10:
-            rows = rng.normal(size=shape)
-            fits = [pca_fit(rows, 4, method=m) for m in ("auto", "eig", "svd")]
-            assert fits[0].solver == ("gram" if shape[0] < shape[1] else "eig")
-            for a, b in itertools.combinations(fits, 2):
-                np.testing.assert_allclose(a.rows, b.rows, atol=1e-5)
-                np.testing.assert_allclose(
-                    a.eigenvalues, b.eigenvalues, atol=1e-5)
+        # a width limit below 6 sends the tall inputs through the SVD
+        for eig_max_dim, tall in ((core_math._EIG_MAX_DIM, "eig"), (5, "svd")):
+            monkeypatch.setattr(core_math, "_EIG_MAX_DIM", eig_max_dim)
+            for shape in [(20, 6)] * 10 + [(20, 60)] * 10:
+                rows = rng.normal(size=shape)
+                fit = pca_fit(rows, 4)
+                assert fit.solver == ("gram" if shape[0] < shape[1] else tall)
+                fits = [(fit.eigenvalues, fit.rows), *reference_pca(rows, 4)]
+                for a, b in itertools.combinations(fits, 2):
+                    np.testing.assert_allclose(a[1], b[1], atol=1e-5)
+                    np.testing.assert_allclose(a[0], b[0], atol=1e-5)
 
-    def test_auto_picks_solver_by_shape(self):
+    def test_auto_picks_solver_by_shape(self, monkeypatch):
         rng = np.random.default_rng(5)
         assert pca_fit(rng.normal(size=(10, 30)), 4).solver == "gram"
         assert pca_fit(rng.normal(size=(30, 30)), 4).solver == "eig"
         assert pca_fit(rng.normal(size=(40, 30)), 4).solver == "eig"
-        for method in ("eig", "svd"):
-            forced = pca_fit(rng.normal(size=(10, 30)), 4, method=method)
-            assert forced.solver == method
-        with pytest.raises(ValueError):
-            pca_fit(rng.normal(size=(10, 30)), 4, method="gram")
+        monkeypatch.setattr(core_math, "_EIG_MAX_DIM", 29)
+        assert pca_fit(rng.normal(size=(10, 30)), 4).solver == "gram"
+        assert pca_fit(rng.normal(size=(30, 30)), 4).solver == "svd"
+        assert pca_fit(rng.normal(size=(30, 29)), 4).solver == "eig"
+        # a wide input the Gram path refuses takes the tall rule
+        rank_two = rng.normal(size=(10, 2)) @ rng.normal(size=(2, 30))
+        assert pca_fit(rank_two, 4).solver == "svd"
 
     def test_rank_deficient_wide_falls_back(self):
         # rank-2 data: the 3rd and 4th Gram eigenvalues are rounding noise;
@@ -483,10 +506,9 @@ class TestPCA:
         assert auto.solver == "gram"
         np.testing.assert_allclose(auto.rows @ auto.rows.T, np.eye(d),
                                    atol=1e-9)
-        eig = pca_fit(rows, d, method="eig")
-        np.testing.assert_allclose(auto.rows, eig.rows, atol=1e-5)
-        np.testing.assert_allclose(auto.eigenvalues, eig.eigenvalues,
-                                   atol=1e-5)
+        eigenvalues, eig_rows = reference_pca(rows, d)[0]
+        np.testing.assert_allclose(auto.rows, eig_rows, atol=1e-5)
+        np.testing.assert_allclose(auto.eigenvalues, eigenvalues, atol=1e-5)
 
     def test_errors(self):
         with pytest.raises(InsufficientRows):
@@ -501,30 +523,35 @@ class TestPCAOwnership:
 
     @staticmethod
     def inputs():
+        """(solver, rows, covariance width limit) of each case."""
         rng = np.random.default_rng(8)
         rank_two = rng.normal(size=(10, 2)) @ rng.normal(size=(2, 50))
         return [
-            ("gram", rng.normal(size=(12, 40)), "auto"),
-            ("eig", rng.normal(size=(40, 12)), "auto"),
-            ("svd", rng.normal(size=(40, 12)), "svd"),
+            ("gram", rng.normal(size=(12, 40)), core_math._EIG_MAX_DIM),
+            ("eig", rng.normal(size=(40, 12)), core_math._EIG_MAX_DIM),
+            # wider than the limit: the thin SVD
+            ("svd", rng.normal(size=(40, 12)), 11),
             # wide but rank-deficient: the Gram path falls back to eig
-            ("eig", rank_two + 1e-6 * rng.normal(size=rank_two.shape), "auto"),
+            ("eig", rank_two + 1e-6 * rng.normal(size=rank_two.shape),
+             core_math._EIG_MAX_DIM),
         ]
 
     @pytest.mark.parametrize("case", range(4))
-    def test_default_leaves_rows_unchanged(self, case):
-        solver, rows, method = self.inputs()[case]
+    def test_default_leaves_rows_unchanged(self, case, monkeypatch):
+        solver, rows, eig_max_dim = self.inputs()[case]
+        monkeypatch.setattr(core_math, "_EIG_MAX_DIM", eig_max_dim)
         before = rows.tobytes()
-        basis = pca_fit(rows, 4, method)
+        basis = pca_fit(rows, 4)
         assert basis.solver == solver
         assert rows.tobytes() == before
 
     @pytest.mark.parametrize("case", range(4))
-    def test_overwrite_gives_the_same_basis(self, case):
-        solver, rows, method = self.inputs()[case]
-        kept = pca_fit(rows, 4, method)
+    def test_overwrite_gives_the_same_basis(self, case, monkeypatch):
+        solver, rows, eig_max_dim = self.inputs()[case]
+        monkeypatch.setattr(core_math, "_EIG_MAX_DIM", eig_max_dim)
+        kept = pca_fit(rows, 4)
         owned = rows.copy()
-        basis = pca_fit(owned, 4, method, overwrite_rows=True)
+        basis = pca_fit(owned, 4, overwrite_rows=True)
         assert basis.solver == kept.solver == solver
         for name in ("rows", "mean", "eigenvalues"):
             got, want = getattr(basis, name), getattr(kept, name)

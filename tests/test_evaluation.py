@@ -16,33 +16,27 @@ from vlac import (
     synthesize_videos,
 )
 from vlac.core_math import ProjectionBasis, pca_fit
-from vlac.errors import DataError, NoRelevant
+from vlac.errors import DataError
 from vlac.evaluation import (
     PRCurve,
     PRPoint,
     map_from_retrievals,
     plot_pr_svg,
-    relevance_flags,
     stability_bases,
     write_map_csv,
     write_pr_csv,
 )
-from vlac.search import RankedMatch, RetrievalResult
 
 
 class TestAveragePrecision:
     def test_relevant_first(self):
-        assert average_precision([1, 1, 0]) == 1.0
+        assert average_precision([1, 1, 0], 2) == 1.0
 
     def test_relevant_second(self):
-        assert average_precision([0, 1]) == 0.5
+        assert average_precision([0, 1], 1) == 0.5
 
     def test_interleaved_fixture_exact(self):
-        assert average_precision([1, 0, 1]) == 5 / 6
-
-    def test_no_relevant(self):
-        with pytest.raises(NoRelevant):
-            average_precision([0, 0, 0])
+        assert average_precision([1, 0, 1], 2) == 5 / 6
 
     def test_relevant_count_divides_the_sum(self):
         # two relevant items, the ranking keeps one at rank 1: (1/1) / 2
@@ -60,11 +54,11 @@ class TestAveragePrecision:
     def test_invariant_below_last_relevant(self):
         rng = np.random.default_rng(0)
         flags = [1, 0, 0, 1, 0, 0, 0]
-        base = average_precision(flags)
+        base = average_precision(flags, 2)
         tail = flags[4:]
         for _ in range(5):
             rng.shuffle(tail)
-            assert average_precision(flags[:4] + tail) == base
+            assert average_precision(flags[:4] + tail, 2) == base
 
 
 class TestMeanAveragePrecision:
@@ -137,33 +131,20 @@ class TestPRCurve:
         curve = pr_curve(results, self.truth(q1={"a"}, q2={"b"}))
         assert curve.points[-1].recall == 0.5
 
-    def test_accepts_retrieval_results(self):
-        result = RetrievalResult(
-            matches=(RankedMatch("rel", 2.0, 0), RankedMatch("irr", 1.0, 0))
-        )
-        curve = pr_curve({"q": result}, self.truth(q={"rel"}))
-        assert curve.points[0].precision == 1.0
-
 
 class TestMapFromRetrievals:
     def test_matches_manual_ap(self):
-        results = {
-            "q1": RetrievalResult(
-                matches=(RankedMatch("x", 3.0, 0), RankedMatch("t1", 2.0, 0))
-            ),
-            "q2": RetrievalResult(matches=(RankedMatch("t2", 5.0, 0),)),
-        }
+        results = {"q1": [("x", 3.0), ("t1", 2.0)], "q2": [("t2", 5.0)]}
         truth = GroundTruth(
             relevant={"q1": frozenset({"t1"}), "q2": frozenset({"t2"})}
         )
         assert map_from_retrievals(results, truth) == 0.75
 
     def test_relevance_flags(self):
-        result = RetrievalResult(
-            matches=(RankedMatch("a", 2.0, 0), RankedMatch("b", 1.0, 0))
-        )
-        assert relevance_flags(result, {"b"}) == [False, True]
-        assert relevance_flags([("a", 2.0), ("b", 1.0)], {"b"}) == [False, True]
+        # the ranking's flags are [False, True]: AP 1/2, and 1 reversed
+        truth = GroundTruth(relevant={"q": frozenset({"b"})})
+        assert map_from_retrievals({"q": [("a", 2.0), ("b", 1.0)]}, truth) == 0.5
+        assert map_from_retrievals({"q": [("b", 2.0), ("a", 1.0)]}, truth) == 1.0
 
     def test_missed_query_scores_zero(self):
         # top-1 rankings: q1 hits at rank 1, q2's relevant video was cut off

@@ -25,7 +25,7 @@ from vlac.errors import (
     TruncatedFile,
     VideoTooShort,
 )
-from vlac.ingestion import VideoEntry, save_manifest
+from vlac.ingestion import PERTURBATION_KINDS, VideoEntry, save_manifest
 
 
 def write_synthetic(out_dir, num_videos, frames_per_video, dim, clusters,
@@ -234,6 +234,10 @@ class TestPerturb:
             PerturbationSpec(kind="gain", magnitude=-1.0, seed=0)
         with pytest.raises(DataError):
             PerturbationSpec(kind="component_dropout", magnitude=1.5, seed=0)
+        for kind in PERTURBATION_KINDS:
+            for magnitude in (np.nan, np.inf):
+                with pytest.raises(DataError, match="finite"):
+                    PerturbationSpec(kind=kind, magnitude=magnitude, seed=0)
 
 
 class TestMakeQueries:

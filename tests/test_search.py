@@ -322,6 +322,15 @@ class TestRetrieveErrors:
         with pytest.raises(EmptyStore):
             retrieve(seq("q", np.ones((2, 2))), iter([]), threshold=0.0)
 
+    def test_nan_threshold(self):
+        query = seq("q", np.ones((2, 2)))
+        store = self.store_with(seq("b", np.ones((3, 2))))
+        with pytest.raises(ValueError, match="nan"):
+            retrieve(query, store, threshold=float("nan"))
+        # infinite thresholds keep everything or nothing
+        assert len(retrieve(query, store, threshold=-np.inf).matches) == 3
+        assert retrieve(query, store, threshold=np.inf).matches == ()
+
 
 class TestStoreIO:
     def test_round_trip_bit_exact(self, tmp_path):
