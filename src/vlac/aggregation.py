@@ -14,20 +14,21 @@ method, one window per GoF: over the features (VLAD), over the stacked
 window LFCs (VLAC), or over the frame VLAD rows projected once to d0 dims
 (hyper-pooling); the per-frame VLAD rows are one window per frame. It then
 projects all windows' raw vectors onto the basis in one product.
-VLAC training shares that encode kernel: :func:`_vlac_rows` stacks the
-window LFCs of every training video and sums them in one call, as it
-does for one video's windows at encode time. :func:`vlac_encode`,
-:func:`vlad_encode` and :func:`hp_encode` are the public one-window forms
-of the three methods; hyper-pooling training repeats :func:`hp_encode`'s
-steps on its centered frame rows. VLAC is the VLAD kernel applied to
-per-window local feature centers (LFCs) instead of raw features, so
-``vlac_encode(lfcs, c)`` equals ``vlad_encode(lfcs.centers, c)`` element
-for element; :func:`_window_lfcs` is the one place that fits a video's
-window LFCs, for training and encoding alike. It groups a video's windows
-by feature count, draws each group's k-means++ seeding in lockstep, and
-then fits every window on its own, each exactly as a lone
-:func:`compute_lfcs` call would. Every encoder returns a plain float64
-NumPy vector, and :func:`encode_video` a (G, d) matrix.
+VLAC training shares that encode kernel: :func:`_vlac_rows` sums the
+stacked window LFCs of every training video, the stack the CLFCs were fit
+on, in one call, as it does for one video's windows at encode time.
+:func:`vlac_encode`, :func:`vlad_encode` and :func:`hp_encode` are the
+public one-window forms of the three methods; hyper-pooling training
+repeats :func:`hp_encode`'s steps on its centered frame rows. VLAC is the
+VLAD kernel applied to per-window local feature centers (LFCs) instead of
+raw features, so ``vlac_encode(lfcs, c)`` equals
+``vlad_encode(lfcs.centers, c)`` element for element; :func:`_window_lfcs`
+is the one place that fits a video's window LFCs, for training and
+encoding alike. It groups a video's windows by feature count, draws each
+group's k-means++ seeding in lockstep, and then fits every window on its
+own, each exactly as a lone :func:`compute_lfcs` call would. Every encoder
+returns a plain float64 NumPy vector, and :func:`encode_video` a (G, d)
+matrix.
 
 Each trainer takes the training videos and one :class:`ModelParams`,
 cuts the windows itself, and the field metadata records which method
@@ -135,14 +136,17 @@ class Video:
     def from_frames(cls, frames, frame_index=None) -> "Video":
         """A video from per-frame (count, dim) arrays, indexed 0, 1, ...
         unless ``frame_index`` is given. The frames are cast to float64 as
-        they are copied into the one feature matrix."""
+        they are copied into the one feature matrix; a signaling NaN passes
+        the cast quietly and fails the finiteness check."""
         frames = [np.asarray(f) for f in frames]
         if frame_index is None:
             frame_index = range(len(frames))
         counts = [f.shape[0] for f in frames]
+        with np.errstate(invalid="ignore"):
+            features = (np.concatenate(frames, dtype=np.float64) if frames
+                        else np.empty((0, 0)))
         return cls(
-            features=(np.concatenate(frames, dtype=np.float64) if frames
-                      else np.empty((0, 0))),
+            features=features,
             frame_index=frame_index,
             offsets=np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]),
         )
@@ -249,20 +253,16 @@ def _residual_sums(
     each center's sum of (point - center) over window ``w``'s rows, added
     in input order by one keyed :func:`cluster_sums`, so it is bit-equal to
     summing that window alone. ``assign_dims`` restricts the nearest-center
-    search to the leading components; residuals span all of them. A
-    single window is summed through a row slice, with no row index.
+    search to the leading components; residuals span all of them.
     """
     k, dim = centers.shape
     assign = nearest_centers(points, centers, use_dims=assign_dims)
     starts, stops = np.asarray(windows, dtype=np.int64).reshape(-1, 2).T
-    if starts.size == 1:
-        rows, owner = slice(starts[0], stops[0]), 0
-    else:
-        lengths = stops - starts
-        owner = np.repeat(np.arange(starts.size), lengths)
-        # every window's rows in order: row i of window w is starts[w] + i
-        first = np.cumsum(lengths) - lengths
-        rows = np.arange(owner.size) + np.repeat(starts - first, lengths)
+    lengths = stops - starts
+    owner = np.repeat(np.arange(starts.size), lengths)
+    # every window's rows in order: row i of window w is starts[w] + i
+    first = np.cumsum(lengths) - lengths
+    rows = np.arange(owner.size) + np.repeat(starts - first, lengths)
     keys = assign[rows]
     sums = cluster_sums(points[rows] - centers[keys], owner * k + keys,
                         starts.size * k)
@@ -298,19 +298,16 @@ def vlac_encode(lfcs: Codebook, clfc: Codebook) -> np.ndarray:
     return _residual_sums(lfcs.centers, clfc.centers, [(0, lfcs.k)])[0]
 
 
-def _vlac_rows(lfcs, clfc: Codebook, dim: int) -> np.ndarray:
+def _vlac_rows(lfcs, points: np.ndarray, clfc: Codebook) -> np.ndarray:
     """The VLAC vector of every window from its LFCs, a (W, M * dim) matrix.
 
-    The windows' LFCs are stacked in order and summed in one
-    :func:`_residual_sums` call, one window each; row ``w`` is bit-equal to
-    ``vlac_encode(lfcs[w], clfc)``. Without windows the stack is an empty
-    (0, ``dim``) matrix, which the kernel still checks against the CLFC
-    dimension.
+    ``points`` is the windows' LFC centers stacked in order, the matrix the
+    CLFC fit clusters, and one :func:`_residual_sums` call sums each
+    window's rows of it; row ``w`` is bit-equal to
+    ``vlac_encode(lfcs[w], clfc)``.
     """
     counts = np.array([cb.k for cb in lfcs], dtype=np.int64)
     ends = np.cumsum(counts)
-    points = (np.concatenate([cb.centers for cb in lfcs]) if lfcs
-              else np.empty((0, dim)))
     return _residual_sums(points, clfc.centers,
                           np.column_stack((ends - counts, ends)))
 
@@ -459,20 +456,22 @@ def train_vlad(videos, params: ModelParams) -> TrainedModel:
     )
 
 
-def fit_clfcs(videos, params: ModelParams) -> tuple[Codebook, list[Codebook]]:
+def fit_clfcs(
+    videos, params: ModelParams
+) -> tuple[Codebook, list[Codebook], np.ndarray]:
     """Two-stage clustering: per-window LFCs, then M centers of LFCs.
 
-    Returns the CLFC codebook together with the LFC codebooks of every
-    window of every video in order (reused to encode the training windows).
-    Each window's LFC clustering is seeded with ``seed XOR`` the window's
-    index within its video.
+    Returns the CLFC codebook, the LFC codebooks of every window of every
+    video in order, and their centers stacked in that order, the matrix the
+    CLFCs are fit on (both reused to encode the training windows). Each
+    window's LFC clustering is seeded with ``seed XOR`` the window's index
+    within its video.
     """
     lfcs = [cb for video in videos for cb in _window_lfcs(video, params)]
     if not lfcs:
         raise DataError("train_vlac requires at least one training group")
-    all_centers = np.concatenate([cb.centers for cb in lfcs], axis=0)
-    clfc = kmeans_fit(all_centers, params.m, params.seed)
-    return clfc, lfcs
+    points = np.concatenate([cb.centers for cb in lfcs])
+    return kmeans_fit(points, params.m, params.seed), lfcs, points
 
 
 def _fit_summary(books) -> dict[str, int]:
@@ -493,8 +492,8 @@ def train_vlac(videos, params: ModelParams) -> TrainedModel:
     over all of them, and a d-dimensional basis over per-window VLAC rows.
     """
     params = params.for_method(METHOD_VLAC)
-    clfc, lfcs = fit_clfcs(videos, params)
-    rows = _vlac_rows(lfcs, clfc, clfc.dim)
+    clfc, lfcs, points = fit_clfcs(videos, params)
+    rows = _vlac_rows(lfcs, points, clfc)
     basis = _fit_basis(rows, params.d, params.normalize)
     return TrainedModel(
         method=METHOD_VLAC,
@@ -591,7 +590,12 @@ def _encode_windows(video: Video, model: TrainedModel) -> np.ndarray:
     """
     p = model.params
     if model.method == METHOD_VLAC:
-        return _vlac_rows(_window_lfcs(video, p), model.codebook, video.dim)
+        lfcs = _window_lfcs(video, p)
+        # a video shorter than one window stacks to (0, dim), which the
+        # kernel still checks against the CLFC dimension
+        points = (np.concatenate([cb.centers for cb in lfcs]) if lfcs
+                  else np.empty((0, video.dim)))
+        return _vlac_rows(lfcs, points, model.codebook)
     starts = np.array(split_gofs(video, p.gof_size, p.overlap), dtype=np.int64)
     if model.method == METHOD_VLAD:
         windows = np.column_stack((video.offsets[starts],

@@ -39,13 +39,8 @@ from .errors import (
     KTooLarge,
 )
 
-# PCA solver for inputs with at least as many rows as columns: covariance
-# eigendecomposition up to this width, thin SVD above it. Wider inputs
-# (rows < columns) use the Gram matrix instead; see pca_fit.
-_EIG_MAX_DIM = 4096
-
 # Largest entry of |V V^T - I| accepted from the Gram path before pca_fit
-# falls back to the covariance/SVD rule.
+# falls back to the thin SVD of the centered rows.
 _GRAM_ORTHO_TOL = 1e-9
 
 # k-means stops once an iteration lowers the inertia by at most this
@@ -570,16 +565,16 @@ def _gram_solve(centered: np.ndarray, d: int):
 def pca_fit(rows, d: int, *, overwrite_rows: bool = False) -> ProjectionBasis:
     """Fit the top-``d`` principal directions of ``rows``.
 
-    The column-wise mean is subtracted and recorded on the basis. The input
-    shape picks the solver. A wide input (fewer rows than columns) goes
-    through the eigendecomposition of the n x n Gram matrix, mapped back to
-    the input space (the snapshot method). A tall input goes through the
-    eigendecomposition of the covariance up to width ``_EIG_MAX_DIM`` (4096)
-    and a thin SVD of the centered matrix above it. A wide input takes that
-    tall rule too, within the same call, when a kept Gram eigenvalue is too
-    small to divide by or the mapped rows are not orthonormal to 1e-9
-    (rank-deficient or nearly rank-deficient data). All paths agree within
-    1e-5 on well-conditioned data. Eigenvector signs follow the
+    The column-wise mean is subtracted and recorded on the basis. The input's
+    orientation alone picks the solver, so the eigendecomposition always
+    runs on the smaller of the two square products. A tall input (at least
+    as many rows as columns) goes through the dim x dim covariance. A wide
+    input goes through the n x n Gram matrix, mapped back to the input space
+    (the snapshot method); when a kept Gram eigenvalue is too small to
+    divide by or the mapped rows are not orthonormal to 1e-9
+    (rank-deficient or nearly rank-deficient data), the same call takes the
+    thin SVD of the n centered rows instead. All paths agree within 1e-5 on
+    well-conditioned data. Eigenvector signs follow the
     largest-magnitude-component-positive rule so fits are reproducible. The
     basis records the solver that ran ("gram", "eig" or "svd") and the
     fraction of the total variance the kept directions hold.
@@ -617,13 +612,12 @@ def pca_fit(rows, d: int, *, overwrite_rows: bool = False) -> ProjectionBasis:
         centered = np.subtract(mat, mean, out=mat)
     else:
         centered = mat - mean
-    solved = _gram_solve(centered, d) if n < dim else None
-    if solved is not None:
-        solver = "gram"
-        eigenvalues, vecs = solved
-    elif dim <= _EIG_MAX_DIM:
+    if n >= dim:
         solver = "eig"
         eigenvalues, vecs = _top_eigenpairs(centered.T @ centered / (n - 1), d)
+    elif (solved := _gram_solve(centered, d)) is not None:
+        solver = "gram"
+        eigenvalues, vecs = solved
     else:
         solver = "svd"
         _, sing, vt = np.linalg.svd(centered, full_matrices=False)

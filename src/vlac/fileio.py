@@ -13,6 +13,9 @@ only the layout; the rules live here, once:
   read past the end ``TruncatedFile``, a non-finite payload value or a
   trailing byte ``DataError``. ``Reader.f32_view`` leaves the finiteness
   check to its caller, which casts the payload once and checks it there.
+  Every cast of a payload to float64 runs under
+  ``np.errstate(invalid="ignore")``: a signaling NaN makes numpy report an
+  invalid cast, and the finiteness check after the cast refuses it.
 """
 
 from __future__ import annotations
@@ -67,9 +70,11 @@ def f32_bytes(arr, what: str) -> bytes:
     """``arr`` as C-order little-endian float32 bytes.
 
     Raises DataError if a value is not finite after the cast, so a float64
-    value beyond float32's range is refused like NaN and inf.
+    value beyond float32's range is refused like NaN and inf, without
+    numpy's overflow warning.
     """
-    mat = np.ascontiguousarray(arr, dtype="<f4")
+    with np.errstate(over="ignore"):
+        mat = np.ascontiguousarray(arr, dtype="<f4")
     if not np.isfinite(mat).all():
         raise DataError(f"{what} holds a non-finite value")
     return mat.tobytes()
@@ -111,7 +116,8 @@ class Reader:
     def f32(self, rows: int, cols: int, what: str) -> np.ndarray:
         """A (rows, cols) float32 payload as float64; DataError if any value
         is not finite."""
-        mat = self.f32_view(rows, cols, what).astype(np.float64)
+        with np.errstate(invalid="ignore"):
+            mat = self.f32_view(rows, cols, what).astype(np.float64)
         if not np.isfinite(mat).all():
             raise DataError(f"{self.path} {what} holds a non-finite value")
         return mat

@@ -238,17 +238,24 @@ def perturb(video: Video, spec: PerturbationSpec) -> Video:
     every component by (1 + magnitude); component_dropout zeroes each
     component with probability ``magnitude``. The random values are drawn
     for the whole feature matrix at once, row after row. Frame and feature
-    counts are unchanged; magnitude 0 is the identity.
+    counts are unchanged; magnitude 0 is the identity. Raises DataError,
+    naming the kind and magnitude, when a value overflows.
     """
     rng = np.random.default_rng(spec.seed)
     feats = video.features
-    if spec.kind == "additive_gaussian":
-        feats = feats + rng.normal(0.0, spec.magnitude, size=feats.shape)
-    elif spec.kind == "gain":
-        feats = feats * (1.0 + spec.magnitude)
-    else:
-        mask = rng.random(size=feats.shape) < spec.magnitude
-        feats = np.where(mask, 0.0, feats)
+    with np.errstate(over="ignore"):
+        if spec.kind == "additive_gaussian":
+            feats = feats + rng.normal(0.0, spec.magnitude, size=feats.shape)
+        elif spec.kind == "gain":
+            feats = feats * (1.0 + spec.magnitude)
+        else:
+            mask = rng.random(size=feats.shape) < spec.magnitude
+            feats = np.where(mask, 0.0, feats)
+    if not np.isfinite(feats).all():
+        raise DataError(
+            f"{spec.kind} perturbation of magnitude {spec.magnitude} "
+            "overflows float64"
+        )
     return Video(feats, video.frame_index, video.offsets)
 
 

@@ -27,13 +27,19 @@ def frames_of(video):
 # written with SENTINEL in its place and then patched by ``poison``.
 SENTINEL = 1234.5
 
+# A float32 signaling NaN, as bytes: packing a Python float would quiet it.
+SIGNALING_NAN = struct.pack("<I", 0x7F800001)
+
 
 def poison(path, value):
-    """Replace the one float32 SENTINEL in the file at ``path`` by ``value``."""
+    """Replace the one float32 SENTINEL in the file at ``path`` by ``value``,
+    a float or its four little-endian bytes."""
     data = path.read_bytes()
     mark = struct.pack("<f", SENTINEL)
     assert data.count(mark) == 1
-    path.write_bytes(data.replace(mark, struct.pack("<f", value)))
+    if not isinstance(value, bytes):
+        value = struct.pack("<f", value)
+    path.write_bytes(data.replace(mark, value))
 
 
 def set_model_param(path, name, value):

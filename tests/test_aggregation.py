@@ -140,8 +140,7 @@ class TestResidualKernel:
             assert np.array_equal(row, np.concatenate(expected))
 
     def test_one_window_equals_its_row_in_a_window_list(self):
-        # a lone window is summed through a row slice; it must give the
-        # bits that the row index of a multi-window call gives
+        # a window's sums must not depend on the windows summed with it
         rng = np.random.default_rng(12)
         points = rng.normal(size=(50, 4)) * 100.0
         centers = rng.normal(size=(6, 4))
@@ -470,10 +469,11 @@ class TestTrainVlac:
         rng = np.random.default_rng(5)
         video = make_video(rng, 4, 2, features_per_frame=6)
         one_window = params(n=3, m=3, d=1, seed=2, gof_size=4, overlap=0)
-        clfc, lfcs = fit_clfcs([video], one_window)
+        clfc, lfcs, points = fit_clfcs([video], one_window)
         assert np.array_equal(
             np.sort(clfc.centers, axis=0), np.sort(lfcs[0].centers, axis=0)
         )
+        assert np.array_equal(points, lfcs[0].centers)
         # a d-dim basis cannot be fit on a single training row
         with pytest.raises(InsufficientRows):
             train_vlac([video], one_window)
@@ -483,7 +483,7 @@ class TestTrainVlac:
         # by 0.2; the CLFCs land on the cross-window means
         video = Video.from_frames([np.array([[0.0], [10.0]]),
                                    np.array([[0.2], [10.2]])])
-        clfc, _ = fit_clfcs(
+        clfc, _, _ = fit_clfcs(
             [video], params(n=2, m=2, seed=0, gof_size=1, overlap=0))
         np.testing.assert_allclose(
             sorted(clfc.centers.ravel().tolist()), [0.1, 10.1]

@@ -682,6 +682,18 @@ class TestErrors:
         assert "magnitude" in self.error_message(capsys)
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_perturbation_exit_2(self, dataset, trained,
+                                             tmp_path, capsys):
+        out = tmp_path / "q.store"
+        assert run("encode", "--model", trained / "vlac.bin", "--queries",
+                   "--manifest", dataset / "queries" / "manifest.json",
+                   "--out", out, "--perturb", "gain",
+                   "--magnitude", "1e308") == 2
+        message = self.error_message(capsys)
+        assert "gain" in message and "1e+308" in message
+        assert not out.exists()
+
     def test_nan_threshold_exit_2(self, stores, tmp_path):
         results = tmp_path / "r.csv"
         assert run("search", "--store", stores / "db.store",

@@ -440,32 +440,39 @@ class TestPCA:
         assert np.all(np.diff(basis.eigenvalues) <= 1e-12)
         assert np.all(basis.eigenvalues >= -1e-9)
 
-    def test_eig_and_svd_paths_agree(self, monkeypatch):
+    def test_eig_and_svd_paths_agree(self):
         rng = np.random.default_rng(3)
-        # a width limit below 6 sends the tall inputs through the SVD
-        for eig_max_dim, tall in ((core_math._EIG_MAX_DIM, "eig"), (5, "svd")):
-            monkeypatch.setattr(core_math, "_EIG_MAX_DIM", eig_max_dim)
-            for shape in [(20, 6)] * 10 + [(20, 60)] * 10:
-                rows = rng.normal(size=shape)
+        # a wide input of rank 3 keeps a zero eigenvalue at d = 4, which the
+        # Gram path refuses, so it takes the SVD; only its first 3
+        # directions are defined
+        for _ in range(10):
+            cases = (
+                ("eig", rng.normal(size=(20, 6)), 4),
+                ("gram", rng.normal(size=(20, 60)), 4),
+                ("svd", rng.normal(size=(20, 3)) @ rng.normal(size=(3, 60)), 3),
+            )
+            for solver, rows, defined in cases:
                 fit = pca_fit(rows, 4)
-                assert fit.solver == ("gram" if shape[0] < shape[1] else tall)
+                assert fit.solver == solver
+                np.testing.assert_allclose(fit.rows @ fit.rows.T, np.eye(4),
+                                           atol=1e-9)
                 fits = [(fit.eigenvalues, fit.rows), *reference_pca(rows, 4)]
                 for a, b in itertools.combinations(fits, 2):
-                    np.testing.assert_allclose(a[1], b[1], atol=1e-5)
+                    np.testing.assert_allclose(a[1][:defined], b[1][:defined],
+                                               atol=1e-5)
                     np.testing.assert_allclose(a[0], b[0], atol=1e-5)
 
-    def test_auto_picks_solver_by_shape(self, monkeypatch):
+    def test_auto_picks_solver_by_shape(self):
         rng = np.random.default_rng(5)
         assert pca_fit(rng.normal(size=(10, 30)), 4).solver == "gram"
+        assert pca_fit(rng.normal(size=(29, 30)), 4).solver == "gram"
         assert pca_fit(rng.normal(size=(30, 30)), 4).solver == "eig"
         assert pca_fit(rng.normal(size=(40, 30)), 4).solver == "eig"
-        monkeypatch.setattr(core_math, "_EIG_MAX_DIM", 29)
-        assert pca_fit(rng.normal(size=(10, 30)), 4).solver == "gram"
-        assert pca_fit(rng.normal(size=(30, 30)), 4).solver == "svd"
-        assert pca_fit(rng.normal(size=(30, 29)), 4).solver == "eig"
-        # a wide input the Gram path refuses takes the tall rule
+        # a wide input the Gram path refuses takes the thin SVD; a tall
+        # rank-deficient one stays on the covariance
         rank_two = rng.normal(size=(10, 2)) @ rng.normal(size=(2, 30))
         assert pca_fit(rank_two, 4).solver == "svd"
+        assert pca_fit(rank_two.T, 4).solver == "eig"
 
     def test_rank_deficient_wide_falls_back(self):
         # rank-2 data: the 3rd and 4th Gram eigenvalues are rounding noise;
@@ -476,7 +483,7 @@ class TestPCA:
         noisy = rows + 1e-6 * rng.normal(size=rows.shape)
         for data in (rows, noisy):
             basis = pca_fit(data, 4)
-            assert basis.solver == "eig"
+            assert basis.solver == "svd"
             assert np.isfinite(basis.rows).all()
             np.testing.assert_allclose(
                 basis.rows @ basis.rows.T, np.eye(4), atol=1e-9)
@@ -510,6 +517,21 @@ class TestPCA:
         np.testing.assert_allclose(auto.rows, eig_rows, atol=1e-5)
         np.testing.assert_allclose(auto.eigenvalues, eigenvalues, atol=1e-5)
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 20),
+           dim=st.integers(2, 20), data=st.data())
+    def test_orientation_picks_solver(self, seed, n, dim, data):
+        # full-rank input: Gram when wide, covariance when tall, whatever
+        # the width
+        d = data.draw(st.integers(1, min(n - 1, dim)), label="d")
+        rows = np.random.default_rng(seed).normal(size=(n, dim))
+        fit = pca_fit(rows, d)
+        assert fit.solver == ("gram" if n < dim else "eig")
+        for eigenvalues, directions in reference_pca(rows, d):
+            np.testing.assert_allclose(fit.rows, directions, atol=1e-5)
+            np.testing.assert_allclose(fit.eigenvalues, eigenvalues,
+                                       atol=1e-5)
+
     def test_errors(self):
         with pytest.raises(InsufficientRows):
             pca_fit(np.ones((1, 3)), 1)
@@ -523,32 +545,30 @@ class TestPCAOwnership:
 
     @staticmethod
     def inputs():
-        """(solver, rows, covariance width limit) of each case."""
+        """(solver, rows) of each case."""
         rng = np.random.default_rng(8)
         rank_two = rng.normal(size=(10, 2)) @ rng.normal(size=(2, 50))
         return [
-            ("gram", rng.normal(size=(12, 40)), core_math._EIG_MAX_DIM),
-            ("eig", rng.normal(size=(40, 12)), core_math._EIG_MAX_DIM),
-            # wider than the limit: the thin SVD
-            ("svd", rng.normal(size=(40, 12)), 11),
-            # wide but rank-deficient: the Gram path falls back to eig
-            ("eig", rank_two + 1e-6 * rng.normal(size=rank_two.shape),
-             core_math._EIG_MAX_DIM),
+            ("gram", rng.normal(size=(12, 40))),
+            ("eig", rng.normal(size=(40, 12))),
+            # wide but rank-deficient, so the Gram path falls back to the
+            # SVD: a kept eigenvalue is zero, or with noise the mapped rows
+            # are not orthonormal
+            ("svd", rank_two),
+            ("svd", rank_two + 1e-6 * rng.normal(size=rank_two.shape)),
         ]
 
     @pytest.mark.parametrize("case", range(4))
-    def test_default_leaves_rows_unchanged(self, case, monkeypatch):
-        solver, rows, eig_max_dim = self.inputs()[case]
-        monkeypatch.setattr(core_math, "_EIG_MAX_DIM", eig_max_dim)
+    def test_default_leaves_rows_unchanged(self, case):
+        solver, rows = self.inputs()[case]
         before = rows.tobytes()
         basis = pca_fit(rows, 4)
         assert basis.solver == solver
         assert rows.tobytes() == before
 
     @pytest.mark.parametrize("case", range(4))
-    def test_overwrite_gives_the_same_basis(self, case, monkeypatch):
-        solver, rows, eig_max_dim = self.inputs()[case]
-        monkeypatch.setattr(core_math, "_EIG_MAX_DIM", eig_max_dim)
+    def test_overwrite_gives_the_same_basis(self, case):
+        solver, rows = self.inputs()[case]
         kept = pca_fit(rows, 4)
         owned = rows.copy()
         basis = pca_fit(owned, 4, overwrite_rows=True)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _helpers import SENTINEL, poison, set_model_param
+from _helpers import SENTINEL, SIGNALING_NAN, poison, set_model_param
 from vlac import (
     Codebook,
     DatasetManifest,
@@ -189,7 +189,7 @@ def with_value(value):
     }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value", BAD_VALUES)
 @pytest.mark.parametrize("writer", ["features", "store", "model"])
 def test_writer_refuses_non_finite(tmp_path, writer, value):
@@ -204,6 +204,21 @@ def test_load_model_rejects_nan(tmp_path):
     poison(path, np.nan)
     with pytest.raises(DataError, match="non-finite"):
         load_model(path)
+
+
+LOADERS = {"features": load_features, "store": load_store, "model": load_model}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_loader_refuses_signaling_nan(tmp_path, kind):
+    # numpy reports the cast of a signaling NaN to float64 as an invalid
+    # value; the loader must refuse the payload without that warning
+    path = tmp_path / kind
+    with_value(SENTINEL)[kind](path)
+    poison(path, SIGNALING_NAN)
+    with pytest.raises(DataError, match="non-finite"):
+        LOADERS[kind](path)
 
 
 # Per method, every header field that fixes an array shape; each is bumped

@@ -227,6 +227,14 @@ class TestPerturb:
         delta1 = out[1].features - videos[1].features
         assert not np.allclose(delta0, delta1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["additive_gaussian", "gain"])
+    def test_overflow_names_the_perturbation(self, kind):
+        video = make_video(np.random.default_rng(11), 3, 4)
+        spec = PerturbationSpec(kind=kind, magnitude=1e308, seed=0)
+        with pytest.raises(DataError, match=f"{kind} .* 1e\\+308"):
+            perturb(video, spec)
+
     def test_invalid_spec(self):
         with pytest.raises(DataError):
             PerturbationSpec(kind="blur", magnitude=0.1, seed=0)
