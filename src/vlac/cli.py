@@ -5,7 +5,10 @@ Every command is reproducible under a fixed seed and emits structured logs
 ``duration_s``, the seconds the command (for ``stability``, the method,
 after the one perturbation all methods share) took; the ``trained`` and
 ``stability`` events also carry ``peak_rss_mb``, the process's resident
-memory high-water mark so far. Exit codes: 0 success, 2 data or usage
+memory high-water mark so far, and the ``synthesized`` event splits its
+time into ``draw_s`` (drawing the videos in memory) and ``write_s``
+(writing every file) and counts the feature rows drawn as ``features``.
+Exit codes: 0 success, 2 data or usage
 error (``DataError``, ``ValueError``, ``OSError``, bad JSON), 3 numeric
 failure (numpy's ``LinAlgError`` or ``FloatingPointError``). Commands
 overwrite their own output files so reruns are idempotent, and every
@@ -139,8 +142,19 @@ def _manifest_videos(path, *, queries: bool = False):
 # ---------------------------------------------------------------------------
 
 
+def _check_float_flag(flag: str, value: float, *, positive=False) -> None:
+    """DataError naming ``flag`` unless ``value`` is finite and >= 0, or
+    > 0 when ``positive``."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        rule = "> 0" if positive else ">= 0"
+        raise DataError(f"{flag} must be finite and {rule}, got {value}")
+
+
 def cmd_synth(args) -> int:
     start = time.perf_counter()
+    _check_float_flag("--fps", args.fps, positive=True)
+    _check_float_flag("--center-spread", args.center_spread)
+    _check_float_flag("--noise-std", args.noise_std)
     root = Path(args.data_root)
     # one synthesis covers train + test so both share the feature vocabulary;
     # the first train_videos videos are the training split
@@ -149,6 +163,7 @@ def cmd_synth(args) -> int:
         args.seed, features_per_frame=args.features_per_frame,
         center_spread=args.center_spread, noise_std=args.noise_std,
     )
+    drawn = time.perf_counter()
     ids = [f"video_{v:03d}" for v in range(len(data.videos))]
     cut = args.train_videos
     train_manifest = write_dataset(
@@ -168,6 +183,7 @@ def cmd_synth(args) -> int:
         seed=args.seed + 1,
         overwrite=True,
     )
+    written = time.perf_counter()
     _log(
         "synthesized",
         train_manifest=str(root / "train" / "manifest.json"),
@@ -176,6 +192,9 @@ def cmd_synth(args) -> int:
         train_videos=len(train_manifest.videos),
         test_videos=len(test_manifest.videos),
         queries=len(qmanifest.queries),
+        features=sum(video.features.shape[0] for video in data.videos),
+        draw_s=drawn - start,
+        write_s=written - drawn,
         duration_s=time.perf_counter() - start,
     )
     return 0

@@ -156,6 +156,19 @@ def _sq_norms(points: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", points, points)
 
 
+def _finite_sq_norms(points: np.ndarray, name: str) -> np.ndarray:
+    """:func:`_sq_norms`, refusing a norm beyond float64's range.
+
+    ``einsum`` turns such a norm into inf without a warning; every
+    distance to it would then be inf or NaN and its nearest center index
+    0, so a DataError naming ``name`` is raised instead.
+    """
+    norms = _sq_norms(points)
+    if not np.isfinite(norms).all():
+        raise DataError(f"{name} have a squared norm beyond float64's range")
+    return norms
+
+
 def _sq_dists(
     points: np.ndarray,
     centers: np.ndarray,
@@ -168,16 +181,18 @@ def _sq_dists(
     Chunked over rows and written into ``out``, (n, k). ``x2`` holds the
     rows' squared norms and ``prod`` is room for one chunk's product,
     (min(n, _DIST_CHUNK), k); each is allocated when not given, so a caller
-    that computes many distance matrices of one shape passes its own.
+    that computes many distance matrices of one shape passes its own. A
+    given ``x2`` is trusted; the centers' squared norms, and the rows'
+    when computed here, raise DataError when one is not finite.
     """
     n, k = points.shape[0], centers.shape[0]
     if x2 is None:
-        x2 = _sq_norms(points)
+        x2 = _finite_sq_norms(points, "points")
     if out is None:
         out = np.empty((n, k), dtype=np.float64)
     if prod is None:
         prod = np.empty((min(n, _DIST_CHUNK), k), dtype=np.float64)
-    c2 = _sq_norms(centers)
+    c2 = _finite_sq_norms(centers, "centers")
     for start in range(0, n, _DIST_CHUNK):
         block = out[start : start + _DIST_CHUNK]
         gram = np.matmul(points[start : start + _DIST_CHUNK], centers.T,
@@ -318,7 +333,7 @@ def _gram_pp_draws(windows, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     b = len(windows)
     n, dim = windows[0].shape
     eps = np.finfo(np.float64).eps
-    x2 = np.stack([_sq_norms(w) for w in windows])
+    x2 = np.stack([_finite_sq_norms(w, "points") for w in windows])
     # the dot-product rounding bound, plus a term for underflowing products
     delta = (4 * dim + 16) * 2 * (eps * x2.max(axis=1)
                                   + np.finfo(np.float64).tiny)
@@ -445,8 +460,9 @@ def kmeans_fit(
     of its previous value, or after ``_KMEANS_MAX_ITER`` iterations. Empty
     clusters are refilled with the point currently farthest from its
     assigned center so exactly ``k`` centers always come back. The
-    points' squared norms are computed once per fit, and every iteration
-    rewrites the same distance and residual arrays.
+    points' squared norms are computed and checked once per fit, before
+    the seeding, and every iteration rewrites the same distance and
+    residual arrays.
 
     Args:
         points: (n, dim) array or sequence of equal-length vectors.
@@ -462,6 +478,7 @@ def kmeans_fit(
         EmptyInput: no points were given.
         KTooLarge: k exceeds the number of points.
         DimensionMismatch: points have inconsistent dimensions.
+        DataError: a point is not finite, or its squared norm is not.
         ValueError: k < 1, or ``draws`` are not k row indices of
             ``points`` with the path "gram" or "exact".
     """
@@ -473,6 +490,7 @@ def kmeans_fit(
     if k > pts.shape[0]:
         raise KTooLarge(f"k={k} exceeds the {pts.shape[0]} available points")
     _check_finite(pts, "points")
+    x2 = _finite_sq_norms(pts, "points")
 
     if draws is None:
         idx, seeding = kmeans_pp_draws([pts], k, [seed])[0]
@@ -490,7 +508,6 @@ def kmeans_fit(
 
     # work arrays of the whole fit, reused by every iteration
     n, dim = pts.shape
-    x2 = _sq_norms(pts)
     dists = np.empty((n, k), dtype=np.float64)
     prod = np.empty((min(n, _DIST_CHUNK), k), dtype=np.float64)
     diff = np.empty((n, dim), dtype=np.float64)

@@ -19,6 +19,15 @@ A synthetic dataset is drawn once, in memory, by
 (``<video_id>.vfeat`` files plus ``manifest.json``) straight from those
 videos, and :func:`make_queries` cuts the query segments from the same
 in-memory videos; neither reads a feature file back.
+:func:`write_features` encodes a video once: one float32 cast and check
+of its whole feature matrix, and one write of the file.
+
+The draw order of :func:`synthesize_videos` is a contract, because it
+fixes every byte of a synthesized dataset: after the cluster means, per
+video one Dirichlet draw of its cluster weights, then per frame F
+uniforms, searched on the video's cluster CDF to pick F clusters (the
+steps ``Generator.choice(clusters, size=F, p=weights)`` takes), and then
+F x dim normals of noise.
 """
 
 from __future__ import annotations
@@ -112,16 +121,33 @@ class PerturbationSpec:
 
 
 def write_features(video: Video, path, *, overwrite: bool = False) -> None:
-    """Write a video to a VLACFEAT file. Refuses to clobber unless told to."""
+    """Write a video to a VLACFEAT file. Refuses to clobber unless told to.
+
+    The video is encoded once: the whole feature matrix goes through one
+    float32 cast and check, and the file is written in one piece, the
+    header and then each frame's header followed by that frame's slice of
+    the payload. A non-finite value raises DataError naming the first
+    frame that holds one, and nothing is written.
+    """
     if len(video) == 0:
         raise EmptyInput("cannot write a feature file with no frames")
+    index = video.frame_index.tolist()
+    try:
+        payload = memoryview(f32_bytes(video.features, str(path)))
+    except DataError:
+        for t, frame_index in enumerate(index):  # name the first bad frame
+            f32_bytes(video.features[video.rows(t, t + 1)],
+                      f"{path} frame {frame_index}")
+        raise
+    row_bytes = 4 * video.dim
+    offsets = video.offsets.tolist()
+    parts = [_FEAT_MAGIC
+             + _FEAT_HEADER.pack(_FEAT_VERSION, video.dim, len(index))]
+    for frame_index, start, stop in zip(index, offsets, offsets[1:]):
+        parts.append(_FRAME_HEADER.pack(frame_index, stop - start))
+        parts.append(payload[start * row_bytes : stop * row_bytes])
     with atomic_write(path, overwrite=overwrite) as fh:
-        fh.write(_FEAT_MAGIC
-                 + _FEAT_HEADER.pack(_FEAT_VERSION, video.dim, len(video)))
-        for t, frame_index in enumerate(video.frame_index.tolist()):
-            rows = video.features[video.rows(t, t + 1)]
-            fh.write(_FRAME_HEADER.pack(frame_index, rows.shape[0]))
-            fh.write(f32_bytes(rows, f"{path} frame {frame_index}"))
+        fh.write(b"".join(parts))
 
 
 def load_features(path, *, expected_dim: int | None = None) -> Video:
@@ -179,10 +205,16 @@ def synthesize_videos(
 ) -> SyntheticDataset:
     """Draw videos from a shared Gaussian-mixture vocabulary, in memory.
 
-    Deterministic under ``seed``: the cluster means are drawn once, then
-    per video a Dirichlet mixing vector (concentration
-    ``_MIXING_CONCENTRATION``) and per frame ``features_per_frame``
-    features (a cluster pick plus isotropic noise of ``noise_std``).
+    Deterministic under ``seed``, in this draw order: the (clusters,
+    dim) cluster means first; then per video one Dirichlet draw of its
+    mixing weights (concentration ``_MIXING_CONCENTRATION``), from which
+    its cluster CDF is built once; then per frame F =
+    ``features_per_frame`` uniforms, searched on that CDF to pick F
+    clusters, and F x dim normals of noise (``noise_std``), which are
+    added to the picked means. The picks are those of
+    ``Generator.choice(clusters, size=F, p=weights)``, which takes the
+    same steps on every call, so the stream and every byte are the ones
+    a per-frame ``choice`` gives.
     """
     if min(num_videos, frames_per_video, dim, clusters, features_per_frame) < 1:
         raise DataError("all synthesis counts must be >= 1")
@@ -193,12 +225,14 @@ def synthesize_videos(
     videos = []
     for v in range(num_videos):
         weights[v] = rng.dirichlet(np.full(clusters, _MIXING_CONCENTRATION))
+        cdf = _cluster_cdf(weights[v])
         feats = np.empty((offsets[-1], dim), dtype=np.float64)
         for t in range(frames_per_video):
-            picks = rng.choice(clusters, size=features_per_frame, p=weights[v])
-            feats[offsets[t] : offsets[t + 1]] = means[picks] + rng.normal(
-                0.0, noise_std, size=(features_per_frame, dim)
-            )
+            block = feats[offsets[t] : offsets[t + 1]]
+            picks = _pick_clusters(rng, cdf, features_per_frame)
+            np.take(means, picks, axis=0, out=block)
+            np.add(block, rng.normal(0.0, noise_std, size=block.shape),
+                   out=block)
         videos.append(Video(feats, np.arange(frames_per_video), offsets))
     return SyntheticDataset(
         videos=tuple(videos),
@@ -206,6 +240,23 @@ def synthesize_videos(
         mixing_weights=weights,
         noise_std=noise_std,
     )
+
+
+def _cluster_cdf(weights: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(len(weights), p=weights)`` builds on
+    every call, here built once per video."""
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _pick_clusters(rng: np.random.Generator, cdf: np.ndarray,
+                   count: int) -> np.ndarray:
+    """``count`` cluster indices drawn as ``Generator.choice(len(weights),
+    size=count, p=weights)`` draws them from ``cdf = _cluster_cdf(weights)``:
+    ``count`` uniforms searched on the CDF, so the picks and the stream
+    they consume are the same."""
+    return cdf.searchsorted(rng.random(count), side="right")
 
 
 def write_dataset(
@@ -334,8 +385,14 @@ def make_queries(
 
 
 def save_manifest(manifest, path, *, overwrite: bool = False) -> None:
-    """Write a DatasetManifest or a QueryManifest as JSON."""
-    doc = json.dumps(asdict(manifest), indent=2, sort_keys=True)
+    """Write a DatasetManifest or a QueryManifest as JSON; DataError if a
+    value is not finite, which JSON cannot hold."""
+    try:
+        doc = json.dumps(asdict(manifest), indent=2, sort_keys=True,
+                         allow_nan=False)
+    except ValueError as exc:
+        raise DataError(f"{path}: manifest holds a non-finite value "
+                        f"({exc})") from None
     with atomic_write(path, overwrite=overwrite) as fh:
         fh.write((doc + "\n").encode())
 

@@ -6,6 +6,13 @@ from dataclasses import fields
 import numpy as np
 
 from vlac import ModelParams, Video
+from vlac.fileio import atomic_write, f32_bytes
+from vlac.ingestion import (
+    _FEAT_HEADER,
+    _FEAT_MAGIC,
+    _FEAT_VERSION,
+    _FRAME_HEADER,
+)
 
 
 def make_video(rng, num_frames, dim, features_per_frame=4, scale=1.0,
@@ -16,6 +23,19 @@ def make_video(rng, num_frames, dim, features_per_frame=4, scale=1.0,
          for _ in range(num_frames)],
         range(start_index, start_index + num_frames),
     )
+
+
+def write_features_by_frame(video, path, *, overwrite=False):
+    """The frame-by-frame VLACFEAT writer, kept as the reference for
+    ``write_features``: each frame's header and its own float32 cast and
+    check, written one after the other."""
+    with atomic_write(path, overwrite=overwrite) as fh:
+        fh.write(_FEAT_MAGIC
+                 + _FEAT_HEADER.pack(_FEAT_VERSION, video.dim, len(video)))
+        for t, frame_index in enumerate(video.frame_index.tolist()):
+            rows = video.features[video.rows(t, t + 1)]
+            fh.write(_FRAME_HEADER.pack(frame_index, rows.shape[0]))
+            fh.write(f32_bytes(rows, f"{path} frame {frame_index}"))
 
 
 def frames_of(video):

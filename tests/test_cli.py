@@ -116,6 +116,21 @@ class TestSynth:
             run("synth", "--data-root", tmp_path, "--videos", "0")
         assert exc.value.code == 2
 
+    # --fps nan used to write "fps_sampled": NaN, which is not JSON; NaN
+    # noise and an infinite spread used to blame the video's features
+    @pytest.mark.parametrize("flag,value", [
+        ("--fps", "nan"), ("--fps", "-1"), ("--fps", "0"), ("--fps", "inf"),
+        ("--noise-std", "nan"), ("--noise-std", "-0.5"),
+        ("--center-spread", "inf"), ("--center-spread", "-1"),
+    ])
+    def test_bad_float_flag_exit_2(self, tmp_path, capsys, flag, value):
+        capsys.readouterr()
+        assert run(*SYNTH, "--data-root", tmp_path, flag, value) == 2
+        event = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert event["event"] == "error"
+        assert event["message"].startswith(f"{flag} must be finite")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrain:
     def test_model_files_written(self, trained):
@@ -584,6 +599,15 @@ class TestEvents:
         assert 0.0 < peaks[0] and peaks == sorted(peaks)
 
 
+    def test_synth_reports_draw_and_write_times(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(*SYNTH, "--data-root", tmp_path) == 0
+        event = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert event["event"] == "synthesized"
+        assert event["draw_s"] > 0.0 and event["write_s"] > 0.0
+        assert event["draw_s"] + event["write_s"] <= event["duration_s"]
+        assert event["features"] == 10 * 40 * 10  # videos x frames x F
+
     def test_search_reports_latency_and_margin(self, stores, tmp_path,
                                                capsys):
         capsys.readouterr()
@@ -692,6 +716,22 @@ class TestErrors:
                    "--magnitude", "1e308") == 2
         message = self.error_message(capsys)
         assert "gain" in message and "1e+308" in message
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["vlad", "vlac", "hp"])
+    def test_overflowing_norm_exit_2(self, dataset, trained, tmp_path,
+                                     capsys, method):
+        # finite perturbed features whose squared norms overflow used to
+        # be assigned to center 0 and encoded without complaint
+        out = tmp_path / "q.store"
+        assert run("encode", "--model", trained / f"{method}.bin",
+                   "--queries",
+                   "--manifest", dataset / "queries" / "manifest.json",
+                   "--out", out, "--perturb", "additive_gaussian",
+                   "--magnitude", "1e300") == 2
+        assert self.error_message(capsys) == (
+            "points have a squared norm beyond float64's range")
         assert not out.exists()
 
     def test_nan_threshold_exit_2(self, stores, tmp_path):

@@ -20,6 +20,7 @@ from vlac.core_math import (
     nearest_centers,
 )
 from vlac.errors import (
+    DataError,
     DimensionMismatch,
     DTooLarge,
     EmptyInput,
@@ -116,7 +117,22 @@ def kmeans_cases(draw):
     return points, k, draw(st.integers(0, 2**32 - 1), label="seed")
 
 
+# Finite points whose squared norms overflow float64: the distance form
+# used to make every distance inf and assign all three to center 0, where
+# the overflow-free argmax(x.c - |c|^2 / 2) gives [2, 1, 2].
+HUGE_POINTS = 1e300 * np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0],
+                                [0.0, 0.0, 1.0]])
+UNIT_CENTERS = np.eye(3)
+
+
 class TestKMeans:
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_norms_raise(self):
+        with pytest.raises(DataError, match="points have a squared norm"):
+            kmeans_fit(HUGE_POINTS, 2, 0)
+        with pytest.raises(DataError, match="points have a squared norm"):
+            kmeans_pp_draws([HUGE_POINTS, HUGE_POINTS], 2, [0, 1])
+
     @settings(max_examples=150, deadline=None)
     @given(case=kmeans_cases())
     def test_bit_identical_to_reference(self, case):
@@ -377,6 +393,13 @@ class TestQuantize:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             nearest([1.0, 2.0], [0.0], [10.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_norms_raise(self):
+        with pytest.raises(DataError, match="points have a squared norm"):
+            nearest_centers(HUGE_POINTS, UNIT_CENTERS)
+        with pytest.raises(DataError, match="centers have a squared norm"):
+            nearest_centers(UNIT_CENTERS, HUGE_POINTS)
 
     @pytest.mark.parametrize("chunk", [7, 4096])
     def test_chunked_distances_match_reference(self, monkeypatch, chunk):

@@ -1,9 +1,13 @@
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from _helpers import SENTINEL, make_video, poison
+from _helpers import SENTINEL, make_video, poison, write_features_by_frame
 from vlac import (
     DatasetManifest,
     PerturbationSpec,
@@ -25,7 +29,13 @@ from vlac.errors import (
     TruncatedFile,
     VideoTooShort,
 )
-from vlac.ingestion import PERTURBATION_KINDS, VideoEntry, save_manifest
+from vlac.ingestion import (
+    PERTURBATION_KINDS,
+    VideoEntry,
+    _cluster_cdf,
+    _pick_clusters,
+    save_manifest,
+)
 
 
 def write_synthetic(out_dir, num_videos, frames_per_video, dim, clusters,
@@ -37,6 +47,35 @@ def write_synthetic(out_dir, num_videos, frames_per_video, dim, clusters,
     manifest = write_dataset(out_dir, ids, data.videos, fps_sampled=1.0 / 3.0,
                              notes="")
     return manifest, data.videos
+
+
+@st.composite
+def feature_videos(draw):
+    """A small video: 1-6 frames of 0-4 features each, dim 1-4, frame
+    indices increasing by 1-3 from 0-2."""
+    dim = draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    steps = draw(st.lists(st.integers(1, 3), min_size=len(counts),
+                          max_size=len(counts)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return Video.from_frames(
+        [rng.normal(0.0, 10.0, size=(count, dim)) for count in counts],
+        np.cumsum(steps) - 1,
+    )
+
+
+def vfeat_u32_fields(video):
+    """Byte offsets of every u32 in ``video``'s VLACFEAT file: the dim and
+    frame count, then each frame's index and feature count."""
+    at = [10, 14]
+    pos = 18
+    for t in range(len(video)):
+        at += [pos, pos + 4]
+        pos += 8 + 4 * video.dim * int(video.offsets[t + 1] - video.offsets[t])
+    return at
+
+
+MUTATIONS = ("flip", "truncate", "forge_u32", "insert")
 
 
 class TestFeatureFiles:
@@ -102,6 +141,58 @@ class TestFeatureFiles:
         with pytest.raises(DataError, match="p.vfeat"):
             load_features(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
+    def test_writer_names_the_first_bad_frame(self, tmp_path, value):
+        video = make_video(np.random.default_rng(6), 5, 3, start_index=10)
+        video.features[video.offsets[2] + 1, 0] = value
+        video.features[video.offsets[4], 2] = value
+        with pytest.raises(DataError,
+                           match="frame 12 holds a non-finite value"):
+            write_features(video, tmp_path / "bad.vfeat")
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(video=feature_videos())
+    def test_writer_matches_frame_by_frame_reference(self, video):
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, reference = Path(tmp) / "a.vfeat", Path(tmp) / "b.vfeat"
+            write_features(video, ours)
+            write_features_by_frame(video, reference)
+            assert ours.read_bytes() == reference.read_bytes()
+            loaded = load_features(ours)
+        as_f32 = video.features.astype(np.float32).astype(np.float64)
+        assert loaded.features.tobytes() == as_f32.tobytes()
+        assert np.array_equal(loaded.offsets, video.offsets)
+        assert np.array_equal(loaded.frame_index, video.frame_index)
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=400, deadline=None)
+    @given(video=feature_videos(), kind=st.sampled_from(MUTATIONS),
+           where=st.integers(0, 2**16), bit=st.integers(0, 7),
+           value=st.one_of(st.integers(0, 8), st.integers(0, 2**32 - 1)))
+    def test_mutated_file_loads_or_raises_data_error(self, video, kind,
+                                                     where, bit, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.vfeat"
+            write_features(video, path)
+            data = bytearray(path.read_bytes())
+            pos = where % len(data)
+            if kind == "flip":
+                data[pos] ^= 1 << bit
+            elif kind == "truncate":
+                del data[pos:]
+            elif kind == "insert":
+                data[pos:pos] = bytes([value & 0xFF])
+            else:
+                fields = vfeat_u32_fields(video)
+                struct.pack_into("<I", data, fields[where % len(fields)],
+                                 value)
+            path.write_bytes(bytes(data))
+            try:
+                load_features(path)
+            except DataError:
+                pass
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.vfeat"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
@@ -125,7 +216,43 @@ class TestFeatureFiles:
         write_features(video, path, overwrite=True)
 
 
+# Dirichlet weights (concentration 0.01, seed 1) with an exact zero and a
+# cumulative sum that ends at 0.9999999999999999, not 1.0
+SPARSE_WEIGHTS = np.random.default_rng(1).dirichlet(np.full(12, 0.01))
+
+weight_vectors = st.one_of(
+    st.builds(
+        lambda seed, k, alpha: np.random.default_rng(seed).dirichlet(
+            np.full(k, alpha)),
+        st.integers(0, 2**32 - 1), st.integers(1, 40),
+        st.sampled_from([0.003, 0.01, 0.3, 1.0, 5.0])),
+    st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.7, 1.0]), min_size=1,
+             max_size=12)
+    .filter(lambda w: sum(w) > 0)
+    .map(lambda w: np.array(w) / sum(w)),
+)
+
+
 class TestSynthesize:
+    def test_sparse_weights_are_the_edge_cases(self):
+        assert (SPARSE_WEIGHTS == 0.0).any()
+        assert np.cumsum(SPARSE_WEIGHTS)[-1] != 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=weight_vectors, count=st.integers(1, 64),
+           seed=st.integers(0, 2**32 - 1))
+    @example(weights=SPARSE_WEIGHTS, count=40, seed=7)
+    @example(weights=np.full(10, 0.1), count=25, seed=8)
+    def test_picks_follow_generator_choice(self, weights, count, seed):
+        # synthesis draws each frame's clusters from a CDF built once per
+        # video; a numpy whose choice draws otherwise must fail here
+        # rather than let every synthesized byte drift
+        ours, theirs = (np.random.default_rng(seed) for _ in range(2))
+        picks = _pick_clusters(ours, _cluster_cdf(weights), count)
+        expected = theirs.choice(weights.shape[0], size=count, p=weights)
+        assert np.array_equal(picks, expected)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
     def test_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -352,6 +479,16 @@ class TestManifests:
         save_manifest(manifest, tmp_path / "m.json")
         with pytest.raises(DataError):
             load_manifest(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("fps", [np.nan, np.inf])
+    def test_non_finite_value_refused(self, tmp_path, fps):
+        manifest = DatasetManifest(
+            videos=(VideoEntry("v0", "v0.vfeat", fps, "clean"),),
+            feature_dim=2,
+        )
+        with pytest.raises(DataError, match="non-finite"):
+            save_manifest(manifest, tmp_path / "m.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DataError):
