@@ -8,12 +8,11 @@ after the one perturbation all methods share) took; the ``trained`` and
 memory high-water mark so far, and the ``synthesized`` event splits its
 time into ``draw_s`` (drawing the videos in memory) and ``write_s``
 (writing every file) and counts the feature rows drawn as ``features``.
-Exit codes: 0 success, 2 data or usage
-error (``DataError``, ``ValueError``, ``OSError``, bad JSON), 3 numeric
-failure (numpy's ``LinAlgError`` or ``FloatingPointError``). Commands
-overwrite their own output files so reruns are idempotent, and every
-output file is written all-or-nothing: a failed command leaves an
-existing file unchanged.
+Exit codes: 0 success, 2 data or usage error (``DataError``,
+``ValueError``, ``OSError``, bad JSON), 3 numeric failure (numpy's
+``LinAlgError`` or ``FloatingPointError``). Commands overwrite their own
+output files so reruns are idempotent, and every output file is written
+all-or-nothing: a failed command leaves an existing file unchanged.
 """
 
 from __future__ import annotations
@@ -436,9 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--noise-std", type=float, default=0.5)
     synth.add_argument("--fps", type=float, default=1.0 / 3.0)
     synth.add_argument("--segment-len", type=_positive, default=20)
-    synth.add_argument("--offset", type=int, default=1,
+    synth.add_argument("--offset", type=_non_negative, default=1,
                        help="query sampling-grid shift in frames")
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=_non_negative, default=0)
     synth.set_defaults(func=cmd_synth)
 
     train = sub.add_parser("train", help="train an encoder model")

@@ -116,6 +116,15 @@ class TestSynth:
             run("synth", "--data-root", tmp_path, "--videos", "0")
         assert exc.value.code == 2
 
+    # --offset -1 used to fail after writing the train and test splits, and
+    # --seed -1 with numpy's "expected non-negative integer"
+    @pytest.mark.parametrize("flag", ["--offset", "--seed"])
+    def test_negative_int_flag_usage_error(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(*SYNTH, "--data-root", tmp_path, flag, "-1")
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
     # --fps nan used to write "fps_sampled": NaN, which is not JSON; NaN
     # noise and an infinite spread used to blame the video's features
     @pytest.mark.parametrize("flag,value", [
