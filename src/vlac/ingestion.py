@@ -25,8 +25,8 @@ of its whole feature matrix, and one write of the file.
 The draw order of :func:`synthesize_videos` is a contract, because it
 fixes every byte of a synthesized dataset: after the cluster means, per
 video one Dirichlet draw of its cluster weights, then per frame F
-uniforms, searched on the video's cluster CDF to pick F clusters (the
-steps ``Generator.choice(clusters, size=F, p=weights)`` takes), and then
+uniforms, which pick F clusters as ``Generator.choice(clusters, size=F,
+p=weights)`` would (searched on the video's cluster CDF), and then
 F x dim normals of noise.
 """
 
@@ -207,14 +207,14 @@ def synthesize_videos(
 
     Deterministic under ``seed``, in this draw order: the (clusters,
     dim) cluster means first; then per video one Dirichlet draw of its
-    mixing weights (concentration ``_MIXING_CONCENTRATION``), from which
-    its cluster CDF is built once; then per frame F =
-    ``features_per_frame`` uniforms, searched on that CDF to pick F
-    clusters, and F x dim normals of noise (``noise_std``), which are
-    added to the picked means. The picks are those of
-    ``Generator.choice(clusters, size=F, p=weights)``, which takes the
-    same steps on every call, so the stream and every byte are the ones
-    a per-frame ``choice`` gives.
+    mixing weights (concentration ``_MIXING_CONCENTRATION``); then per
+    frame F = ``features_per_frame`` uniforms and F x dim normals of
+    noise (``noise_std``). A video's uniforms are searched on its
+    cluster CDF in one call, and the picked means are added to its noise
+    in one pass. The picks are those a per-frame
+    ``Generator.choice(clusters, size=F, p=weights)`` makes from the
+    same uniforms, so the stream and every byte are the ones that loop
+    gives.
     """
     if min(num_videos, frames_per_video, dim, clusters, features_per_frame) < 1:
         raise DataError("all synthesis counts must be >= 1")
@@ -225,14 +225,15 @@ def synthesize_videos(
     videos = []
     for v in range(num_videos):
         weights[v] = rng.dirichlet(np.full(clusters, _MIXING_CONCENTRATION))
-        cdf = _cluster_cdf(weights[v])
         feats = np.empty((offsets[-1], dim), dtype=np.float64)
+        uniforms = np.empty((frames_per_video, features_per_frame))
         for t in range(frames_per_video):
-            block = feats[offsets[t] : offsets[t + 1]]
-            picks = _pick_clusters(rng, cdf, features_per_frame)
-            np.take(means, picks, axis=0, out=block)
-            np.add(block, rng.normal(0.0, noise_std, size=block.shape),
-                   out=block)
+            rng.random(out=uniforms[t])
+            feats[offsets[t] : offsets[t + 1]] = rng.normal(
+                0.0, noise_std, size=(features_per_frame, dim)
+            )
+        # float addition commutes, so noise + mean has the bits of mean + noise
+        feats += means[_pick_clusters(weights[v], uniforms.ravel())]
         videos.append(Video(feats, np.arange(frames_per_video), offsets))
     return SyntheticDataset(
         videos=tuple(videos),
@@ -242,21 +243,14 @@ def synthesize_videos(
     )
 
 
-def _cluster_cdf(weights: np.ndarray) -> np.ndarray:
-    """The CDF ``Generator.choice(len(weights), p=weights)`` builds on
-    every call, here built once per video."""
+def _pick_clusters(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The clusters ``Generator.choice(len(weights), size=n, p=weights)``
+    picks when ``random(n)`` gives it ``uniforms``: the same search of the
+    uniforms on the cumulative weights, normalized by their last entry,
+    so one call serves every frame of a video."""
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    return cdf
-
-
-def _pick_clusters(rng: np.random.Generator, cdf: np.ndarray,
-                   count: int) -> np.ndarray:
-    """``count`` cluster indices drawn as ``Generator.choice(len(weights),
-    size=count, p=weights)`` draws them from ``cdf = _cluster_cdf(weights)``:
-    ``count`` uniforms searched on the CDF, so the picks and the stream
-    they consume are the same."""
-    return cdf.searchsorted(rng.random(count), side="right")
+    return cdf.searchsorted(uniforms, side="right")
 
 
 def write_dataset(

@@ -12,6 +12,8 @@ from vlac.ingestion import (
     _FEAT_MAGIC,
     _FEAT_VERSION,
     _FRAME_HEADER,
+    _MIXING_CONCENTRATION,
+    SyntheticDataset,
 )
 
 
@@ -36,6 +38,29 @@ def write_features_by_frame(video, path, *, overwrite=False):
             rows = video.features[video.rows(t, t + 1)]
             fh.write(_FRAME_HEADER.pack(frame_index, rows.shape[0]))
             fh.write(f32_bytes(rows, f"{path} frame {frame_index}"))
+
+
+def synthesize_by_choice(num_videos, frames_per_video, dim, clusters, seed,
+                         *, features_per_frame=15, center_spread=10.0,
+                         noise_std=0.5):
+    """The per-frame ``Generator.choice`` synthesis loop, kept as the
+    reference for ``synthesize_videos``."""
+    rng = np.random.default_rng(seed)
+    means = rng.normal(0.0, center_spread, size=(clusters, dim))
+    weights = np.empty((num_videos, clusters), dtype=np.float64)
+    offsets = np.arange(frames_per_video + 1) * features_per_frame
+    videos = []
+    for v in range(num_videos):
+        weights[v] = rng.dirichlet(np.full(clusters, _MIXING_CONCENTRATION))
+        feats = np.empty((offsets[-1], dim), dtype=np.float64)
+        for t in range(frames_per_video):
+            picks = rng.choice(clusters, size=features_per_frame, p=weights[v])
+            feats[offsets[t] : offsets[t + 1]] = means[picks] + rng.normal(
+                0.0, noise_std, size=(features_per_frame, dim)
+            )
+        videos.append(Video(feats, np.arange(frames_per_video), offsets))
+    return SyntheticDataset(videos=tuple(videos), cluster_means=means,
+                            mixing_weights=weights, noise_std=noise_std)
 
 
 def frames_of(video):

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _helpers import SENTINEL, make_video, poison, write_features_by_frame
+from _helpers import (
+    SENTINEL,
+    make_video,
+    poison,
+    synthesize_by_choice,
+    write_features_by_frame,
+)
 from vlac import (
     DatasetManifest,
     PerturbationSpec,
@@ -32,7 +38,6 @@ from vlac.errors import (
 from vlac.ingestion import (
     PERTURBATION_KINDS,
     VideoEntry,
-    _cluster_cdf,
     _pick_clusters,
     save_manifest,
 )
@@ -244,14 +249,31 @@ class TestSynthesize:
     @example(weights=SPARSE_WEIGHTS, count=40, seed=7)
     @example(weights=np.full(10, 0.1), count=25, seed=8)
     def test_picks_follow_generator_choice(self, weights, count, seed):
-        # synthesis draws each frame's clusters from a CDF built once per
-        # video; a numpy whose choice draws otherwise must fail here
-        # rather than let every synthesized byte drift
+        # synthesis picks clusters from uniforms it draws itself; a numpy
+        # whose choice draws otherwise must fail here rather than let
+        # every synthesized byte drift
         ours, theirs = (np.random.default_rng(seed) for _ in range(2))
-        picks = _pick_clusters(ours, _cluster_cdf(weights), count)
+        picks = _pick_clusters(weights, ours.random(count))
         expected = theirs.choice(weights.shape[0], size=count, p=weights)
         assert np.array_equal(picks, expected)
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(num_videos=st.integers(1, 3), frames=st.integers(1, 4),
+           dim=st.integers(1, 3), clusters=st.integers(1, 6),
+           features_per_frame=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_frame_choice_reference(
+            self, num_videos, frames, dim, clusters, features_per_frame,
+            seed):
+        args = (num_videos, frames, dim, clusters, seed)
+        data = synthesize_videos(*args, features_per_frame=features_per_frame)
+        reference = synthesize_by_choice(
+            *args, features_per_frame=features_per_frame)
+        assert np.array_equal(data.mixing_weights, reference.mixing_weights)
+        for video, expected in zip(data.videos, reference.videos, strict=True):
+            assert video.features.tobytes() == expected.features.tobytes()
+            assert np.array_equal(video.offsets, expected.offsets)
 
     def test_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a"
