@@ -32,7 +32,12 @@ matrix.
 
 Each trainer takes the training videos and one :class:`ModelParams`,
 cuts the windows itself, and the field metadata records which method
-reads which field. A trainer holds each training matrix once: it drops
+reads which field. ``videos`` may be any iterable, a one-pass iterator
+that reads each video from its file included, and a trainer consumes it
+once: VLAC streams it, fitting each video's window LFCs as the video
+arrives, while VLAD and hyper-pooling make the only list of it and drop
+that list after its last use, the frame VLAD rows, so no video is held
+while a basis is fit. A trainer holds each training matrix once: it drops
 its pooled features as soon as the codebook is fit, and every basis fit
 L2-normalizes (with ``normalize``) and centers the rows built for it in
 place (``pca_fit(..., overwrite_rows=True)``) instead of copying them.
@@ -437,7 +442,8 @@ def train_vlad(videos, params: ModelParams) -> TrainedModel:
     a d-dimensional compaction basis over the per-frame VLAD rows.
 
     ``gof_size``/``overlap`` only parameterize later encoding; the basis is
-    always fit on per-frame encodings of the training frames.
+    always fit on per-frame encodings of the training frames. ``videos``
+    is consumed once, into a list that is dropped after the frame VLAD rows.
     """
     params = params.for_method(METHOD_VLAD)
     videos = list(videos)
@@ -447,6 +453,7 @@ def train_vlad(videos, params: ModelParams) -> TrainedModel:
     codebook = kmeans_fit(pooled, params.j, params.seed)
     del pooled
     rows = np.concatenate([_frame_vlads(v, codebook) for v in videos])
+    del videos  # the last use of the features
     basis = _fit_basis(rows, params.d, params.normalize)
     return TrainedModel(
         method=METHOD_VLAD,
@@ -465,7 +472,8 @@ def fit_clfcs(
     video in order, and their centers stacked in that order, the matrix the
     CLFCs are fit on (both reused to encode the training windows). Each
     window's LFC clustering is seeded with ``seed XOR`` the window's index
-    within its video.
+    within its video. ``videos`` is gone through once, so each video can
+    be dropped as soon as its windows are fit.
     """
     lfcs = [cb for video in videos for cb in _window_lfcs(video, params)]
     if not lfcs:
@@ -490,6 +498,7 @@ def _fit_summary(books) -> dict[str, int]:
 def train_vlac(videos, params: ModelParams) -> TrainedModel:
     """Fit a VLAC model: LFCs per training window, an M-codebook of CLFCs
     over all of them, and a d-dimensional basis over per-window VLAC rows.
+    ``videos`` is consumed once, one video at a time (:func:`fit_clfcs`).
     """
     params = params.for_method(METHOD_VLAC)
     clfc, lfcs, points = fit_clfcs(videos, params)
@@ -514,6 +523,8 @@ def train_hp(videos, params: ModelParams) -> TrainedModel:
     residuals are defined everywhere); and a final d-dim basis over the
     per-window raw vectors. Every stage sees the frames window by window,
     so a frame two windows share counts twice. ``h`` is clamped to ``d0``.
+    ``videos`` is consumed once, into a list that is dropped after the
+    frame VLAD rows, before the first basis is fit.
     """
     params = params.for_method(METHOD_HP)
     params = replace(params, h=min(params.h, params.d0))
@@ -533,6 +544,7 @@ def train_hp(videos, params: ModelParams) -> TrainedModel:
         _frame_vlads(v, first_codebook)[np.add.outer(ss, np.arange(g)).ravel()]
         for v, ss in zip(videos, starts) if ss
     ])
+    del videos  # the last use of the features
     # the fit centers frame_rows in place, so a plain product projects them,
     # bit for bit as pca_project would
     first_basis = pca_fit(frame_rows, d0, overwrite_rows=True)
@@ -567,9 +579,12 @@ def train_hp(videos, params: ModelParams) -> TrainedModel:
 
 
 def train(method: str, videos, params: ModelParams) -> TrainedModel:
-    """Train ``method`` on ``videos``, a sequence of :class:`Video`.
+    """Train ``method`` on ``videos``, an iterable of :class:`Video`.
 
-    ``params.f`` is not read: the data fixes the feature dimension.
+    ``videos`` is consumed once and may be a one-pass iterator; the
+    trainer drops it after its last use, so a caller that hands over its
+    only reference holds no video while a basis is fit. ``params.f`` is
+    not read: the data fixes the feature dimension.
     """
     if method == METHOD_VLAD:
         return train_vlad(videos, params)

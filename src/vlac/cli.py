@@ -3,22 +3,32 @@
 Every command is reproducible under a fixed seed and emits structured logs
 (one JSON object per line) on stdout; each command's events carry
 ``duration_s``, the seconds the command (for ``stability``, the method,
-after the one perturbation all methods share) took; the ``trained`` and
-``stability`` events also carry ``peak_rss_mb``, the process's resident
-memory high-water mark so far, and the ``synthesized`` event splits its
-time into ``draw_s`` (drawing the videos in memory) and ``write_s``
-(writing every file) and counts the feature rows drawn as ``features``.
+after the one perturbation all methods share) took; the ``trained``,
+``encoded`` and ``stability`` events also carry ``peak_rss_mb``, the
+process's resident memory high-water mark so far, and the ``synthesized``
+event splits its time into ``draw_s`` (drawing the videos in memory) and
+``write_s`` (writing every file) and counts the feature rows drawn as
+``features``.
 Exit codes: 0 success, 2 data or usage error (``DataError``,
 ``ValueError``, ``OSError``, bad JSON), 3 numeric failure (numpy's
 ``LinAlgError`` or ``FloatingPointError``). Commands overwrite their own
 output files so reruns are idempotent, and every output file is written
 all-or-nothing: a failed command leaves an existing file unchanged.
+
+A manifest's feature files are read one at a time, when a command reaches
+them. ``train`` hands the videos to the trainer as a one-pass iterator
+(see :mod:`vlac.aggregation` for how long each trainer holds them).
+``encode`` reads, perturbs and encodes one video at a time and drops it
+before it reads the next, so its memory does not grow with the manifest.
+``stability`` trains every method on every clean and every noisy video,
+so it holds all of them for the whole command.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import resource
@@ -120,8 +130,9 @@ def load_config(args, feature_dim: int) -> ModelParams:
 
 def _manifest_videos(path, *, queries: bool = False):
     """The feature dimension of a dataset (or, with ``queries``, a query)
-    manifest and its videos read from their feature files, keyed by video
-    (or query) id in manifest order."""
+    manifest, its video (or query) ids in manifest order, and its videos in
+    that order as a one-pass iterator: each feature file is read only when
+    the iterator reaches it, and the caller decides how long to hold it."""
     path = Path(path)
     if queries:
         manifest = load_query_manifest(path)
@@ -129,11 +140,10 @@ def _manifest_videos(path, *, queries: bool = False):
     else:
         manifest = load_manifest(path)
         entries = [(v.video_id, v.feature_file) for v in manifest.videos]
-    return manifest.feature_dim, {
-        video_id: load_features(path.parent / rel,
-                                expected_dim=manifest.feature_dim)
-        for video_id, rel in entries
-    }
+    dim = manifest.feature_dim
+    videos = (load_features(path.parent / rel, expected_dim=dim)
+              for _, rel in entries)
+    return dim, [video_id for video_id, _ in entries], videos
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +211,8 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     start = time.perf_counter()
-    dim, videos = _manifest_videos(args.manifest)
-    model = train(args.method, list(videos.values()), load_config(args, dim))
+    dim, _, videos = _manifest_videos(args.manifest)
+    model = train(args.method, videos, load_config(args, dim))
     f32_error = save_model(model, args.out, overwrite=True)
     bases = {
         name: {"solver": basis.solver,
@@ -247,14 +257,13 @@ def _encode_one(video_id, video, model):
 def cmd_encode(args) -> int:
     start = time.perf_counter()
     model = load_model(args.model)
-    _, items = _manifest_videos(args.manifest, queries=args.queries)
-    videos = list(items.values())
+    _, ids, videos = _manifest_videos(args.manifest, queries=args.queries)
     if args.perturb:
         videos = perturb_videos(videos, PerturbationSpec(
             kind=args.perturb, magnitude=args.magnitude, seed=args.perturb_seed
         ))
-
-    sequences = [_encode_one(i, v, model) for i, v in zip(items, videos)]
+    # map drops each video once it is encoded, before the next is read
+    sequences = list(map(_encode_one, ids, videos, itertools.repeat(model)))
     write_store(sequences, args.out, overwrite=True)
     _log(
         "encoded",
@@ -262,6 +271,7 @@ def cmd_encode(args) -> int:
         method=model.method,
         videos=len(sequences),
         gofs=[s.length for s in sequences],
+        peak_rss_mb=_peak_rss_mb(),
         duration_s=time.perf_counter() - start,
     )
     return 0
@@ -361,13 +371,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    dim, items = _manifest_videos(args.manifest)
+    dim, _, videos = _manifest_videos(args.manifest)
     params = load_config(args, dim)
-    videos = list(items.values())
+    # every method trains on every clean and noisy video: hold them all
+    videos = list(videos)
     spec = PerturbationSpec(
         kind=args.kind, magnitude=args.magnitude, seed=args.perturb_seed
     )
-    noisy_videos = perturb_videos(videos, spec)
+    noisy_videos = list(perturb_videos(videos, spec))
     methods = list(STABILITY_METHODS) if args.method == "all" else [args.method]
     rows = []
     for method in methods:

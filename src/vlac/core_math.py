@@ -57,6 +57,11 @@ _SCATTER_CHUNK = 1 << 18
 # Values per block of an elementwise pass that should stay in cache.
 _BLOCK_VALUES = 1 << 15
 
+# Half of float64's range. While max |x|^2 + max |c|^2 stays within it, the
+# Gram-form terms |x|^2 + |c|^2 and 2 x.c, and the distances they give,
+# are finite.
+_HALF_MAX = float(np.finfo(np.float64).max) / 2
+
 # k-means++ seeding builds the n x n Gram distance matrix (2 MB at this
 # size) up to this many rows, and one matrix-vector product per draw above.
 _PP_GRAM_ROWS = 512
@@ -169,6 +174,20 @@ def _finite_sq_norms(points: np.ndarray, name: str) -> np.ndarray:
     return norms
 
 
+def _check_distance_range(x2: np.ndarray, c2: np.ndarray, name: str) -> None:
+    """Refuse Gram-form distances that would overflow float64.
+
+    With every squared norm finite, ``x2 + c2`` or ``2 * x.c`` can still
+    overflow, and the distance then turns inf or NaN. A DataError naming
+    ``name`` is raised instead when ``max(x2) + max(c2)`` exceeds half of
+    float64's range.
+    """
+    if x2.max(initial=0.0) > _HALF_MAX - c2.max(initial=0.0):
+        raise DataError(
+            f"{name} have squared norms whose distances overflow float64"
+        )
+
+
 def _sq_dists(
     points: np.ndarray,
     centers: np.ndarray,
@@ -183,7 +202,8 @@ def _sq_dists(
     (min(n, _DIST_CHUNK), k); each is allocated when not given, so a caller
     that computes many distance matrices of one shape passes its own. A
     given ``x2`` is trusted; the centers' squared norms, and the rows'
-    when computed here, raise DataError when one is not finite.
+    when computed here, raise DataError when one is not finite, and so do
+    norms whose distances would overflow (:func:`_check_distance_range`).
     """
     n, k = points.shape[0], centers.shape[0]
     if x2 is None:
@@ -193,6 +213,7 @@ def _sq_dists(
     if prod is None:
         prod = np.empty((min(n, _DIST_CHUNK), k), dtype=np.float64)
     c2 = _finite_sq_norms(centers, "centers")
+    _check_distance_range(x2, c2, "points and centers")
     for start in range(0, n, _DIST_CHUNK):
         block = out[start : start + _DIST_CHUNK]
         gram = np.matmul(points[start : start + _DIST_CHUNK], centers.T,
@@ -334,6 +355,7 @@ def _gram_pp_draws(windows, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     n, dim = windows[0].shape
     eps = np.finfo(np.float64).eps
     x2 = np.stack([_finite_sq_norms(w, "points") for w in windows])
+    _check_distance_range(x2, x2, "points")
     # the dot-product rounding bound, plus a term for underflowing products
     delta = (4 * dim + 16) * 2 * (eps * x2.max(axis=1)
                                   + np.finfo(np.float64).tiny)
@@ -478,7 +500,8 @@ def kmeans_fit(
         EmptyInput: no points were given.
         KTooLarge: k exceeds the number of points.
         DimensionMismatch: points have inconsistent dimensions.
-        DataError: a point is not finite, or its squared norm is not.
+        DataError: a point is not finite, or its squared norm is not, or
+            the norms are so large that a distance would overflow.
         ValueError: k < 1, or ``draws`` are not k row indices of
             ``points`` with the path "gram" or "exact".
     """

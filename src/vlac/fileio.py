@@ -7,8 +7,10 @@ only the layout; the rules live here, once:
 
 * :func:`atomic_write` makes every write all-or-nothing, the text outputs
   (CSV through :func:`write_csv`, SVG) included;
-* :func:`f32_bytes` is the one float32 encoder, and it refuses a value
-  that is not finite in float32;
+* :func:`f32_into` is the one float32 encoder: it casts into a caller's
+  float32 array, such as a view of a preallocated file buffer, and reports
+  which rows are not finite in float32; :func:`f32_bytes` encodes through
+  it and refuses such a value;
 * :class:`Reader` is the one decoder: a wrong magic raises ``BadMagic``, a
   read past the end ``TruncatedFile``, a non-finite payload value or a
   trailing byte ``DataError``. ``Reader.f32_view`` leaves the finiteness
@@ -66,16 +68,25 @@ def write_csv(path, header, rows) -> None:
         text.detach()  # flushes into fh, which atomic_write closes
 
 
-def f32_bytes(arr, what: str) -> bytes:
-    """``arr`` as C-order little-endian float32 bytes.
+def f32_into(out: np.ndarray, arr) -> np.ndarray:
+    """Cast ``arr`` into ``out``, a little-endian float32 array of its shape
+    (it may be a strided view of a file buffer), and return whether each
+    row of ``out``, each entry along its first axis, is finite.
 
-    Raises DataError if a value is not finite after the cast, so a float64
-    value beyond float32's range is refused like NaN and inf, without
-    numpy's overflow warning.
+    The cast runs under ``np.errstate(over="ignore")``: a float64 value
+    beyond float32's range turns inf without numpy's overflow warning and
+    fails the check like NaN and inf.
     """
     with np.errstate(over="ignore"):
-        mat = np.ascontiguousarray(arr, dtype="<f4")
-    if not np.isfinite(mat).all():
+        np.copyto(out, arr)
+    return np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
+
+
+def f32_bytes(arr, what: str) -> bytes:
+    """``arr`` as C-order little-endian float32 bytes; DataError naming
+    ``what`` if a value is not finite after the cast (:func:`f32_into`)."""
+    mat = np.empty(np.shape(arr), dtype="<f4")
+    if not f32_into(mat, arr).all():
         raise DataError(f"{what} holds a non-finite value")
     return mat.tobytes()
 

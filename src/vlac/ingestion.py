@@ -19,8 +19,8 @@ A synthetic dataset is drawn once, in memory, by
 (``<video_id>.vfeat`` files plus ``manifest.json``) straight from those
 videos, and :func:`make_queries` cuts the query segments from the same
 in-memory videos; neither reads a feature file back.
-:func:`write_features` encodes a video once: one float32 cast and check
-of its whole feature matrix, and one write of the file.
+:func:`write_features` builds a file in one preallocated buffer, casting
+the features to float32 straight into it, and writes it in one piece.
 
 The draw order of :func:`synthesize_videos` is a contract, because it
 fixes every byte of a synthesized dataset: after the cluster means, per
@@ -32,8 +32,10 @@ F x dim normals of noise.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
+from collections.abc import Iterator
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -41,7 +43,7 @@ import numpy as np
 
 from .aggregation import Video
 from .errors import DataError, DimensionMismatch, EmptyInput, VideoTooShort
-from .fileio import Reader, atomic_write, f32_bytes
+from .fileio import Reader, atomic_write, f32_into
 
 _FEAT_MAGIC = b"VLACFEAT"
 _FEAT_VERSION = 1
@@ -123,31 +125,42 @@ class PerturbationSpec:
 def write_features(video: Video, path, *, overwrite: bool = False) -> None:
     """Write a video to a VLACFEAT file. Refuses to clobber unless told to.
 
-    The video is encoded once: the whole feature matrix goes through one
-    float32 cast and check, and the file is written in one piece, the
-    header and then each frame's header followed by that frame's slice of
-    the payload. A non-finite value raises DataError naming the first
-    frame that holds one, and nothing is written.
+    The file is built in one preallocated buffer: the header, then each
+    frame's header followed by its rows, which are cast to float32
+    straight into the buffer (:func:`fileio.f32_into`). Consecutive frames
+    with one feature count lie at equal strides in the file, so each such
+    run is cast and checked through one strided view; a synthesized video
+    is one run. The buffer is written in one piece. A non-finite value
+    raises DataError naming the first frame that holds one, and nothing is
+    written.
     """
     if len(video) == 0:
         raise EmptyInput("cannot write a feature file with no frames")
-    index = video.frame_index.tolist()
-    try:
-        payload = memoryview(f32_bytes(video.features, str(path)))
-    except DataError:
-        for t, frame_index in enumerate(index):  # name the first bad frame
-            f32_bytes(video.features[video.rows(t, t + 1)],
-                      f"{path} frame {frame_index}")
-        raise
-    row_bytes = 4 * video.dim
-    offsets = video.offsets.tolist()
-    parts = [_FEAT_MAGIC
-             + _FEAT_HEADER.pack(_FEAT_VERSION, video.dim, len(index))]
-    for frame_index, start, stop in zip(index, offsets, offsets[1:]):
-        parts.append(_FRAME_HEADER.pack(frame_index, stop - start))
-        parts.append(payload[start * row_bytes : stop * row_bytes])
+    dim, offsets = video.dim, video.offsets
+    counts = np.diff(offsets)
+    head = len(_FEAT_MAGIC) + _FEAT_HEADER.size
+    # where each frame's record, its header and then its rows, starts
+    ends = head + np.cumsum(_FRAME_HEADER.size + 4 * dim * counts)
+    starts = [head, *ends[:-1].tolist()]
+    buf = bytearray(int(ends[-1]))
+    buf[:head] = _FEAT_MAGIC + _FEAT_HEADER.pack(_FEAT_VERSION, dim, len(video))
+    for start, frame_index, count in zip(starts, video.frame_index.tolist(),
+                                         counts.tolist()):
+        _FRAME_HEADER.pack_into(buf, start, frame_index, count)
+    cuts = (np.flatnonzero(np.diff(counts)) + 1).tolist()
+    for a, b in zip([0, *cuts], [*cuts, len(video)]):
+        n, width = b - a, int(counts[a]) * dim
+        payload = np.ndarray((n, width), dtype="<f4", buffer=buf,
+                             offset=starts[a] + _FRAME_HEADER.size,
+                             strides=(_FRAME_HEADER.size + 4 * width, 4))
+        rows = video.features[offsets[a] : offsets[b]].reshape(n, width)
+        finite = f32_into(payload, rows)
+        if not finite.all():
+            frame_index = video.frame_index[a + int(np.argmin(finite))]
+            raise DataError(f"{path} frame {frame_index} holds a non-finite "
+                            "value")
     with atomic_write(path, overwrite=overwrite) as fh:
-        fh.write(b"".join(parts))
+        fh.write(buf)
 
 
 def load_features(path, *, expected_dim: int | None = None) -> Video:
@@ -210,8 +223,8 @@ def synthesize_videos(
     mixing weights (concentration ``_MIXING_CONCENTRATION``); then per
     frame F = ``features_per_frame`` uniforms and F x dim normals of
     noise (``noise_std``). A video's uniforms are searched on its
-    cluster CDF in one call, and the picked means are added to its noise
-    in one pass. The picks are those a per-frame
+    cluster CDF in one call, and the picked means are gathered into one
+    buffer that every video reuses and added to its noise in one pass. The picks are those a per-frame
     ``Generator.choice(clusters, size=F, p=weights)`` makes from the
     same uniforms, so the stream and every byte are the ones that loop
     gives.
@@ -222,6 +235,7 @@ def synthesize_videos(
     means = rng.normal(0.0, center_spread, size=(clusters, dim))
     weights = np.empty((num_videos, clusters), dtype=np.float64)
     offsets = np.arange(frames_per_video + 1) * features_per_frame
+    picked = np.empty((offsets[-1], dim))  # each video's means, gathered
     videos = []
     for v in range(num_videos):
         weights[v] = rng.dirichlet(np.full(clusters, _MIXING_CONCENTRATION))
@@ -233,7 +247,10 @@ def synthesize_videos(
                 0.0, noise_std, size=(features_per_frame, dim)
             )
         # float addition commutes, so noise + mean has the bits of mean + noise
-        feats += means[_pick_clusters(weights[v], uniforms.ravel())]
+        # every pick is a valid row, so "clip" changes none; it lets take
+        # gather into ``picked`` without a buffer of its own
+        feats += means.take(_pick_clusters(weights[v], uniforms.ravel()),
+                            axis=0, out=picked, mode="clip")
         videos.append(Video(feats, np.arange(frames_per_video), offsets))
     return SyntheticDataset(
         videos=tuple(videos),
@@ -304,12 +321,16 @@ def perturb(video: Video, spec: PerturbationSpec) -> Video:
     return Video(feats, video.frame_index, video.offsets)
 
 
-def perturb_videos(videos, spec: PerturbationSpec) -> list[Video]:
-    """Perturb several videos, decorrelated via seed XOR video index."""
-    return [
-        perturb(video, replace(spec, seed=(spec.seed ^ i) % 2**32))
-        for i, video in enumerate(videos)
-    ]
+def perturb_videos(videos, spec: PerturbationSpec) -> Iterator[Video]:
+    """Perturb several videos, decorrelated via seed XOR video index.
+
+    Lazy: a one-pass iterator that perturbs each video of ``videos`` only
+    when it is reached and keeps neither the clean nor the perturbed video
+    afterwards. Wrap it in ``list`` to hold them all.
+    """
+    specs = (replace(spec, seed=(spec.seed ^ i) % 2**32)
+             for i in itertools.count())
+    return map(perturb, videos, specs)
 
 
 def make_queries(

@@ -94,3 +94,25 @@ def set_model_param(path, name, value):
     data = bytearray(path.read_bytes())
     struct.pack_into("<I", data, 11 + 4 * names.index(name), value)
     path.write_bytes(bytes(data))
+
+
+MUTATIONS = ("flip", "truncate", "forge_u32", "insert")
+
+
+def mutate(data, kind, where, bit, value, u32_fields):
+    """``data`` with one mutation at byte ``where`` (modulo its length): a
+    flip of bit ``bit``, a truncation, or the inserted byte ``value & 0xFF``;
+    or, for "forge_u32", ``value`` written over the u32 that starts at one of
+    the offsets ``u32_fields`` (picked by ``where``)."""
+    data = bytearray(data)
+    pos = where % len(data)
+    if kind == "flip":
+        data[pos] ^= 1 << bit
+    elif kind == "truncate":
+        del data[pos:]
+    elif kind == "insert":
+        data[pos:pos] = bytes([value & 0xFF])
+    else:
+        struct.pack_into("<I", data, u32_fields[where % len(u32_fields)],
+                         value)
+    return bytes(data)

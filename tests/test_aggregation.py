@@ -1,4 +1,5 @@
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from vlac import (
 )
 from dataclasses import replace
 
-from vlac import core_math
+from vlac import aggregation, core_math
 from vlac.aggregation import (
     _HP_SECOND_STAGE_SALT,
     _frame_vlads,
@@ -314,6 +315,36 @@ class TestTrain:
         save_model(train(method, videos, schema), tmp_path / "a.bin")
         save_model(expected, tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    @pytest.mark.parametrize("method", ["vlad", "vlac", "hp"])
+    def test_one_pass_iterator_gives_the_list_model(self, method,
+                                                    monkeypatch):
+        videos = _random_videos(26, 3, 6)
+        schema = ModelParams(f=0, j=3, n=4, m=3, d=2, d0=5, alpha1=3,
+                             alpha2=2, h=2, gof_size=3, overlap=1, seed=4,
+                             normalize=True)
+        expected = _model_bytes(train(method, videos, schema))
+        handed = []
+
+        def one_pass():
+            # copies that only the trainer holds, as a file reader yields
+            for video in videos:
+                copy = Video(video.features.copy(), video.frame_index,
+                             video.offsets)
+                handed.append(weakref.ref(copy))
+                yield copy
+
+        alive_at_fits = []
+
+        def counting_pca_fit(*args, **kwargs):
+            alive_at_fits.append(sum(ref() is not None for ref in handed))
+            return pca_fit(*args, **kwargs)
+
+        monkeypatch.setattr(aggregation, "pca_fit", counting_pca_fit)
+        assert _model_bytes(train(method, one_pass(), schema)) == expected
+        # every video was read, and none is held while a basis is fit
+        assert len(handed) == len(videos)
+        assert alive_at_fits == [0] * (2 if method == "hp" else 1)
 
     def test_unknown_method(self):
         rng = np.random.default_rng(24)

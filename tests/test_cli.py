@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from vlac import (
     load_model,
     save_model,
 )
+from vlac import cli
+from vlac.aggregation import encode_video
 from vlac.cli import RESULTS_CSV_COLUMNS, build_parser, load_config, main
 from vlac.ingestion import load_features, write_features
 from vlac.search import DescriptorSequence, write_store
@@ -339,6 +342,60 @@ class TestEncode:
         assert len(digests) == 1
 
 
+    @pytest.mark.parametrize("method, kind, magnitude, expected", [
+        ("vlad", "additive_gaussian", "0.5",
+         "b0a67f48e707750f4174e0956905ff8f735b9cf0249c028dc9a40ae9aba06e72"),
+        ("vlac", "component_dropout", "0.3",
+         "8d8270d0383a72e5dcb32b1e0beb36e7dada34cc584eae243fccb5360e2abb35"),
+        ("hp", "gain", "0.5",
+         "a831ec13f2f9c8e13235a790b32a6bbf48155558e95c242849d71820b3e72595"),
+    ])
+    def test_pinned_perturbed_query_store(self, dataset, trained, tmp_path,
+                                          method, kind, magnitude, expected):
+        """The query store of a perturbed encode, by sha256: streaming the
+        videos keeps each one's ``perturb_seed ^ index`` stream."""
+        out = tmp_path / "q.store"
+        assert run("encode", "--model", trained / f"{method}.bin",
+                   "--manifest", dataset / "queries" / "manifest.json",
+                   "--queries", "--out", out, "--perturb", kind,
+                   "--magnitude", magnitude, "--perturb-seed", "9") == 0
+        assert digest(out) == expected
+
+    def test_holds_one_video_at_a_time(self, tmp_path, monkeypatch):
+        """tracemalloc, unlike RSS, counts the same bytes on every run."""
+        frames, features, dim, videos = 20, 100, 16, 20
+        assert run("synth", "--data-root", tmp_path, "--videos", videos,
+                   "--train-videos", "2", "--frames", frames, "--dim", dim,
+                   "--features-per-frame", features, "--segment-len",
+                   "10") == 0
+        assert run("train", "--manifest", tmp_path / "train" / "manifest.json",
+                   "--method", "vlad", "--out", tmp_path / "m.bin",
+                   "--j", "4", "--d", "2") == 0
+        video_bytes = frames * features * dim * 8
+        held = []
+
+        def measured(video, model):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return encode_video(video, model)
+
+        monkeypatch.setattr(cli, "encode_video", measured)
+        tracemalloc.start()
+        try:
+            code = run("encode", "--model", tmp_path / "m.bin",
+                       "--manifest", tmp_path / "test" / "manifest.json",
+                       "--out", tmp_path / "db.store",
+                       "--perturb", "additive_gaussian", "--magnitude", "0.5")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(held) == videos
+        # the perturbed video being encoded, and nothing of the others; all
+        # 20 clean and noisy videos at once came to 40 videos' bytes
+        assert max(held) <= 2 * video_bytes
+        # the residual kernel's temporaries add about three videos' bytes
+        assert peak <= 6 * video_bytes
+
+
 @pytest.fixture(scope="module")
 def stores(dataset, trained, tmp_path_factory):
     out = tmp_path_factory.mktemp("stores")
@@ -603,8 +660,8 @@ class TestEvents:
             assert event["duration_s"] > 0.0, event["event"]
         # the process high-water mark: positive, and never falling
         peaks = [e["peak_rss_mb"] for e in events
-                 if e["event"] in ("trained", "stability")]
-        assert len(peaks) == 5
+                 if e["event"] in ("trained", "encoded", "stability")]
+        assert len(peaks) == 6
         assert 0.0 < peaks[0] and peaks == sorted(peaks)
 
 

@@ -123,6 +123,10 @@ def kmeans_cases(draw):
 HUGE_POINTS = 1e300 * np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0],
                                 [0.0, 0.0, 1.0]])
 UNIT_CENTERS = np.eye(3)
+# Finite squared norms (1.47e308) whose Gram-form distances still overflow:
+# |x|^2 + |c|^2 and 2 x.c exceed float64's range.
+HALF_RANGE_POINTS = 7e153 * np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0],
+                                      [1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]])
 
 
 class TestKMeans:
@@ -132,6 +136,13 @@ class TestKMeans:
             kmeans_fit(HUGE_POINTS, 2, 0)
         with pytest.raises(DataError, match="points have a squared norm"):
             kmeans_pp_draws([HUGE_POINTS, HUGE_POINTS], 2, [0, 1])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_distances_raise(self):
+        with pytest.raises(DataError, match="distances overflow"):
+            kmeans_fit(HALF_RANGE_POINTS, 2, 0)
+        with pytest.raises(DataError, match="distances overflow"):
+            kmeans_pp_draws([HALF_RANGE_POINTS] * 2, 2, [0, 1])
 
     @settings(max_examples=150, deadline=None)
     @given(case=kmeans_cases())
@@ -400,6 +411,15 @@ class TestQuantize:
             nearest_centers(HUGE_POINTS, UNIT_CENTERS)
         with pytest.raises(DataError, match="centers have a squared norm"):
             nearest_centers(UNIT_CENTERS, HUGE_POINTS)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_distances_raise(self):
+        with pytest.raises(DataError, match="distances overflow"):
+            nearest_centers(HALF_RANGE_POINTS, HALF_RANGE_POINTS[::-1])
+        # the bound holds for half the range, not for either norm alone
+        assert np.array_equal(
+            nearest_centers(HALF_RANGE_POINTS / 2, HALF_RANGE_POINTS[::-1] / 2),
+            [3, 2, 1, 0])
 
     @pytest.mark.parametrize("chunk", [7, 4096])
     def test_chunked_distances_match_reference(self, monkeypatch, chunk):

@@ -3,12 +3,22 @@ exact bytes, and how each reader fails on a damaged file."""
 
 import hashlib
 import struct
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _helpers import SENTINEL, SIGNALING_NAN, poison, set_model_param
+from _helpers import (
+    MUTATIONS,
+    SENTINEL,
+    SIGNALING_NAN,
+    mutate,
+    poison,
+    set_model_param,
+)
 from vlac import (
     Codebook,
     DatasetManifest,
@@ -24,6 +34,7 @@ from vlac import (
     write_features,
     write_store,
 )
+from vlac.aggregation import _ARRAY_SHAPE, _model_arrays, _stage
 from vlac.errors import BadMagic, DataError
 from vlac.ingestion import QueryEntry, VideoEntry, save_manifest
 from vlac.search import DescriptorSequence
@@ -262,3 +273,106 @@ def test_store_id_not_utf8(tmp_path):
     with pytest.raises(DataError, match="not UTF-8") as exc:
         load_store(path)
     assert str(path) in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# mutated files
+# ---------------------------------------------------------------------------
+
+
+def float32_values(rng, shape):
+    return rng.normal(size=shape).astype(np.float32).astype(np.float64)
+
+
+@st.composite
+def stores(draw):
+    """Valid store contents: one to three sequences of random shapes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [
+        DescriptorSequence(draw(st.text(max_size=3)),
+                           float32_values(rng, (draw(st.integers(1, 3)),
+                                                draw(st.integers(1, 3)))),
+                           draw(st.sampled_from(["vlad", "vlac", "hp"])))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+
+def vstor_u32_fields(sequences):
+    """Byte offsets of every u32 in the store file of ``sequences``: per
+    record the id length, the GoF count and the dimension."""
+    at, pos = [], 8
+    for seq in sequences:
+        pos += 4 + len(seq.video_id.encode())
+        at += [pos - 4 - len(seq.video_id.encode()), pos, pos + 4]
+        pos += 9 + 4 * seq.descriptors.size
+    return at
+
+
+@st.composite
+def models(draw):
+    """Valid models of every method: small random parameters, and random
+    float32 values in every array the parameters imply."""
+    method = draw(st.sampled_from(["vlad", "vlac", "hp"]))
+    size = st.integers(1, 3)
+    gof_size = draw(st.integers(1, 4))
+    params = ModelParams(
+        f=draw(size), j=draw(size), n=draw(size), m=draw(size), d=draw(size),
+        d0=3, alpha1=draw(size), alpha2=draw(size), h=draw(size),
+        gof_size=gof_size, overlap=draw(st.integers(0, gof_size - 1)),
+        seed=draw(st.integers(0, 2**32 - 1)), normalize=draw(st.booleans()),
+    ).for_method(method)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arrays = {}
+    for name, part, shape in _model_arrays(method, params):
+        arrays.setdefault(name, {})[part] = float32_values(rng, shape)
+    return TrainedModel(method=method, params=params, **{
+        name: _stage(parts) for name, parts in arrays.items()})
+
+
+def vlacmodl_u32_fields(model):
+    """Byte offsets of every u32 in ``model``'s file: each parameter, then
+    each array's rows and cols."""
+    at = [11 + 4 * i for i in range(len(fields(ModelParams)))]
+    pos = at[-1] + 4
+    for _, _, (rows, cols) in _model_arrays(model.method, model.params):
+        at += [pos, pos + 4]
+        pos += _ARRAY_SHAPE.size + 4 * rows * cols
+    return at
+
+
+mutations = dict(kind=st.sampled_from(MUTATIONS), where=st.integers(0, 2**16),
+                 bit=st.integers(0, 7),
+                 value=st.one_of(st.integers(0, 8), st.integers(0, 2**32 - 1)))
+
+
+def loads_or_raises_data_error(write, load, u32_fields, kind, where, bit,
+                               value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m"
+        write(path)
+        path.write_bytes(mutate(path.read_bytes(), kind, where, bit, value,
+                                u32_fields))
+        try:
+            load(path)
+        except DataError:
+            pass
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=400, deadline=None)
+@given(sequences=stores(), **mutations)
+def test_mutated_store_loads_or_raises_data_error(sequences, kind, where,
+                                                  bit, value):
+    loads_or_raises_data_error(lambda path: write_store(sequences, path),
+                               load_store, vstor_u32_fields(sequences),
+                               kind, where, bit, value)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=400, deadline=None)
+@given(model=models(), **mutations)
+def test_mutated_model_loads_or_raises_data_error(model, kind, where, bit,
+                                                  value):
+    loads_or_raises_data_error(lambda path: save_model(model, path),
+                               load_model, vlacmodl_u32_fields(model),
+                               kind, where, bit, value)

@@ -1,5 +1,4 @@
 import json
-import struct
 import tempfile
 from pathlib import Path
 
@@ -8,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _helpers import (
+    MUTATIONS,
     SENTINEL,
     make_video,
+    mutate,
     poison,
     synthesize_by_choice,
     write_features_by_frame,
@@ -79,8 +80,6 @@ def vfeat_u32_fields(video):
         pos += 8 + 4 * video.dim * int(video.offsets[t + 1] - video.offsets[t])
     return at
 
-
-MUTATIONS = ("flip", "truncate", "forge_u32", "insert")
 
 
 class TestFeatureFiles:
@@ -180,19 +179,8 @@ class TestFeatureFiles:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.vfeat"
             write_features(video, path)
-            data = bytearray(path.read_bytes())
-            pos = where % len(data)
-            if kind == "flip":
-                data[pos] ^= 1 << bit
-            elif kind == "truncate":
-                del data[pos:]
-            elif kind == "insert":
-                data[pos:pos] = bytes([value & 0xFF])
-            else:
-                fields = vfeat_u32_fields(video)
-                struct.pack_into("<I", data, fields[where % len(fields)],
-                                 value)
-            path.write_bytes(bytes(data))
+            path.write_bytes(mutate(path.read_bytes(), kind, where, bit,
+                                    value, vfeat_u32_fields(video)))
             try:
                 load_features(path)
             except DataError:
@@ -371,7 +359,7 @@ class TestPerturb:
         rng = np.random.default_rng(10)
         videos = [make_video(rng, 2, 3), make_video(rng, 2, 3)]
         spec = PerturbationSpec(kind="additive_gaussian", magnitude=1.0, seed=0)
-        out = perturb_videos(videos, spec)
+        out = list(perturb_videos(videos, spec))
         delta0 = out[0].features - videos[0].features
         delta1 = out[1].features - videos[1].features
         assert not np.allclose(delta0, delta1)
