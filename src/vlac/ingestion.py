@@ -142,8 +142,10 @@ def write_features(video: Video, path, *, overwrite: bool = False) -> None:
     # where each frame's record, its header and then its rows, starts
     ends = head + np.cumsum(_FRAME_HEADER.size + 4 * dim * counts)
     starts = [head, *ends[:-1].tolist()]
-    buf = bytearray(int(ends[-1]))
-    buf[:head] = _FEAT_MAGIC + _FEAT_HEADER.pack(_FEAT_VERSION, dim, len(video))
+    buf = np.empty(int(ends[-1]), dtype=np.uint8)  # every byte is set below
+    buf[:head] = np.frombuffer(
+        _FEAT_MAGIC + _FEAT_HEADER.pack(_FEAT_VERSION, dim, len(video)),
+        dtype=np.uint8)
     for start, frame_index, count in zip(starts, video.frame_index.tolist(),
                                          counts.tolist()):
         _FRAME_HEADER.pack_into(buf, start, frame_index, count)
