@@ -226,10 +226,10 @@ def synthesize_videos(
     frame F = ``features_per_frame`` uniforms and F x dim normals of
     noise (``noise_std``). A video's uniforms are searched on its
     cluster CDF in one call, and the picked means are gathered into one
-    buffer that every video reuses and added to its noise in one pass. The picks are those a per-frame
-    ``Generator.choice(clusters, size=F, p=weights)`` makes from the
-    same uniforms, so the stream and every byte are the ones that loop
-    gives.
+    buffer that every video reuses and added to its noise in one pass.
+    The picks are those a per-frame ``Generator.choice(clusters, size=F,
+    p=weights)`` makes from the same uniforms, so the stream and every
+    byte are the ones that loop gives.
     """
     if min(num_videos, frames_per_video, dim, clusters, features_per_frame) < 1:
         raise DataError("all synthesis counts must be >= 1")

@@ -416,7 +416,7 @@ class TestQuantize:
     def test_overflowing_distances_raise(self):
         with pytest.raises(DataError, match="distances overflow"):
             nearest_centers(HALF_RANGE_POINTS, HALF_RANGE_POINTS[::-1])
-        # the bound holds for half the range, not for either norm alone
+        # halved, the squared norms sum to 7.4e307, within half the range
         assert np.array_equal(
             nearest_centers(HALF_RANGE_POINTS / 2, HALF_RANGE_POINTS[::-1] / 2),
             [3, 2, 1, 0])
