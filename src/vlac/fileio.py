@@ -8,9 +8,8 @@ only the layout; the rules live here, once:
 * :func:`atomic_write` makes every write all-or-nothing, the text outputs
   (CSV through :func:`write_csv`, SVG) included;
 * :func:`f32_into` is the one float32 encoder: it casts into a caller's
-  float32 array, such as a view of a preallocated file buffer, and reports
-  which rows are not finite in float32; :func:`f32_bytes` encodes through
-  it and refuses such a value;
+  float32 array and reports which rows are not finite in float32;
+  :func:`f32_bytes` encodes through it and refuses such a value;
 * :class:`Reader` is the one decoder: a wrong magic raises ``BadMagic``, a
   read past the end ``TruncatedFile``, a non-finite payload value or a
   trailing byte ``DataError``. ``Reader.f32_view`` leaves the finiteness
@@ -69,9 +68,9 @@ def write_csv(path, header, rows) -> None:
 
 
 def f32_into(out: np.ndarray, arr) -> np.ndarray:
-    """Cast ``arr`` into ``out``, a little-endian float32 array of its shape
-    (it may be a strided view of a file buffer), and return whether each
-    row of ``out``, each entry along its first axis, is finite.
+    """Cast ``arr`` into ``out``, a little-endian float32 array of its
+    shape, and return whether each row of ``out``, each entry along its
+    first axis, is finite.
 
     The cast runs under ``np.errstate(over="ignore")``: a float64 value
     beyond float32's range turns inf without numpy's overflow warning and

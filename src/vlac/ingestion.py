@@ -19,8 +19,8 @@ A synthetic dataset is drawn once, in memory, by
 (``<video_id>.vfeat`` files plus ``manifest.json``) straight from those
 videos, and :func:`make_queries` cuts the query segments from the same
 in-memory videos; neither reads a feature file back.
-:func:`write_features` builds a file in one preallocated buffer, casting
-the features to float32 straight into it, and writes it in one piece.
+:func:`write_features` casts a video's features to float32 once and
+writes the file in one piece.
 
 The draw order of :func:`synthesize_videos` is a contract, because it
 fixes every byte of a synthesized dataset: after the cluster means, per
@@ -120,49 +120,41 @@ class PerturbationSpec:
             raise DataError("perturbation magnitude must be >= 0")
         if self.kind == "component_dropout" and self.magnitude > 1:
             raise DataError("dropout probability must be in [0, 1]")
+        if type(self.seed) is not int or not 0 <= self.seed < 2**32:
+            raise DataError(f"perturbation seed must be an int in "
+                            f"[0, {2**32 - 1}], got {self.seed!r}")
 
 
 def write_features(video: Video, path, *, overwrite: bool = False) -> None:
     """Write a video to a VLACFEAT file. Refuses to clobber unless told to.
 
-    The file is built in one preallocated buffer: the header, then each
-    frame's header followed by its rows, which are cast to float32
-    straight into the buffer (:func:`fileio.f32_into`). Consecutive frames
-    with one feature count lie at equal strides in the file, so each such
-    run is cast and checked through one strided view; a synthesized video
-    is one run. The buffer is written in one piece. A non-finite value
-    raises DataError naming the first frame that holds one, and nothing is
-    written.
+    The whole feature matrix is cast to float32 and checked once
+    (:func:`fileio.f32_into`), and the file is written in one piece: the
+    header, then each frame's header followed by that frame's rows of the
+    payload. A frame index outside u32, or a non-finite value, raises
+    DataError naming the index or the first frame that holds one, and
+    nothing is written.
     """
     if len(video) == 0:
         raise EmptyInput("cannot write a feature file with no frames")
-    dim, offsets = video.dim, video.offsets
-    counts = np.diff(offsets)
-    head = len(_FEAT_MAGIC) + _FEAT_HEADER.size
-    # where each frame's record, its header and then its rows, starts
-    ends = head + np.cumsum(_FRAME_HEADER.size + 4 * dim * counts)
-    starts = [head, *ends[:-1].tolist()]
-    buf = np.empty(int(ends[-1]), dtype=np.uint8)  # every byte is set below
-    buf[:head] = np.frombuffer(
-        _FEAT_MAGIC + _FEAT_HEADER.pack(_FEAT_VERSION, dim, len(video)),
-        dtype=np.uint8)
-    for start, frame_index, count in zip(starts, video.frame_index.tolist(),
-                                         counts.tolist()):
-        _FRAME_HEADER.pack_into(buf, start, frame_index, count)
-    cuts = (np.flatnonzero(np.diff(counts)) + 1).tolist()
-    for a, b in zip([0, *cuts], [*cuts, len(video)]):
-        n, width = b - a, int(counts[a]) * dim
-        payload = np.ndarray((n, width), dtype="<f4", buffer=buf,
-                             offset=starts[a] + _FRAME_HEADER.size,
-                             strides=(_FRAME_HEADER.size + 4 * width, 4))
-        rows = video.features[offsets[a] : offsets[b]].reshape(n, width)
-        finite = f32_into(payload, rows)
-        if not finite.all():
-            frame_index = video.frame_index[a + int(np.argmin(finite))]
-            raise DataError(f"{path} frame {frame_index} holds a non-finite "
-                            "value")
+    index, offsets = video.frame_index.tolist(), video.offsets.tolist()
+    for frame_index in (index[0], index[-1]):  # the indices increase
+        if not 0 <= frame_index < 2**32:
+            raise DataError(f"{path} frame index {frame_index} does not fit "
+                            "in a u32")
+    payload = np.empty(video.features.shape, dtype="<f4")
+    finite = f32_into(payload, video.features)
+    if not finite.all():
+        # the frame that holds the first bad row; "right" skips empty frames
+        t = np.searchsorted(offsets, np.argmin(finite), "right") - 1
+        raise DataError(f"{path} frame {index[t]} holds a non-finite value")
+    parts = [_FEAT_MAGIC
+             + _FEAT_HEADER.pack(_FEAT_VERSION, video.dim, len(index))]
+    for frame_index, start, stop in zip(index, offsets, offsets[1:]):
+        parts.append(_FRAME_HEADER.pack(frame_index, stop - start))
+        parts.append(payload[start:stop])
     with atomic_write(path, overwrite=overwrite) as fh:
-        fh.write(buf)
+        fh.write(b"".join(parts))
 
 
 def load_features(path, *, expected_dim: int | None = None) -> Video:
@@ -225,8 +217,8 @@ def synthesize_videos(
     mixing weights (concentration ``_MIXING_CONCENTRATION``); then per
     frame F = ``features_per_frame`` uniforms and F x dim normals of
     noise (``noise_std``). A video's uniforms are searched on its
-    cluster CDF in one call, and the picked means are gathered into one
-    buffer that every video reuses and added to its noise in one pass.
+    cluster CDF in one call, and the picked means are added to its noise
+    in one pass.
     The picks are those a per-frame ``Generator.choice(clusters, size=F,
     p=weights)`` makes from the same uniforms, so the stream and every
     byte are the ones that loop gives.
@@ -237,7 +229,6 @@ def synthesize_videos(
     means = rng.normal(0.0, center_spread, size=(clusters, dim))
     weights = np.empty((num_videos, clusters), dtype=np.float64)
     offsets = np.arange(frames_per_video + 1) * features_per_frame
-    picked = np.empty((offsets[-1], dim))  # each video's means, gathered
     videos = []
     for v in range(num_videos):
         weights[v] = rng.dirichlet(np.full(clusters, _MIXING_CONCENTRATION))
@@ -249,10 +240,7 @@ def synthesize_videos(
                 0.0, noise_std, size=(features_per_frame, dim)
             )
         # float addition commutes, so noise + mean has the bits of mean + noise
-        # every pick is a valid row, so "clip" changes none; it lets take
-        # gather into ``picked`` without a buffer of its own
-        feats += means.take(_pick_clusters(weights[v], uniforms.ravel()),
-                            axis=0, out=picked, mode="clip")
+        feats += means[_pick_clusters(weights[v], uniforms.ravel())]
         videos.append(Video(feats, np.arange(frames_per_video), offsets))
     return SyntheticDataset(
         videos=tuple(videos),
@@ -330,8 +318,7 @@ def perturb_videos(videos, spec: PerturbationSpec) -> Iterator[Video]:
     when it is reached and keeps neither the clean nor the perturbed video
     afterwards. Wrap it in ``list`` to hold them all.
     """
-    specs = (replace(spec, seed=(spec.seed ^ i) % 2**32)
-             for i in itertools.count())
+    specs = (replace(spec, seed=spec.seed ^ i) for i in itertools.count())
     return map(perturb, videos, specs)
 
 

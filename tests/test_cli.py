@@ -772,6 +772,28 @@ class TestErrors:
         assert "magnitude" in self.error_message(capsys)
         assert not out.exists()
 
+    # a seed outside u32 used to alias: 2**32 drew seed 0's noise, and
+    # -1 ran as 2**32 - 1
+    def test_out_of_range_perturb_seed_encode_exit_2(self, dataset, trained,
+                                                     tmp_path, capsys):
+        out = tmp_path / "q.store"
+        assert run("encode", "--model", trained / "vlad.bin", "--queries",
+                   "--manifest", dataset / "queries" / "manifest.json",
+                   "--out", out, "--perturb", "gain", "--magnitude", "0.5",
+                   "--perturb-seed", "4294967296") == 2
+        assert "seed" in self.error_message(capsys)
+        assert not out.exists()
+
+    def test_out_of_range_perturb_seed_stability_exit_2(self, dataset,
+                                                        tmp_path, capsys):
+        out = tmp_path / "stab.csv"
+        assert run("stability", "--manifest",
+                   dataset / "train" / "manifest.json", "--method", "sift",
+                   "--kind", "gain", "--magnitude", "0.5",
+                   "--perturb-seed", "-1", "--out", out, *PARAMS) == 2
+        assert "seed" in self.error_message(capsys)
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_perturbation_exit_2(self, dataset, trained,
                                              tmp_path, capsys):

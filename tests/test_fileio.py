@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 
@@ -14,6 +12,7 @@ from vlac import (
     write_features,
     write_store,
 )
+from vlac.errors import DataError
 from vlac.evaluation import PRPoint, write_map_csv, write_pr_csv
 from vlac.fileio import atomic_write
 from vlac.ingestion import VideoEntry, save_manifest
@@ -56,7 +55,7 @@ FAILING_WRITES = {
     "map_csv": lambda path, overwrite: write_map_csv(
         path, rows_then_fail(("vlad", 16, 0.75))),
 }
-WRITE_ERRORS = (KeyError, struct.error, TypeError)
+WRITE_ERRORS = (KeyError, DataError, TypeError)
 
 
 @pytest.mark.parametrize("writer", FAILING_WRITES)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from _helpers import (
     MUTATIONS,
@@ -152,6 +152,32 @@ class TestFeatureFiles:
         video.features[video.offsets[4], 2] = value
         with pytest.raises(DataError,
                            match="frame 12 holds a non-finite value"):
+            write_features(video, tmp_path / "bad.vfeat")
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(video=feature_videos(), data=st.data(),
+           value=st.sampled_from([np.nan, np.inf, -np.inf, 1e39]))
+    def test_writer_names_the_frame_the_reference_names(self, video, data,
+                                                        value):
+        assume(video.features.size > 0)
+        row = data.draw(st.integers(0, video.features.shape[0] - 1))
+        col = data.draw(st.integers(0, video.dim - 1))
+        video.features[row, col] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bad.vfeat"
+            with pytest.raises(DataError) as reference:
+                write_features_by_frame(video, path)
+            with pytest.raises(DataError) as ours:
+                write_features(video, path)
+            assert str(ours.value) == str(reference.value)
+            assert list(Path(tmp).iterdir()) == []
+
+    @pytest.mark.parametrize("index", [[-1, 0], [0, 2**32]])
+    def test_writer_refuses_a_frame_index_beyond_u32(self, tmp_path, index):
+        video = Video.from_frames([np.ones((1, 2))] * 2, index)
+        bad = next(i for i in index if not 0 <= i < 2**32)
+        with pytest.raises(DataError, match=f"frame index {bad} "):
             write_features(video, tmp_path / "bad.vfeat")
         assert list(tmp_path.iterdir()) == []
 
@@ -383,6 +409,9 @@ class TestPerturb:
             for magnitude in (np.nan, np.inf):
                 with pytest.raises(DataError, match="finite"):
                     PerturbationSpec(kind=kind, magnitude=magnitude, seed=0)
+        for seed in (-1, 2**32, 1.0):
+            with pytest.raises(DataError, match="seed"):
+                PerturbationSpec(kind="gain", magnitude=0.5, seed=seed)
 
 
 class TestMakeQueries:
