@@ -772,8 +772,8 @@ class TestErrors:
         assert "magnitude" in self.error_message(capsys)
         assert not out.exists()
 
-    # a seed outside u32 used to alias: 2**32 drew seed 0's noise, and
-    # -1 ran as 2**32 - 1
+    # a seed outside u32 must not alias one inside it: reduced modulo
+    # 2**32, 4294967296 would draw seed 0's noise
     def test_out_of_range_perturb_seed_encode_exit_2(self, dataset, trained,
                                                      tmp_path, capsys):
         out = tmp_path / "q.store"
