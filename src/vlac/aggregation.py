@@ -103,7 +103,8 @@ class Video:
     ``offsets[t]:offsets[t + 1]`` are the features of frame ``t``, and
     ``frame_index[t]`` is that frame's index. The input is checked once,
     here: 2-D finite features, F + 1 offsets that start at 0, never
-    decrease and end at ``total``, and strictly increasing frame indices.
+    decrease and end at ``total``, and strictly increasing integer frame
+    indices that fit in int64.
     """
 
     features: np.ndarray
@@ -118,7 +119,13 @@ class Video:
             )
         if not np.isfinite(feats).all():
             raise DataError("video features contain non-finite values")
-        index = np.asarray(self.frame_index, dtype=np.int64)
+        index = np.asarray(self.frame_index)
+        # a float array would truncate, a huge Python int overflow the cast
+        if index.size and (index.dtype.kind not in "iu"
+                           or index.max() > np.iinfo(np.int64).max):
+            raise DataError("frame indices must be integers that fit in "
+                            f"int64, got {index.dtype} values")
+        index = index.astype(np.int64, copy=False)
         offsets = np.asarray(self.offsets, dtype=np.int64)
         if index.ndim != 1 or offsets.shape != (index.shape[0] + 1,):
             raise DataError(

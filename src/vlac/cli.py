@@ -8,7 +8,11 @@ after the one perturbation all methods share) took; the ``trained``,
 process's resident memory high-water mark so far, and the ``synthesized``
 event splits its time into ``draw_s`` (drawing the videos in memory) and
 ``write_s`` (writing every file) and counts the feature rows drawn as
-``features``.
+``features``. The ``trained`` event names the LAPACK routine its PCA
+bases came from as ``eigensolver`` ("dsyevr", the top-d solve in numpy's
+bundled OpenBLAS, or "eigh" on another BLAS) and that OpenBLAS's thread
+count as ``blas_threads`` (null on another BLAS): the bases, and every
+byte after them, depend on both.
 Exit codes: 0 success, 2 data or usage error (``DataError``,
 ``ValueError``, ``OSError``, bad JSON), 3 numeric failure (numpy's
 ``LinAlgError`` or ``FloatingPointError``). Commands overwrite their own
@@ -62,7 +66,7 @@ from .evaluation import (
     write_map_csv,
     write_pr_csv,
 )
-from .core_math import basis_alignment_score
+from .core_math import basis_alignment_score, blas_threads, eigensolver
 from .fileio import write_csv
 from .ingestion import (
     PERTURBATION_KINDS,
@@ -239,6 +243,8 @@ def cmd_train(args) -> int:
         codebooks=codebooks,
         lfc_fits=model.lfc_fits,
         f32_error=f32_error,
+        eigensolver=eigensolver(),
+        blas_threads=blas_threads(),
         peak_rss_mb=_peak_rss_mb(),
         duration_s=time.perf_counter() - start,
     )

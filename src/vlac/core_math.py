@@ -26,7 +26,11 @@ bit those of the plain expressions.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from collections import namedtuple
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -71,6 +75,9 @@ _PP_GRAM_ROWS = 512
 # many bytes.
 _PP_STACK_BYTES = 1 << 24
 
+# LAPACKE's matrix_layout argument for column-major arrays.
+_COL_MAJOR = 102
+
 
 @dataclass(frozen=True)
 class Codebook:
@@ -113,11 +120,13 @@ class ProjectionBasis:
 
     ``rows[i]`` is the i-th eigenvector (unit norm, sign fixed so the
     largest-magnitude component is positive); ``eigenvalues`` are sorted
-    non-increasing. ``mean`` is subtracted before projection, making the
-    basis self-contained. A basis from :func:`pca_fit` also records the
-    ``solver`` that ran ("gram", "eig" or "svd") and ``retained_variance``,
-    the kept eigenvalues over the total variance; both are None for a basis
-    read from a file or built by hand.
+    non-increasing, tied ones in the order LAPACK returned them. Only these
+    d directions are ever solved for (:func:`pca_fit`). ``mean`` is
+    subtracted before projection, making the basis self-contained. A basis
+    from :func:`pca_fit` also records the ``solver`` that ran ("gram",
+    "eig" or "svd") and ``retained_variance``, the kept eigenvalues over
+    the total variance; both are None for a basis read from a file or built
+    by hand.
     """
 
     rows: np.ndarray
@@ -570,12 +579,95 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs * signs[:, None]
 
 
+# numpy's bundled scipy-openblas, as the two entry points pca_fit reads.
+_OpenBLAS = namedtuple("_OpenBLAS", "dsyevr num_threads")
+
+
+@functools.cache
+def _openblas() -> _OpenBLAS | None:
+    """numpy's bundled scipy-openblas, or None when numpy ships another BLAS.
+
+    Loaded on first use and kept: the library's ILP64 LAPACKE ``dsyevr`` and
+    its thread-count getter, with their C signatures set, from the first
+    library under ``numpy.libs`` (``numpy/.dylibs`` on macOS) that exports
+    both.
+    """
+    root = Path(np.__file__).parent
+    for lib in sorted([*(root.parent / "numpy.libs").glob("*openblas*"),
+                       *(root / ".dylibs").glob("*openblas*")]):
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        dsyevr = getattr(dll, "scipy_LAPACKE_dsyevr64_", None)
+        threads = getattr(dll, "scipy_openblas_get_num_threads64_", None)
+        if dsyevr is None or threads is None:
+            continue
+        i64, f64, char = ctypes.c_int64, ctypes.c_double, ctypes.c_char
+        f64s = np.ctypeslib.ndpointer(np.float64, flags="C,W")
+        i64s = np.ctypeslib.ndpointer(np.int64, flags="C,W")
+        # (layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m,
+        # w, z, ldz, isuppz)
+        dsyevr.restype = i64
+        dsyevr.argtypes = [ctypes.c_int, char, char, char, i64, f64s, i64,
+                           f64, f64, i64, i64, f64, ctypes.POINTER(i64),
+                           f64s, f64s, i64, i64s]
+        threads.argtypes, threads.restype = [], ctypes.c_int
+        return _OpenBLAS(dsyevr, threads)
+    return None
+
+
+def eigensolver() -> str:
+    """The LAPACK routine :func:`pca_fit`'s eigendecompositions run:
+    "dsyevr" (the top-d solve) or "eigh" (every pair, on another BLAS)."""
+    return "eigh" if _openblas() is None else "dsyevr"
+
+
+def blas_threads() -> int | None:
+    """Threads numpy's bundled OpenBLAS uses, or None on another BLAS.
+
+    The bases :func:`pca_fit` returns, and every byte downstream of them,
+    depend on this count.
+    """
+    lib = _openblas()
+    return None if lib is None else int(lib.num_threads())
+
+
 def _top_eigenpairs(sym: np.ndarray, d: int):
-    """The ``d`` largest eigenvalues of the symmetric ``sym``, descending
-    (ties in ``eigh``'s order), and their unit eigenvectors as rows."""
-    evals, evecs = np.linalg.eigh(sym)
-    order = np.argsort(-evals, kind="stable")[:d]
-    return evals[order], evecs[:, order].T
+    """The ``d`` largest eigenvalues of the symmetric ``sym``, descending,
+    and their unit eigenvectors as the rows of a (d, n) array.
+
+    With numpy's bundled OpenBLAS this is one LAPACKE ``dsyevr`` call for
+    eigenvalues n - d + 1 to n (bisection and inverse iteration below
+    d = n), which overwrites ``sym``: callers pass a temporary, so no n x n
+    copy is made and no eigenvector outside the top d is formed. On another
+    BLAS ``np.linalg.eigh`` solves every pair and the top d are kept. Both
+    paths return LAPACK's ascending eigenvalues reversed, ties kept in
+    LAPACK's order, and raise LinAlgError when LAPACK fails.
+    """
+    n = sym.shape[0]
+    if sym.shape != (n, n) or not 1 <= d <= n:
+        raise ValueError(f"need an n x n matrix and 1 <= d <= n, got "
+                         f"{sym.shape} and d = {d}")
+    lib = _openblas()
+    if lib is None:
+        evals, evecs = np.linalg.eigh(sym)
+        order = np.argsort(-evals, kind="stable")[:d]
+        return evals[order], evecs[:, order].T
+    found = ctypes.c_int64()
+    evals = np.empty(n, dtype=np.float64)
+    evecs = np.empty((d, n), dtype=np.float64)
+    isuppz = np.empty(2 * d, dtype=np.int64)
+    # column-major: sym is its own transpose, and evecs' rows are the
+    # columns of Z with ldz = n
+    info = lib.dsyevr(_COL_MAJOR, b"V", b"I", b"L", n, sym, n, 0.0, 0.0,
+                      n - d + 1, n, 0.0, ctypes.byref(found), evals, evecs,
+                      n, isuppz)
+    if info != 0 or found.value != d:
+        raise np.linalg.LinAlgError(
+            f"dsyevr failed (info {info}, {found.value} of {d} eigenpairs)")
+    order = np.argsort(-evals[:d], kind="stable")
+    return evals[order], evecs[order]
 
 
 def _gram_solve(centered: np.ndarray, d: int):
@@ -584,11 +676,11 @@ def _gram_solve(centered: np.ndarray, d: int):
     The snapshot method: if ``C C^T u = (n-1) lam u`` then ``C^T u / sqrt((n-1)
     lam)`` is a unit eigenvector of ``C^T C / (n-1)`` with eigenvalue ``lam``.
     Returns None when a kept eigenvalue is not clearly above the rounding
-    error of ``eigh`` (about n * eps * lam_max), because dividing by its root
-    would give NaN or noise; centered data has rank at most n - 1. Above that
-    floor the mapped rows still lose orthogonality by about eps * lam_max /
-    lam_k, so it also returns None when they are not orthonormal to
-    ``_GRAM_ORTHO_TOL``.
+    error of the eigensolver (about n * eps * lam_max), because dividing by
+    its root would give NaN or noise; centered data has rank at most n - 1.
+    Above that floor the mapped rows still lose orthogonality by about
+    eps * lam_max / lam_k, so it also returns None when they are not
+    orthonormal to ``_GRAM_ORTHO_TOL``.
     """
     n = centered.shape[0]
     eigenvalues, snapshots = _top_eigenpairs(centered @ centered.T / (n - 1), d)
@@ -618,6 +710,16 @@ def pca_fit(rows, d: int, *, overwrite_rows: bool = False) -> ProjectionBasis:
     largest-magnitude-component-positive rule so fits are reproducible. The
     basis records the solver that ran ("gram", "eig" or "svd") and the
     fraction of the total variance the kept directions hold.
+
+    The covariance and Gram eigendecompositions solve for the top ``d``
+    pairs only: one LAPACK ``dsyevr`` call in the OpenBLAS that numpy
+    bundles, which overwrites the temporary product in place (see
+    :func:`eigensolver`). Eigenvalues come out descending, tied ones in
+    LAPACK's ascending order. On a numpy linked to another BLAS, where that
+    routine cannot be reached, ``np.linalg.eigh`` solves every pair and the
+    top ``d`` are kept; the two agree within 1e-9 on well-conditioned data,
+    but not bit for bit. Either way the bits also depend on the BLAS thread
+    count (:func:`blas_threads`).
 
     By default ``rows`` is never written. With ``overwrite_rows`` set, the
     fit centers ``rows`` in place instead of copying it: a C-contiguous

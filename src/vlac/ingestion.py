@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import struct
 from collections.abc import Iterator
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -112,6 +113,10 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.kind not in PERTURBATION_KINDS:
             raise DataError(f"unknown perturbation kind {self.kind!r}")
+        if (isinstance(self.magnitude, bool)
+                or not isinstance(self.magnitude, numbers.Real)):
+            raise DataError(f"perturbation magnitude must be a real number, "
+                            f"got {self.magnitude!r}")
         if not np.isfinite(self.magnitude):
             raise DataError(
                 f"perturbation magnitude must be finite, got {self.magnitude}"

@@ -493,6 +493,16 @@ class TestVideo:
         with pytest.raises(DataError):
             Video(np.ones((3, 2)), index, offsets)
 
+    @pytest.mark.parametrize("index", [
+        [0.5, 1.5],         # an int64 cast would truncate these
+        [0, 2**63],         # and overflow on this one
+        np.array([0, 2**63], dtype=np.uint64),
+        [False, True],
+    ])
+    def test_rejects_frame_indices_outside_int64(self, index):
+        with pytest.raises(DataError, match="integers that fit in int64"):
+            Video.from_frames([np.ones((1, 2))] * 2, index)
+
 
 class TestTrainVlac:
     def test_single_gof_degenerate_clfcs(self):

@@ -21,7 +21,7 @@ from vlac import (
     load_model,
     save_model,
 )
-from vlac import cli
+from vlac import cli, core_math
 from vlac.aggregation import encode_video
 from vlac.cli import RESULTS_CSV_COLUMNS, build_parser, load_config, main
 from vlac.ingestion import load_features, write_features
@@ -183,6 +183,25 @@ class TestTrain:
             assert type(book["refills"]) is int and book["refills"] >= 0
             assert book["seeding"] in ("gram", "exact")
         assert event["duration_s"] > 0.0
+
+    @pytest.mark.parametrize("bundled", [True, False])
+    def test_trained_event_reports_eigensolver(self, dataset, tmp_path,
+                                               capsys, monkeypatch, bundled):
+        if not bundled:  # numpy on another BLAS: no library handle
+            monkeypatch.setattr(core_math, "_openblas", lambda: None)
+        elif core_math._openblas() is None:
+            pytest.skip("numpy's BLAS is not its bundled scipy-openblas")
+        assert run("train", "--manifest", dataset / "train" / "manifest.json",
+                   "--method", "vlad", "--out", tmp_path / "m.bin",
+                   *PARAMS) == 0
+        event = json.loads(capsys.readouterr().out.splitlines()[-1])
+        if bundled:
+            assert event["eigensolver"] == "dsyevr"
+            assert type(event["blas_threads"]) is int
+            assert event["blas_threads"] >= 1
+        else:
+            assert event["eigensolver"] == "eigh"
+            assert event["blas_threads"] is None
 
     @pytest.mark.parametrize("method", ["vlad", "vlac"])
     def test_trained_event_reports_lfc_fits_and_f32_error(
@@ -628,7 +647,7 @@ class TestStabilityCommand:
                    "--method", "all", "--kind", "additive_gaussian",
                    "--magnitude", "0.5", "--out", out, *PARAMS) == 0
         assert digest(out) == (
-            "7fe3e3a3de92284d0ef33b3c64ff302e7bc38247ca0713be0d6fb679bf5ee9aa")
+            "9e79c07047cfb1536f6e0c77d37edc5b1730008553788e642ff3c2a22c17e74e")
 
 
 class TestEvents:

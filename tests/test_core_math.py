@@ -1,4 +1,9 @@
+import contextlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from vlac import (
 )
 from vlac.core_math import (
     _exact_pp_init,
+    _top_eigenpairs,
     _fill_empty_clusters,
     _sq_dists,
     cluster_sums,
@@ -630,6 +636,78 @@ class TestPCAOwnership:
         basis = pca_fit(rows, 3, overwrite_rows=True)
         assert rows.tobytes() == before
         assert basis.rows.tobytes() == pca_fit(rows, 3).rows.tobytes()
+
+
+@contextlib.contextmanager
+def solver_context(solver):
+    """Run ``_top_eigenpairs`` with ``solver``: "dsyevr" (skipped when
+    numpy's BLAS is not its bundled OpenBLAS) or "eigh", the fallback,
+    forced by replacing the cached library handle with None."""
+    if solver == "dsyevr" and core_math._openblas() is None:
+        pytest.skip("numpy's BLAS is not its bundled scipy-openblas")
+    with pytest.MonkeyPatch.context() as mp:
+        if solver == "eigh":
+            mp.setattr(core_math, "_openblas", lambda: None)
+        yield
+
+
+class TestTopEigenpairs:
+    """``_top_eigenpairs`` on both paths: the top-d ``dsyevr`` solve and the
+    full ``eigh`` it falls back to on another BLAS."""
+
+    @pytest.mark.parametrize("solver", ["dsyevr", "eigh"])
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
+           data=st.data())
+    def test_top_d_of_symmetric_psd(self, solver, seed, n, data):
+        # m < n rows give a rank-deficient matrix with tied zero eigenvalues
+        m = data.draw(st.integers(1, n + 3), label="m")
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]), label="scale")
+        x = np.random.default_rng(seed).normal(size=(m, n)) * scale
+        sym = x.T @ x
+        want = np.linalg.eigh(sym)[0][::-1]
+        top = want[0]
+        with solver_context(solver):
+            assert core_math.eigensolver() == solver
+            for d in range(1, n + 1):
+                evals, rows = _top_eigenpairs(sym.copy(), d)
+                assert evals.shape == (d,) and rows.shape == (d, n)
+                assert np.all(np.diff(evals) <= 0.0)
+                assert np.abs(evals - want[:d]).max() <= 1e-12 * top
+                assert np.abs(rows @ rows.T - np.eye(d)).max() <= 1e-10
+                residual = sym @ rows.T - rows.T * evals
+                assert np.linalg.norm(residual, axis=0).max() <= 1e-10 * top
+
+    @pytest.mark.parametrize("shape", [(60, 20), (20, 60)])
+    def test_pca_fit_paths_agree(self, shape):
+        rows = np.random.default_rng(10).normal(size=shape)
+        fits = {}
+        for solver in ("dsyevr", "eigh"):
+            with solver_context(solver):
+                fits[solver] = pca_fit(rows, 5)
+        top, full = fits["dsyevr"], fits["eigh"]
+        assert top.solver == full.solver == ("eig" if shape[0] > shape[1]
+                                             else "gram")
+        np.testing.assert_allclose(top.rows, full.rows, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(top.eigenvalues, full.eigenvalues,
+                                   rtol=1e-9, atol=0)
+        assert top.mean.tobytes() == full.mean.tobytes()
+
+    def test_pca_fit_imports_no_scipy(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from vlac.core_math import pca_fit\n"
+            "rng = np.random.default_rng(0)\n"
+            "pca_fit(rng.normal(size=(40, 10)), 3)\n"
+            "pca_fit(rng.normal(size=(10, 40)), 3)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(core_math.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestProjection:

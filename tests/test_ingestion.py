@@ -413,6 +413,12 @@ class TestPerturb:
             with pytest.raises(DataError, match="seed"):
                 PerturbationSpec(kind="gain", magnitude=0.5, seed=seed)
 
+    @pytest.mark.parametrize("magnitude", ["0.5", None, True])
+    def test_magnitude_must_be_a_real_number(self, magnitude):
+        # np.isfinite cannot take a string or None, and True would read as 1
+        with pytest.raises(DataError, match="magnitude must be a real number"):
+            PerturbationSpec(kind="gain", magnitude=magnitude, seed=0)
+
 
 class TestMakeQueries:
     def make_dataset(self, tmp_path, frames_per_video=10):
