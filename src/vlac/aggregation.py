@@ -14,12 +14,12 @@ method, one window per GoF: over the features (VLAD), over the stacked
 window LFCs (VLAC), or over the frame VLAD rows projected once to d0 dims
 (hyper-pooling); the per-frame VLAD rows are one window per frame. It then
 projects all windows' raw vectors onto the basis in one product.
-VLAC training shares that encode kernel: :func:`_vlac_rows` sums the
-stacked window LFCs of every training video, the stack the CLFCs were fit
-on, in one call, as it does for one video's windows at encode time.
+Training sums every window in one call too: VLAC over the stacked window
+LFCs of every training video, the stack the CLFCs were fit on
+(:func:`_vlac_rows`), and hyper-pooling over its frame rows projected once.
 :func:`vlac_encode`, :func:`vlad_encode` and :func:`hp_encode` are the
-public one-window forms of the three methods; hyper-pooling training
-repeats :func:`hp_encode`'s steps on its centered frame rows. VLAC is the
+public one-window forms of the three methods; a hyper-pooling row may
+differ from :func:`hp_encode`'s by the projection's rounding. VLAC is the
 VLAD kernel applied to per-window local feature centers (LFCs) instead of
 raw features, so ``vlac_encode(lfcs, c)`` equals
 ``vlad_encode(lfcs.centers, c)`` element for element; :func:`_window_lfcs`
@@ -41,9 +41,8 @@ while a basis is fit. A trainer holds each training matrix once: it drops
 its pooled features as soon as the codebook is fit, and every basis fit
 L2-normalizes (with ``normalize``) and centers the rows built for it in
 place (``pca_fit(..., overwrite_rows=True)``) instead of copying them.
-Hyper-pooling then projects its centered frame rows with a plain product,
-each training window on its own exactly as :func:`hp_encode` projects it,
-so training gives the bits of the one-window path.
+Hyper-pooling then projects its centered frame rows with one plain
+product and drops them.
 
 A model file (``VLACMODL``) holds the magic, version (u16), method tag
 (u8) and one u32 per :class:`ModelParams` field in field order, then the
@@ -528,8 +527,9 @@ def train_hp(videos, params: ModelParams) -> TrainedModel:
     clustered on the top ``h`` projected components (centers extended to
     all d0 dimensions as the mean of their assigned frame vectors, so
     residuals are defined everywhere); and a final d-dim basis over the
-    per-window raw vectors. Every stage sees the frames window by window,
-    so a frame two windows share counts twice. ``h`` is clamped to ``d0``.
+    per-window raw vectors, all summed in one :func:`_residual_sums` call.
+    Every stage sees the frames window by window, so a frame two windows
+    share counts twice. ``h`` is clamped to ``d0``.
     ``videos`` is consumed once, into a list that is dropped after the
     frame VLAD rows, before the first basis is fit.
     """
@@ -555,11 +555,11 @@ def train_hp(videos, params: ModelParams) -> TrainedModel:
     # the fit centers frame_rows in place, so a plain product projects them,
     # bit for bit as pca_project would
     first_basis = pca_fit(frame_rows, d0, overwrite_rows=True)
-    to_d0 = first_basis.rows.T
-    projected = frame_rows @ to_d0
+    projected = frame_rows @ first_basis.rows.T
+    del frame_rows
 
-    second_seed = params.seed ^ _HP_SECOND_STAGE_SALT
-    head = kmeans_fit(projected[:, :h], alpha2, second_seed)
+    head = kmeans_fit(projected[:, :h], alpha2,
+                      params.seed ^ _HP_SECOND_STAGE_SALT)
     labels = nearest_centers(projected[:, :h], head.centers)
     counts = np.bincount(labels, minlength=alpha2)
     sums = cluster_sums(projected, labels, alpha2)
@@ -568,12 +568,11 @@ def train_hp(videos, params: ModelParams) -> TrainedModel:
     full_centers[counts == 0, :h] = head.centers[counts == 0]
     second_codebook = replace(head, centers=full_centers)
 
-    # each window projected on its own, as hp_encode projects it
-    rows = np.stack([
-        _residual_sums(frame_rows[r : r + g] @ to_d0, second_codebook.centers,
-                       [(0, g)], assign_dims=h)[0]
-        for r in range(0, frame_rows.shape[0], g)
-    ])
+    # one window per GoF over the projection, as _encode_windows sums them
+    windows = np.arange(0, projected.shape[0], g)
+    rows = _residual_sums(projected, second_codebook.centers,
+                          np.column_stack((windows, windows + g)),
+                          assign_dims=h)
     basis = _fit_basis(rows, params.d, params.normalize)
     return TrainedModel(
         method=METHOD_HP,

@@ -67,7 +67,7 @@ from .evaluation import (
     write_pr_csv,
 )
 from .core_math import basis_alignment_score, blas_threads, eigensolver
-from .fileio import write_csv
+from .fileio import read_json, write_csv
 from .ingestion import (
     PERTURBATION_KINDS,
     PerturbationSpec,
@@ -109,7 +109,7 @@ def load_config(args, feature_dim: int) -> ModelParams:
     overridden by explicit flags. ``f`` is always ``feature_dim``."""
     params = replace(DEFAULT_PARAMS, f=feature_dim)
     if args.config:
-        doc = json.loads(Path(args.config).read_text())
+        doc = read_json(args.config)
         if not isinstance(doc, dict):
             raise DataError("config file must hold a JSON object")
         unknown = set(doc) - {field.name for field in _SETTABLE}
@@ -188,13 +188,9 @@ def cmd_synth(args) -> int:
         notes="test split", overwrite=True,
     )
     qmanifest = make_queries(
-        test_manifest,
-        data.videos[cut:],
-        root / "queries",
-        segment_len_frames=args.segment_len,
-        offset_frames=args.offset,
-        seed=args.seed + 1,
-        overwrite=True,
+        test_manifest, data.videos[cut:], root / "queries",
+        segment_len_frames=args.segment_len, offset_frames=args.offset,
+        seed=args.seed + 1, overwrite=True,
     )
     written = time.perf_counter()
     _log(
@@ -287,10 +283,8 @@ def cmd_search(args) -> int:
     start = time.perf_counter()
     store = load_store(args.store)
     queries = load_store(args.queries)
-    if args.threshold is not None:
-        mode = dict(threshold=args.threshold)
-    else:
-        mode = dict(top_k=args.top_k)
+    mode = (dict(top_k=args.top_k) if args.threshold is None
+            else dict(threshold=args.threshold))
 
     results, latencies_ms = [], []
     for seq in queries:
@@ -329,27 +323,37 @@ def _percentile(values, q):
 
 
 def _read_results_csv(path):
-    """The (video_id, score) rows of each query, and the method and D of
-    the rows; both are None for a file without rows, which cannot say."""
-    by_query: dict[str, list[tuple[str, float]]] = {}
-    method, d = None, None
+    """The ranked (video_id, score) rows of each query, and the method and D
+    every row shares; both are None for a file without rows, which cannot
+    say. DataError for a row without the header's fields, ranks that do not
+    run 1, 2, ... within a query, a video ranked twice for one query, a
+    second method or D, or a non-finite score."""
+    by_query: dict[str, dict[str, float]] = {}
+    runs = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = set(RESULTS_CSV_COLUMNS) - set(reader.fieldnames or ())
         if missing:
             raise DataError(f"results CSV is missing columns {sorted(missing)}")
         for row in reader:
-            score = float(row["score"])
-            if not math.isfinite(score):
-                raise DataError(
-                    f"query {row['query_id']!r} has non-finite score "
-                    f"{row['score']!r}"
-                )
-            by_query.setdefault(row["query_id"], []).append(
-                (row["video_id"], score)
-            )
-            method, d = row["method"], int(row["D"])
-    return by_query, method, d
+            where = f"results CSV line {reader.line_num}"
+            # DictReader fills a short row with None, keys a long row's rest
+            if None in row or None in row.values():
+                raise DataError(f"{where} does not have the header's fields")
+            query_id, video_id = row["query_id"], row["video_id"]
+            ranked = by_query.setdefault(query_id, {})
+            if int(row["rank"]) != len(ranked) + 1 or video_id in ranked:
+                raise DataError(f"{where} is not rank {len(ranked) + 1} of a "
+                                f"new video for query {query_id!r}")
+            runs.add((row["method"], int(row["D"])))
+            if len(runs) > 1:
+                raise DataError(f"{where} mixes methods and D {sorted(runs)}")
+            ranked[video_id] = float(row["score"])
+            if not math.isfinite(ranked[video_id]):
+                raise DataError(f"query {query_id!r} has non-finite score "
+                                f"{row['score']!r}")
+    (method, d), = runs or {(None, None)}
+    return {q: list(r.items()) for q, r in by_query.items()}, method, d
 
 
 def cmd_evaluate(args) -> int:

@@ -145,19 +145,10 @@ class ProjectionBasis:
 
 
 def _as_points(points, *, name: str = "points") -> np.ndarray:
-    """Coerce a point collection to a (n, dim) float64 array."""
-    if isinstance(points, np.ndarray) and points.ndim == 2:
-        return np.ascontiguousarray(points, dtype=np.float64)
-    rows = [np.asarray(p, dtype=np.float64).ravel() for p in points]
-    if not rows:
-        return np.empty((0, 0), dtype=np.float64)
-    dim = rows[0].shape[0]
-    for r in rows[1:]:
-        if r.shape[0] != dim:
-            raise DimensionMismatch(
-                f"{name} mix dimensions {dim} and {r.shape[0]}"
-            )
-    return np.stack(rows)
+    """A 2-D (n, dim) array as a C-contiguous float64 array."""
+    if not (isinstance(points, np.ndarray) and points.ndim == 2):
+        raise DimensionMismatch(f"{name} must be a 2-D (n, dim) array")
+    return np.ascontiguousarray(points, dtype=np.float64)
 
 
 def _check_finite(arr: np.ndarray, name: str) -> None:
@@ -496,7 +487,7 @@ def kmeans_fit(
     residual arrays.
 
     Args:
-        points: (n, dim) array or sequence of equal-length vectors.
+        points: (n, dim) array.
         k: number of centers, 1 <= k <= n.
         seed: initialization seed.
         draws: the k-means++ (indices, path) for this input, or None to
@@ -508,7 +499,7 @@ def kmeans_fit(
     Raises:
         EmptyInput: no points were given.
         KTooLarge: k exceeds the number of points.
-        DimensionMismatch: points have inconsistent dimensions.
+        DimensionMismatch: points is not a 2-D array.
         DataError: a point is not finite, or its squared norm is not, or
             the norms are so large that a distance would overflow.
         ValueError: k < 1, or ``draws`` are not k row indices of
@@ -724,11 +715,11 @@ def pca_fit(rows, d: int, *, overwrite_rows: bool = False) -> ProjectionBasis:
     By default ``rows`` is never written. With ``overwrite_rows`` set, the
     fit centers ``rows`` in place instead of copying it: a C-contiguous
     float64 ``rows`` holds ``rows - basis.mean`` afterwards, and any other
-    input is converted to a new array first and left unchanged. The basis
+    array is converted to a new array first and left unchanged. The basis
     is bit for bit the same either way.
 
     Args:
-        rows: (n, dim) array or sequence of equal-length vectors, n >= 2.
+        rows: (n, dim) array, n >= 2.
         d: directions to keep, 1 <= d <= min(n, dim).
         overwrite_rows: let the fit center ``rows`` in place.
 
@@ -736,6 +727,7 @@ def pca_fit(rows, d: int, *, overwrite_rows: bool = False) -> ProjectionBasis:
         A :class:`ProjectionBasis` with d orthonormal rows.
 
     Raises:
+        DimensionMismatch: rows is not a 2-D array.
         InsufficientRows: fewer than two rows.
         DTooLarge: d exceeds min(n, dim).
     """

@@ -89,34 +89,18 @@ def pr_curve(results, truth: GroundTruth) -> PRCurve:
     a curve with no points.
     """
     _check_queries(results, truth)
-    pairs = []
-    for query_id, scored in results.items():
-        relevant = truth.relevant[query_id]
-        for video_id, score in scored:
-            pairs.append((float(score), video_id in relevant))
+    pairs = sorted(((float(score), video_id in truth.relevant[query_id])
+                    for query_id, scored in results.items()
+                    for video_id, score in scored), key=lambda p: -p[0])
     total_relevant = sum(len(ids) for ids in truth.relevant.values())
-
-    pairs.sort(key=lambda p: -p[0])
-    scores = np.array([p[0] for p in pairs])
-    rel = np.array([p[1] for p in pairs], dtype=np.int64)
-    tp = np.cumsum(rel)
-    retrieved = np.arange(1, len(pairs) + 1)
-
-    points = []
-    for i in range(len(pairs)):
-        # only take the last pair of each distinct score: that is the full
-        # "score >= threshold" retrieval set for this threshold
-        if i + 1 < len(pairs) and scores[i + 1] == scores[i]:
-            continue
-        precision = tp[i] / retrieved[i]
-        recall = tp[i] / total_relevant if total_relevant else 0.0
-        points.append(
-            PRPoint(
-                threshold=float(scores[i]),
-                precision=float(precision),
-                recall=float(recall),
-            )
-        )
+    points, tp = [], 0
+    for i, (score, relevant) in enumerate(pairs):
+        tp += relevant
+        # only the last pair of each distinct score: that is the full
+        # "score >= threshold" retrieval set for this threshold; a scored
+        # pair means a ground-truth query, so total_relevant >= 1
+        if i + 1 == len(pairs) or pairs[i + 1][0] != score:
+            points.append(PRPoint(score, tp / (i + 1), tp / total_relevant))
     return PRCurve(points=tuple(points))
 
 

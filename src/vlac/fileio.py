@@ -7,6 +7,7 @@ only the layout; the rules live here, once:
 
 * :func:`atomic_write` makes every write all-or-nothing, the text outputs
   (CSV through :func:`write_csv`, SVG) included;
+* :func:`read_json` is the one JSON reader, for manifests and the config;
 * :func:`f32_into` is the one float32 encoder: it casts into a caller's
   float32 array and reports which rows are not finite in float32;
   :func:`f32_bytes` encodes through it and refuses such a value;
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import struct
 from contextlib import contextmanager
@@ -65,6 +67,15 @@ def write_csv(path, header, rows) -> None:
         writer.writerow(header)
         writer.writerows(rows)
         text.detach()  # flushes into fh, which atomic_write closes
+
+
+def read_json(path):
+    """The JSON document in the text file ``path``; DataError for one
+    nested too deeply to parse."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise DataError(f"{path} is nested too deeply to parse") from None
 
 
 def f32_into(out: np.ndarray, arr) -> np.ndarray:

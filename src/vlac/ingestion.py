@@ -36,6 +36,7 @@ import itertools
 import json
 import numbers
 import struct
+import sys
 from collections.abc import Iterator
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
@@ -44,7 +45,7 @@ import numpy as np
 
 from .aggregation import Video
 from .errors import DataError, DimensionMismatch, EmptyInput, VideoTooShort
-from .fileio import Reader, atomic_write, f32_into
+from .fileio import Reader, atomic_write, f32_into, read_json
 
 _FEAT_MAGIC = b"VLACFEAT"
 _FEAT_VERSION = 1
@@ -113,21 +114,21 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.kind not in PERTURBATION_KINDS:
             raise DataError(f"unknown perturbation kind {self.kind!r}")
-        if (isinstance(self.magnitude, bool)
-                or not isinstance(self.magnitude, numbers.Real)):
-            raise DataError(f"perturbation magnitude must be a real number, "
-                            f"got {self.magnitude!r}")
-        if not np.isfinite(self.magnitude):
-            raise DataError(
-                f"perturbation magnitude must be finite, got {self.magnitude}"
-            )
-        if self.magnitude < 0:
-            raise DataError("perturbation magnitude must be >= 0")
+        if not _finite_non_negative(self.magnitude):
+            raise DataError("perturbation magnitude must be a real number, "
+                            f"finite and >= 0, got {self.magnitude!r}")
         if self.kind == "component_dropout" and self.magnitude > 1:
             raise DataError("dropout probability must be in [0, 1]")
         if type(self.seed) is not int or not 0 <= self.seed < 2**32:
             raise DataError(f"perturbation seed must be an int in "
                             f"[0, {2**32 - 1}], got {self.seed!r}")
+
+
+def _finite_non_negative(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, finite and >= 0."""
+    # compared, not cast: float() overflows on a huge int; NaN fails
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0 <= value <= sys.float_info.max)
 
 
 def write_features(video: Video, path, *, overwrite: bool = False) -> None:
@@ -422,7 +423,7 @@ def _load(path, cls, entry_cls, check_files: bool):
     the ``entry_cls`` entries, each naming a feature file relative to
     ``path``'s directory."""
     path = Path(path)
-    doc = json.loads(path.read_text())
+    doc = read_json(path)
     try:
         manifest = _from_json(cls, doc, entry_cls)
     except KeyError as exc:
@@ -439,8 +440,9 @@ def _load(path, cls, entry_cls, check_files: bool):
 
 
 def _from_json(cls, doc, entry_cls=None):
-    """``cls`` from a JSON object, field by field: numbers are coerced to the
-    field's type, strings must be strings, and the one tuple field holds
+    """``cls`` from a JSON object, field by field: an int field takes only a
+    JSON integer (not a bool), a float field only a finite number >= 0,
+    a string field only a string, and the one tuple field holds
     ``entry_cls`` objects."""
     values = {}
     for fld in fields(cls):
@@ -450,8 +452,14 @@ def _from_json(cls, doc, entry_cls=None):
         if fld.type == "str":
             if not isinstance(value, str):
                 raise TypeError(f"{fld.name} must be a string, got {value!r}")
-        elif fld.type in ("int", "float"):
-            value = int(value) if fld.type == "int" else float(value)
+        elif fld.type == "int":
+            if type(value) is not int:
+                raise TypeError(f"{fld.name} must be an integer, got {value!r}")
+        elif fld.type == "float":
+            if not _finite_non_negative(value):
+                raise ValueError(
+                    f"{fld.name} must be a finite number >= 0, got {value!r}")
+            value = float(value)
         else:
             value = tuple(_from_json(entry_cls, entry) for entry in value)
         values[fld.name] = value

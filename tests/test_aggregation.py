@@ -629,7 +629,8 @@ class TestHyperPooling:
 
 
 class TestTrainHpReference:
-    """``train_hp`` against the public one-window path, bit for bit."""
+    """``train_hp`` against the public one-window path: its first basis and
+    second-stage codebook bit for bit, its final basis within rounding."""
 
     @staticmethod
     def same(got, want):
@@ -674,9 +675,12 @@ class TestTrainHpReference:
             rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         final = pca_fit(rows, p.d)
         assert final.solver == model.basis.solver == "eig"
+        # training projects every window in one product, which may round
+        # differently from hp_encode's one-window products
         for name in ("rows", "mean", "eigenvalues"):
-            assert self.same(getattr(model.basis, name),
-                             getattr(final, name)), name
+            np.testing.assert_allclose(getattr(model.basis, name),
+                                       getattr(final, name), rtol=0,
+                                       atol=1e-12, err_msg=name)
 
 
 class TestEncodeVideo:

@@ -647,7 +647,7 @@ class TestStabilityCommand:
                    "--method", "all", "--kind", "additive_gaussian",
                    "--magnitude", "0.5", "--out", out, *PARAMS) == 0
         assert digest(out) == (
-            "9e79c07047cfb1536f6e0c77d37edc5b1730008553788e642ff3c2a22c17e74e")
+            "1104ae0a61762261a57d375c1f7f7a1eb63679b700cc611969818b97726bb6dd")
 
 
 class TestEvents:
@@ -894,6 +894,108 @@ class TestErrors:
                     "--out", tmp_path / "m.bin", *PARAMS]
         bad.write_text(json.dumps(doc))
         assert run(*argv) == 2
+
+    # PARAMS train on 8-dim features, so "8.7", "8" and true would pass
+    # as 8, 8 and 1 under int(); 1e400 is inf and 10**400 an int
+    @pytest.mark.parametrize("field, text", [
+        ("feature_dim", "1e400"), ("feature_dim", "8.7"),
+        ("feature_dim", '"8"'), ("feature_dim", "true"),
+        ("fps_sampled", "NaN"), ("fps_sampled", "1e400"),
+        ("fps_sampled", "-1"), ("fps_sampled", "1" + "0" * 400),
+    ], ids=["dim_overflow", "dim_float", "dim_string", "dim_bool",
+            "fps_nan", "fps_inf", "fps_negative", "fps_huge_int"])
+    def test_loosely_typed_manifest_value_exit_2(self, dataset, tmp_path,
+                                                 capsys, field, text):
+        doc = json.loads((dataset / "train" / "manifest.json").read_text())
+        for video in doc["videos"]:  # so only the planted value can fail
+            video["feature_file"] = str(
+                dataset / "train" / video["feature_file"])
+        (doc if field == "feature_dim" else doc["videos"][0])[field] = "PLANT"
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(doc).replace('"PLANT"', text))
+        capsys.readouterr()
+        assert run("train", "--manifest", bad, "--method", "vlad",
+                   "--out", tmp_path / "m.bin", *PARAMS) == 2
+        event = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert event["kind"] == "data" and field in event["message"]
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_whole_number_fps_loads_as_float(self, dataset, tmp_path):
+        doc = json.loads((dataset / "train" / "manifest.json").read_text())
+        for video in doc["videos"]:
+            video["feature_file"] = str(
+                dataset / "train" / video["feature_file"])
+            video["fps_sampled"] = 0
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        assert cli.load_manifest(path).videos[0].fps_sampled == 0.0
+        assert run("train", "--manifest", path, "--method", "vlad",
+                   "--out", tmp_path / "m.bin", *PARAMS) == 0
+
+    @pytest.mark.parametrize("reader", ["manifest", "config"])
+    def test_deeply_nested_json_exit_2(self, dataset, tmp_path, capsys,
+                                       reader):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000 + "]" * 100_000)
+        manifest, config = dataset / "train" / "manifest.json", []
+        if reader == "manifest":
+            manifest = nested
+        else:
+            config = ["--config", nested]
+        capsys.readouterr()
+        assert run("train", "--manifest", manifest, "--method", "vlad",
+                   "--out", tmp_path / "m.bin", *config) == 2
+        event = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert event["kind"] == "data" and "nested" in event["message"]
+
+
+class TestResultsCsv:
+    """``vlac evaluate`` refuses a results CSV that ``vlac search`` cannot
+    have written."""
+
+    @staticmethod
+    def evaluate(dataset, tmp_path, lines):
+        query = json.loads((dataset / "queries" / "manifest.json")
+                           .read_text())["queries"][0]
+        results = tmp_path / "results.csv"
+        results.write_text("\n".join(
+            [",".join(RESULTS_CSV_COLUMNS)]
+            + [line.format(q=query["query_id"], v=query["source_video_id"])
+               for line in lines]) + "\n")
+        code = run("evaluate", "--results", results,
+                   "--queries", dataset / "queries" / "manifest.json",
+                   "--out-prefix", tmp_path / "eval")
+        assert (tmp_path / "eval_map.csv").exists() == (code == 0)
+        return code
+
+    def test_well_formed_rows_accepted(self, dataset, tmp_path):
+        assert self.evaluate(dataset, tmp_path, [
+            "{q},1,{v},2.0,0,vlac,4", "{q},2,other,1.0,0,vlac,4",
+        ]) == 0
+
+    def test_short_row_exit_2(self, dataset, tmp_path):
+        assert self.evaluate(dataset, tmp_path, ["{q},1,{v}"]) == 2
+
+    @pytest.mark.parametrize("second", ["{q},2,other,1.0,0,vlad,4",
+                                        "{q},2,other,1.0,0,vlac,8"],
+                             ids=["method", "D"])
+    def test_second_method_or_d_exit_2(self, dataset, tmp_path, second):
+        assert self.evaluate(dataset, tmp_path, [
+            "{q},1,{v},2.0,0,vlac,4", second,
+        ]) == 2
+
+    def test_repeated_video_exit_2(self, dataset, tmp_path):
+        assert self.evaluate(dataset, tmp_path, [
+            "{q},1,other,2.0,0,vlac,4", "{q},2,other,1.0,0,vlac,4",
+        ]) == 2
+
+    @pytest.mark.parametrize("ranks", [(1, 1), (1, 3), (2, 3)],
+                             ids=["repeated", "gap", "not_from_one"])
+    def test_ranks_out_of_order_exit_2(self, dataset, tmp_path, ranks):
+        assert self.evaluate(dataset, tmp_path, [
+            f"{{q}},{ranks[0]},{{v}},2.0,0,vlac,4",
+            f"{{q}},{ranks[1]},other,1.0,0,vlac,4",
+        ]) == 2
 
 
 U32_MAX = 2**32 - 1

@@ -1,7 +1,9 @@
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vlac import (
     GroundTruth,
@@ -164,6 +166,65 @@ class TestMapFromRetrievals:
     def test_truncated_ranking_counts_dropped_relevant(self):
         truth = GroundTruth(relevant={"q": frozenset({"a", "b"})})
         assert map_from_retrievals({"q": [("a", 1.0)]}, truth) == 0.5
+
+
+def brute_average_precision(flags, relevant_count):
+    """AP by its definition: precision at each relevant rank, summed, over
+    the relevant count."""
+    return float(sum(Fraction(sum(flags[:r]), r)
+                     for r in range(1, len(flags) + 1) if flags[r - 1])
+                 / relevant_count)
+
+
+def brute_pr_curve(results, truth):
+    """(threshold, precision, recall) for each distinct score, highest
+    first, counting every scored pair at or above it as retrieved."""
+    pairs = [(score, video_id in truth.relevant[query_id])
+             for query_id, scored in results.items()
+             for video_id, score in scored]
+    total = sum(len(ids) for ids in truth.relevant.values())
+    points = []
+    for threshold in sorted({score for score, _ in pairs}, reverse=True):
+        kept = [rel for score, rel in pairs if score >= threshold]
+        points.append((threshold, sum(kept) / len(kept), sum(kept) / total))
+    return points
+
+
+@st.composite
+def scored_queries(draw):
+    """A ground truth of up to four queries and each query's scored videos,
+    drawn from few scores so that ties occur; a query may have no rows."""
+    videos = st.sampled_from([f"v{i}" for i in range(6)])
+    truth = GroundTruth(relevant={
+        f"q{i}": draw(st.frozensets(videos, min_size=1))
+        for i in range(draw(st.integers(1, 4)))
+    })
+    results = {}
+    for query_id in truth.relevant:
+        if draw(st.booleans()):
+            results[query_id] = [
+                (v, draw(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 2.0])))
+                for v in draw(st.lists(videos, unique=True))
+            ]
+    return truth, results
+
+
+class TestBruteForceDefinitions:
+    @settings(max_examples=200, deadline=None)
+    @given(flags=st.lists(st.booleans(), max_size=12),
+           extra=st.integers(0, 3))
+    def test_average_precision(self, flags, extra):
+        count = max(sum(flags), 1) + extra
+        assert average_precision(flags, count) == brute_average_precision(
+            flags, count)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scored_queries())
+    def test_pr_curve(self, case):
+        truth, results = case
+        got = [(p.threshold, p.precision, p.recall)
+               for p in pr_curve(results, truth).points]
+        assert got == brute_pr_curve(results, truth)
 
 
 class TestSignAlignedScore:

@@ -2,9 +2,11 @@
 
 The reference below is the encoder and trainer code as it was when a video
 was a list of frames: every window stacked its frames' features again, and
-VLAD and hyper-pooling encoded every frame of every window on its own. The
-property checks that training and encoding through :class:`Video` give the
-same model arrays and descriptors, bit for bit.
+VLAD and hyper-pooling encoded every frame of every window on its own.
+Hyper-pooling projects its frame VLAD rows once and windows the
+projection, in training and encoding alike. The property checks that
+training and encoding through :class:`Video` give the same model arrays
+and descriptors, bit for bit.
 """
 
 from dataclasses import replace
@@ -26,7 +28,6 @@ from vlac.aggregation import (
     _HP_SECOND_STAGE_SALT,
     _fit_basis,
     _l2_normalize,
-    hp_encode,
     vlac_encode,
     vlad_encode,
 )
@@ -52,9 +53,11 @@ def ref_lfcs(window, n, seed):
     return kmeans_fit(pooled, min(n, pooled.shape[0]), seed)
 
 
-def ref_hp_raw(window, first, first_basis, second, h):
-    rows = np.stack([vlad_encode(f, first) for f in window])
-    return hp_encode(rows, first_basis, second, h)
+def ref_hp_raw(rows, second, h):
+    """One window's hyper-pooling vector from its projected frame rows."""
+    labels = nearest_centers(rows[:, :h], second[:, :h])
+    return np.concatenate([(rows[labels == c] - second[c]).sum(axis=0)
+                           for c in range(len(second))])
 
 
 def ref_train(method, videos, p):
@@ -95,8 +98,9 @@ def ref_train(method, videos, p):
         else:
             full[c, :p.h] = head.centers[c]
     second = replace(head, centers=full)
-    rows = np.stack([ref_hp_raw(w, first, first_basis, second, p.h)
-                     for _, w in windows])
+    g = p.gof_size
+    rows = np.stack([ref_hp_raw(projected[r : r + g], full, p.h)
+                     for r in range(0, len(frames), g)])
     return TrainedModel("hp", replace(p, f=first.dim), first,
                         _fit_basis(rows, p.d, p.normalize),
                         hp_first_basis=first_basis,
@@ -122,11 +126,8 @@ def ref_encode(frames, model):
                                     model.codebook))
         else:
             start = i * (p.gof_size - p.overlap)
-            rows = projected[start : start + p.gof_size]
-            labels = nearest_centers(rows[:, :p.h], second[:, :p.h])
-            raws.append(np.concatenate([
-                (rows[labels == c] - second[c]).sum(axis=0)
-                for c in range(len(second))]))
+            raws.append(ref_hp_raw(projected[start : start + p.gof_size],
+                                   second, p.h))
     if not raws:
         return np.empty((0, model.basis.d))
     raw = np.stack(raws)
