@@ -48,8 +48,10 @@ A model file (``VLACMODL``) holds the magic, version (u16), method tag
 (u8) and one u32 per :class:`ModelParams` field in field order, then the
 arrays :func:`_model_arrays` lists, each as rows and cols (u32) and
 rows*cols float32 values. The parameters fix every array's shape. The
-checks and the float32 codec live in :mod:`vlac.fileio`; saving a loaded
-model reproduces the file byte for byte.
+file checks and the float32 codec live in :mod:`vlac.fileio`; saving a
+loaded model reproduces the file byte for byte. :class:`ModelParams` and
+:class:`TrainedModel` hold the stored-model rules, so a model that no
+trainer writes cannot be built, saved or loaded.
 """
 
 from __future__ import annotations
@@ -185,6 +187,7 @@ class ModelParams:
     field's ``metadata["min"]`` is the least value a run may configure
     (default 1); ``metadata["method"]`` names the one method that reads the
     field, and a trained model stores the fields of other methods as 0.
+    DataError for ``overlap >= gof_size``, which :func:`split_gofs` refuses.
     """
 
     f: int
@@ -212,6 +215,11 @@ class ModelParams:
                     f"parameter {fld.name} must be in [0, {2**32 - 1}], "
                     f"got {value}"
                 )
+        if self.overlap >= self.gof_size:
+            raise DataError(
+                f"parameters have gof_size={self.gof_size} and overlap="
+                f"{self.overlap}, which must satisfy 0 <= overlap < gof_size"
+            )
 
     def for_method(self, method: str) -> "ModelParams":
         """These parameters as a ``method`` model stores them: the fields
@@ -241,7 +249,10 @@ class TrainedModel:
     final compaction to d dimensions. The hyper-pooling fields are None
     for the other methods. ``lfc_fits`` sums up a VLAC model's window LFC
     fits (see :func:`_fit_summary`); it is not stored in the file, so it
-    is None for a loaded model and for the other methods.
+    is None for a loaded model and for the other methods. Construction
+    refuses, as DataError, a method outside ``METHODS``, parameters other
+    than ``params.for_method(method)`` and a hyper-pooling ``h > d0``, and,
+    as UntrainedModel, a hyper-pooling model without both stages.
     """
 
     method: str
@@ -251,6 +262,23 @@ class TrainedModel:
     hp_first_basis: ProjectionBasis | None = None
     hp_second_codebook: Codebook | None = None
     lfc_fits: dict[str, int] | None = None
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise DataError(f"unknown model method {self.method!r}")
+        p, stored = self.params, self.params.for_method(self.method)
+        extra = [f.name for f in fields(p)
+                 if getattr(p, f.name) != getattr(stored, f.name)]
+        if extra:
+            raise DataError(f"{self.method} parameters set {', '.join(extra)}, "
+                            "which only other methods read")
+        if self.method != METHOD_HP:
+            return
+        if p.h > p.d0:
+            raise DataError(f"hp parameters have h={p.h}, which must be "
+                            f"between 1 and d0={p.d0}")
+        if self.hp_first_basis is None or self.hp_second_codebook is None:
+            raise UntrainedModel("hp model is missing its hyper-pooling stages")
 
 
 def _residual_sums(
@@ -622,15 +650,11 @@ def _encode_windows(video: Video, model: TrainedModel) -> np.ndarray:
         windows = np.column_stack((video.offsets[starts],
                                    video.offsets[starts + p.gof_size]))
         return _residual_sums(video.features, model.codebook.centers, windows)
-    if model.method == METHOD_HP:
-        if model.hp_first_basis is None or model.hp_second_codebook is None:
-            raise UntrainedModel("model is missing its hyper-pooling stages")
-        projected = pca_project(model.hp_first_basis,
-                                _frame_vlads(video, model.codebook))
-        return _residual_sums(projected, model.hp_second_codebook.centers,
-                              np.column_stack((starts, starts + p.gof_size)),
-                              assign_dims=p.h)
-    raise UntrainedModel(f"unknown model method {model.method!r}")
+    projected = pca_project(model.hp_first_basis,
+                            _frame_vlads(video, model.codebook))
+    return _residual_sums(projected, model.hp_second_codebook.centers,
+                          np.column_stack((starts, starts + p.gof_size)),
+                          assign_dims=p.h)
 
 
 def encode_video(video: Video, model: TrainedModel) -> np.ndarray:
@@ -690,40 +714,16 @@ def _check_shape(shape, expected: tuple, what: str) -> None:
         )
 
 
-def _check_header(method: str, p: ModelParams, path) -> None:
-    """Refuse a header no trainer writes: windows ``split_gofs`` cannot cut,
-    a field that only another method reads set (``for_method`` stores those
-    as 0), or hyper-pooling on more than d0 components (train_hp clamps h).
-    """
-    if not 0 <= p.overlap < p.gof_size:
-        raise DataError(
-            f"{path} header has gof_size={p.gof_size} and overlap="
-            f"{p.overlap}, which must satisfy 0 <= overlap < gof_size"
-        )
-    stored = p.for_method(method)
-    if stored != p:
-        extra = [f.name for f in fields(p)
-                 if getattr(p, f.name) != getattr(stored, f.name)]
-        raise DataError(
-            f"{path} {method} header sets {', '.join(extra)}, which only "
-            "other methods read"
-        )
-    if method == METHOD_HP and not 1 <= p.h <= p.d0:
-        raise DataError(
-            f"{path} hp header has h={p.h}, which must be between 1 and "
-            f"d0={p.d0}"
-        )
-
-
 def save_model(
     model: TrainedModel, path, *, overwrite: bool = False
 ) -> dict[str, float]:
     """Write a model to the VLACMODL binary format.
 
+    ``model``'s constructor checked the stored-model rules, so only an array
+    of the wrong shape or a value float32 cannot hold fails, as DataError.
     Returns the largest float32 rounding error of each stored array,
     ``|stored - value|``, keyed ``attribute.part`` in file order.
     """
-    _check_header(model.method, model.params, path)
     errors = {}
     with atomic_write(path, overwrite=overwrite) as fh:
         tag = METHOD_TAGS[model.method]
@@ -745,7 +745,9 @@ def load_model(path) -> TrainedModel:
     """Read a model written by :func:`save_model`.
 
     Array values come back as float64 holding exactly the stored float32
-    values, so saving a loaded model reproduces the file bit for bit.
+    values, so saving a loaded model reproduces the file bit for bit. A
+    header that :class:`ModelParams` or :class:`TrainedModel` refuses fails
+    as DataError naming the file.
     """
     reader = Reader(path, _MODEL_MAGIC)
     version, tag = reader.unpack(_MODEL_HEADER, "the header")
@@ -754,22 +756,24 @@ def load_model(path) -> TrainedModel:
     if tag not in TAG_METHODS:
         raise DataError(f"unknown method tag {tag}")
     method = TAG_METHODS[tag]
-    params = ModelParams(*(
-        _field_kind(fld)(value)
-        for fld, value in zip(
-            fields(ModelParams), reader.unpack(_PARAMS_HEADER, "the header")
-        )
-    ))
-    _check_header(method, params, path)
+    header = reader.unpack(_PARAMS_HEADER, "the header")
+    try:
+        params = ModelParams(*(_field_kind(fld)(value)
+                               for fld, value in zip(fields(ModelParams), header)))
+    except DataError as exc:
+        raise DataError(f"{path} header: {exc}") from exc
     stages: dict[str, dict[str, np.ndarray]] = {}
     for name, part, shape in _model_arrays(method, params):
         what = f"{name}.{part}"
         _check_shape(reader.unpack(_ARRAY_SHAPE, what), shape, f"{path} {what}")
         stages.setdefault(name, {})[part] = reader.f32(*shape, what)
     reader.end()
-    return TrainedModel(method=method, params=params, **{
-        name: _stage(arrays) for name, arrays in stages.items()
-    })
+    try:
+        return TrainedModel(method=method, params=params, **{
+            name: _stage(arrays) for name, arrays in stages.items()
+        })
+    except DataError as exc:
+        raise DataError(f"{path} header: {exc}") from exc
 
 
 def _stage(arrays: dict[str, np.ndarray]):

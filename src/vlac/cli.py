@@ -14,7 +14,8 @@ bundled OpenBLAS, or "eigh" on another BLAS) and that OpenBLAS's thread
 count as ``blas_threads`` (null on another BLAS): the bases, and every
 byte after them, depend on both.
 Exit codes: 0 success, 2 data or usage error (``DataError``,
-``ValueError``, ``OSError``, bad JSON), 3 numeric failure (numpy's
+``ValueError``, ``OSError``, bad JSON, and a malformed results CSV, which
+``evaluate`` names by file and line), 3 numeric failure (numpy's
 ``LinAlgError`` or ``FloatingPointError``). Commands overwrite their own
 output files so reruns are idempotent, and every output file is written
 all-or-nothing: a failed command leaves an existing file unchanged.
@@ -107,28 +108,24 @@ def _peak_rss_mb() -> float:
 def load_config(args, feature_dim: int) -> ModelParams:
     """The run's parameters: defaults, overridden by the --config JSON,
     overridden by explicit flags. ``f`` is always ``feature_dim``."""
-    params = replace(DEFAULT_PARAMS, f=feature_dim)
-    if args.config:
-        doc = read_json(args.config)
-        if not isinstance(doc, dict):
-            raise DataError("config file must hold a JSON object")
-        unknown = set(doc) - {field.name for field in _SETTABLE}
-        if unknown:
-            raise DataError(f"unknown config keys: {sorted(unknown)}")
-        params = replace(params, **doc)
+    doc = read_json(args.config) if args.config else {}
+    if not isinstance(doc, dict):
+        raise DataError("config file must hold a JSON object")
+    unknown = set(doc) - {field.name for field in _SETTABLE}
+    if unknown:
+        raise DataError(f"unknown config keys: {sorted(unknown)}")
     flags = {
         field.name: getattr(args, field.name)
         for field in _SETTABLE
         if getattr(args, field.name) is not None
     }
-    params = replace(params, **flags)
+    # one replace, so ModelParams checks only the set the run uses
+    params = replace(DEFAULT_PARAMS, f=feature_dim, **{**doc, **flags})
     for field in fields(ModelParams):
         value = getattr(params, field.name)
         minimum = field.metadata.get("min", 1)
         if type(value) is int and value < minimum:
             raise DataError(f"config {field.name} must be >= {minimum}")
-    if params.overlap >= params.gof_size:
-        raise DataError("config must satisfy 0 <= overlap < gof_size")
     return params
 
 
@@ -168,6 +165,11 @@ def cmd_synth(args) -> int:
     _check_float_flag("--fps", args.fps, positive=True)
     _check_float_flag("--center-spread", args.center_spread)
     _check_float_flag("--noise-std", args.noise_std)
+    if args.segment_len + args.offset > args.frames:
+        raise DataError(
+            f"--segment-len {args.segment_len} plus --offset {args.offset} "
+            f"exceeds --frames {args.frames}: no query segment fits"
+        )
     root = Path(args.data_root)
     # one synthesis covers train + test so both share the feature vocabulary;
     # the first train_videos videos are the training split
@@ -325,33 +327,46 @@ def _percentile(values, q):
 def _read_results_csv(path):
     """The ranked (video_id, score) rows of each query, and the method and D
     every row shares; both are None for a file without rows, which cannot
-    say. DataError for a row without the header's fields, ranks that do not
-    run 1, 2, ... within a query, a video ranked twice for one query, a
-    second method or D, or a non-finite score."""
+    say. DataError naming the file and line for text the csv module cannot
+    parse, a row without the header's fields, a rank or D that is not an
+    integer or a score that is not a finite number, ranks that do not run
+    1, 2, ... within a query, a video ranked twice for one query, or a
+    second method or D."""
     by_query: dict[str, dict[str, float]] = {}
     runs = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        missing = set(RESULTS_CSV_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise DataError(f"results CSV is missing columns {sorted(missing)}")
-        for row in reader:
-            where = f"results CSV line {reader.line_num}"
-            # DictReader fills a short row with None, keys a long row's rest
-            if None in row or None in row.values():
-                raise DataError(f"{where} does not have the header's fields")
-            query_id, video_id = row["query_id"], row["video_id"]
-            ranked = by_query.setdefault(query_id, {})
-            if int(row["rank"]) != len(ranked) + 1 or video_id in ranked:
-                raise DataError(f"{where} is not rank {len(ranked) + 1} of a "
-                                f"new video for query {query_id!r}")
-            runs.add((row["method"], int(row["D"])))
-            if len(runs) > 1:
-                raise DataError(f"{where} mixes methods and D {sorted(runs)}")
-            ranked[video_id] = float(row["score"])
-            if not math.isfinite(ranked[video_id]):
-                raise DataError(f"query {query_id!r} has non-finite score "
-                                f"{row['score']!r}")
+        try:
+            missing = set(RESULTS_CSV_COLUMNS) - set(reader.fieldnames or ())
+            if missing:
+                raise DataError(f"results CSV {path} is missing columns "
+                                f"{sorted(missing)}")
+            for row in reader:
+                where = f"results CSV {path} line {reader.line_num}"
+                # DictReader fills a short row with None, keys a long row's rest
+                if None in row or None in row.values():
+                    raise DataError(f"{where} does not have the header's fields")
+                try:
+                    rank, d = int(row["rank"]), int(row["D"])
+                    score = float(row["score"])
+                except ValueError as exc:
+                    raise DataError(f"{where} needs integer rank and D and a "
+                                    f"numeric score: {exc}") from None
+                query_id, video_id = row["query_id"], row["video_id"]
+                if not math.isfinite(score):
+                    raise DataError(f"{where} has non-finite score "
+                                    f"{row['score']!r} for query {query_id!r}")
+                ranked = by_query.setdefault(query_id, {})
+                if rank != len(ranked) + 1 or video_id in ranked:
+                    raise DataError(f"{where} is not rank {len(ranked) + 1} of "
+                                    f"a new video for query {query_id!r}")
+                runs.add((row["method"], d))
+                if len(runs) > 1:
+                    raise DataError(f"{where} mixes methods and D {sorted(runs)}")
+                ranked[video_id] = score
+        except csv.Error as exc:  # DictReader's line_num lags on a failed row
+            raise DataError(f"results CSV {path} line "
+                            f"{reader.reader.line_num}: {exc}") from None
     (method, d), = runs or {(None, None)}
     return {q: list(r.items()) for q, r in by_query.items()}, method, d
 

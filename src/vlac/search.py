@@ -37,7 +37,7 @@ _RECORD = struct.Struct("<IIB")  # GoF count, descriptor dim, method tag
 @dataclass(frozen=True)
 class DescriptorSequence:
     """Ordered per-GoF descriptors of one video, a finite (G, d) float64
-    matrix."""
+    matrix, and the method that encoded them, one with a VLACSTOR tag."""
 
     video_id: str
     descriptors: np.ndarray
@@ -53,6 +53,10 @@ class DescriptorSequence:
         if not np.isfinite(mat).all():
             raise DataError(
                 f"sequence {self.video_id!r} holds a non-finite descriptor"
+            )
+        if self.method not in METHOD_TAGS:
+            raise DataError(
+                f"sequence {self.video_id!r} has unknown method {self.method!r}"
             )
         object.__setattr__(self, "descriptors", mat)
 

@@ -382,13 +382,67 @@ class TestModelParams:
             train_hp(videos, params(alpha1=4, d0=6, alpha2=3, d=2,
                                     gof_size=3, overlap=0))
 
+    # the last four are windows split_gofs cannot cut; gof_size 1 keeps the
+    # default overlap of 1
     @pytest.mark.parametrize("fields", [
         {"j": 2**32}, {"seed": -1}, {"f": 3.0}, {"normalize": 1},
-        {"d": True},
+        {"d": True}, {"gof_size": 1}, {"gof_size": 0, "overlap": 0},
+        {"gof_size": 5, "overlap": 5}, {"gof_size": 3, "overlap": 7},
     ])
     def test_rejects_values_the_header_cannot_store(self, fields):
         with pytest.raises(DataError):
             ModelParams(**{"f": 3, **fields})
+
+
+def _stages(method, p):
+    """Codebooks and bases of the shapes a ``method`` model with
+    parameters ``p`` stores, every value 0.5."""
+    arrays = {}
+    for name, part, shape in _model_arrays(method, p):
+        arrays.setdefault(name, {})[part] = np.full(shape, 0.5)
+    return {name: aggregation._stage(parts) for name, parts in arrays.items()}
+
+
+VALID = {
+    "vlad": ModelParams(f=2, j=2, d=1),
+    "vlac": ModelParams(f=2, n=3, m=2, d=1),
+    "hp": ModelParams(f=2, d0=2, alpha1=2, alpha2=2, h=2, d=1),
+}
+
+
+class TestTrainedModel:
+    """A model no trainer writes cannot be built."""
+
+    @pytest.mark.parametrize("method", VALID)
+    def test_builds_what_a_trainer_writes(self, method):
+        TrainedModel(method, VALID[method], **_stages(method, VALID[method]))
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(DataError, match="unknown model method 'sift'"):
+            TrainedModel("sift", VALID["vlad"], **_stages("vlad", VALID["vlad"]))
+
+    @pytest.mark.parametrize("method, fields, named", [
+        ("vlad", {"alpha2": 7}, "alpha2"), ("vlac", {"j": 1, "h": 3}, "j, h"),
+        ("hp", {"n": 4}, "n"),
+    ])
+    def test_rejects_fields_only_other_methods_read(self, method, fields,
+                                                    named):
+        with pytest.raises(DataError,
+                           match=f"set {named}, which only other methods"):
+            TrainedModel(method, replace(VALID[method], **fields),
+                         **_stages(method, VALID[method]))
+
+    def test_rejects_hp_on_more_than_d0_components(self):
+        p = replace(VALID["hp"], h=3)
+        with pytest.raises(DataError, match="h=3, which must be between 1 "
+                                            "and d0=2"):
+            TrainedModel("hp", p, **_stages("hp", p))
+
+    @pytest.mark.parametrize("stage", ["hp_first_basis", "hp_second_codebook"])
+    def test_rejects_hp_without_both_stages(self, stage):
+        stages = {**_stages("hp", VALID["hp"]), stage: None}
+        with pytest.raises(UntrainedModel):
+            TrainedModel("hp", VALID["hp"], **stages)
 
 
 def _random_videos(seed, dim, features_per_frame):
@@ -609,9 +663,8 @@ class TestHyperPooling:
     def test_requires_hp_model(self):
         video = Video.from_frames([np.zeros((1, 2))] * 3)
         for stage in ("hp_first_basis", "hp_second_codebook"):
-            model = replace(self.tiny_model(), **{stage: None})
             with pytest.raises(UntrainedModel):
-                encode_video(video, model)
+                encode_video(video, replace(self.tiny_model(), **{stage: None}))
 
     def test_train_hp_round_numbers(self):
         rng = np.random.default_rng(9)
@@ -795,6 +848,13 @@ class TestGroupOfFrames:
         assert split_gofs(video, 5, 1) == [0, 4]
         assert split_gofs(video, 3, 2) == list(range(7))
 
+    @pytest.mark.parametrize("gof_size, overlap",
+                             [(0, 0), (0, 1), (3, 3), (3, 4), (3, -1)])
+    def test_rejects_windows_it_cannot_cut(self, gof_size, overlap):
+        video = Video.from_frames([np.ones((1, 1))] * 4)
+        with pytest.raises(ValueError, match="gof_size"):
+            split_gofs(video, gof_size, overlap)
+
     def test_rejects_gaps(self):
         video = Video.from_frames([np.ones((1, 1))] * 4, [0, 1, 3, 4])
         with pytest.raises(DataError, match="consecutive"):
@@ -875,6 +935,51 @@ class TestModelPersistence:
         loaded = load_model(tmp_path / "m.bin")
         other = make_video(rng, 6, 2, features_per_frame=6)
         assert encode_video(other, loaded).shape == (2, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_hand_built_model_saves_or_raises_data_error(self, data):
+        """Any model that can be built either saves, and then loads back
+        byte for byte, or fails to save as DataError and leaves no file."""
+        method = data.draw(st.sampled_from(["vlad", "vlac", "hp"]))
+        gof_size = data.draw(st.integers(1, 3))
+        p = ModelParams(
+            gof_size=gof_size, overlap=data.draw(st.integers(0, gof_size - 1)),
+            **{name: data.draw(st.integers(1, 3), label=name) for name in
+               ("f", "j", "n", "m", "d", "d0", "alpha1", "alpha2", "h")})
+        if data.draw(st.integers(0, 3), label="as a trainer stores them"):
+            p = p.for_method(method)
+        arrays = _model_arrays(method, p)
+        # at most one array is faulty: reshaped, or holding 1e39 or NaN
+        faulty = data.draw(st.one_of(st.none(), st.integers(0, len(arrays) - 1)))
+        fault = data.draw(st.sampled_from(["shape", 1e39, np.nan]))
+        parts = {}
+        for i, (name, part, shape) in enumerate(arrays):
+            if i == faulty and fault == "shape":
+                shape = (data.draw(st.integers(0, 3)),
+                         data.draw(st.integers(0, 3)))
+            value = fault if i == faulty and fault != "shape" else 0.5
+            parts.setdefault(name, {})[part] = np.full(shape, value)
+        stages = {
+            name: Codebook(a["centers"], a["inertia"]) if "centers" in a
+            else ProjectionBasis(a["rows"], a["mean"], a["eigenvalues"])
+            for name, a in parts.items()
+            if name in ("codebook", "basis")
+            or data.draw(st.integers(0, 3), label=f"keep {name}")
+        }
+        try:
+            model = TrainedModel(method, p, **stages)
+        except DataError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp) / "m.bin", Path(tmp) / "again.bin"
+            try:
+                save_model(model, path)
+            except DataError:
+                assert not path.exists()
+                return
+            save_model(load_model(path), again)
+            assert again.read_bytes() == path.read_bytes()
 
     def test_overwrite_guard(self, tmp_path):
         rng = np.random.default_rng(21)

@@ -143,6 +143,24 @@ class TestSynth:
         assert event["message"].startswith(f"{flag} must be finite")
         assert list(tmp_path.iterdir()) == []
 
+    # used to exit 2 only after writing both splits, from make_queries
+    @pytest.mark.parametrize("frames,segment_len,offset", [
+        (10, 20, 0), (20, 20, 1), (16, 10, 7),
+    ])
+    def test_query_longer_than_video_exit_2(self, tmp_path, capsys, frames,
+                                            segment_len, offset):
+        capsys.readouterr()
+        assert run(*SYNTH, "--data-root", tmp_path, "--frames", frames,
+                   "--segment-len", segment_len, "--offset", offset) == 2
+        event = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert event["message"].startswith(f"--segment-len {segment_len} "
+                                           f"plus --offset {offset}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_query_as_long_as_video_accepted(self, tmp_path):
+        assert run(*SYNTH, "--data-root", tmp_path, "--frames", "17",
+                   "--segment-len", "16", "--offset", "1") == 0
+
 
 class TestTrain:
     def test_model_files_written(self, trained):
@@ -996,6 +1014,21 @@ class TestResultsCsv:
             f"{{q}},{ranks[0]},{{v}},2.0,0,vlac,4",
             f"{{q}},{ranks[1]},other,1.0,0,vlac,4",
         ]) == 2
+
+    # a field over the csv module's 131,072-character limit used to escape
+    # as _csv.Error, and a bad rank, D or score to name neither file nor line
+    @pytest.mark.parametrize("line", [
+        "{q},1.5,{v},2.0,0,vlac,4", "{q},1,{v},2.0,0,vlac,x",
+        "{q},1,{v},abc,0,vlac,4", "{q},1,{v},2.0,0,vlac,4," + "x" * 131_073,
+    ], ids=["rank", "D", "score", "oversized_field"])
+    def test_unparsable_field_names_file_and_line(self, dataset, tmp_path,
+                                                  capsys, line):
+        capsys.readouterr()
+        assert self.evaluate(dataset, tmp_path, [line]) == 2
+        event = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert event["event"] == "error"
+        assert event["message"].startswith(
+            f"results CSV {tmp_path / 'results.csv'} line 2")
 
 
 U32_MAX = 2**32 - 1

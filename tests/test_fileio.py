@@ -18,20 +18,21 @@ from vlac.fileio import atomic_write
 from vlac.ingestion import VideoEntry, save_manifest
 from vlac.search import DescriptorSequence
 
-# A model whose method has no VLACMODL tag: save_model fails after the magic.
-UNTAGGED_MODEL = TrainedModel(
-    method="bogus",
-    params=ModelParams(f=2),
+# A model whose basis holds a value float32 cannot: save_model fails after
+# the magic, the header and the codebook.
+UNSTORABLE_MODEL = TrainedModel(
+    method="vlad",
+    params=ModelParams(f=2, j=1, d=1),
     codebook=Codebook(centers=np.ones((1, 2)), inertia=0.0),
-    basis=ProjectionBasis(rows=np.ones((1, 2)), mean=np.zeros(2),
+    basis=ProjectionBasis(rows=np.full((1, 2), 1e39), mean=np.zeros(2),
                           eigenvalues=np.ones(1)),
 )
 
 
 def rows_then_fail(first):
-    """Yield one row, then fail as a broken row source would."""
+    """Yield one row, then fail as a row source reading bad input would."""
     yield first
-    raise KeyError("no second row")
+    raise DataError("no second row")
 
 
 # Each writer given input that fails part-way through the write. The CSV
@@ -39,13 +40,13 @@ def rows_then_fail(first):
 FAILING_WRITES = {
     "store": lambda path, overwrite: write_store(
         [DescriptorSequence("v", np.ones((1, 2)), "vlac"),
-         DescriptorSequence("w", np.ones((1, 2)), "bogus")],
+         DescriptorSequence("w", np.full((1, 2), 1e39), "vlac")],
         path, overwrite=overwrite),
     "features": lambda path, overwrite: write_features(
         Video.from_frames([np.ones((1, 2))] * 2, [0, 2**32]),
         path, overwrite=overwrite),
     "model": lambda path, overwrite: save_model(
-        UNTAGGED_MODEL, path, overwrite=overwrite),
+        UNSTORABLE_MODEL, path, overwrite=overwrite),
     "manifest": lambda path, overwrite: save_manifest(
         DatasetManifest(videos=(VideoEntry("v", "v.vfeat", object(), ""),),
                         feature_dim=2),
@@ -55,7 +56,7 @@ FAILING_WRITES = {
     "map_csv": lambda path, overwrite: write_map_csv(
         path, rows_then_fail(("vlad", 16, 0.75))),
 }
-WRITE_ERRORS = (KeyError, DataError, TypeError)
+WRITE_ERRORS = (DataError, TypeError)
 
 
 @pytest.mark.parametrize("writer", FAILING_WRITES)

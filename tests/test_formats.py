@@ -258,10 +258,12 @@ def test_header_must_match_array_shapes(tmp_path, method, field):
     path = tmp_path / "m.bin"
     save_model(model, path)
     set_model_param(path, field, wrong)
-    with pytest.raises(DataError, match=match):
+    with pytest.raises(DataError, match=match) as exc:
         load_model(path)
-    bad = replace(model, params=replace(model.params, **{field: wrong}))
+    assert str(path) in str(exc.value)
+    # a range field is refused as the model is built, a shape field on save
     with pytest.raises(DataError, match=match):
+        bad = replace(model, params=replace(model.params, **{field: wrong}))
         save_model(bad, tmp_path / "bad.bin")
     assert not (tmp_path / "bad.bin").exists()
 

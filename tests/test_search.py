@@ -48,6 +48,11 @@ class TestDescriptorSequence:
         with pytest.raises(DataError):
             seq("a", np.empty((0, 3)))
 
+    @pytest.mark.parametrize("method", ["bogus", "", "sift", None])
+    def test_rejects_method_without_store_tag(self, method):
+        with pytest.raises(DataError, match="unknown method"):
+            seq("a", np.ones((1, 3)), method)
+
 
 class TestAlignedSimilarity:
     def test_equal_lengths_single_alignment(self):
