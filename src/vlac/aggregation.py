@@ -37,12 +37,15 @@ that reads each video from its file included, and a trainer consumes it
 once: VLAC streams it, fitting each video's window LFCs as the video
 arrives, while VLAD and hyper-pooling make the only list of it and drop
 that list after its last use, the frame VLAD rows, so no video is held
-while a basis is fit. A trainer holds each training matrix once: it drops
-its pooled features as soon as the codebook is fit, and every basis fit
-L2-normalizes (with ``normalize``) and centers the rows built for it in
-place (``pca_fit(..., overwrite_rows=True)``) instead of copying them.
-Hyper-pooling then projects its centered frame rows with one plain
-product and drops them.
+while a basis is fit. A trainer holds each training matrix once: the
+videos keep the float32 features they were loaded with, and the pooled
+float64 features exist only until the codebook is fit; each video's
+frame VLAD rows are written straight into one preallocated matrix
+(:func:`_stacked_frame_vlads`), not stacked from per-video copies; and
+every basis fit L2-normalizes (with ``normalize``) and centers the rows
+built for it in place (``pca_fit(..., overwrite_rows=True)``) instead of
+copying them. Hyper-pooling then projects its centered frame rows with
+one plain product and drops them.
 
 A model file (``VLACMODL``) holds the magic, version (u16), method tag
 (u8) and one u32 per :class:`ModelParams` field in field order, then the
@@ -92,6 +95,10 @@ TAG_METHODS = {v: k for k, v in METHOD_TAGS.items()}
 # so it never reuses the first-stage initialization stream.
 _HP_SECOND_STAGE_SALT = 0x5F3759DF
 
+# Values per block of _residual_sums' gather-and-subtract, so each block's
+# temporaries stay in cache.
+_RESIDUAL_BLOCK = 1 << 15
+
 _MODEL_MAGIC = b"VLACMODL"
 _MODEL_VERSION = 1
 
@@ -100,12 +107,16 @@ _MODEL_VERSION = 1
 class Video:
     """The local descriptors of one video, all frames in one matrix.
 
-    ``features`` is a (total, dim) float64 matrix whose rows
+    ``features`` is a (total, dim) matrix whose rows
     ``offsets[t]:offsets[t + 1]`` are the features of frame ``t``, and
-    ``frame_index[t]`` is that frame's index. The input is checked once,
-    here: 2-D finite features, F + 1 offsets that start at 0, never
-    decrease and end at ``total``, and strictly increasing integer frame
-    indices that fit in int64.
+    ``frame_index[t]`` is that frame's index. A float32 array stays
+    float32, at half the bytes of float64, as a loaded feature file gives
+    it; anything else is cast to float64. Every consumer widens the
+    features to float64 on use, which is exact, so both dtypes give the
+    same bits downstream. The input is checked once, here: 2-D finite
+    features, F + 1 offsets that start at 0, never decrease and end at
+    ``total``, and strictly increasing integer frame indices that fit in
+    int64.
     """
 
     features: np.ndarray
@@ -113,7 +124,9 @@ class Video:
     offsets: np.ndarray
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
+        feats = self.features
+        if not (isinstance(feats, np.ndarray) and feats.dtype == np.float32):
+            feats = np.asarray(feats, dtype=np.float64)
         if feats.ndim != 2:
             raise DimensionMismatch(
                 f"video features must be 2-D (total, dim), got {feats.ndim}-D"
@@ -148,15 +161,19 @@ class Video:
     @classmethod
     def from_frames(cls, frames, frame_index=None) -> "Video":
         """A video from per-frame (count, dim) arrays, indexed 0, 1, ...
-        unless ``frame_index`` is given. The frames are cast to float64 as
-        they are copied into the one feature matrix; a signaling NaN passes
-        the cast quietly and fails the finiteness check."""
+        unless ``frame_index`` is given. The frames are copied into the one
+        feature matrix, float32 when every frame is float32 and cast to
+        float64 otherwise; a signaling NaN passes the cast quietly and
+        fails the finiteness check."""
         frames = [np.asarray(f) for f in frames]
         if frame_index is None:
             frame_index = range(len(frames))
         counts = [f.shape[0] for f in frames]
+        dtype = (np.float32 if frames
+                 and all(f.dtype == np.float32 for f in frames)
+                 else np.float64)
         with np.errstate(invalid="ignore"):
-            features = (np.concatenate(frames, dtype=np.float64) if frames
+            features = (np.concatenate(frames, dtype=dtype) if frames
                         else np.empty((0, 0)))
         return cls(
             features=features,
@@ -293,6 +310,10 @@ def _residual_sums(
     in input order by one keyed :func:`cluster_sums`, so it is bit-equal to
     summing that window alone. ``assign_dims`` restricts the nearest-center
     search to the leading components; residuals span all of them.
+    The residuals are the one (rows, dim) float64 temporary: each block of
+    ``_RESIDUAL_BLOCK`` values is gathered and widened from ``points``
+    (float32 points widen exactly) and has its centers subtracted in
+    place.
     """
     k, dim = centers.shape
     assign = nearest_centers(points, centers, use_dims=assign_dims)
@@ -303,8 +324,13 @@ def _residual_sums(
     first = np.cumsum(lengths) - lengths
     rows = np.arange(owner.size) + np.repeat(starts - first, lengths)
     keys = assign[rows]
-    sums = cluster_sums(points[rows] - centers[keys], owner * k + keys,
-                        starts.size * k)
+    residuals = np.empty((rows.size, dim), dtype=np.float64)
+    step = max(1, _RESIDUAL_BLOCK // max(dim, 1))
+    for start in range(0, rows.size, step):
+        block = residuals[start : start + step]
+        block[...] = points[rows[start : start + step]]
+        block -= centers[keys[start : start + step]]
+    sums = cluster_sums(residuals, owner * k + keys, starts.size * k)
     return sums.reshape(starts.size, k * dim)
 
 
@@ -349,6 +375,23 @@ def _vlac_rows(lfcs, points: np.ndarray, clfc: Codebook) -> np.ndarray:
     ends = np.cumsum(counts)
     return _residual_sums(points, clfc.centers,
                           np.column_stack((ends - counts, ends)))
+
+
+def _stacked_frame_vlads(videos, picks, codebook: Codebook) -> np.ndarray:
+    """Rows ``picks[i]`` of ``_frame_vlads(videos[i], codebook)`` for every
+    video, stacked in order into one preallocated float64 matrix, so no
+    video's block is held beside a stacked copy. A video with no picks is
+    not encoded. The loop lives here, so no loop variable keeps a video
+    alive once the caller drops its list."""
+    out = np.empty((sum(len(p) for p in picks), codebook.k * codebook.dim))
+    end = 0
+    for video, pick in zip(videos, picks):
+        if len(pick):
+            # "clip" never applies to picks in range; "raise" would buffer
+            np.take(_frame_vlads(video, codebook), pick, axis=0,
+                    out=out[end : end + len(pick)], mode="clip")
+            end += len(pick)
+    return out
 
 
 def _frame_vlads(video: Video, codebook: Codebook) -> np.ndarray:
@@ -431,7 +474,9 @@ def _window_lfcs(video: Video, params: ModelParams) -> list[Codebook]:
     features raises EmptyGof.
     """
     g = params.gof_size
-    windows = [video.features[video.rows(s, s + g)]
+    # widened once, so the seeding and the fits run in float64
+    features = video.features.astype(np.float64, copy=False)
+    windows = [features[video.rows(s, s + g)]
                for s in split_gofs(video, g, params.overlap)]
     seeds = [params.seed ^ i for i in range(len(windows))]
     groups: dict[int, list[int]] = {}
@@ -483,10 +528,11 @@ def train_vlad(videos, params: ModelParams) -> TrainedModel:
     videos = list(videos)
     if not videos:
         raise DataError("train_vlad requires at least one training video")
-    pooled = np.concatenate([v.features for v in videos])
+    pooled = np.concatenate([v.features for v in videos], dtype=np.float64)
     codebook = kmeans_fit(pooled, params.j, params.seed)
     del pooled
-    rows = np.concatenate([_frame_vlads(v, codebook) for v in videos])
+    rows = _stacked_frame_vlads(videos, [np.arange(len(v)) for v in videos],
+                                codebook)
     del videos  # the last use of the features
     basis = _fit_basis(rows, params.d, params.normalize)
     return TrainedModel(
@@ -571,14 +617,13 @@ def train_hp(videos, params: ModelParams) -> TrainedModel:
     pooled = np.concatenate([
         v.features[v.rows(s, s + g)]
         for v, ss in zip(videos, starts) for s in ss
-    ])
+    ], dtype=np.float64)
     first_codebook = kmeans_fit(pooled, params.alpha1, params.seed)
     del pooled
     # the frames of each window in order, g rows per window
-    frame_rows = np.concatenate([
-        _frame_vlads(v, first_codebook)[np.add.outer(ss, np.arange(g)).ravel()]
-        for v, ss in zip(videos, starts) if ss
-    ])
+    frame_rows = _stacked_frame_vlads(
+        videos, [np.add.outer(ss, np.arange(g)).ravel() for ss in starts],
+        first_codebook)
     del videos  # the last use of the features
     # the fit centers frame_rows in place, so a plain product projects them,
     # bit for bit as pca_project would
@@ -758,8 +803,12 @@ def load_model(path) -> TrainedModel:
     method = TAG_METHODS[tag]
     header = reader.unpack(_PARAMS_HEADER, "the header")
     try:
-        params = ModelParams(*(_field_kind(fld)(value)
-                               for fld, value in zip(fields(ModelParams), header)))
+        # normalize reads as bool only from 0 or 1; another u32 stays an
+        # int, which ModelParams refuses, so every loaded file round-trips
+        params = ModelParams(*(
+            bool(value) if _field_kind(fld) is bool and value in (0, 1)
+            else value
+            for fld, value in zip(fields(ModelParams), header)))
     except DataError as exc:
         raise DataError(f"{path} header: {exc}") from exc
     stages: dict[str, dict[str, np.ndarray]] = {}

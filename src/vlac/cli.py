@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
@@ -68,7 +69,7 @@ from .evaluation import (
     write_pr_csv,
 )
 from .core_math import basis_alignment_score, blas_threads, eigensolver
-from .fileio import read_json, write_csv
+from .fileio import read_json, read_text, write_csv
 from .ingestion import (
     PERTURBATION_KINDS,
     PerturbationSpec,
@@ -327,14 +328,15 @@ def _percentile(values, q):
 def _read_results_csv(path):
     """The ranked (video_id, score) rows of each query, and the method and D
     every row shares; both are None for a file without rows, which cannot
-    say. DataError naming the file and line for text the csv module cannot
-    parse, a row without the header's fields, a rank or D that is not an
-    integer or a score that is not a finite number, ranks that do not run
-    1, 2, ... within a query, a video ranked twice for one query, or a
-    second method or D."""
+    say. DataError naming the file and line for text that is not UTF-8
+    (:func:`fileio.read_text`) or that the csv module cannot parse, a row
+    without the header's fields, a rank or D that is not an integer or a
+    score that is not a finite number, ranks that do not run 1, 2, ...
+    within a query, a video ranked twice for one query, or a second
+    method or D."""
     by_query: dict[str, dict[str, float]] = {}
     runs = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             missing = set(RESULTS_CSV_COLUMNS) - set(reader.fieldnames or ())

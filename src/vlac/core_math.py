@@ -17,11 +17,13 @@ reruns alone on the direct distances, so the drawn indices, and with them
 every fit, are always those of the direct path. A single fit is the
 one-window case.
 
-Lloyd iterations work in arrays allocated once per fit: the (n, k)
-distances, the product of one row chunk and the (n, dim) residuals are
-rewritten in place by every iteration, with the same operations in the
-same order as fresh temporaries would take, so the results are bit for
-bit those of the plain expressions.
+Lloyd iterations work in arrays allocated once per fit: the distances
+and the product of one row chunk, the (n,) assignment and the (n, dim)
+residuals are rewritten in place by every iteration, with the same
+operations in the same order as fresh temporaries would take, so the
+results are bit for bit those of the plain expressions. Each chunk's
+nearest centers are taken as soon as its distances exist, so no (n, k)
+distance matrix is held unless an empty cluster needs a refill.
 """
 
 from __future__ import annotations
@@ -188,19 +190,25 @@ def _check_distance_range(x2: np.ndarray, c2: np.ndarray, name: str) -> None:
         )
 
 
-def _sq_dists(
-    points: np.ndarray,
-    centers: np.ndarray,
-    x2: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-    prod: np.ndarray | None = None,
-) -> np.ndarray:
-    """Squared Euclidean distances ``(x2 + c2) - 2 * points @ centers.T``.
+def _sq_dists(points: np.ndarray, centers: np.ndarray,
+              x2: np.ndarray | None = None) -> np.ndarray:
+    """The whole (n, k) matrix of :func:`_dist_blocks`' distances."""
+    out = np.empty((points.shape[0], centers.shape[0]), dtype=np.float64)
+    for start, dists in _dist_blocks(points, centers, x2):
+        out[start : start + dists.shape[0]] = dists
+    return out
 
-    Chunked over rows and written into ``out``, (n, k). ``x2`` holds the
-    rows' squared norms and ``prod`` is room for one chunk's product,
-    (min(n, _DIST_CHUNK), k); each is allocated when not given, so a caller
-    that computes many distance matrices of one shape passes its own. A
+
+def _dist_blocks(points, centers, x2=None, prod=None, block=None):
+    """Squared Euclidean distances ``(x2 + c2) - 2 * points @ centers.T``,
+    one ``_DIST_CHUNK`` row chunk at a time.
+
+    Yields ``(start, dists)`` per chunk, ``dists`` being that chunk's
+    (rows, k) distances written into ``block``, which the next chunk
+    overwrites. ``x2`` holds the rows' squared norms, ``prod`` is room for
+    one chunk's product and ``block`` for its distances, both
+    (min(n, _DIST_CHUNK), k); each is allocated when not given, so a
+    caller that computes many distances of one shape passes its own. A
     given ``x2`` is trusted; the centers' squared norms, and the rows'
     when computed here, raise DataError when one is not finite, and so do
     norms whose distances would overflow (:func:`_check_distance_range`).
@@ -208,20 +216,33 @@ def _sq_dists(
     n, k = points.shape[0], centers.shape[0]
     if x2 is None:
         x2 = _finite_sq_norms(points, "points")
-    if out is None:
-        out = np.empty((n, k), dtype=np.float64)
     if prod is None:
         prod = np.empty((min(n, _DIST_CHUNK), k), dtype=np.float64)
+    if block is None:
+        block = np.empty_like(prod)
     c2 = _finite_sq_norms(centers, "centers")
     _check_distance_range(x2, c2, "points and centers")
     for start in range(0, n, _DIST_CHUNK):
-        block = out[start : start + _DIST_CHUNK]
-        gram = np.matmul(points[start : start + _DIST_CHUNK], centers.T,
-                         out=prod[: block.shape[0]])
+        rows = points[start : start + _DIST_CHUNK]
+        dists = block[: rows.shape[0]]
+        gram = np.matmul(rows, centers.T, out=prod[: rows.shape[0]])
         gram *= 2.0
-        np.add(x2[start : start + _DIST_CHUNK, None], c2, out=block)
-        block -= gram
-    return out
+        np.add(x2[start : start + _DIST_CHUNK, None], c2, out=dists)
+        dists -= gram
+        yield start, dists
+
+
+def _assign_nearest(points, centers, x2=None, assign=None, prod=None,
+                    block=None) -> np.ndarray:
+    """The row-wise argmin of :func:`_sq_dists`, written into ``assign``
+    (n,) one chunk at a time as soon as the chunk's distances exist, so no
+    (n, k) matrix is held. The work arrays are those of
+    :func:`_dist_blocks`."""
+    if assign is None:
+        assign = np.empty(points.shape[0], dtype=np.intp)
+    for start, dists in _dist_blocks(points, centers, x2, prod, block):
+        np.argmin(dists, axis=1, out=assign[start : start + dists.shape[0]])
+    return assign
 
 
 def nearest_centers(
@@ -242,7 +263,7 @@ def nearest_centers(
     if use_dims is not None:
         pts = pts[:, :use_dims]
         ctr = ctr[:, :use_dims]
-    return np.argmin(_sq_dists(pts, ctr), axis=1)
+    return _assign_nearest(pts, ctr)
 
 
 def cluster_sums(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
@@ -483,8 +504,11 @@ def kmeans_fit(
     clusters are refilled with the point currently farthest from its
     assigned center so exactly ``k`` centers always come back. The
     points' squared norms are computed and checked once per fit, before
-    the seeding, and every iteration rewrites the same distance and
-    residual arrays.
+    the seeding. Every iteration takes each ``_DIST_CHUNK`` block's argmin
+    as soon as that block's distances exist, rewriting one block of
+    distances and the same assignment and residual arrays; only an
+    iteration that leaves a cluster empty recomputes the full (n, k)
+    distances for the refill.
 
     Args:
         points: (n, dim) array.
@@ -531,19 +555,23 @@ def kmeans_fit(
 
     # work arrays of the whole fit, reused by every iteration
     n, dim = pts.shape
-    dists = np.empty((n, k), dtype=np.float64)
+    assign = np.empty(n, dtype=np.intp)
     prod = np.empty((min(n, _DIST_CHUNK), k), dtype=np.float64)
+    block = np.empty_like(prod)
     diff = np.empty((n, dim), dtype=np.float64)
     history: list[float] = []
     prev = np.inf
     refills = 0
     converged = False
     for _ in range(_KMEANS_MAX_ITER):
-        _sq_dists(pts, centers, x2, dists, prod)
-        assign = np.argmin(dists, axis=1)
-        refills += _fill_empty_clusters(assign, dists, k)
-        # every cluster holds a point after the refill: no division by zero
+        _assign_nearest(pts, centers, x2, assign, prod, block)
         counts = np.bincount(assign, minlength=k)
+        if not counts.all():
+            # rare: only a refill needs every point's distances at once
+            refills += _fill_empty_clusters(
+                assign, _sq_dists(pts, centers, x2), k)
+            counts = np.bincount(assign, minlength=k)
+        # every cluster holds a point after the refill: no division by zero
         centers = cluster_sums(pts, assign, k) / counts[:, None]
         inertia = _inertia(pts, centers, assign, diff)
         history.append(inertia)

@@ -7,7 +7,9 @@ only the layout; the rules live here, once:
 
 * :func:`atomic_write` makes every write all-or-nothing, the text outputs
   (CSV through :func:`write_csv`, SVG) included;
-* :func:`read_json` is the one JSON reader, for manifests and the config;
+* :func:`read_text` is the one text reader: text that is not UTF-8 fails
+  as ``DataError`` naming the file and line. :func:`read_json`, the one
+  JSON reader, for manifests and the config, reads through it;
 * :func:`f32_into` is the one float32 encoder: it casts into a caller's
   float32 array and reports which rows are not finite in float32;
   :func:`f32_bytes` encodes through it and refuses such a value;
@@ -69,11 +71,23 @@ def write_csv(path, header, rows) -> None:
         text.detach()  # flushes into fh, which atomic_write closes
 
 
-def read_json(path):
-    """The JSON document in the text file ``path``; DataError for one
-    nested too deeply to parse."""
+def read_text(path) -> str:
+    """The UTF-8 text of the file ``path``; DataError naming the file and
+    the line of the first byte that is not valid UTF-8."""
+    data = Path(path).read_bytes()
     try:
-        return json.loads(Path(path).read_text())
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path} line {line} is not valid UTF-8: "
+                        f"{exc.reason}") from None
+
+
+def read_json(path):
+    """The JSON document in the UTF-8 text file ``path`` (:func:`read_text`);
+    DataError for one nested too deeply to parse."""
+    try:
+        return json.loads(read_text(path))
     except RecursionError:
         raise DataError(f"{path} is nested too deeply to parse") from None
 

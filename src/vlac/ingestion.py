@@ -167,8 +167,9 @@ def load_features(path, *, expected_dim: int | None = None) -> Video:
     """Decode a whole VLACFEAT file.
 
     The frame headers are walked first, keeping each payload as a float32
-    view of the file; :meth:`Video.from_frames` then casts every payload
-    once into one float64 matrix, which ``Video`` checks once. A
+    view of the file; :meth:`Video.from_frames` then copies every payload
+    once into one float32 matrix, half the bytes of float64, which
+    ``Video`` checks once and every consumer widens exactly on use. A
     non-finite value raises DataError naming the file.
     """
     reader = Reader(path, _FEAT_MAGIC)
@@ -300,7 +301,8 @@ def perturb(video: Video, spec: PerturbationSpec) -> Video:
     naming the kind and magnitude, when a value overflows.
     """
     rng = np.random.default_rng(spec.seed)
-    feats = video.features
+    # widened first: a float32 matrix times (1 + m) would stay float32
+    feats = video.features.astype(np.float64, copy=False)
     with np.errstate(over="ignore"):
         if spec.kind == "additive_gaussian":
             feats = feats + rng.normal(0.0, spec.magnitude, size=feats.shape)

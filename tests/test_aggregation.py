@@ -40,7 +40,14 @@ from vlac.aggregation import (
     _window_lfcs,
 )
 from vlac.core_math import ProjectionBasis, cluster_sums, nearest_centers
-from vlac.ingestion import synthesize_videos
+from vlac.ingestion import (
+    PERTURBATION_KINDS,
+    PerturbationSpec,
+    load_features,
+    perturb,
+    synthesize_videos,
+    write_features,
+)
 from vlac.errors import (
     DataError,
     DimensionMismatch,
@@ -138,6 +145,25 @@ class TestResidualKernel:
             part, owner = points[start:stop], assign[start:stop]
             expected = [(part[owner == j] - centers[j]).sum(axis=0)
                         for j in range(k)]
+            assert np.array_equal(row, np.concatenate(expected))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_and_float32_points_match_per_center_loop(self, monkeypatch,
+                                                            dtype):
+        # 7-value blocks cut through rows and windows; float32 points widen
+        # exactly, so they sum as their float64 widening does
+        monkeypatch.setattr(aggregation, "_RESIDUAL_BLOCK", 7)
+        rng = np.random.default_rng(14)
+        points = (rng.normal(size=(40, 3)) * 100.0).astype(dtype)
+        centers = rng.normal(size=(5, 3))
+        windows = [(0, 40), (5, 23), (23, 23), (2, 39)]
+        got = _residual_sums(points, centers, windows)
+        wide = points.astype(np.float64)
+        assign = nearest_centers(wide, centers)
+        for row, (start, stop) in zip(got, windows):
+            part, owner = wide[start:stop], assign[start:stop]
+            expected = [(part[owner == j] - centers[j]).sum(axis=0)
+                        for j in range(5)]
             assert np.array_equal(row, np.concatenate(expected))
 
     def test_one_window_equals_its_row_in_a_window_list(self):
@@ -497,6 +523,59 @@ class TestTrainingProperties:
         shuffled = shuffle_within_frames(videos[0], rng)
         np.testing.assert_allclose(encode_video(shuffled, model),
                                    encode_video(videos[0], model), atol=1e-9)
+
+
+def _as_dtype(video, dtype):
+    return Video(video.features.astype(dtype), video.frame_index,
+                 video.offsets)
+
+
+def _array_bytes(model):
+    """The float64 bytes of every array a model stores, unrounded."""
+    return [np.asarray(getattr(getattr(model, name), part)).tobytes()
+            for name, part, _ in _model_arrays(model.method, model.params)]
+
+
+class TestFloat32Videos:
+    """A float32 video gives every byte its float64 widening gives."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=training_cases, method=st.sampled_from(["vlad", "vlac", "hp"]),
+           kind=st.sampled_from(PERTURBATION_KINDS),
+           magnitude=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_same_bytes_as_the_widened_video(self, case, method, kind,
+                                             magnitude):
+        singles = [_as_dtype(v, np.float32) for v in _random_videos(
+            case["data_seed"], case["dim"], case["features_per_frame"])]
+        doubles = [_as_dtype(v, np.float64) for v in singles]
+        assert singles[0].features.dtype == np.float32
+        model = train(method, singles, case["schema"])
+        widened = train(method, doubles, case["schema"])
+        assert model.params == widened.params
+        assert _array_bytes(model) == _array_bytes(widened)
+        for single, double in zip(singles, doubles):
+            assert (encode_video(single, model).tobytes()
+                    == encode_video(double, model).tobytes())
+        spec = PerturbationSpec(kind=kind, magnitude=magnitude, seed=7)
+        noisy = perturb(singles[0], spec)
+        assert noisy.features.dtype == np.float64
+        assert (noisy.features.tobytes()
+                == perturb(doubles[0], spec).features.tobytes())
+
+    def test_from_frames_keeps_float32_only_when_every_frame_has_it(self):
+        single = np.ones((2, 3), dtype=np.float32)
+        assert Video.from_frames([single, single]).features.dtype == np.float32
+        assert Video.from_frames([single, single.astype(np.float64)]
+                                 ).features.dtype == np.float64
+        assert Video(single.tolist(), [0], [0, 2]).features.dtype == np.float64
+
+    def test_load_features_returns_float32(self, tmp_path):
+        video = _random_videos(3, 4, 5)[0]
+        write_features(video, tmp_path / "v.vfeat")
+        loaded = load_features(tmp_path / "v.vfeat")
+        assert loaded.features.dtype == np.float32
+        assert np.array_equal(loaded.features,
+                              video.features.astype(np.float32))
 
 
 def shuffle_within_frames(video, rng):

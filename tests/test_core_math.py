@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -73,10 +74,11 @@ def reference_sq_dists(points, centers):
     return out
 
 
-def reference_kmeans(points, k, seed, max_iter=100, tol=1e-4):
+def reference_kmeans(points, k, seed, max_iter=100, tol=1e-4, refills=None):
     """kmeans_fit as first written: ``rng.choice`` k-means++ draws, distances
     from fresh temporaries and one masked mean per cluster. Refills use the
-    same helper."""
+    same helper, on the whole distance matrix of every iteration; each
+    iteration's count of moved points is appended to ``refills`` if given."""
     rng = np.random.default_rng(seed)
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
@@ -95,7 +97,9 @@ def reference_kmeans(points, k, seed, max_iter=100, tol=1e-4):
     for _ in range(max_iter):
         dists = reference_sq_dists(points, centers)
         assign = np.argmin(dists, axis=1)
-        _fill_empty_clusters(assign, dists, k)
+        moved = _fill_empty_clusters(assign, dists, k)
+        if refills is not None:
+            refills.append(moved)
         centers = np.stack([points[assign == j].mean(axis=0) for j in range(k)])
         history.append(float(np.sum((points - centers[assign]) ** 2)))
         if np.isfinite(prev) and prev - history[-1] <= tol * prev:
@@ -184,6 +188,46 @@ class TestKMeans:
         centers, history = reference_kmeans(points, 5, 0)
         assert np.array_equal(result.centers, centers)
         assert result.inertia_history == history
+
+    @pytest.mark.parametrize("chunk", [1, 16, 33])
+    def test_chunked_argmin_matches_reference(self, monkeypatch, chunk):
+        # each distance chunk's argmin is taken as soon as the chunk exists;
+        # a fit over many chunks must be the whole-matrix reference bit for bit
+        points = np.random.default_rng(5).normal(size=(100, 3))
+        monkeypatch.setattr(core_math, "_DIST_CHUNK", chunk)
+        centers, history = reference_kmeans(points, 6, 8)
+        result = kmeans_fit(points, 6, 8)
+        assert np.array_equal(result.centers, centers)
+        assert result.inertia_history == history
+
+    def test_refill_across_chunks_matches_reference(self, monkeypatch):
+        # 4 distinct rows, each 10 times, and k = 6: the seeding draws
+        # duplicate centers, so an iteration leaves clusters empty and the
+        # refill recomputes the whole distance matrix
+        points = np.repeat(np.random.default_rng(6).normal(size=(4, 2)), 10,
+                           axis=0)
+        monkeypatch.setattr(core_math, "_DIST_CHUNK", 7)
+        moved = []
+        centers, history = reference_kmeans(points, 6, 3, refills=moved)
+        result = kmeans_fit(points, 6, 3)
+        assert result.refills == sum(moved) > 0
+        assert np.array_equal(result.centers, centers)
+        assert result.inertia_history == history
+
+    def test_lloyd_holds_no_distance_matrix(self, monkeypatch):
+        # one (n, k) float64 matrix is 10.24 MB here; the seeding is drawn
+        # ahead, so only the Lloyd iterations are measured
+        n, k = 20_000, 64
+        points = np.random.default_rng(7).normal(size=(n, 8))
+        draws = kmeans_pp_draws([points], k, [1])[0]
+        monkeypatch.setattr(core_math, "_KMEANS_MAX_ITER", 3)
+        tracemalloc.start()
+        try:
+            kmeans_fit(points, k, 1, draws=draws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * k * 8
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 300), dim=st.integers(1, 64),

@@ -268,6 +268,17 @@ def test_header_must_match_array_shapes(tmp_path, method, field):
     assert not (tmp_path / "bad.bin").exists()
 
 
+@pytest.mark.parametrize("value", [2, 2**32 - 1])
+def test_normalize_other_than_0_or_1_is_refused(tmp_path, value):
+    # bool(value) would load as True and save back as 1
+    path = tmp_path / "m.bin"
+    save_model(MODELS["vlad"], path)
+    set_model_param(path, "normalize", value)
+    with pytest.raises(DataError, match="normalize must be bool") as exc:
+        load_model(path)
+    assert str(path) in str(exc.value)
+
+
 def test_store_id_not_utf8(tmp_path):
     # the first id byte follows the magic and the u32 id length
     path = damaged(tmp_path, "store",

@@ -103,6 +103,10 @@ def mutate(text, kind, op, at, value, byte):
          method="vlad")
 @example(target="config", op="retype", at=4, value=OVERSIZED, byte=0,
          method="vlac")
+@example(target="results", op="flip", at=60, value=None, byte=0xFF,
+         method="vlad")
+@example(target="manifest", op="flip", at=30, value=None, byte=0xFF,
+         method="hp")
 def test_mutated_text_input_exits_0_or_2(inputs, target, op, at, value, byte,
                                          method):
     root, valid = inputs
@@ -121,3 +125,27 @@ def test_mutated_text_input_exits_0_or_2(inputs, target, op, at, value, byte,
                    "--method", method, "--config", files["config"],
                    "--out", root / "model.bin")
     assert code in (0, 2)
+
+
+@pytest.mark.parametrize("target", ["results", "queries", "manifest", "config"])
+def test_invalid_utf8_names_the_file_and_line(inputs, target):
+    root, valid = inputs
+    data = bytearray(valid[target].read_bytes())
+    at = data.find(b"\n") + 3  # on the second line; a one-line file, the first
+    data[at] = 0xFF
+    bad = valid[target].with_name(f"latin1_{valid[target].name}")
+    bad.write_bytes(bytes(data))
+    files = {**valid, target: bad}
+    if target in ("results", "queries"):
+        argv = ["evaluate", "--results", files["results"],
+                "--queries", files["queries"], "--out-prefix", root / "eval"]
+    else:
+        argv = ["train", "--manifest", files["manifest"], "--method", "vlad",
+                "--config", files["config"], "--out", root / "model.bin"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([str(a) for a in argv])
+    event = json.loads(out.getvalue().splitlines()[-1])
+    assert code == 2 and event["event"] == "error"
+    line = data.count(b"\n", 0, at) + 1
+    assert f"{bad} line {line} is not valid UTF-8" in event["message"]
