@@ -64,6 +64,7 @@ from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
+from . import core_math
 from .core_math import (
     Codebook,
     ProjectionBasis,
@@ -94,10 +95,6 @@ TAG_METHODS = {v: k for k, v in METHOD_TAGS.items()}
 # Mixed into the model seed for the hyper-pooling second clustering stage
 # so it never reuses the first-stage initialization stream.
 _HP_SECOND_STAGE_SALT = 0x5F3759DF
-
-# Values per block of _residual_sums' gather-and-subtract, so each block's
-# temporaries stay in cache.
-_RESIDUAL_BLOCK = 1 << 15
 
 _MODEL_MAGIC = b"VLACMODL"
 _MODEL_VERSION = 1
@@ -311,9 +308,9 @@ def _residual_sums(
     summing that window alone. ``assign_dims`` restricts the nearest-center
     search to the leading components; residuals span all of them.
     The residuals are the one (rows, dim) float64 temporary: each block of
-    ``_RESIDUAL_BLOCK`` values is gathered and widened from ``points``
-    (float32 points widen exactly) and has its centers subtracted in
-    place.
+    ``core_math._BLOCK_VALUES`` values, the cache block of every
+    elementwise pass, is gathered and widened from ``points`` (float32
+    points widen exactly) and has its centers subtracted in place.
     """
     k, dim = centers.shape
     assign = nearest_centers(points, centers, use_dims=assign_dims)
@@ -325,7 +322,7 @@ def _residual_sums(
     rows = np.arange(owner.size) + np.repeat(starts - first, lengths)
     keys = assign[rows]
     residuals = np.empty((rows.size, dim), dtype=np.float64)
-    step = max(1, _RESIDUAL_BLOCK // max(dim, 1))
+    step = max(1, core_math._BLOCK_VALUES // max(dim, 1))
     for start in range(0, rows.size, step):
         block = residuals[start : start + step]
         block[...] = points[rows[start : start + step]]

@@ -87,11 +87,11 @@ RESULTS_CSV_COLUMNS = (
     "query_id", "rank", "video_id", "score", "offset", "method", "D",
 )
 
-# The reference parameterization. f is not settable: it always comes from
-# the manifest's feature_dim.
+# The reference parameterization: the fields whose values differ from the
+# ModelParams defaults. f is not settable: it always comes from the
+# manifest's feature_dim.
 DEFAULT_PARAMS = ModelParams(
     f=0, j=128, n=256, m=16, d=256, d0=512, alpha1=128, alpha2=32, h=64,
-    gof_size=5, overlap=1, seed=0, normalize=False,
 )
 # ModelParams fields that are both config keys and flags
 _SETTABLE = tuple(field for field in fields(ModelParams) if field.name != "f")
@@ -502,7 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="query descriptor store")
     search.add_argument("--out", required=True)
     mode = search.add_mutually_exclusive_group()
-    mode.add_argument("--threshold", type=float)
+    mode.add_argument("--threshold", type=float,
+                      help="keep scores >= this (-inf keeps every score); "
+                           "join a value like -inf or -1e3 with '=', as in "
+                           "--threshold=-inf")
     mode.add_argument("--top-k", type=_non_negative, default=0,
                       help="0 ranks the whole store (default)")
     search.add_argument("--normalize-by-length", action="store_true")

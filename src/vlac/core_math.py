@@ -22,8 +22,12 @@ and the product of one row chunk, the (n,) assignment and the (n, dim)
 residuals are rewritten in place by every iteration, with the same
 operations in the same order as fresh temporaries would take, so the
 results are bit for bit those of the plain expressions. Each chunk's
-nearest centers are taken as soon as its distances exist, so no (n, k)
-distance matrix is held unless an empty cluster needs a refill.
+nearest centers are taken as soon as its distances exist, and an
+empty-cluster refill gathers each point's distance to its own center from
+the same chunks, so no (n, k) distance matrix is ever held.
+
+One helper, :func:`_choice_indices`, takes the steps ``Generator.choice``
+takes with ``p=``, for k-means++ draws and for synthetic cluster picks.
 """
 
 from __future__ import annotations
@@ -190,15 +194,6 @@ def _check_distance_range(x2: np.ndarray, c2: np.ndarray, name: str) -> None:
         )
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray,
-              x2: np.ndarray | None = None) -> np.ndarray:
-    """The whole (n, k) matrix of :func:`_dist_blocks`' distances."""
-    out = np.empty((points.shape[0], centers.shape[0]), dtype=np.float64)
-    for start, dists in _dist_blocks(points, centers, x2):
-        out[start : start + dists.shape[0]] = dists
-    return out
-
-
 def _dist_blocks(points, centers, x2=None, prod=None, block=None):
     """Squared Euclidean distances ``(x2 + c2) - 2 * points @ centers.T``,
     one ``_DIST_CHUNK`` row chunk at a time.
@@ -234,9 +229,9 @@ def _dist_blocks(points, centers, x2=None, prod=None, block=None):
 
 def _assign_nearest(points, centers, x2=None, assign=None, prod=None,
                     block=None) -> np.ndarray:
-    """The row-wise argmin of :func:`_sq_dists`, written into ``assign``
-    (n,) one chunk at a time as soon as the chunk's distances exist, so no
-    (n, k) matrix is held. The work arrays are those of
+    """The row-wise argmin of :func:`_dist_blocks`' distances, written into
+    ``assign`` (n,) one chunk at a time as soon as the chunk's distances
+    exist, so no (n, k) matrix is held. The work arrays are those of
     :func:`_dist_blocks`."""
     if assign is None:
         assign = np.empty(points.shape[0], dtype=np.intp)
@@ -323,9 +318,10 @@ def _exact_pp_init(
 ) -> np.ndarray:
     """k-means++ seeding on direct ``(x - c).(x - c)`` distances.
 
-    Returns the k drawn row indices. A weighted draw takes the steps
-    ``rng.choice(n, p=closest / total)`` takes, so it consumes the same
-    stream and picks the same index.
+    Returns the k drawn row indices. A weighted draw is
+    :func:`_choice_indices` of ``closest / total`` and one ``random()``, so
+    it consumes the stream ``rng.choice(n, p=closest / total)`` would and
+    picks the same index.
     """
     n = points.shape[0]
     idx = np.empty(k, dtype=np.intp)
@@ -335,15 +331,23 @@ def _exact_pp_init(
     for i in range(1, k):
         total = float(closest.sum())
         if total > 0.0:
-            cdf = np.cumsum(closest / total)
-            cdf /= cdf[-1]
-            idx[i] = cdf.searchsorted(rng.random(), side="right")
+            idx[i] = _choice_indices(closest / total, rng.random())
         else:
             # all points coincide with chosen centers; fall back to uniform
             idx[i] = rng.integers(n)
         np.subtract(points, points[idx[i]], out=diff)
         np.minimum(closest, _sq_norms(diff), out=closest)
     return idx
+
+
+def _choice_indices(weights: np.ndarray, uniforms):
+    """The indices ``Generator.choice(len(weights), p=weights)`` picks when
+    its ``random`` call gives it ``uniforms`` (one or an array): the
+    uniforms searched on the cumulative weights, normalized by their last
+    entry. A zero weight is never picked."""
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(uniforms, side="right")
 
 
 def _gram_pp_draws(windows, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
@@ -459,17 +463,15 @@ def _inertia(points, centers, assign, diff) -> float:
     return float(diff.sum())
 
 
-def _fill_empty_clusters(
-    assign: np.ndarray, dists: np.ndarray, k: int
-) -> int:
+def _fill_empty_clusters(assign: np.ndarray, own: np.ndarray, k: int) -> int:
     """Move the point farthest from its center into each empty cluster.
 
-    Edits ``assign`` in place and returns the number of points moved.
+    ``own`` (n,) holds each point's distance to its assigned center. Edits
+    ``assign`` and ``own`` in place and returns the number of points moved.
     """
     counts = np.bincount(assign, minlength=k)
     if not np.any(counts == 0):
         return 0
-    own = dists[np.arange(assign.shape[0]), assign].copy()
     guard = 0
     while np.any(counts == 0) and guard < 2 * k:
         j = int(np.flatnonzero(counts == 0)[0])
@@ -506,9 +508,10 @@ def kmeans_fit(
     points' squared norms are computed and checked once per fit, before
     the seeding. Every iteration takes each ``_DIST_CHUNK`` block's argmin
     as soon as that block's distances exist, rewriting one block of
-    distances and the same assignment and residual arrays; only an
-    iteration that leaves a cluster empty recomputes the full (n, k)
-    distances for the refill.
+    distances and the same assignment and residual arrays; an iteration
+    that leaves a cluster empty computes the blocks again into the same
+    arrays and keeps only each point's distance to its own center for the
+    refill, so no (n, k) distance matrix is held.
 
     Args:
         points: (n, dim) array.
@@ -567,9 +570,13 @@ def kmeans_fit(
         _assign_nearest(pts, centers, x2, assign, prod, block)
         counts = np.bincount(assign, minlength=k)
         if not counts.all():
-            # rare: only a refill needs every point's distances at once
-            refills += _fill_empty_clusters(
-                assign, _sq_dists(pts, centers, x2), k)
+            # rare: the refill needs each point's distance to its center
+            own = np.empty(n, dtype=np.float64)
+            for start, dists in _dist_blocks(pts, centers, x2, prod, block):
+                rows = slice(start, start + dists.shape[0])
+                own[rows] = np.take_along_axis(
+                    dists, assign[rows, None], axis=1)[:, 0]
+            refills += _fill_empty_clusters(assign, own, k)
             counts = np.bincount(assign, minlength=k)
         # every cluster holds a point after the refill: no division by zero
         centers = cluster_sums(pts, assign, k) / counts[:, None]

@@ -26,8 +26,8 @@ The draw order of :func:`synthesize_videos` is a contract, because it
 fixes every byte of a synthesized dataset: after the cluster means, per
 video one Dirichlet draw of its cluster weights, then per frame F
 uniforms, which pick F clusters as ``Generator.choice(clusters, size=F,
-p=weights)`` would (searched on the video's cluster CDF), and then
-F x dim normals of noise.
+p=weights)`` would (``core_math._choice_indices``, the emulation k-means++
+seeding draws with too), and then F x dim normals of noise.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import Video
+from .core_math import _choice_indices
 from .errors import DataError, DimensionMismatch, EmptyInput, VideoTooShort
 from .fileio import Reader, atomic_write, f32_into, read_json
 
@@ -247,7 +248,7 @@ def synthesize_videos(
                 0.0, noise_std, size=(features_per_frame, dim)
             )
         # float addition commutes, so noise + mean has the bits of mean + noise
-        feats += means[_pick_clusters(weights[v], uniforms.ravel())]
+        feats += means[_choice_indices(weights[v], uniforms.ravel())]
         videos.append(Video(feats, np.arange(frames_per_video), offsets))
     return SyntheticDataset(
         videos=tuple(videos),
@@ -255,16 +256,6 @@ def synthesize_videos(
         mixing_weights=weights,
         noise_std=noise_std,
     )
-
-
-def _pick_clusters(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """The clusters ``Generator.choice(len(weights), size=n, p=weights)``
-    picks when ``random(n)`` gives it ``uniforms``: the same search of the
-    uniforms on the cumulative weights, normalized by their last entry,
-    so one call serves every frame of a video."""
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    return cdf.searchsorted(uniforms, side="right")
 
 
 def write_dataset(

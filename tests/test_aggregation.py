@@ -152,7 +152,7 @@ class TestResidualKernel:
                                                             dtype):
         # 7-value blocks cut through rows and windows; float32 points widen
         # exactly, so they sum as their float64 widening does
-        monkeypatch.setattr(aggregation, "_RESIDUAL_BLOCK", 7)
+        monkeypatch.setattr(core_math, "_BLOCK_VALUES", 7)
         rng = np.random.default_rng(14)
         points = (rng.normal(size=(40, 3)) * 100.0).astype(dtype)
         centers = rng.normal(size=(5, 3))

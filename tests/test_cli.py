@@ -473,6 +473,24 @@ class TestSearchEvaluate:
         lines = (tmp_path / "eval_pr.csv").read_text().strip().splitlines()
         assert lines == ["method,D,threshold,precision,recall"]
 
+    def test_minus_inf_threshold_ranks_whole_store(self, tmp_path, stores):
+        # "--threshold -inf" reads "-inf" as an option; joined with "=" it
+        # is the value that keeps every score, the same ranking as --top-k 0
+        cut, whole = tmp_path / "cut.csv", tmp_path / "whole.csv"
+        assert run("search", "--store", stores / "db.store",
+                   "--queries", stores / "q.store",
+                   "--threshold=-inf", "--out", cut) == 0
+        assert run("search", "--store", stores / "db.store",
+                   "--queries", stores / "q.store", "--out", whole) == 0
+        with open(cut, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        queries = {r["query_id"] for r in rows}
+        assert queries and len(rows) == 6 * len(queries)
+        for query in queries:
+            ranked = [r["video_id"] for r in rows if r["query_id"] == query]
+            assert len(set(ranked)) == 6
+        assert cut.read_bytes() == whole.read_bytes()
+
     def test_header_only_results_report_unknown_method(self, dataset,
                                                        tmp_path, stores,
                                                        capsys):

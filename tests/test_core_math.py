@@ -18,10 +18,10 @@ from vlac import (
     pca_project,
 )
 from vlac.core_math import (
+    _dist_blocks,
     _exact_pp_init,
     _top_eigenpairs,
     _fill_empty_clusters,
-    _sq_dists,
     cluster_sums,
     kmeans_pp_draws,
     nearest_centers,
@@ -77,8 +77,9 @@ def reference_sq_dists(points, centers):
 def reference_kmeans(points, k, seed, max_iter=100, tol=1e-4, refills=None):
     """kmeans_fit as first written: ``rng.choice`` k-means++ draws, distances
     from fresh temporaries and one masked mean per cluster. Refills use the
-    same helper, on the whole distance matrix of every iteration; each
-    iteration's count of moved points is appended to ``refills`` if given."""
+    same helper, on every point's distance to its center read from the whole
+    distance matrix of every iteration; each iteration's count of moved
+    points is appended to ``refills`` if given."""
     rng = np.random.default_rng(seed)
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
@@ -97,7 +98,7 @@ def reference_kmeans(points, k, seed, max_iter=100, tol=1e-4, refills=None):
     for _ in range(max_iter):
         dists = reference_sq_dists(points, centers)
         assign = np.argmin(dists, axis=1)
-        moved = _fill_empty_clusters(assign, dists, k)
+        moved = _fill_empty_clusters(assign, dists[np.arange(n), assign], k)
         if refills is not None:
             refills.append(moved)
         centers = np.stack([points[assign == j].mean(axis=0) for j in range(k)])
@@ -203,7 +204,7 @@ class TestKMeans:
     def test_refill_across_chunks_matches_reference(self, monkeypatch):
         # 4 distinct rows, each 10 times, and k = 6: the seeding draws
         # duplicate centers, so an iteration leaves clusters empty and the
-        # refill recomputes the whole distance matrix
+        # refill gathers each point's distance to its center chunk by chunk
         points = np.repeat(np.random.default_rng(6).normal(size=(4, 2)), 10,
                            axis=0)
         monkeypatch.setattr(core_math, "_DIST_CHUNK", 7)
@@ -215,19 +216,26 @@ class TestKMeans:
         assert result.inertia_history == history
 
     def test_lloyd_holds_no_distance_matrix(self, monkeypatch):
-        # one (n, k) float64 matrix is 10.24 MB here; the seeding is drawn
-        # ahead, so only the Lloyd iterations are measured
+        # one (n, k) float64 matrix is 10.24 MB here; the seeding, whose
+        # kept cumulative sums alone take about 10 MB, is drawn ahead, so
+        # only the Lloyd iterations are measured. Spread-out rows never
+        # empty a cluster; 40 distinct rows and k = 64 empty some in every
+        # iteration, so the refill is measured too
         n, k = 20_000, 64
-        points = np.random.default_rng(7).normal(size=(n, 8))
-        draws = kmeans_pp_draws([points], k, [1])[0]
+        rng = np.random.default_rng(7)
+        spread = rng.normal(size=(n, 8))
+        repeated = rng.normal(size=(40, 8))[rng.integers(0, 40, size=n)]
         monkeypatch.setattr(core_math, "_KMEANS_MAX_ITER", 3)
-        tracemalloc.start()
-        try:
-            kmeans_fit(points, k, 1, draws=draws)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < n * k * 8
+        for points, refilled in [(spread, False), (repeated, True)]:
+            draws = kmeans_pp_draws([points], k, [1])[0]
+            tracemalloc.start()
+            try:
+                result = kmeans_fit(points, k, 1, draws=draws)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (result.refills > 0) == refilled
+            assert peak < n * k * 8
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 300), dim=st.integers(1, 64),
@@ -480,7 +488,11 @@ class TestQuantize:
             points = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4)
             centers = rng.normal(size=(k, dim))
             expected = reference_sq_dists(points, centers)
-            assert np.array_equal(_sq_dists(points, centers), expected)
+            got = [(start, dists.copy())
+                   for start, dists in _dist_blocks(points, centers)]
+            assert [start for start, _ in got] == list(range(0, n, chunk))
+            assert np.array_equal(
+                np.concatenate([dists for _, dists in got]), expected)
             assert np.array_equal(nearest_centers(points, centers),
                                   np.argmin(expected, axis=1))
 

@@ -29,6 +29,7 @@ from vlac import (
     write_dataset,
     write_features,
 )
+from vlac.core_math import _choice_indices
 from vlac.errors import (
     BadMagic,
     DataError,
@@ -39,7 +40,6 @@ from vlac.errors import (
 from vlac.ingestion import (
     PERTURBATION_KINDS,
     VideoEntry,
-    _pick_clusters,
     save_manifest,
 )
 
@@ -265,13 +265,17 @@ class TestSynthesize:
     @example(weights=SPARSE_WEIGHTS, count=40, seed=7)
     @example(weights=np.full(10, 0.1), count=25, seed=8)
     def test_picks_follow_generator_choice(self, weights, count, seed):
-        # synthesis picks clusters from uniforms it draws itself; a numpy
-        # whose choice draws otherwise must fail here rather than let
-        # every synthesized byte drift
+        # synthesis picks clusters, and k-means++ seeding its rows, from
+        # uniforms they draw themselves (the seeding one at a time, with
+        # zero weights for the rows already drawn); a numpy whose choice
+        # draws otherwise must fail here rather than let every synthesized
+        # byte and every fit drift
         ours, theirs = (np.random.default_rng(seed) for _ in range(2))
-        picks = _pick_clusters(weights, ours.random(count))
+        picks = _choice_indices(weights, ours.random(count))
         expected = theirs.choice(weights.shape[0], size=count, p=weights)
         assert np.array_equal(picks, expected)
+        assert (_choice_indices(weights, ours.random())
+                == theirs.choice(weights.shape[0], p=weights))
         assert ours.bit_generator.state == theirs.bit_generator.state
 
     @settings(max_examples=60, deadline=None)
