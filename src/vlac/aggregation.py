@@ -37,15 +37,15 @@ that reads each video from its file included, and a trainer consumes it
 once: VLAC streams it, fitting each video's window LFCs as the video
 arrives, while VLAD and hyper-pooling make the only list of it and drop
 that list after its last use, the frame VLAD rows, so no video is held
-while a basis is fit. A trainer holds each training matrix once: the
-videos keep the float32 features they were loaded with, and the pooled
-float64 features exist only until the codebook is fit; each video's
-frame VLAD rows are written straight into one preallocated matrix
-(:func:`_stacked_frame_vlads`), not stacked from per-video copies; and
-every basis fit L2-normalizes (with ``normalize``) and centers the rows
-built for it in place (``pca_fit(..., overwrite_rows=True)``) instead of
-copying them. Hyper-pooling then projects its centered frame rows with
-one plain product and drops them.
+while a basis is fit. Both share one first stage, :func:`_frame_stage`.
+A trainer holds each training matrix once: the videos keep the float32
+features they were loaded with, and the pooled float64 features exist
+only until the codebook is fit; each video's frame VLAD rows are written
+straight into one preallocated matrix, not stacked from per-video
+copies; and every basis fit L2-normalizes (with ``normalize``) and
+centers the rows built for it in place, as :func:`pca_fit` always does.
+Hyper-pooling then projects its centered frame rows with one plain
+product and drops them.
 
 A model file (``VLACMODL``) holds the magic, version (u16), method tag
 (u8) and one u32 per :class:`ModelParams` field in field order, then the
@@ -296,26 +296,32 @@ class TrainedModel:
 
 
 def _residual_sums(
-    points: np.ndarray, centers: np.ndarray, windows, *,
+    points: np.ndarray, centers: np.ndarray, starts, stops, *,
     assign_dims: int | None = None,
 ) -> np.ndarray:
     """Nearest-center residual sums over row windows, a (W, k * dim) matrix.
 
-    ``windows`` lists (start, stop) row ranges of ``points``; they may
+    Window ``w`` is rows ``starts[w]:stops[w]`` of ``points``; windows may
     overlap or be empty. The points are assigned once, and row ``w`` holds
     each center's sum of (point - center) over window ``w``'s rows, added
     in input order by one keyed :func:`cluster_sums`, so it is bit-equal to
     summing that window alone. ``assign_dims`` restricts the nearest-center
-    search to the leading components; residuals span all of them.
+    search to the leading components of points and centers; residuals span
+    all of them, so points and centers of different widths raise
+    DimensionMismatch.
     The residuals are the one (rows, dim) float64 temporary: each block of
     ``core_math._BLOCK_VALUES`` values, the cache block of every
     elementwise pass, is gathered and widened from ``points`` (float32
     points widen exactly) and has its centers subtracted in place.
     """
     k, dim = centers.shape
-    assign = nearest_centers(points, centers, use_dims=assign_dims)
-    starts, stops = np.asarray(windows, dtype=np.int64).reshape(-1, 2).T
-    lengths = stops - starts
+    if points.shape[1] != dim:  # the slices below may agree regardless
+        raise DimensionMismatch(
+            f"points have dimension {points.shape[1]}, centers {dim}")
+    assign = nearest_centers(points[:, :assign_dims],
+                             centers[:, :assign_dims])
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(stops, dtype=np.int64) - starts
     owner = np.repeat(np.arange(starts.size), lengths)
     # every window's rows in order: row i of window w is starts[w] + i
     first = np.cumsum(lengths) - lengths
@@ -344,7 +350,7 @@ def vlad_encode(features, codebook: Codebook) -> np.ndarray:
             f"features of dimension {feats.shape[-1] if feats.ndim else 0} "
             f"do not match codebook dimension {codebook.dim}"
         )
-    return _residual_sums(feats, codebook.centers, [(0, len(feats))])[0]
+    return _residual_sums(feats, codebook.centers, [0], [len(feats)])[0]
 
 
 def vlac_encode(lfcs: Codebook, clfc: Codebook) -> np.ndarray:
@@ -357,7 +363,7 @@ def vlac_encode(lfcs: Codebook, clfc: Codebook) -> np.ndarray:
         raise DimensionMismatch(
             f"LFC dimension {lfcs.dim} does not match CLFC dimension {clfc.dim}"
         )
-    return _residual_sums(lfcs.centers, clfc.centers, [(0, lfcs.k)])[0]
+    return _residual_sums(lfcs.centers, clfc.centers, [0], [lfcs.k])[0]
 
 
 def _vlac_rows(lfcs, points: np.ndarray, clfc: Codebook) -> np.ndarray:
@@ -370,25 +376,7 @@ def _vlac_rows(lfcs, points: np.ndarray, clfc: Codebook) -> np.ndarray:
     """
     counts = np.array([cb.k for cb in lfcs], dtype=np.int64)
     ends = np.cumsum(counts)
-    return _residual_sums(points, clfc.centers,
-                          np.column_stack((ends - counts, ends)))
-
-
-def _stacked_frame_vlads(videos, picks, codebook: Codebook) -> np.ndarray:
-    """Rows ``picks[i]`` of ``_frame_vlads(videos[i], codebook)`` for every
-    video, stacked in order into one preallocated float64 matrix, so no
-    video's block is held beside a stacked copy. A video with no picks is
-    not encoded. The loop lives here, so no loop variable keeps a video
-    alive once the caller drops its list."""
-    out = np.empty((sum(len(p) for p in picks), codebook.k * codebook.dim))
-    end = 0
-    for video, pick in zip(videos, picks):
-        if len(pick):
-            # "clip" never applies to picks in range; "raise" would buffer
-            np.take(_frame_vlads(video, codebook), pick, axis=0,
-                    out=out[end : end + len(pick)], mode="clip")
-            end += len(pick)
-    return out
+    return _residual_sums(points, clfc.centers, ends - counts, ends)
 
 
 def _frame_vlads(video: Video, codebook: Codebook) -> np.ndarray:
@@ -398,8 +386,8 @@ def _frame_vlads(video: Video, codebook: Codebook) -> np.ndarray:
     feature sits within rounding of two centers: the whole-video distance
     product may round differently from a per-frame one.
     """
-    frames = np.column_stack((video.offsets[:-1], video.offsets[1:]))
-    return _residual_sums(video.features, codebook.centers, frames)
+    return _residual_sums(video.features, codebook.centers,
+                          video.offsets[:-1], video.offsets[1:])
 
 
 def hp_encode(
@@ -414,8 +402,8 @@ def hp_encode(
     (alpha2 * d0) vector.
     """
     vectors = pca_project(first_basis, frame_vlads)
-    return _residual_sums(vectors, second_codebook.centers,
-                          [(0, len(vectors))], assign_dims=h)[0]
+    return _residual_sums(vectors, second_codebook.centers, [0],
+                          [len(vectors)], assign_dims=h)[0]
 
 
 def compute_lfcs(
@@ -510,7 +498,32 @@ def _fit_basis(rows: np.ndarray, d: int, normalize: bool) -> ProjectionBasis:
     """
     if normalize:
         _l2_normalize(rows, out=rows)
-    return pca_fit(rows, d, overwrite_rows=True)
+    return pca_fit(rows, d)
+
+
+def _frame_stage(videos, picks, k: int,
+                 seed: int) -> tuple[Codebook, np.ndarray]:
+    """The first stage VLAD and hyper-pooling share: a k-codebook over the
+    features of frames ``picks[i]`` of each video ``videos[i]``, pooled in
+    order into one float64 matrix that is dropped once the codebook is
+    fit, and those frames' VLAD rows in the same order, written video by
+    video into one preallocated matrix. The loops live here, so no loop
+    variable keeps a video alive once the caller drops its list."""
+    frames = [v.features[v.rows(t, t + 1)]
+              for v, pick in zip(videos, picks) for t in pick]
+    # no frames pool to no points, which kmeans_fit refuses
+    pooled = np.concatenate(frames or [np.empty((0, 0))], dtype=np.float64)
+    codebook = kmeans_fit(pooled, k, seed)
+    del pooled
+    rows = np.empty((sum(len(p) for p in picks), codebook.k * codebook.dim))
+    end = 0
+    for video, pick in zip(videos, picks):
+        if len(pick):
+            # "clip" never applies to picks in range; "raise" would buffer
+            np.take(_frame_vlads(video, codebook), pick, axis=0,
+                    out=rows[end : end + len(pick)], mode="clip")
+            end += len(pick)
+    return codebook, rows
 
 
 def train_vlad(videos, params: ModelParams) -> TrainedModel:
@@ -525,11 +538,8 @@ def train_vlad(videos, params: ModelParams) -> TrainedModel:
     videos = list(videos)
     if not videos:
         raise DataError("train_vlad requires at least one training video")
-    pooled = np.concatenate([v.features for v in videos], dtype=np.float64)
-    codebook = kmeans_fit(pooled, params.j, params.seed)
-    del pooled
-    rows = _stacked_frame_vlads(videos, [np.arange(len(v)) for v in videos],
-                                codebook)
+    codebook, rows = _frame_stage(videos, [np.arange(len(v)) for v in videos],
+                                  params.j, params.seed)
     del videos  # the last use of the features
     basis = _fit_basis(rows, params.d, params.normalize)
     return TrainedModel(
@@ -611,20 +621,14 @@ def train_hp(videos, params: ModelParams) -> TrainedModel:
     starts = [split_gofs(v, g, params.overlap) for v in videos]
     if not any(starts):
         raise DataError("train_hp requires at least one training group")
-    pooled = np.concatenate([
-        v.features[v.rows(s, s + g)]
-        for v, ss in zip(videos, starts) for s in ss
-    ], dtype=np.float64)
-    first_codebook = kmeans_fit(pooled, params.alpha1, params.seed)
-    del pooled
-    # the frames of each window in order, g rows per window
-    frame_rows = _stacked_frame_vlads(
+    # the frames of each window in order, g per window
+    first_codebook, frame_rows = _frame_stage(
         videos, [np.add.outer(ss, np.arange(g)).ravel() for ss in starts],
-        first_codebook)
+        params.alpha1, params.seed)
     del videos  # the last use of the features
     # the fit centers frame_rows in place, so a plain product projects them,
     # bit for bit as pca_project would
-    first_basis = pca_fit(frame_rows, d0, overwrite_rows=True)
+    first_basis = pca_fit(frame_rows, d0)
     projected = frame_rows @ first_basis.rows.T
     del frame_rows
 
@@ -640,9 +644,8 @@ def train_hp(videos, params: ModelParams) -> TrainedModel:
 
     # one window per GoF over the projection, as _encode_windows sums them
     windows = np.arange(0, projected.shape[0], g)
-    rows = _residual_sums(projected, second_codebook.centers,
-                          np.column_stack((windows, windows + g)),
-                          assign_dims=h)
+    rows = _residual_sums(projected, second_codebook.centers, windows,
+                          windows + g, assign_dims=h)
     basis = _fit_basis(rows, params.d, params.normalize)
     return TrainedModel(
         method=METHOD_HP,
@@ -689,14 +692,13 @@ def _encode_windows(video: Video, model: TrainedModel) -> np.ndarray:
         return _vlac_rows(lfcs, points, model.codebook)
     starts = np.array(split_gofs(video, p.gof_size, p.overlap), dtype=np.int64)
     if model.method == METHOD_VLAD:
-        windows = np.column_stack((video.offsets[starts],
-                                   video.offsets[starts + p.gof_size]))
-        return _residual_sums(video.features, model.codebook.centers, windows)
+        return _residual_sums(video.features, model.codebook.centers,
+                              video.offsets[starts],
+                              video.offsets[starts + p.gof_size])
     projected = pca_project(model.hp_first_basis,
                             _frame_vlads(video, model.codebook))
-    return _residual_sums(projected, model.hp_second_codebook.centers,
-                          np.column_stack((starts, starts + p.gof_size)),
-                          assign_dims=p.h)
+    return _residual_sums(projected, model.hp_second_codebook.centers, starts,
+                          starts + p.gof_size, assign_dims=p.h)
 
 
 def encode_video(video: Video, model: TrainedModel) -> np.ndarray:

@@ -240,14 +240,11 @@ def _assign_nearest(points, centers, x2=None, assign=None, prod=None,
     return assign
 
 
-def nearest_centers(
-    points: np.ndarray, centers: np.ndarray, *, use_dims: int | None = None
-) -> np.ndarray:
+def nearest_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of the nearest center for every point, ties to the lowest index.
 
-    ``use_dims`` restricts the distance computation to the leading
-    components of both operands (hyper-pooling quantizes on the
-    high-eigenvalue components only).
+    A caller that quantizes on the leading components only (hyper-pooling)
+    passes those columns of both operands.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     ctr = np.asarray(centers, dtype=np.float64)
@@ -255,9 +252,6 @@ def nearest_centers(
         raise DimensionMismatch(
             f"points have dimension {pts.shape[1]}, centers {ctr.shape[1]}"
         )
-    if use_dims is not None:
-        pts = pts[:, :use_dims]
-        ctr = ctr[:, :use_dims]
     return _assign_nearest(pts, ctr)
 
 
@@ -720,7 +714,7 @@ def _gram_solve(centered: np.ndarray, d: int):
     return eigenvalues, vecs
 
 
-def pca_fit(rows, d: int, *, overwrite_rows: bool = False) -> ProjectionBasis:
+def pca_fit(rows, d: int) -> ProjectionBasis:
     """Fit the top-``d`` principal directions of ``rows``.
 
     The column-wise mean is subtracted and recorded on the basis. The input's
@@ -747,16 +741,15 @@ def pca_fit(rows, d: int, *, overwrite_rows: bool = False) -> ProjectionBasis:
     but not bit for bit. Either way the bits also depend on the BLAS thread
     count (:func:`blas_threads`).
 
-    By default ``rows`` is never written. With ``overwrite_rows`` set, the
-    fit centers ``rows`` in place instead of copying it: a C-contiguous
+    The fit centers ``rows`` in place instead of copying it: a C-contiguous
     float64 ``rows`` holds ``rows - basis.mean`` afterwards, and any other
     array is converted to a new array first and left unchanged. The basis
-    is bit for bit the same either way.
+    is bit for bit the same either way. A caller that still needs its
+    rows passes a copy.
 
     Args:
         rows: (n, dim) array, n >= 2.
         d: directions to keep, 1 <= d <= min(n, dim).
-        overwrite_rows: let the fit center ``rows`` in place.
 
     Returns:
         A :class:`ProjectionBasis` with d orthonormal rows.
@@ -777,10 +770,7 @@ def pca_fit(rows, d: int, *, overwrite_rows: bool = False) -> ProjectionBasis:
     _check_finite(mat, "rows")
 
     mean = mat.mean(axis=0)
-    if overwrite_rows:
-        centered = np.subtract(mat, mean, out=mat)
-    else:
-        centered = mat - mean
+    centered = np.subtract(mat, mean, out=mat)
     if n >= dim:
         solver = "eig"
         eigenvalues, vecs = _top_eigenpairs(centered.T @ centered / (n - 1), d)

@@ -179,8 +179,7 @@ def sign_aligned_alignment_score(a: ProjectionBasis, b: ProjectionBasis) -> floa
 def _train_basis(videos, method: str, params: ModelParams) -> ProjectionBasis:
     if method == METHOD_SIFT_DIRECT:
         return pca_fit(np.concatenate([v.features for v in videos],
-                                      dtype=np.float64),
-                       params.d, overwrite_rows=True)
+                                      dtype=np.float64), params.d)
     return train(method, videos, params).basis
 
 

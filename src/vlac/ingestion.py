@@ -60,8 +60,19 @@ PERTURBATION_KINDS = ("additive_gaussian", "component_dropout", "gain")
 _MIXING_CONCENTRATION = 0.3
 
 
+class _Entry:
+    """The rule both manifest entry types share: ``fps_sampled`` is a real
+    number, finite and >= 0, stored as a float; DataError otherwise."""
+
+    def __post_init__(self):
+        if not _finite_non_negative(self.fps_sampled):
+            raise DataError("fps_sampled must be a finite number >= 0, "
+                            f"got {self.fps_sampled!r}")
+        object.__setattr__(self, "fps_sampled", float(self.fps_sampled))
+
+
 @dataclass(frozen=True)
-class VideoEntry:
+class VideoEntry(_Entry):
     video_id: str
     feature_file: str
     fps_sampled: float
@@ -82,7 +93,7 @@ class DatasetManifest:
 
 
 @dataclass(frozen=True)
-class QueryEntry:
+class QueryEntry(_Entry):
     query_id: str
     feature_file: str
     fps_sampled: float
@@ -263,20 +274,22 @@ def write_dataset(
     overwrite: bool = False,
 ) -> DatasetManifest:
     """Write each video to ``<id>.vfeat`` in ``out_dir`` plus a manifest.json
-    listing them in order, and return that manifest."""
+    listing them in order, and return that manifest. The manifest is built
+    first, so one it refuses (a repeated id, a bad ``fps_sampled``) writes
+    no file."""
     if not videos:
         raise EmptyInput("a dataset needs at least one video")
+    manifest = DatasetManifest(
+        videos=tuple(
+            VideoEntry(video_id=video_id, feature_file=f"{video_id}.vfeat",
+                       fps_sampled=fps_sampled, label="clean")
+            for video_id, _ in zip(ids, videos, strict=True)),
+        feature_dim=videos[0].dim, notes=notes,
+    )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for video_id, video in zip(ids, videos, strict=True):
-        rel = f"{video_id}.vfeat"
-        write_features(video, out_dir / rel, overwrite=overwrite)
-        entries.append(VideoEntry(video_id=video_id, feature_file=rel,
-                                  fps_sampled=fps_sampled, label="clean"))
-    manifest = DatasetManifest(
-        videos=tuple(entries), feature_dim=videos[0].dim, notes=notes
-    )
+    for entry, video in zip(manifest.videos, videos):
+        write_features(video, out_dir / entry.feature_file, overwrite=overwrite)
     save_manifest(manifest, out_dir / "manifest.json", overwrite=overwrite)
     return manifest
 
@@ -339,17 +352,16 @@ def make_queries(
     shifted by ``offset_frames`` against the database grid (the paper's
     sub-frame 0.25 s shift is approximated by integer start jitter). Query
     frames are re-indexed from 0. The ground-truth source video id is
-    recorded on each query entry.
+    recorded on each query entry. Every segment is cut and the manifest
+    built before any file is written.
     """
     if segment_len_frames < 1:
         raise DataError("segment_len_frames must be >= 1")
     if offset_frames < 0:
         raise DataError("offset_frames must be >= 0")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     span = segment_len_frames + offset_frames
-    entries = []
+    entries, segments = [], []
     for entry, video in zip(manifest.videos, videos, strict=True):
         if len(video) < span:
             raise VideoTooShort(
@@ -357,27 +369,27 @@ def make_queries(
             )
         start = int(rng.integers(0, len(video) - span + 1)) + offset_frames
         stop = start + segment_len_frames
-        segment = Video(
+        segments.append(Video(
             video.features[video.rows(start, stop)],
             np.arange(segment_len_frames),
             video.offsets[start : stop + 1] - video.offsets[start],
-        )
-        query_id = f"{entry.video_id}_q"
-        rel = f"{query_id}.vfeat"
-        write_features(segment, out_dir / rel, overwrite=overwrite)
-        entries.append(
-            QueryEntry(
-                query_id=query_id,
-                feature_file=rel,
-                fps_sampled=entry.fps_sampled,
-                label=entry.label,
-                source_video_id=entry.video_id,
-                start_frame=start,
-            )
-        )
+        ))
+        entries.append(QueryEntry(
+            query_id=f"{entry.video_id}_q",
+            feature_file=f"{entry.video_id}_q.vfeat",
+            fps_sampled=entry.fps_sampled,
+            label=entry.label,
+            source_video_id=entry.video_id,
+            start_frame=start,
+        ))
     qmanifest = QueryManifest(
         queries=tuple(entries), feature_dim=manifest.feature_dim
     )
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for query, segment in zip(qmanifest.queries, segments):
+        write_features(segment, out_dir / query.feature_file,
+                       overwrite=overwrite)
     save_query_manifest(qmanifest, out_dir / "manifest.json", overwrite=overwrite)
     return qmanifest
 
@@ -388,14 +400,10 @@ def make_queries(
 
 
 def save_manifest(manifest, path, *, overwrite: bool = False) -> None:
-    """Write a DatasetManifest or a QueryManifest as JSON; DataError if a
-    value is not finite, which JSON cannot hold."""
-    try:
-        doc = json.dumps(asdict(manifest), indent=2, sort_keys=True,
-                         allow_nan=False)
-    except ValueError as exc:
-        raise DataError(f"{path}: manifest holds a non-finite value "
-                        f"({exc})") from None
+    """Write a DatasetManifest or a QueryManifest as JSON. Its entries
+    refuse a non-finite value, which JSON cannot hold."""
+    doc = json.dumps(asdict(manifest), indent=2, sort_keys=True,
+                     allow_nan=False)
     with atomic_write(path, overwrite=overwrite) as fh:
         fh.write((doc + "\n").encode())
 
@@ -421,7 +429,8 @@ def _load(path, cls, entry_cls, check_files: bool):
         manifest = _from_json(cls, doc, entry_cls)
     except KeyError as exc:
         raise DataError(f"{path} is missing manifest field {exc}") from exc
-    except (TypeError, ValueError) as exc:  # a non-object, a wrong-typed value
+    # a non-object, a wrong-typed value, a value the classes refuse
+    except (TypeError, ValueError, DataError) as exc:
         raise DataError(f"{path} is not a valid manifest: {exc}") from exc
     if check_files:
         for entry in getattr(manifest, fields(cls)[0].name):
@@ -434,9 +443,9 @@ def _load(path, cls, entry_cls, check_files: bool):
 
 def _from_json(cls, doc, entry_cls=None):
     """``cls`` from a JSON object, field by field: an int field takes only a
-    JSON integer (not a bool), a float field only a finite number >= 0,
-    a string field only a string, and the one tuple field holds
-    ``entry_cls`` objects."""
+    JSON integer (not a bool), a string field only a string, and the one
+    tuple field holds ``entry_cls`` objects; ``cls`` checks the float
+    field, ``fps_sampled``, itself."""
     values = {}
     for fld in fields(cls):
         if fld.name not in doc and fld.default is not MISSING:
@@ -448,12 +457,7 @@ def _from_json(cls, doc, entry_cls=None):
         elif fld.type == "int":
             if type(value) is not int:
                 raise TypeError(f"{fld.name} must be an integer, got {value!r}")
-        elif fld.type == "float":
-            if not _finite_non_negative(value):
-                raise ValueError(
-                    f"{fld.name} must be a finite number >= 0, got {value!r}")
-            value = float(value)
-        else:
+        elif fld.type.startswith("tuple"):
             value = tuple(_from_json(entry_cls, entry) for entry in value)
         values[fld.name] = value
     return cls(**values)

@@ -14,8 +14,8 @@ higher score ranks first and equal scores rank by video_id.
 A store file (``VLACSTOR``) holds the magic, then until the end of the
 file one record per video: the UTF-8 video_id's length (u32) and bytes,
 the GoF count G (u32), descriptor dimension d (u32) and method tag (u8),
-and G*d float32 values. The checks and the float32 codec live in
-:mod:`vlac.fileio`; round trips are bit-exact.
+and G*d float32 values. No video_id appears twice. The checks and the
+float32 codec live in :mod:`vlac.fileio`; round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -224,8 +224,20 @@ def retrieve(
     return RetrievalResult(matches=tuple(matches))
 
 
+def _refuse_repeated_ids(sequences, path) -> None:
+    """DataError naming ``path`` and the first video_id that repeats."""
+    seen = set()
+    for seq in sequences:
+        if seq.video_id in seen:
+            raise DataError(f"{path} repeats video id {seq.video_id!r}")
+        seen.add(seq.video_id)
+
+
 def write_store(sequences, path, *, overwrite: bool = False) -> None:
-    """Serialize sequences to a VLACSTOR file (bit-exact round trip)."""
+    """Serialize sequences to a VLACSTOR file (bit-exact round trip).
+    A repeated video_id raises DataError before any byte is written."""
+    sequences = list(sequences)
+    _refuse_repeated_ids(sequences, path)
     with atomic_write(path, overwrite=overwrite) as fh:
         fh.write(_STORE_MAGIC)
         for seq in sequences:
@@ -236,7 +248,8 @@ def write_store(sequences, path, *, overwrite: bool = False) -> None:
 
 
 def load_store(path) -> list[DescriptorSequence]:
-    """Read sequences from a VLACSTOR file."""
+    """Read sequences from a VLACSTOR file; DataError for a repeated
+    video_id, which would rank one video twice."""
     reader = Reader(path, _STORE_MAGIC)
     sequences = []
     while not reader.at_end():
@@ -254,4 +267,5 @@ def load_store(path) -> list[DescriptorSequence]:
             raise DataError(f"{path} has unknown method tag {tag}")
         descriptors = reader.f32(g, d, f"record {video_id!r}")
         sequences.append(DescriptorSequence(video_id, descriptors, TAG_METHODS[tag]))
+    _refuse_repeated_ids(sequences, path)
     return sequences

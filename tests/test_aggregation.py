@@ -137,8 +137,10 @@ class TestResidualKernel:
         rng = np.random.default_rng(seed)
         points = rng.normal(size=(n, dim)) * 100.0
         centers = rng.normal(size=(k, dim))
-        assign = nearest_centers(points, centers, use_dims=assign_dims)
-        got = _residual_sums(points, centers, windows,
+        assign = nearest_centers(points[:, :assign_dims],
+                                 centers[:, :assign_dims])
+        starts, stops = zip(*windows)
+        got = _residual_sums(points, centers, starts, stops,
                              assign_dims=assign_dims)
         assert got.shape == (len(windows), k * dim)
         for row, (start, stop) in zip(got, windows):
@@ -157,7 +159,7 @@ class TestResidualKernel:
         points = (rng.normal(size=(40, 3)) * 100.0).astype(dtype)
         centers = rng.normal(size=(5, 3))
         windows = [(0, 40), (5, 23), (23, 23), (2, 39)]
-        got = _residual_sums(points, centers, windows)
+        got = _residual_sums(points, centers, *zip(*windows))
         wide = points.astype(np.float64)
         assign = nearest_centers(wide, centers)
         for row, (start, stop) in zip(got, windows):
@@ -166,15 +168,24 @@ class TestResidualKernel:
                         for j in range(5)]
             assert np.array_equal(row, np.concatenate(expected))
 
+    @pytest.mark.parametrize("assign_dims", [None, 2])
+    def test_width_mismatch_refused(self, assign_dims):
+        # with assign_dims=2 the leading columns agree, the residuals not
+        with pytest.raises(DimensionMismatch, match="dimension 3, centers 5"):
+            _residual_sums(np.ones((4, 3)), np.ones((2, 5)), [0], [4],
+                           assign_dims=assign_dims)
+
     def test_one_window_equals_its_row_in_a_window_list(self):
         # a window's sums must not depend on the windows summed with it
         rng = np.random.default_rng(12)
         points = rng.normal(size=(50, 4)) * 100.0
         centers = rng.normal(size=(6, 4))
         windows = [(0, 50), (7, 31), (31, 31), (3, 45)]
-        together = _residual_sums(points, centers, windows, assign_dims=2)
-        for window, row in zip(windows, together):
-            alone = _residual_sums(points, centers, [window], assign_dims=2)
+        together = _residual_sums(points, centers, *zip(*windows),
+                                  assign_dims=2)
+        for (start, stop), row in zip(windows, together):
+            alone = _residual_sums(points, centers, [start], [stop],
+                                   assign_dims=2)
             assert alone.shape == (1, 6 * 4)
             assert np.array_equal(alone[0], row)
 

@@ -789,6 +789,21 @@ class TestErrors:
             assert run("search", "--store", store, "--queries", queries,
                        "--out", tmp_path / "r.csv") == 2
 
+    # a store that held v0 twice used to rank v0 twice and exit 0, and
+    # evaluate then refused the results CSV
+    def test_repeated_store_id_exit_2(self, tmp_path, capsys):
+        one = tmp_path / "one.store"
+        write_store([DescriptorSequence("v0", np.ones((2, 3)), "vlac")], one)
+        twice = tmp_path / "twice.store"
+        twice.write_bytes(one.read_bytes() + one.read_bytes()[8:])
+        capsys.readouterr()
+        for store, queries in ((twice, one), (one, twice)):
+            assert run("search", "--store", store, "--queries", queries,
+                       "--out", tmp_path / "r.csv") == 2
+            event = json.loads(capsys.readouterr().out.splitlines()[-1])
+            assert "repeats video id 'v0'" in event["message"]
+        assert not (tmp_path / "r.csv").exists()
+
     def test_model_shape_mismatch_exit_2(self, dataset, trained, tmp_path):
         model = tmp_path / "vlad.bin"
         model.write_bytes((trained / "vlad.bin").read_bytes())

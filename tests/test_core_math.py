@@ -645,8 +645,9 @@ class TestPCA:
 
 
 class TestPCAOwnership:
-    """``pca_fit`` writes to its input only with ``overwrite_rows`` set, and
-    the basis does not depend on whether it did."""
+    """``pca_fit`` centers a C-contiguous float64 input in place and
+    converts any other input first, leaving it unchanged; the basis does
+    not depend on which it did."""
 
     @staticmethod
     def inputs():
@@ -665,18 +666,20 @@ class TestPCAOwnership:
 
     @pytest.mark.parametrize("case", range(4))
     def test_default_leaves_rows_unchanged(self, case):
+        # a Fortran-ordered input is converted, so the fit leaves it as is
         solver, rows = self.inputs()[case]
-        before = rows.tobytes()
-        basis = pca_fit(rows, 4)
+        fortran = np.asfortranarray(rows)
+        before = fortran.tobytes(order="A")
+        basis = pca_fit(fortran, 4)
         assert basis.solver == solver
-        assert rows.tobytes() == before
+        assert fortran.tobytes(order="A") == before
 
     @pytest.mark.parametrize("case", range(4))
     def test_overwrite_gives_the_same_basis(self, case):
         solver, rows = self.inputs()[case]
-        kept = pca_fit(rows, 4)
-        owned = rows.copy()
-        basis = pca_fit(owned, 4, overwrite_rows=True)
+        fortran = np.asfortranarray(rows)
+        kept = pca_fit(fortran, 4)
+        basis = pca_fit(rows, 4)
         assert basis.solver == kept.solver == solver
         for name in ("rows", "mean", "eigenvalues"):
             got, want = getattr(basis, name), getattr(kept, name)
@@ -684,14 +687,15 @@ class TestPCAOwnership:
             assert got.tobytes() == want.tobytes(), name
         assert basis.retained_variance == kept.retained_variance
         # the caller's matrix now holds the centered rows
-        assert owned.tobytes() == (rows - kept.mean).tobytes()
+        assert rows.tobytes() == (fortran - kept.mean).tobytes()
 
     def test_overwrite_converts_other_inputs_first(self):
         rows = np.random.default_rng(9).normal(size=(12, 5)).astype(np.float32)
         before = rows.tobytes()
-        basis = pca_fit(rows, 3, overwrite_rows=True)
+        basis = pca_fit(rows, 3)
         assert rows.tobytes() == before
-        assert basis.rows.tobytes() == pca_fit(rows, 3).rows.tobytes()
+        wide = rows.astype(np.float64)
+        assert basis.rows.tobytes() == pca_fit(wide, 3).rows.tobytes()
 
 
 @contextlib.contextmanager
@@ -740,7 +744,7 @@ class TestTopEigenpairs:
         fits = {}
         for solver in ("dsyevr", "eigh"):
             with solver_context(solver):
-                fits[solver] = pca_fit(rows, 5)
+                fits[solver] = pca_fit(rows.copy(), 5)
         top, full = fits["dsyevr"], fits["eigh"]
         assert top.solver == full.solver == ("eig" if shape[0] > shape[1]
                                              else "gram")

@@ -299,14 +299,16 @@ def float32_values(rng, shape):
 
 @st.composite
 def stores(draw):
-    """Valid store contents: one to three sequences of random shapes."""
+    """Valid store contents: one to three sequences of random shapes, no
+    video id twice."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return [
-        DescriptorSequence(draw(st.text(max_size=3)),
+        DescriptorSequence(video_id,
                            float32_values(rng, (draw(st.integers(1, 3)),
                                                 draw(st.integers(1, 3)))),
                            draw(st.sampled_from(["vlad", "vlac", "hp"])))
-        for _ in range(draw(st.integers(1, 3)))
+        for video_id in draw(st.lists(st.text(max_size=3), min_size=1,
+                                      max_size=3, unique=True))
     ]
 
 

@@ -39,6 +39,7 @@ from vlac.errors import (
 )
 from vlac.ingestion import (
     PERTURBATION_KINDS,
+    QueryEntry,
     VideoEntry,
     save_manifest,
 )
@@ -487,6 +488,15 @@ class TestMakeQueries:
             make_queries(manifest, videos, tmp_path / "q",
                          segment_len_frames=4, offset_frames=0, seed=0)
 
+    def test_last_video_too_short_writes_nothing(self, tmp_path):
+        # the first two segments used to be written before the third raised
+        manifest, videos = self.make_dataset(tmp_path)
+        videos = [*videos[:2], make_video(np.random.default_rng(5), 3, 2)]
+        with pytest.raises(VideoTooShort):
+            make_queries(manifest, videos, tmp_path / "q",
+                         segment_len_frames=4, offset_frames=0, seed=0)
+        assert not (tmp_path / "q").exists()
+
 
 class TestManifests:
     def test_json_round_trip(self, tmp_path):
@@ -531,14 +541,32 @@ class TestManifests:
         with pytest.raises(DataError):
             load_manifest(tmp_path / "m.json")
 
-    @pytest.mark.parametrize("fps", [np.nan, np.inf])
-    def test_non_finite_value_refused(self, tmp_path, fps):
-        manifest = DatasetManifest(
-            videos=(VideoEntry("v0", "v0.vfeat", fps, "clean"),),
-            feature_dim=2,
-        )
-        with pytest.raises(DataError, match="non-finite"):
-            save_manifest(manifest, tmp_path / "m.json")
+    @pytest.mark.parametrize("fps", [np.nan, np.inf, -1.0, True, "1.0", None])
+    def test_non_finite_value_refused(self, fps):
+        # both entry types refuse it, and any other value the loader
+        # refuses, so no manifest can hold it
+        with pytest.raises(DataError, match="fps_sampled must be a finite"):
+            VideoEntry("v0", "v0.vfeat", fps, "clean")
+        with pytest.raises(DataError, match="fps_sampled must be a finite"):
+            QueryEntry("v0_q", "v0_q.vfeat", fps, "clean", "v0", 0)
+
+    def test_entries_store_fps_as_float(self):
+        for fps in (2, np.float64(0.5), np.int64(3)):
+            assert type(VideoEntry("v", "v.vfeat", fps, "x").fps_sampled) is float
+            query = QueryEntry("q", "q.vfeat", fps, "x", "v", 0)
+            assert type(query.fps_sampled) is float
+
+    # fps_sampled=-1.0 used to write both feature files and a manifest that
+    # load_manifest refused, and ids ["a", "a"] raised only after a.vfeat
+    @pytest.mark.parametrize("ids,fps", [(["a", "b"], -1.0),
+                                         (["a", "b"], np.nan),
+                                         (["a", "a"], 1.0)])
+    def test_write_dataset_refuses_before_writing(self, tmp_path, ids, fps):
+        rng = np.random.default_rng(4)
+        videos = [make_video(rng, 3, 2) for _ in ids]
+        with pytest.raises(DataError):
+            write_dataset(tmp_path / "d", ids, videos, fps_sampled=fps,
+                          notes="")
         assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_ids_rejected(self):

@@ -352,6 +352,25 @@ class TestStoreIO:
         write_store(loaded, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_repeated_id_refused_before_writing(self, tmp_path):
+        sequences = [seq("v0", np.ones((2, 3))), seq("v1", np.ones((1, 3))),
+                     seq("v0", np.zeros((1, 3)))]
+        with pytest.raises(DataError, match="repeats video id 'v0'"):
+            write_store(sequences, tmp_path / "r.store")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_id_refused_on_load(self, tmp_path):
+        one = tmp_path / "one.store"
+        write_store([seq("v0", np.ones((2, 3))), seq("v1", np.ones((1, 3)))],
+                    one)
+        data = one.read_bytes()
+        twice = tmp_path / "twice.store"
+        twice.write_bytes(data + data[8:])  # every record after the magic, twice
+        with pytest.raises(DataError) as exc:
+            load_store(twice)
+        assert str(twice) in str(exc.value)
+        assert "repeats video id 'v0'" in str(exc.value)
+
     def test_truncated(self, tmp_path):
         rng = np.random.default_rng(11)
         path = tmp_path / "t.store"

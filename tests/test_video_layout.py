@@ -85,7 +85,8 @@ def ref_train(method, videos, p):
     frames = [f for _, w in windows for f in w]
     first = kmeans_fit(ref_stack(frames), p.alpha1, p.seed)
     frame_rows = np.stack([vlad_encode(f, first) for f in frames])
-    first_basis = pca_fit(frame_rows, p.d0)
+    # a copy, since the fit centers its input in place
+    first_basis = pca_fit(frame_rows.copy(), p.d0)
     projected = pca_project(first_basis, frame_rows)
     head = kmeans_fit(projected[:, :p.h], p.alpha2,
                       p.seed ^ _HP_SECOND_STAGE_SALT)
