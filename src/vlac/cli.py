@@ -6,7 +6,7 @@ Every command is reproducible under a fixed seed and emits structured logs
 after the one perturbation all methods share) took; the ``trained``,
 ``encoded`` and ``stability`` events also carry ``peak_rss_mb``, the
 process's resident memory high-water mark so far, and the ``synthesized``
-event splits its time into ``draw_s`` (drawing the videos in memory) and
+event splits its time into ``draw_s`` (drawing the videos) and
 ``write_s`` (writing every file) and counts the feature rows drawn as
 ``features``. The ``trained`` event names the LAPACK routine its PCA
 bases came from as ``eigensolver`` ("dsyevr", the top-d solve in numpy's
@@ -20,6 +20,8 @@ Exit codes: 0 success, 2 data or usage error (``DataError``,
 output files so reruns are idempotent, and every output file is written
 all-or-nothing: a failed command leaves an existing file unchanged.
 
+``synth`` draws, writes and drops one video at a time, a test video
+together with its query segment, and writes each split all-or-nothing.
 A manifest's feature files are read one at a time, when a command reaches
 them. ``train`` hands the videos to the trainer as a one-pass iterator
 (see :mod:`vlac.aggregation` for how long each trainer holds them).
@@ -76,7 +78,6 @@ from .ingestion import (
     load_features,
     load_manifest,
     load_query_manifest,
-    make_queries,
     perturb_videos,
     synthesize_videos,
     write_dataset,
@@ -173,29 +174,31 @@ def cmd_synth(args) -> int:
         )
     root = Path(args.data_root)
     # one synthesis covers train + test so both share the feature vocabulary;
-    # the first train_videos videos are the training split
+    # the first train_videos videos are the training split. Each video is
+    # drawn, written (a test video with its query segment) and dropped
+    # before the next is drawn
+    count = args.train_videos + args.videos
     data = synthesize_videos(
-        args.train_videos + args.videos, args.frames, args.dim, args.clusters,
-        args.seed, features_per_frame=args.features_per_frame,
+        count, args.frames, args.dim, args.clusters, args.seed,
+        features_per_frame=args.features_per_frame,
         center_spread=args.center_spread, noise_std=args.noise_std,
     )
-    drawn = time.perf_counter()
-    ids = [f"video_{v:03d}" for v in range(len(data.videos))]
+    draw_s = [time.perf_counter() - start]
+    videos = _timed(data.videos, draw_s)
+    ids = [f"video_{v:03d}" for v in range(count)]
     cut = args.train_videos
     train_manifest = write_dataset(
-        root / "train", ids[:cut], data.videos[:cut], fps_sampled=args.fps,
-        notes="training split", overwrite=True,
+        root / "train", ids[:cut], itertools.islice(videos, cut),
+        fps_sampled=args.fps, notes="training split", overwrite=True,
     )
     test_manifest = write_dataset(
-        root / "test", ids[cut:], data.videos[cut:], fps_sampled=args.fps,
+        root / "test", ids[cut:], videos, fps_sampled=args.fps,
         notes="test split", overwrite=True,
+        queries=dict(out_dir=root / "queries",
+                     segment_len_frames=args.segment_len,
+                     offset_frames=args.offset, seed=args.seed + 1),
     )
-    qmanifest = make_queries(
-        test_manifest, data.videos[cut:], root / "queries",
-        segment_len_frames=args.segment_len, offset_frames=args.offset,
-        seed=args.seed + 1, overwrite=True,
-    )
-    written = time.perf_counter()
+    duration = time.perf_counter() - start
     _log(
         "synthesized",
         train_manifest=str(root / "train" / "manifest.json"),
@@ -203,13 +206,26 @@ def cmd_synth(args) -> int:
         query_manifest=str(root / "queries" / "manifest.json"),
         train_videos=len(train_manifest.videos),
         test_videos=len(test_manifest.videos),
-        queries=len(qmanifest.queries),
-        features=sum(video.features.shape[0] for video in data.videos),
-        draw_s=drawn - start,
-        write_s=written - drawn,
-        duration_s=time.perf_counter() - start,
+        queries=len(test_manifest.videos),
+        features=count * args.frames * args.features_per_frame,
+        draw_s=draw_s[0],
+        write_s=duration - draw_s[0],
+        duration_s=duration,
     )
     return 0
+
+
+def _timed(items, seconds: list[float]):
+    """The items of ``items``, adding the seconds each took to produce to
+    ``seconds[0]``."""
+    items = iter(items)
+    while True:
+        begin = time.perf_counter()
+        item = next(items, None)
+        seconds[0] += time.perf_counter() - begin
+        if item is None:
+            return
+        yield item
 
 
 def cmd_train(args) -> int:

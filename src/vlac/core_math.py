@@ -18,13 +18,15 @@ every fit, are always those of the direct path. A single fit is the
 one-window case.
 
 Lloyd iterations work in arrays allocated once per fit: the distances
-and the product of one row chunk, the (n,) assignment and the (n, dim)
-residuals are rewritten in place by every iteration, with the same
-operations in the same order as fresh temporaries would take, so the
-results are bit for bit those of the plain expressions. Each chunk's
-nearest centers are taken as soon as its distances exist, and an
-empty-cluster refill gathers each point's distance to its own center from
-the same chunks, so no (n, k) distance matrix is ever held.
+and the product of one row chunk and the (n,) assignment are rewritten in
+place by every iteration, with the same operations in the same order as
+fresh temporaries would take, so the results are bit for bit those of the
+plain expressions. Each chunk's nearest centers are taken as soon as its
+distances exist, and an empty-cluster refill gathers each point's
+distance to its own center from the same chunks, so no (n, k) distance
+matrix is ever held. The inertia follows numpy's pairwise summation tree
+one cache-sized subtree at a time, so no (n, dim) residual array is held
+either.
 
 One helper, :func:`_choice_indices`, takes the steps ``Generator.choice``
 takes with ``p=``, for k-means++ draws and for synthetic cluster picks.
@@ -67,6 +69,10 @@ _SCATTER_CHUNK = 1 << 18
 # Values per block of an elementwise pass that should stay in cache.
 _BLOCK_VALUES = 1 << 15
 
+# Values numpy's pairwise summation adds in one unrolled leaf (its
+# PW_BLOCKSIZE); a larger run is split in two.
+_NUMPY_PAIRWISE_LEAF = 128
+
 # Half of float64's range. While max |x|^2 + max |c|^2 stays within it, the
 # Gram-form terms |x|^2 + |c|^2 and 2 x.c, and the distances they give,
 # are finite.
@@ -77,8 +83,8 @@ _HALF_MAX = float(np.finfo(np.float64).max) / 2
 _PP_GRAM_ROWS = 512
 
 # k-means++ seeding of a stack of windows draws as many windows in lockstep
-# as keep their Gram distance matrices and kept cumulative sums under this
-# many bytes.
+# as keep their Gram distance matrices (or distance rows) and their three
+# (n,) work rows under this many bytes.
 _PP_STACK_BYTES = 1 << 24
 
 # LAPACKE's matrix_layout argument for column-major arrays.
@@ -290,7 +296,9 @@ def kmeans_pp_draws(windows, k: int, seeds) -> list[tuple[np.ndarray, str]]:
     at a time, so the work arrays stay under ``_PP_STACK_BYTES``.
     """
     n = windows[0].shape[0]
-    per_window = 8 * n * ((n if n <= _PP_GRAM_ROWS else 0) + k)
+    # the n x n distances or one distance row, then the squared norms, the
+    # closest distances and the cumulative sums
+    per_window = 8 * n * ((n if n <= _PP_GRAM_ROWS else 1) + 3)
     step = max(1, _PP_STACK_BYTES // per_window)
     out = []
     for start in range(0, len(windows), step):
@@ -364,9 +372,11 @@ def _gram_pp_draws(windows, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     serves all B windows with one ``cumsum``, one counting search and one
     ``minimum``; a single window instead takes ``searchsorted`` on its sums
     and a view of its distance row, which costs less than the stacked
-    forms at B = 1. The cumulative sums are kept, and the certificate runs
-    over every draw at once after the loop; a window whose draws went
-    astray after an uncertified one is given up whole.
+    forms at B = 1. Each step's cumulative sums are overwritten by the
+    next; only each draw's total and the two sums around its drawn index
+    are kept, (k - 1, B) each, and the certificate runs over every draw at
+    once after the loop on those values; a window whose draws went astray
+    after an uncertified one is given up whole.
 
     Returns a (B, k) index array and a (B,) bool array.
     """
@@ -379,6 +389,7 @@ def _gram_pp_draws(windows, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     delta = (4 * dim + 16) * 2 * (eps * x2.max(axis=1)
                                   + np.finfo(np.float64).tiny)
     err = n * delta
+    every = np.arange(b)
     if n <= _PP_GRAM_ROWS:
         # each window's n x n distances, built while its product is in cache
         dists = np.empty((b, n, n), dtype=np.float64)
@@ -388,8 +399,6 @@ def _gram_pp_draws(windows, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
             def rows(j):
                 return dists[:, j[0]]
         else:
-            every = np.arange(b)
-
             def rows(j):
                 return dists[every, j]
     else:
@@ -403,27 +412,29 @@ def _gram_pp_draws(windows, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     idx = np.empty((k, b), dtype=np.intp)
     idx[0] = [rng.integers(n) for rng in rngs]
     uniforms = np.array([rng.random(k - 1) for rng in rngs]).T
-    cum = np.empty((k - 1, b, n), dtype=np.float64)
+    # per draw and window: the total and the cumulative sums just below
+    # and at the drawn index
+    total, below, above = np.empty((3, k - 1, b), dtype=np.float64)
+    c = np.empty((b, n), dtype=np.float64)
     closest = rows(idx[0]).copy()
-    for c, u, j in zip(cum, uniforms, idx[1:]):
+    for s, (u, j) in enumerate(zip(uniforms, idx[1:])):
         np.add.accumulate(closest, axis=1, out=c)
+        total[s] = c[:, -1]
         # searchsorted(side="right") of u * total on the ascending sums,
         # capped at n - 1; one window searches its row, a stack counts
         if b == 1:
-            j[0] = c[0, :-1].searchsorted(u[0] * c[0, -1], side="right")
+            j[0] = c[0, :-1].searchsorted(u[0] * total[s, 0], side="right")
         else:
-            np.add.reduce(c[:, :-1] <= (u * c[:, -1])[:, None], axis=1,
+            np.add.reduce(c[:, :-1] <= (u * total[s])[:, None], axis=1,
                           out=j)
+        # a draw of row 0 has no sum below it; the certificate ignores
+        # what its index - 1 reads
+        below[s] = c[every, j - 1]
+        above[s] = c[every, j]
         np.minimum(closest, rows(j), out=closest)
 
-    total = cum[:, :, -1]
     target = uniforms * total
     drawn = idx[1:]
-    # flat positions of the drawn sums; a draw of row 0 has no sum below
-    # it, and the certificate ignores what its position - 1 reads
-    at = drawn + np.arange(0, cum.size, n).reshape(k - 1, b)
-    below = cum.take(at - 1)
-    above = cum.take(at)
     slack = 3.0 * err + 8.0 * (n + 2) * eps * total
     certified = (
         (total > 4.0 * err)
@@ -441,20 +452,53 @@ def _gram_dists(gram: np.ndarray, a2, b2) -> np.ndarray:
     return np.maximum(gram, 0.0, out=gram)
 
 
-def _inertia(points, centers, assign, diff) -> float:
+def _pairwise_sum(leaf_sum, start: int, count: int, leaf: int):
+    """numpy's pairwise sum of the ``count`` values from flat position
+    ``start``, its subtrees of at most ``leaf`` values summed by
+    ``leaf_sum(start, count)``.
+
+    numpy sums a contiguous float64 array along one pairwise tree: a node
+    of more than ``_NUMPY_PAIRWISE_LEAF`` values splits at half its count,
+    rounded down to a multiple of 8, and a smaller node is one unrolled
+    leaf. The split depends on the count alone, so ``np.sum`` of any
+    subtree's values on their own gives that subtree's sum, and adding
+    the subtree sums along the same splits gives the whole array's sum bit
+    for bit. ``leaf`` must be at least ``_NUMPY_PAIRWISE_LEAF``: a node
+    that numpy sums as one leaf cannot be split here.
+    """
+    if count <= leaf:
+        return leaf_sum(start, count)
+    half = count // 2
+    half -= half % 8
+    return (_pairwise_sum(leaf_sum, start, half, leaf)
+            + _pairwise_sum(leaf_sum, start + half, count - half, leaf))
+
+
+def _inertia(points, centers, assign) -> float:
     """``np.sum((points - centers[assign]) ** 2)``, bit for bit.
 
-    The squared residuals are formed in ``diff``, an (n, dim) work array,
-    ``_BLOCK_VALUES`` values at a time so each block's three passes stay in
-    cache, and then summed in one call, as the expression sums them.
+    The (n, dim) residuals are never formed whole. The sum follows numpy's
+    pairwise tree over their n * dim values (:func:`_pairwise_sum`), and
+    each subtree of at most ``_BLOCK_VALUES`` values (never fewer than
+    numpy's own leaf) has its residuals formed and squared in one small
+    buffer, covering the rows it touches, and then summed by ``np.sum``.
     """
-    step = max(1, _BLOCK_VALUES // points.shape[1])
-    for start in range(0, points.shape[0], step):
-        block = diff[start : start + step]
-        np.take(centers, assign[start : start + step], axis=0, out=block)
-        np.subtract(points[start : start + step], block, out=block)
+    dim = points.shape[1]
+    leaf = max(_BLOCK_VALUES, _NUMPY_PAIRWISE_LEAF)
+    # a subtree's values start inside a row, so it touches up to two
+    # rows more than leaf // dim
+    buf = np.empty((min(points.shape[0], leaf // dim + 2), dim))
+
+    def leaf_sum(start, count):
+        first, stop = start // dim, -(-(start + count) // dim)
+        block = buf[: stop - first]
+        np.take(centers, assign[first:stop], axis=0, out=block)
+        np.subtract(points[first:stop], block, out=block)
         np.square(block, out=block)
-    return float(diff.sum())
+        skip = start - first * dim
+        return block.ravel()[skip : skip + count].sum()
+
+    return float(_pairwise_sum(leaf_sum, 0, points.size, leaf))
 
 
 def _fill_empty_clusters(assign: np.ndarray, own: np.ndarray, k: int) -> int:
@@ -502,10 +546,13 @@ def kmeans_fit(
     points' squared norms are computed and checked once per fit, before
     the seeding. Every iteration takes each ``_DIST_CHUNK`` block's argmin
     as soon as that block's distances exist, rewriting one block of
-    distances and the same assignment and residual arrays; an iteration
-    that leaves a cluster empty computes the blocks again into the same
-    arrays and keeps only each point's distance to its own center for the
-    refill, so no (n, k) distance matrix is held.
+    distances and the same assignment array; an iteration that leaves a
+    cluster empty computes the blocks again into the same arrays and keeps
+    only each point's distance to its own center for the refill, so no
+    (n, k) distance matrix is held. The inertia is summed one
+    ``_BLOCK_VALUES`` subtree of residuals at a time (:func:`_inertia`),
+    so no (n, dim) array is held either: besides the points, a fit holds
+    a few (n,) arrays.
 
     Args:
         points: (n, dim) array.
@@ -551,11 +598,10 @@ def kmeans_fit(
     centers = pts[idx]
 
     # work arrays of the whole fit, reused by every iteration
-    n, dim = pts.shape
+    n = pts.shape[0]
     assign = np.empty(n, dtype=np.intp)
     prod = np.empty((min(n, _DIST_CHUNK), k), dtype=np.float64)
     block = np.empty_like(prod)
-    diff = np.empty((n, dim), dtype=np.float64)
     history: list[float] = []
     prev = np.inf
     refills = 0
@@ -574,7 +620,7 @@ def kmeans_fit(
             counts = np.bincount(assign, minlength=k)
         # every cluster holds a point after the refill: no division by zero
         centers = cluster_sums(pts, assign, k) / counts[:, None]
-        inertia = _inertia(pts, centers, assign, diff)
+        inertia = _inertia(pts, centers, assign)
         history.append(inertia)
         if np.isfinite(prev) and prev - inertia <= _KMEANS_TOL * prev:
             converged = True
@@ -703,7 +749,9 @@ def _gram_solve(centered: np.ndarray, d: int):
     orthonormal to ``_GRAM_ORTHO_TOL``.
     """
     n = centered.shape[0]
-    eigenvalues, snapshots = _top_eigenpairs(centered @ centered.T / (n - 1), d)
+    gram = centered @ centered.T
+    gram /= n - 1  # in place: no second n x n array
+    eigenvalues, snapshots = _top_eigenpairs(gram, d)
     floor = n * np.finfo(np.float64).eps * eigenvalues[0]
     if eigenvalues[-1] <= 0.0 or eigenvalues[-1] <= floor:
         return None
@@ -773,7 +821,9 @@ def pca_fit(rows, d: int) -> ProjectionBasis:
     centered = np.subtract(mat, mean, out=mat)
     if n >= dim:
         solver = "eig"
-        eigenvalues, vecs = _top_eigenpairs(centered.T @ centered / (n - 1), d)
+        cov = centered.T @ centered
+        cov /= n - 1  # in place: no second dim x dim array
+        eigenvalues, vecs = _top_eigenpairs(cov, d)
     elif (solved := _gram_solve(centered, d)) is not None:
         solver = "gram"
         eigenvalues, vecs = solved

@@ -6,7 +6,8 @@ little-endian struct fields and float32 payloads. Their modules describe
 only the layout; the rules live here, once:
 
 * :func:`atomic_write` makes every write all-or-nothing, the text outputs
-  (CSV through :func:`write_csv`, SVG) included;
+  (CSV through :func:`write_csv`, SVG) included, and :func:`atomic_dir`
+  does the same for a directory of files written one after another;
 * :func:`read_text` is the one text reader: text that is not UTF-8 fails
   as ``DataError`` naming the file and line. :func:`read_json`, the one
   JSON reader, for manifests and the config, reads through it;
@@ -28,6 +29,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -57,6 +59,40 @@ def atomic_write(path, *, overwrite: bool = False):
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
+
+
+@contextmanager
+def atomic_dir(path, *, overwrite: bool = False):
+    """Yield a new, empty directory whose files move into ``path`` when the
+    block finishes.
+
+    The directory is a temporary sibling of ``path``. When the block
+    finishes it becomes ``path`` if there is no such directory yet, or
+    else its files replace their namesakes in ``path`` one by one; when
+    the block raises it is deleted with its files. A failed block thus
+    leaves ``path`` as it was. Refuses, before moving any file, to replace
+    an existing file unless ``overwrite`` is set.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    tmp.mkdir()
+    try:
+        yield tmp
+        if not path.exists():
+            os.replace(tmp, path)
+            return
+        names = sorted(p.name for p in tmp.iterdir())
+        taken = [name for name in names if (path / name).exists()]
+        if taken and not overwrite:
+            raise FileExistsError(f"{path / taken[0]} exists; pass "
+                                  "overwrite=True to replace")
+        for name in names:
+            os.replace(tmp / name, path / name)
+        tmp.rmdir()
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
         raise
 
 

@@ -14,11 +14,14 @@ A manifest is the JSON form of a :class:`DatasetManifest` or
 :class:`QueryManifest`, field for field; feature-file paths are relative
 to the manifest's directory.
 
-A synthetic dataset is drawn once, in memory, by
-:func:`synthesize_videos`. :func:`write_dataset` writes each split
-(``<video_id>.vfeat`` files plus ``manifest.json``) straight from those
-videos, and :func:`make_queries` cuts the query segments from the same
-in-memory videos; neither reads a feature file back.
+A synthetic dataset is drawn one video at a time by
+:func:`synthesize_videos`, whose videos are a one-pass iterator.
+:func:`write_dataset` writes each split (``<video_id>.vfeat`` files plus
+``manifest.json``) straight from such videos, and :func:`make_queries`
+cuts the query segments from them; a split can hand each video to
+:func:`make_queries` as it writes it, so a split and its queries take one
+pass and hold one video at a time, and neither reads a feature file back.
+Each split is written all-or-nothing (:func:`fileio.atomic_dir`).
 :func:`write_features` casts a video's features to float32 once and
 writes the file in one piece.
 
@@ -46,7 +49,7 @@ import numpy as np
 from .aggregation import Video
 from .core_math import _choice_indices
 from .errors import DataError, DimensionMismatch, EmptyInput, VideoTooShort
-from .fileio import Reader, atomic_write, f32_into, read_json
+from .fileio import Reader, atomic_dir, atomic_write, f32_into, read_json
 
 _FEAT_MAGIC = b"VLACFEAT"
 _FEAT_VERSION = 1
@@ -138,9 +141,15 @@ class PerturbationSpec:
 
 def _finite_non_negative(value) -> bool:
     """Whether ``value`` is a real number, not a bool, finite and >= 0."""
-    # compared, not cast: float() overflows on a huge int; NaN fails
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and 0 <= value <= sys.float_info.max)
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    # compared, not cast, and NaN fails. A Python int meets the Python
+    # float bound exactly, where float() overflows on a huge one. A numpy
+    # float meets a float64 bound, which promotes it: numpy would cast the
+    # Python float bound to a float32 or float16 and overflow
+    if isinstance(value, np.floating):
+        return bool(0 <= value <= np.finfo(np.float64).max)
+    return 0 <= value <= sys.float_info.max
 
 
 def write_features(video: Video, path, *, overwrite: bool = False) -> None:
@@ -210,9 +219,13 @@ class SyntheticDataset:
 
     Videos share one vocabulary of Gaussian cluster means; each video has
     its own mixing weights, which is what makes videos distinguishable.
+    ``videos`` is a one-pass iterator that draws each video when it is
+    reached and keeps none of them, and row v of ``mixing_weights`` is
+    filled in when video v is drawn; ``tuple(dataset.videos)`` holds them
+    all.
     """
 
-    videos: tuple[Video, ...]
+    videos: Iterator[Video]
     cluster_means: np.ndarray
     mixing_weights: np.ndarray
     noise_std: float
@@ -229,15 +242,15 @@ def synthesize_videos(
     center_spread: float = 10.0,
     noise_std: float = 0.5,
 ) -> SyntheticDataset:
-    """Draw videos from a shared Gaussian-mixture vocabulary, in memory.
+    """Draw videos from a shared Gaussian-mixture vocabulary, one at a time.
 
     Deterministic under ``seed``, in this draw order: the (clusters,
-    dim) cluster means first; then per video one Dirichlet draw of its
-    mixing weights (concentration ``_MIXING_CONCENTRATION``); then per
-    frame F = ``features_per_frame`` uniforms and F x dim normals of
-    noise (``noise_std``). A video's uniforms are searched on its
-    cluster CDF in one call, and the picked means are added to its noise
-    in one pass.
+    dim) cluster means first, here; then, as the returned dataset's
+    ``videos`` iterator reaches each video, one Dirichlet draw of its
+    mixing weights (concentration ``_MIXING_CONCENTRATION``) and per frame
+    F = ``features_per_frame`` uniforms and F x dim normals of noise
+    (``noise_std``). A video's uniforms are searched on its cluster CDF in
+    one call, and the picked means are added to its noise in one pass.
     The picks are those a per-frame ``Generator.choice(clusters, size=F,
     p=weights)`` makes from the same uniforms, so the stream and every
     byte are the ones that loop gives.
@@ -247,10 +260,23 @@ def synthesize_videos(
     rng = np.random.default_rng(seed)
     means = rng.normal(0.0, center_spread, size=(clusters, dim))
     weights = np.empty((num_videos, clusters), dtype=np.float64)
+    return SyntheticDataset(
+        videos=_draw_videos(rng, means, weights, frames_per_video,
+                            features_per_frame, noise_std),
+        cluster_means=means,
+        mixing_weights=weights,
+        noise_std=noise_std,
+    )
+
+
+def _draw_videos(rng, means, weights, frames_per_video: int,
+                 features_per_frame: int, noise_std: float) -> Iterator[Video]:
+    """The videos of :func:`synthesize_videos`, drawn from ``rng`` as each
+    is reached; video v writes its mixing weights into ``weights[v]``."""
+    clusters, dim = means.shape
     offsets = np.arange(frames_per_video + 1) * features_per_frame
-    videos = []
-    for v in range(num_videos):
-        weights[v] = rng.dirichlet(np.full(clusters, _MIXING_CONCENTRATION))
+    for row in weights:
+        row[:] = rng.dirichlet(np.full(clusters, _MIXING_CONCENTRATION))
         feats = np.empty((offsets[-1], dim), dtype=np.float64)
         uniforms = np.empty((frames_per_video, features_per_frame))
         for t in range(frames_per_video):
@@ -259,39 +285,63 @@ def synthesize_videos(
                 0.0, noise_std, size=(features_per_frame, dim)
             )
         # float addition commutes, so noise + mean has the bits of mean + noise
-        feats += means[_choice_indices(weights[v], uniforms.ravel())]
-        videos.append(Video(feats, np.arange(frames_per_video), offsets))
-    return SyntheticDataset(
-        videos=tuple(videos),
-        cluster_means=means,
-        mixing_weights=weights,
-        noise_std=noise_std,
-    )
+        feats += means[_choice_indices(row, uniforms.ravel())]
+        yield Video(feats, np.arange(frames_per_video), offsets)
 
 
 def write_dataset(
     out_dir, ids, videos, *, fps_sampled: float, notes: str,
-    overwrite: bool = False,
+    overwrite: bool = False, queries: dict | None = None,
 ) -> DatasetManifest:
     """Write each video to ``<id>.vfeat`` in ``out_dir`` plus a manifest.json
-    listing them in order, and return that manifest. The manifest is built
-    first, so one it refuses (a repeated id, a bad ``fps_sampled``) writes
-    no file."""
-    if not videos:
+    listing them in order, and return that manifest.
+
+    ``videos`` is read once, in order, one video at a time, so a lazy
+    iterator (:func:`synthesize_videos`) is written without holding more
+    than the video at hand. The manifest is built once the first video
+    gives the feature dimension and before any file is written, so one it
+    refuses (a repeated id, a bad ``fps_sampled``) writes no file. The
+    split is all-or-nothing (:func:`fileio.atomic_dir`): a video that
+    fails to write, or a count of videos other than of ``ids``, leaves
+    ``out_dir`` as it was.
+
+    ``queries``, when given, holds the arguments of :func:`make_queries`
+    after ``videos``: each video is then handed to it as soon as it is
+    written, and its query split is cut in the same pass and written
+    all-or-nothing within this split's own write.
+    """
+    videos = iter(videos)
+    first = next(videos, None)
+    if first is None:
         raise EmptyInput("a dataset needs at least one video")
     manifest = DatasetManifest(
         videos=tuple(
             VideoEntry(video_id=video_id, feature_file=f"{video_id}.vfeat",
                        fps_sampled=fps_sampled, label="clean")
-            for video_id, _ in zip(ids, videos, strict=True)),
-        feature_dim=videos[0].dim, notes=notes,
+            for video_id in ids),
+        feature_dim=first.dim, notes=notes,
     )
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for entry, video in zip(manifest.videos, videos):
-        write_features(video, out_dir / entry.feature_file, overwrite=overwrite)
-    save_manifest(manifest, out_dir / "manifest.json", overwrite=overwrite)
+    # chain holds its arguments to the end; an exhausted list iterator, unlike
+    # a list, lets go of the first video
+    videos = itertools.chain(iter([first]), videos)
+    del first
+    with atomic_dir(out_dir, overwrite=overwrite) as stage:
+        written = _write_each(stage, manifest.videos, videos)
+        if queries is None:
+            for _ in written:
+                pass
+        else:
+            make_queries(manifest, written, overwrite=overwrite, **queries)
+        save_manifest(manifest, stage / "manifest.json")
     return manifest
+
+
+def _write_each(out_dir: Path, entries, videos) -> Iterator[Video]:
+    """Write each video to its entry's feature file in ``out_dir`` and then
+    yield it; ValueError when the counts of entries and videos differ."""
+    for entry, video in zip(entries, videos, strict=True):
+        write_features(video, out_dir / entry.feature_file)
+        yield video
 
 
 def perturb(video: Video, spec: PerturbationSpec) -> Video:
@@ -347,13 +397,17 @@ def make_queries(
     """Cut one query segment per manifest video, emulating a sampling-grid
     shift, and write the segments plus a manifest.json to ``out_dir``.
 
-    ``videos`` are the manifest's videos in manifest order, in memory. The
+    ``videos`` are the manifest's videos in manifest order, read once,
+    one at a time: each video's segment is cut and written before the
+    next video is read, so a lazy iterator is never held whole. The
     extraction start is drawn per video from a seeded stream and then
     shifted by ``offset_frames`` against the database grid (the paper's
     sub-frame 0.25 s shift is approximated by integer start jitter). Query
     frames are re-indexed from 0. The ground-truth source video id is
-    recorded on each query entry. Every segment is cut and the manifest
-    built before any file is written.
+    recorded on each query entry. The query split is all-or-nothing
+    (:func:`fileio.atomic_dir`): a video too short for its segment, a
+    segment that fails to write, or a count of videos other than the
+    manifest's leaves ``out_dir`` as it was.
     """
     if segment_len_frames < 1:
         raise DataError("segment_len_frames must be >= 1")
@@ -361,36 +415,32 @@ def make_queries(
         raise DataError("offset_frames must be >= 0")
     rng = np.random.default_rng(seed)
     span = segment_len_frames + offset_frames
-    entries, segments = [], []
-    for entry, video in zip(manifest.videos, videos, strict=True):
-        if len(video) < span:
-            raise VideoTooShort(
-                f"{entry.video_id} has {len(video)} frames, needs {span}"
-            )
-        start = int(rng.integers(0, len(video) - span + 1)) + offset_frames
-        stop = start + segment_len_frames
-        segments.append(Video(
-            video.features[video.rows(start, stop)],
-            np.arange(segment_len_frames),
-            video.offsets[start : stop + 1] - video.offsets[start],
-        ))
-        entries.append(QueryEntry(
-            query_id=f"{entry.video_id}_q",
-            feature_file=f"{entry.video_id}_q.vfeat",
-            fps_sampled=entry.fps_sampled,
-            label=entry.label,
-            source_video_id=entry.video_id,
-            start_frame=start,
-        ))
-    qmanifest = QueryManifest(
-        queries=tuple(entries), feature_dim=manifest.feature_dim
-    )
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for query, segment in zip(qmanifest.queries, segments):
-        write_features(segment, out_dir / query.feature_file,
-                       overwrite=overwrite)
-    save_query_manifest(qmanifest, out_dir / "manifest.json", overwrite=overwrite)
+    entries = []
+    with atomic_dir(out_dir, overwrite=overwrite) as stage:
+        for entry, video in zip(manifest.videos, videos, strict=True):
+            if len(video) < span:
+                raise VideoTooShort(
+                    f"{entry.video_id} has {len(video)} frames, needs {span}"
+                )
+            start = int(rng.integers(0, len(video) - span + 1)) + offset_frames
+            stop = start + segment_len_frames
+            entries.append(QueryEntry(
+                query_id=f"{entry.video_id}_q",
+                feature_file=f"{entry.video_id}_q.vfeat",
+                fps_sampled=entry.fps_sampled,
+                label=entry.label,
+                source_video_id=entry.video_id,
+                start_frame=start,
+            ))
+            write_features(
+                Video(video.features[video.rows(start, stop)],
+                      np.arange(segment_len_frames),
+                      video.offsets[start : stop + 1] - video.offsets[start]),
+                stage / entries[-1].feature_file)
+        qmanifest = QueryManifest(
+            queries=tuple(entries), feature_dim=manifest.feature_dim
+        )
+        save_query_manifest(qmanifest, stage / "manifest.json")
     return qmanifest
 
 

@@ -21,7 +21,7 @@ from vlac import (
     load_model,
     save_model,
 )
-from vlac import cli, core_math
+from vlac import cli, core_math, ingestion
 from vlac.aggregation import encode_video
 from vlac.cli import RESULTS_CSV_COLUMNS, build_parser, load_config, main
 from vlac.ingestion import load_features, write_features
@@ -160,6 +160,58 @@ class TestSynth:
     def test_query_as_long_as_video_accepted(self, tmp_path):
         assert run(*SYNTH, "--data-root", tmp_path, "--frames", "17",
                    "--segment-len", "16", "--offset", "1") == 0
+
+    def test_spread_beyond_float32_writes_no_feature_file(self, tmp_path,
+                                                          capsys):
+        capsys.readouterr()
+        assert run(*SYNTH, "--data-root", tmp_path,
+                   "--center-spread", "1e39") == 2
+        event = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert "holds a non-finite value" in event["message"]
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+    # at this seed the first video beyond float32's range is video_005, the
+    # second of the test split: the test split used to keep video_004.vfeat
+    # with no manifest
+    def test_failed_split_leaves_earlier_splits_whole(self, tmp_path):
+        assert run(*SYNTH, "--data-root", tmp_path, "--clusters", "128",
+                   "--center-spread", "1e38", "--seed", "77") == 2
+        assert sorted(p.relative_to(tmp_path).as_posix()
+                      for p in tmp_path.rglob("*")) == [
+            "train", "train/manifest.json",
+            *(f"train/video_{v:03d}.vfeat" for v in range(4))]
+
+    def test_holds_one_video_at_a_time(self, tmp_path, monkeypatch):
+        """tracemalloc, unlike RSS, counts the same bytes on every run."""
+        frames, features, dim, videos = 20, 100, 16, 20
+        video_bytes = frames * features * dim * 8
+        held = []
+
+        def measured(video, path, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return write_features(video, path, **kwargs)
+
+        # a first run imports what synth imports lazily, so the measured
+        # run counts only the videos
+        assert run(*SYNTH, "--data-root", tmp_path / "warm") == 0
+        monkeypatch.setattr(ingestion, "write_features", measured)
+        tracemalloc.start()
+        try:
+            code = run("synth", "--data-root", tmp_path, "--videos", videos,
+                       "--train-videos", "2", "--frames", frames, "--dim",
+                       dim, "--features-per-frame", features,
+                       "--segment-len", "10")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every video and every query segment
+        assert code == 0 and len(held) == 2 * videos + 2
+        # the video being written, and the one before it, which its
+        # consumer's loop holds until the next is drawn; all 22 videos at
+        # once came to 22 videos' bytes
+        assert max(held) <= 3 * video_bytes
+        # drawing a video adds about two videos' bytes of temporaries
+        assert peak <= 5 * video_bytes
 
 
 class TestTrain:

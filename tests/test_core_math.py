@@ -216,11 +216,11 @@ class TestKMeans:
         assert result.inertia_history == history
 
     def test_lloyd_holds_no_distance_matrix(self, monkeypatch):
-        # one (n, k) float64 matrix is 10.24 MB here; the seeding, whose
-        # kept cumulative sums alone take about 10 MB, is drawn ahead, so
-        # only the Lloyd iterations are measured. Spread-out rows never
-        # empty a cluster; 40 distinct rows and k = 64 empty some in every
-        # iteration, so the refill is measured too
+        # one (n, k) float64 matrix is 10.24 MB here; the seeding is drawn
+        # ahead, so only the Lloyd iterations are measured (the whole fit
+        # is bounded in test_fit_holds_no_input_sized_array). Spread-out
+        # rows never empty a cluster; 40 distinct rows and k = 64 empty
+        # some in every iteration, so the refill is measured too
         n, k = 20_000, 64
         rng = np.random.default_rng(7)
         spread = rng.normal(size=(n, 8))
@@ -236,6 +236,22 @@ class TestKMeans:
                 tracemalloc.stop()
             assert (result.refills > 0) == refilled
             assert peak < n * k * 8
+
+    def test_fit_holds_no_input_sized_array(self, monkeypatch):
+        # the pooled codebook shape of the build workload: the seeding's
+        # (k - 1, n) cumulative sums and Lloyd's (n, dim) residuals were
+        # each as large as the input (28.7 MB), and the whole fit peaked at
+        # 38.2 MB; now it holds rows, blocks and chunks only
+        points = np.random.default_rng(8).normal(size=(56_000, 64))
+        monkeypatch.setattr(core_math, "_KMEANS_MAX_ITER", 2)
+        tracemalloc.start()
+        try:
+            result = kmeans_fit(points, 64, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.inertia_history) == 2
+        assert peak < points.nbytes / 2
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 300), dim=st.integers(1, 64),
@@ -444,6 +460,69 @@ class TestKMeans:
         assert result.centers.shape == (3, 2)
         assert np.isfinite(result.centers).all()
         assert result.refills > 0
+
+
+@st.composite
+def inertia_cases(draw):
+    """Points, centers and an assignment whose n * dim is below numpy's
+    8-way unroll, within one 128-value leaf, just above ``_BLOCK_VALUES``
+    or several blocks deep; dim = 1 in a share of them."""
+    size = draw(st.sampled_from(["below_8", "one_leaf", "above_block",
+                                 "deep"]), label="size")
+    dim = draw(st.sampled_from([1, draw(st.integers(1, 130))]), label="dim")
+    if size == "below_8":
+        dim = min(dim, 7)
+        values = draw(st.integers(1, 7 // dim * dim))
+    elif size == "one_leaf":
+        dim = min(dim, 128)
+        values = draw(st.integers(1, 128))
+    elif size == "above_block":
+        values = core_math._BLOCK_VALUES + draw(st.integers(1, 2 * dim + 8))
+    else:
+        values = draw(st.integers(2, 8)) * core_math._BLOCK_VALUES + draw(
+            st.integers(0, 999))
+    n = max(1, values // dim)
+    k = draw(st.integers(1, min(n, 20)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4)
+    centers = rng.normal(size=(k, dim))
+    return points, centers, rng.integers(0, k, size=n)
+
+
+class TestInertia:
+    """``_inertia`` is ``np.sum((points - centers[assign]) ** 2)`` bit for
+    bit. It relies on how numpy sums a contiguous float64 array: pairwise,
+    split at half the count rounded down to a multiple of 8 while a run
+    holds more than 128 values (numpy's PW_BLOCKSIZE), and each run of at
+    most 128 added eight ways. A numpy that sums in another order fails
+    here."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=inertia_cases(),
+           block=st.sampled_from([None, 1, 5, 127, 128, 129, 1000]))
+    def test_matches_numpy_sum(self, case, block):
+        # block=None keeps the module's _BLOCK_VALUES; a block below 128
+        # must still leave numpy's own leaves whole
+        points, centers, assign = case
+        want = float(np.sum((points - centers[assign]) ** 2))
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(core_math, "_BLOCK_VALUES", block)
+            got = core_math._inertia(points, centers, assign)
+        assert got == want
+
+    def test_tree_differs_from_block_sums(self):
+        # adding per-block sums in order is not the same sum: the property
+        # above would catch a walk that dropped numpy's tree
+        points = np.random.default_rng(0).normal(size=(5000, 33)) * 1e3
+        centers, assign = points[:1] * 0.0, np.zeros(5000, dtype=np.intp)
+        flat = (points ** 2).ravel()
+        step = core_math._BLOCK_VALUES
+        blockwise = 0.0
+        for start in range(0, flat.size, step):
+            blockwise += flat[start : start + step].sum()
+        assert core_math._inertia(points, centers, assign) == flat.sum()
+        assert blockwise != flat.sum()
 
 
 class TestQuantize:

@@ -49,11 +49,12 @@ def write_synthetic(out_dir, num_videos, frames_per_video, dim, clusters,
                     seed):
     """Synthesize videos, write them as a dataset, return the manifest and
     the in-memory videos."""
-    data = synthesize_videos(num_videos, frames_per_video, dim, clusters, seed)
+    videos = tuple(synthesize_videos(num_videos, frames_per_video, dim,
+                                     clusters, seed).videos)
     ids = [f"video_{v:03d}" for v in range(num_videos)]
-    manifest = write_dataset(out_dir, ids, data.videos, fps_sampled=1.0 / 3.0,
+    manifest = write_dataset(out_dir, ids, videos, fps_sampled=1.0 / 3.0,
                              notes="")
-    return manifest, data.videos
+    return manifest, videos
 
 
 @st.composite
@@ -291,10 +292,11 @@ class TestSynthesize:
         data = synthesize_videos(*args, features_per_frame=features_per_frame)
         reference = synthesize_by_choice(
             *args, features_per_frame=features_per_frame)
-        assert np.array_equal(data.mixing_weights, reference.mixing_weights)
         for video, expected in zip(data.videos, reference.videos, strict=True):
             assert video.features.tobytes() == expected.features.tobytes()
             assert np.array_equal(video.offsets, expected.offsets)
+        # each video's weights are filled in as it is drawn
+        assert np.array_equal(data.mixing_weights, reference.mixing_weights)
 
     def test_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a"
@@ -328,8 +330,9 @@ class TestSynthesize:
             2, 30, 8, clusters=4, seed=6, features_per_frame=40,
             center_spread=25.0, noise_std=0.5,
         )
+        videos = tuple(data.videos)  # draws the weights too
         expected = data.mixing_weights @ data.cluster_means
-        for v, video in enumerate(data.videos):
+        for v, video in enumerate(videos):
             err = np.linalg.norm(video.features.mean(axis=0) - expected[v])
             assert err < 5.0  # sampling error of the mixture, not spread
         separation = np.linalg.norm(expected[0] - expected[1])
@@ -497,6 +500,17 @@ class TestMakeQueries:
                          segment_len_frames=4, offset_frames=0, seed=0)
         assert not (tmp_path / "q").exists()
 
+    def test_segment_that_fails_to_write_writes_nothing(self, tmp_path):
+        manifest, videos = self.make_dataset(tmp_path)
+        bad = videos[2]
+        bad = Video(bad.features.copy(), bad.frame_index, bad.offsets)
+        bad.features[:] = 1e39  # every segment of it is beyond float32
+        with pytest.raises(DataError, match="holds a non-finite value"):
+            make_queries(manifest, [*videos[:2], bad], tmp_path / "q",
+                         segment_len_frames=4, offset_frames=0, seed=0)
+        assert not (tmp_path / "q").exists()
+        assert [p for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
 
 class TestManifests:
     def test_json_round_trip(self, tmp_path):
@@ -556,6 +570,26 @@ class TestManifests:
             query = QueryEntry("q", "q.vfeat", fps, "x", "v", 0)
             assert type(query.fps_sampled) is float
 
+    # a float32 or float16 value used to raise "overflow encountered in
+    # cast" (an error under this suite's warning filter): the Python float
+    # bound it was compared with was cast to its type
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.float16(0.5),
+                                       np.float32(0.0), np.longdouble(2.5)])
+    def test_narrow_numpy_floats_accepted(self, value):
+        assert VideoEntry("v", "v.vfeat", value, "x").fps_sampled == value
+        assert QueryEntry("q", "q.vfeat", value, "x", "v", 0).fps_sampled \
+            == value
+        assert PerturbationSpec("gain", value, 0).magnitude == value
+
+    @pytest.mark.parametrize("value", [
+        np.float32(np.inf), np.float16(np.nan), np.float32(-0.5),
+        np.longdouble("1e400"), 10**400, -(10**400)])
+    def test_out_of_range_values_refused(self, value):
+        with pytest.raises(DataError, match="fps_sampled must be a finite"):
+            VideoEntry("v", "v.vfeat", value, "x")
+        with pytest.raises(DataError, match="magnitude must be a real"):
+            PerturbationSpec("gain", value, 0)
+
     # fps_sampled=-1.0 used to write both feature files and a manifest that
     # load_manifest refused, and ids ["a", "a"] raised only after a.vfeat
     @pytest.mark.parametrize("ids,fps", [(["a", "b"], -1.0),
@@ -567,6 +601,81 @@ class TestManifests:
         with pytest.raises(DataError):
             write_dataset(tmp_path / "d", ids, videos, fps_sampled=fps,
                           notes="")
+        assert list(tmp_path.iterdir()) == []
+
+    # a video beyond float32's range used to fail only after the videos
+    # before it were written, leaving a.vfeat with no manifest
+    def test_failed_split_writes_nothing(self, tmp_path):
+        rng = np.random.default_rng(4)
+        good, bad = make_video(rng, 3, 2), make_video(rng, 3, 2)
+        bad.features[4, 1] = 1e39
+        with pytest.raises(DataError, match="holds a non-finite value"):
+            write_dataset(tmp_path / "d", ["a", "b"], [good, bad],
+                          fps_sampled=1.0, notes="")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_split_keeps_existing_files(self, tmp_path):
+        rng = np.random.default_rng(5)
+        videos = [make_video(rng, 3, 2) for _ in range(2)]
+        write_dataset(tmp_path / "d", ["a", "b"], videos, fps_sampled=1.0,
+                      notes="first")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()}
+        fresh = [make_video(rng, 3, 2) for _ in range(2)]
+        fresh[1].features[0, 0] = 1e39
+        with pytest.raises(DataError):
+            write_dataset(tmp_path / "d", ["a", "b"], fresh, fps_sampled=2.0,
+                          notes="second", overwrite=True)
+        after = {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()}
+        assert after == before
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
+    def test_refused_overwrite_keeps_existing_files(self, tmp_path):
+        rng = np.random.default_rng(6)
+        videos = [make_video(rng, 3, 2) for _ in range(2)]
+        write_dataset(tmp_path / "d", ["a", "b"], videos, fps_sampled=1.0,
+                      notes="")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()}
+        with pytest.raises(FileExistsError):
+            write_dataset(tmp_path / "d", ["a", "b"], videos[::-1],
+                          fps_sampled=1.0, notes="")
+        after = {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()}
+        assert after == before
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_video_count_other_than_ids_writes_nothing(self, tmp_path, count):
+        rng = np.random.default_rng(7)
+        videos = (make_video(rng, 3, 2) for _ in range(count))
+        with pytest.raises(ValueError):
+            write_dataset(tmp_path / "d", ["a", "b"], videos, fps_sampled=1.0,
+                          notes="")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_split_with_queries_matches_two_calls(self, tmp_path):
+        # one pass that hands each written video to make_queries gives the
+        # bytes of writing the split and then cutting its queries
+        videos = tuple(synthesize_videos(3, 8, 2, 2, seed=3).videos)
+        cut = dict(segment_len_frames=4, offset_frames=1, seed=9)
+        manifest = write_dataset(tmp_path / "one", ["a", "b", "c"],
+                                 iter(videos), fps_sampled=1.0, notes="",
+                                 queries=dict(out_dir=tmp_path / "one_q", **cut))
+        write_dataset(tmp_path / "two", ["a", "b", "c"], videos,
+                      fps_sampled=1.0, notes="")
+        make_queries(manifest, videos, tmp_path / "two_q", **cut)
+        for one, two in [("one", "two"), ("one_q", "two_q")]:
+            names = sorted(p.name for p in (tmp_path / one).iterdir())
+            assert names == sorted(p.name for p in (tmp_path / two).iterdir())
+            for name in names:
+                assert ((tmp_path / one / name).read_bytes()
+                        == (tmp_path / two / name).read_bytes())
+
+    def test_failed_query_cut_writes_neither_split(self, tmp_path):
+        rng = np.random.default_rng(8)
+        videos = [make_video(rng, 6, 2), make_video(rng, 3, 2)]
+        with pytest.raises(VideoTooShort):
+            write_dataset(tmp_path / "d", ["a", "b"], videos, fps_sampled=1.0,
+                          notes="", queries=dict(
+                              out_dir=tmp_path / "q", segment_len_frames=4,
+                              offset_frames=0, seed=0))
         assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_ids_rejected(self):
