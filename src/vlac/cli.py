@@ -178,13 +178,13 @@ def cmd_synth(args) -> int:
     # drawn, written (a test video with its query segment) and dropped
     # before the next is drawn
     count = args.train_videos + args.videos
-    data = synthesize_videos(
+    drawn = synthesize_videos(
         count, args.frames, args.dim, args.clusters, args.seed,
         features_per_frame=args.features_per_frame,
         center_spread=args.center_spread, noise_std=args.noise_std,
     )
     draw_s = [time.perf_counter() - start]
-    videos = _timed(data.videos, draw_s)
+    videos = _timed(drawn, draw_s)
     ids = [f"video_{v:03d}" for v in range(count)]
     cut = args.train_videos
     train_manifest = write_dataset(

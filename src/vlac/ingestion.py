@@ -15,7 +15,7 @@ A manifest is the JSON form of a :class:`DatasetManifest` or
 to the manifest's directory.
 
 A synthetic dataset is drawn one video at a time by
-:func:`synthesize_videos`, whose videos are a one-pass iterator.
+:func:`synthesize_videos`, which returns a one-pass iterator of videos.
 :func:`write_dataset` writes each split (``<video_id>.vfeat`` files plus
 ``manifest.json``) straight from such videos, and :func:`make_queries`
 cuts the query segments from them; a split can hand each video to
@@ -213,24 +213,6 @@ def load_features(path, *, expected_dim: int | None = None) -> Video:
         raise DataError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class SyntheticDataset:
-    """Synthetic videos plus the generator parameters that produced them.
-
-    Videos share one vocabulary of Gaussian cluster means; each video has
-    its own mixing weights, which is what makes videos distinguishable.
-    ``videos`` is a one-pass iterator that draws each video when it is
-    reached and keeps none of them, and row v of ``mixing_weights`` is
-    filled in when video v is drawn; ``tuple(dataset.videos)`` holds them
-    all.
-    """
-
-    videos: Iterator[Video]
-    cluster_means: np.ndarray
-    mixing_weights: np.ndarray
-    noise_std: float
-
-
 def synthesize_videos(
     num_videos: int,
     frames_per_video: int,
@@ -241,13 +223,18 @@ def synthesize_videos(
     features_per_frame: int = 15,
     center_spread: float = 10.0,
     noise_std: float = 0.5,
-) -> SyntheticDataset:
+) -> Iterator[Video]:
     """Draw videos from a shared Gaussian-mixture vocabulary, one at a time.
 
+    Videos share one vocabulary of Gaussian cluster means; each video has
+    its own mixing weights, which is what makes videos distinguishable.
+    Returns a one-pass iterator that draws each video when it is reached
+    and keeps none of them; ``tuple(...)`` of it holds them all.
+
     Deterministic under ``seed``, in this draw order: the (clusters,
-    dim) cluster means first, here; then, as the returned dataset's
-    ``videos`` iterator reaches each video, one Dirichlet draw of its
-    mixing weights (concentration ``_MIXING_CONCENTRATION``) and per frame
+    dim) cluster means first, here, after the counts are checked; then, as
+    the iterator reaches each video, one Dirichlet draw of its mixing
+    weights (concentration ``_MIXING_CONCENTRATION``) and per frame
     F = ``features_per_frame`` uniforms and F x dim normals of noise
     (``noise_std``). A video's uniforms are searched on its cluster CDF in
     one call, and the picked means are added to its noise in one pass.
@@ -259,24 +246,18 @@ def synthesize_videos(
         raise DataError("all synthesis counts must be >= 1")
     rng = np.random.default_rng(seed)
     means = rng.normal(0.0, center_spread, size=(clusters, dim))
-    weights = np.empty((num_videos, clusters), dtype=np.float64)
-    return SyntheticDataset(
-        videos=_draw_videos(rng, means, weights, frames_per_video,
-                            features_per_frame, noise_std),
-        cluster_means=means,
-        mixing_weights=weights,
-        noise_std=noise_std,
-    )
+    return _draw_videos(rng, means, num_videos, frames_per_video,
+                        features_per_frame, noise_std)
 
 
-def _draw_videos(rng, means, weights, frames_per_video: int,
+def _draw_videos(rng, means, num_videos: int, frames_per_video: int,
                  features_per_frame: int, noise_std: float) -> Iterator[Video]:
     """The videos of :func:`synthesize_videos`, drawn from ``rng`` as each
-    is reached; video v writes its mixing weights into ``weights[v]``."""
+    is reached."""
     clusters, dim = means.shape
     offsets = np.arange(frames_per_video + 1) * features_per_frame
-    for row in weights:
-        row[:] = rng.dirichlet(np.full(clusters, _MIXING_CONCENTRATION))
+    for _ in range(num_videos):
+        weights = rng.dirichlet(np.full(clusters, _MIXING_CONCENTRATION))
         feats = np.empty((offsets[-1], dim), dtype=np.float64)
         uniforms = np.empty((frames_per_video, features_per_frame))
         for t in range(frames_per_video):
@@ -285,7 +266,7 @@ def _draw_videos(rng, means, weights, frames_per_video: int,
                 0.0, noise_std, size=(features_per_frame, dim)
             )
         # float addition commutes, so noise + mean has the bits of mean + noise
-        feats += means[_choice_indices(row, uniforms.ravel())]
+        feats += means[_choice_indices(weights, uniforms.ravel())]
         yield Video(feats, np.arange(frames_per_video), offsets)
 
 

@@ -13,7 +13,6 @@ from vlac.ingestion import (
     _FEAT_VERSION,
     _FRAME_HEADER,
     _MIXING_CONCENTRATION,
-    SyntheticDataset,
 )
 
 
@@ -44,7 +43,9 @@ def synthesize_by_choice(num_videos, frames_per_video, dim, clusters, seed,
                          *, features_per_frame=15, center_spread=10.0,
                          noise_std=0.5):
     """The per-frame ``Generator.choice`` synthesis loop, kept as the
-    reference for ``synthesize_videos``."""
+    reference for ``synthesize_videos``: its videos as a tuple, the
+    (clusters, dim) cluster means and the (num_videos, clusters) mixing
+    weights."""
     rng = np.random.default_rng(seed)
     means = rng.normal(0.0, center_spread, size=(clusters, dim))
     weights = np.empty((num_videos, clusters), dtype=np.float64)
@@ -59,8 +60,7 @@ def synthesize_by_choice(num_videos, frames_per_video, dim, clusters, seed,
                 0.0, noise_std, size=(features_per_frame, dim)
             )
         videos.append(Video(feats, np.arange(frames_per_video), offsets))
-    return SyntheticDataset(videos=tuple(videos), cluster_means=means,
-                            mixing_weights=weights, noise_std=noise_std)
+    return tuple(videos), means, weights
 
 
 def frames_of(video):

@@ -783,7 +783,7 @@ class TestTrainHpReference:
     def test_matches_one_window_path(self, normalize):
         # the stability workload's data and model dims: every fit is tall
         videos = tuple(synthesize_videos(20, 60, 32, 32, 17,
-                                         features_per_frame=20).videos)
+                                         features_per_frame=20))
         p = params(alpha1=32, d0=32, alpha2=8, h=16, d=32, gof_size=5,
                    overlap=1, seed=4, normalize=normalize)
         model = train_hp(videos, p)

@@ -167,9 +167,9 @@ class TestKMeans:
     @settings(max_examples=100, deadline=None)
     @given(case=kmeans_cases())
     def test_bit_identical_to_reference_across_chunks(self, case):
-        # 7-row distance chunks and 5-value residual blocks put their
-        # boundaries inside the data, so the reused work arrays are checked
-        # across chunks too
+        # 7-row distance chunks and 5-value cache blocks (the residual
+        # sums and the scatter-add's rows) put their boundaries inside the
+        # data, so both are checked across chunks too
         points, k, seed = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core_math, "_DIST_CHUNK", 7)
@@ -392,14 +392,21 @@ class TestKMeans:
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(1, 80), dim=st.integers(1, 6), k=st.integers(1, 9),
-           seed=st.integers(0, 2**32 - 1))
-    def test_cluster_sums_match_masked_sums(self, n, dim, k, seed):
+           seed=st.integers(0, 2**32 - 1),
+           block=st.sampled_from([None, 1, 7]))
+    def test_cluster_sums_match_masked_sums(self, n, dim, k, seed, block):
+        # block=None keeps the module's _BLOCK_VALUES; 1 and 7 put the
+        # scatter-add's row blocks inside the data
         rng = np.random.default_rng(seed)
         points = rng.normal(size=(n, dim))
         assign = rng.integers(0, k, size=n)
         expected = np.stack([points[assign == j].sum(axis=0)
                              for j in range(k)])
-        assert np.array_equal(cluster_sums(points, assign, k), expected)
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(core_math, "_BLOCK_VALUES", block)
+            got = cluster_sums(points, assign, k)
+        assert np.array_equal(got, expected)
 
     def test_reports_convergence_and_refills(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -435,6 +442,8 @@ class TestKMeans:
             kmeans_fit(np.array([[1.0], [2.0]]), 3, seed=0)
         with pytest.raises(DimensionMismatch):
             kmeans_fit([np.array([1.0]), np.array([1.0, 2.0])], 1, seed=0)
+        with pytest.raises(DimensionMismatch, match="dim >= 1"):
+            kmeans_fit(np.empty((5, 0)), 2, seed=0)
 
     def test_deterministic_rerun_bit_identical(self):
         rng = np.random.default_rng(7)

@@ -247,11 +247,10 @@ def desk_params(d, **kw):
 
 @pytest.fixture(scope="module")
 def videos():
-    data = synthesize_videos(
+    return list(synthesize_videos(
         4, 15, 6, clusters=5, seed=13, features_per_frame=10,
         center_spread=6.0, noise_std=0.8,
-    )
-    return list(data.videos)
+    ))
 
 
 def stability_score(videos, spec, method, params):

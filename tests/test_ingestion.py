@@ -50,7 +50,7 @@ def write_synthetic(out_dir, num_videos, frames_per_video, dim, clusters,
     """Synthesize videos, write them as a dataset, return the manifest and
     the in-memory videos."""
     videos = tuple(synthesize_videos(num_videos, frames_per_video, dim,
-                                     clusters, seed).videos)
+                                     clusters, seed))
     ids = [f"video_{v:03d}" for v in range(num_videos)]
     manifest = write_dataset(out_dir, ids, videos, fps_sampled=1.0 / 3.0,
                              notes="")
@@ -289,14 +289,13 @@ class TestSynthesize:
             self, num_videos, frames, dim, clusters, features_per_frame,
             seed):
         args = (num_videos, frames, dim, clusters, seed)
-        data = synthesize_videos(*args, features_per_frame=features_per_frame)
-        reference = synthesize_by_choice(
+        videos = synthesize_videos(*args,
+                                   features_per_frame=features_per_frame)
+        reference, _, _ = synthesize_by_choice(
             *args, features_per_frame=features_per_frame)
-        for video, expected in zip(data.videos, reference.videos, strict=True):
+        for video, expected in zip(videos, reference, strict=True):
             assert video.features.tobytes() == expected.features.tobytes()
             assert np.array_equal(video.offsets, expected.offsets)
-        # each video's weights are filled in as it is drawn
-        assert np.array_equal(data.mixing_weights, reference.mixing_weights)
 
     def test_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a"
@@ -310,33 +309,39 @@ class TestSynthesize:
     def test_different_seeds_differ(self):
         x = synthesize_videos(2, 3, 4, 2, seed=0)
         y = synthesize_videos(2, 3, 4, 2, seed=1)
-        mean_x = np.concatenate([v.features for v in x.videos]).mean(axis=0)
-        mean_y = np.concatenate([v.features for v in y.videos]).mean(axis=0)
+        mean_x = np.concatenate([v.features for v in x]).mean(axis=0)
+        mean_y = np.concatenate([v.features for v in y]).mean(axis=0)
         assert not np.allclose(mean_x, mean_y)
 
     def test_single_cluster_zero_variance(self):
-        data = synthesize_videos(2, 3, 4, clusters=1, seed=5, noise_std=0.0)
-        for video in data.videos:
+        # the means come from the reference loop, which draws the same bits
+        args = (2, 3, 4, 1, 5)
+        videos = tuple(synthesize_videos(*args, noise_std=0.0))
+        reference, means, _ = synthesize_by_choice(*args, noise_std=0.0)
+        for video, expected in zip(videos, reference, strict=True):
+            assert video.features.tobytes() == expected.features.tobytes()
             np.testing.assert_array_equal(
-                video.features, np.broadcast_to(
-                    data.cluster_means[0], video.features.shape)
+                video.features, np.broadcast_to(means[0], video.features.shape)
             )
 
     def test_video_means_follow_mixing_weights(self):
         # pooled video mean approaches sum_c w_c * mean_c; with
         # well-separated means two videos with different weights sit
-        # further apart than the within-cluster noise
-        data = synthesize_videos(
-            2, 30, 8, clusters=4, seed=6, features_per_frame=40,
-            center_spread=25.0, noise_std=0.5,
-        )
-        videos = tuple(data.videos)  # draws the weights too
-        expected = data.mixing_weights @ data.cluster_means
+        # further apart than the within-cluster noise. The means and
+        # weights come from the reference loop, which draws the same bits
+        args = (2, 30, 8, 4, 6)
+        kwargs = dict(features_per_frame=40, center_spread=25.0,
+                      noise_std=0.5)
+        videos = tuple(synthesize_videos(*args, **kwargs))
+        reference, means, weights = synthesize_by_choice(*args, **kwargs)
+        for video, ref in zip(videos, reference, strict=True):
+            assert video.features.tobytes() == ref.features.tobytes()
+        expected = weights @ means
         for v, video in enumerate(videos):
             err = np.linalg.norm(video.features.mean(axis=0) - expected[v])
             assert err < 5.0  # sampling error of the mixture, not spread
         separation = np.linalg.norm(expected[0] - expected[1])
-        assert separation > data.noise_std
+        assert separation > kwargs["noise_std"]
 
     def test_manifest_written(self, tmp_path):
         manifest, _ = write_synthetic(
@@ -653,7 +658,7 @@ class TestManifests:
     def test_split_with_queries_matches_two_calls(self, tmp_path):
         # one pass that hands each written video to make_queries gives the
         # bytes of writing the split and then cutting its queries
-        videos = tuple(synthesize_videos(3, 8, 2, 2, seed=3).videos)
+        videos = tuple(synthesize_videos(3, 8, 2, 2, seed=3))
         cut = dict(segment_len_frames=4, offset_frames=1, seed=9)
         manifest = write_dataset(tmp_path / "one", ["a", "b", "c"],
                                  iter(videos), fps_sampled=1.0, notes="",
