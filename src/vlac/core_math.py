@@ -17,13 +17,13 @@ reruns alone on the direct distances, so the drawn indices, and with them
 every fit, are always those of the direct path. A single fit is the
 one-window case.
 
-Lloyd iterations compute their distances one row chunk at a time, in two
-chunk-sized buffers per pass. Each chunk's nearest centers are taken as
-soon as its distances exist, and an empty-cluster refill gathers each
-point's distance to its own center from the same chunks, so no (n, k)
-distance matrix is ever held. The inertia follows numpy's pairwise
-summation tree one cache-sized subtree at a time, so no (n, dim) residual
-array is held either.
+Lloyd iterations compute their distances ``_BLOCK_VALUES // k`` rows at a
+time, in two chunk-sized buffers per pass. Each chunk's nearest centers
+are taken as soon as its distances exist, and an empty-cluster refill
+gathers each point's distance to its own center from the same chunks, so
+no (n, k) distance matrix is ever held. The inertia follows numpy's
+pairwise summation tree one cache-sized subtree at a time, so no (n, dim)
+residual array is held either.
 
 One helper, :func:`_choice_indices`, takes the steps ``Generator.choice``
 takes with ``p=``, for k-means++ draws and for synthetic cluster picks.
@@ -56,9 +56,6 @@ _GRAM_ORTHO_TOL = 1e-9
 # fraction of the previous inertia, or after this many iterations.
 _KMEANS_TOL = 1e-4
 _KMEANS_MAX_ITER = 100
-
-# Row chunk for pairwise distance computations, bounds peak memory.
-_DIST_CHUNK = 4096
 
 # Values per block of an elementwise pass that should stay in cache.
 _BLOCK_VALUES = 1 << 15
@@ -168,14 +165,14 @@ def _sq_norms(points: np.ndarray) -> np.ndarray:
 
 
 def _finite_sq_norms(points: np.ndarray, name: str) -> np.ndarray:
-    """:func:`_sq_norms`, refusing a norm beyond float64's range.
-
-    ``einsum`` turns such a norm into inf without a warning; every
-    distance to it would then be inf or NaN and its nearest center index
-    0, so a DataError naming ``name`` is raised instead.
-    """
+    """:func:`_sq_norms`, refusing a norm that is not finite, which
+    ``einsum`` gives without a warning and which would make every distance
+    to it inf or NaN. The DataError names ``name`` and, from a scan of the
+    values made only then, says whether one is not finite or a norm
+    overflowed."""
     norms = _sq_norms(points)
     if not np.isfinite(norms).all():
+        _check_finite(points, name)
         raise DataError(f"{name} have a squared norm beyond float64's range")
     return norms
 
@@ -196,28 +193,30 @@ def _check_distance_range(x2: np.ndarray, c2: np.ndarray, name: str) -> None:
 
 def _dist_blocks(points, centers, x2=None):
     """Squared Euclidean distances ``(x2 + c2) - 2 * points @ centers.T``,
-    one ``_DIST_CHUNK`` row chunk at a time.
+    ``max(1, _BLOCK_VALUES // k)`` rows at a time.
 
     Yields ``(start, dists)`` per chunk, ``dists`` being that chunk's
-    (rows, k) distances in a buffer that the next chunk overwrites. ``x2``
-    holds the rows' squared norms; a given ``x2`` is trusted. The centers'
-    squared norms, and the rows' when computed here, raise DataError when
-    one is not finite, and so do norms whose distances would overflow
-    (:func:`_check_distance_range`).
+    (rows, k) distances in a buffer that the next chunk overwrites; each
+    chunk of ``points`` is widened to float64 as it is used. A given ``x2``
+    (the rows' squared norms) is trusted, else each chunk computes its own.
+    The centers' squared norms, and the rows' when computed here, raise
+    DataError when one is not finite, and so does a chunk whose distances
+    would overflow (:func:`_check_distance_range`).
     """
     n, k = points.shape[0], centers.shape[0]
-    if x2 is None:
-        x2 = _finite_sq_norms(points, "points")
-    prod = np.empty((min(n, _DIST_CHUNK), k), dtype=np.float64)
+    step = max(1, _BLOCK_VALUES // k)
+    prod = np.empty((min(n, step), k), dtype=np.float64)
     block = np.empty_like(prod)
     c2 = _finite_sq_norms(centers, "centers")
-    _check_distance_range(x2, c2, "points and centers")
-    for start in range(0, n, _DIST_CHUNK):
-        rows = points[start : start + _DIST_CHUNK]
+    for start in range(0, n, step):
+        rows = points[start : start + step].astype(np.float64, copy=False)
+        rows_x2 = (_finite_sq_norms(rows, "points") if x2 is None
+                   else x2[start : start + step])
+        _check_distance_range(rows_x2, c2, "points and centers")
         dists = block[: rows.shape[0]]
         gram = np.matmul(rows, centers.T, out=prod[: rows.shape[0]])
         gram *= 2.0
-        np.add(x2[start : start + _DIST_CHUNK, None], c2, out=dists)
+        np.add(rows_x2[:, None], c2, out=dists)
         dists -= gram
         yield start, dists
 
@@ -235,15 +234,18 @@ def _assign_nearest(points, centers, x2=None) -> np.ndarray:
 def nearest_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of the nearest center for every point, ties to the lowest index.
 
-    A caller that quantizes on the leading components only (hyper-pooling)
+    Float32 points are widened a distance chunk at a time, never whole. A
+    caller that quantizes on the leading components only (hyper-pooling)
     passes those columns of both operands.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    pts = np.atleast_2d(np.asarray(points))
     ctr = np.asarray(centers, dtype=np.float64)
     if pts.shape[1] != ctr.shape[1]:
         raise DimensionMismatch(
             f"points have dimension {pts.shape[1]}, centers {ctr.shape[1]}"
         )
+    if ctr.shape[0] == 0:
+        raise EmptyInput("nearest_centers requires at least one center")
     return _assign_nearest(pts, ctr)
 
 
@@ -527,13 +529,13 @@ def kmeans_fit(
     clusters are refilled with the point currently farthest from its
     assigned center so exactly ``k`` centers always come back. The
     points' squared norms are computed and checked once per fit, before
-    the seeding. Every iteration takes each ``_DIST_CHUNK`` block's argmin
-    as soon as that block's distances exist; an iteration that leaves a
-    cluster empty computes the blocks again and keeps only each point's
-    distance to its own center for the refill, so no (n, k) distance
-    matrix is held. The inertia is summed one ``_BLOCK_VALUES`` subtree
-    of residuals at a time (:func:`_inertia`), so no (n, dim) array is
-    held either: besides the points, a fit holds a few (n,) arrays.
+    the seeding. Every iteration takes each distance chunk's argmin as
+    soon as that chunk's (``_BLOCK_VALUES // k`` rows) distances exist; an
+    iteration that leaves a cluster empty computes the chunks again and
+    keeps only each point's distance to its own center for the refill, so
+    no (n, k) distance matrix is held. The inertia is summed one
+    ``_BLOCK_VALUES`` subtree of residuals at a time (:func:`_inertia`), so
+    no (n, dim) array is held either, only the points and a few (n,) ones.
 
     Args:
         points: (n, dim) array.
@@ -563,7 +565,6 @@ def kmeans_fit(
         raise ValueError(f"k must be >= 1, got {k}")
     if k > pts.shape[0]:
         raise KTooLarge(f"k={k} exceeds the {pts.shape[0]} available points")
-    _check_finite(pts, "points")
     x2 = _finite_sq_norms(pts, "points")
 
     if draws is None:

@@ -52,6 +52,7 @@ from vlac.errors import (
     DataError,
     DimensionMismatch,
     EmptyGof,
+    EmptyInput,
     EmptyVideo,
     InsufficientRows,
     UntrainedModel,
@@ -91,6 +92,11 @@ class TestVladEncode:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             vlad_encode(np.ones((3, 3)), cb([0.0], [1.0]))
+
+    def test_codebook_without_centers(self):
+        book = Codebook(centers=np.empty((0, 2)), inertia=0.0)
+        with pytest.raises(EmptyInput, match="at least one center"):
+            vlad_encode(np.ones((3, 2)), book)
 
     def test_residual_block_sum_identity(self):
         # sum of all blocks == sum(features) - sum(multiplicity * center)

@@ -60,11 +60,12 @@ def reference_pca(rows, d):
 
 
 def reference_sq_dists(points, centers):
-    """Squared distances as first written: per chunk of ``_DIST_CHUNK`` rows,
-    ``x2 + c2 - 2 * (block @ centers.T)`` from fresh temporaries."""
+    """Squared distances as first written: per chunk of
+    ``max(1, _BLOCK_VALUES // k)`` rows, ``x2 + c2 - 2 * (block @ centers.T)``
+    from fresh temporaries."""
     c2 = np.einsum("ij,ij->i", centers, centers)
     out = np.empty((points.shape[0], centers.shape[0]))
-    chunk = core_math._DIST_CHUNK
+    chunk = max(1, core_math._BLOCK_VALUES // centers.shape[0])
     for start in range(0, points.shape[0], chunk):
         block = points[start : start + chunk]
         x2 = np.einsum("ij,ij->i", block, block)
@@ -167,12 +168,11 @@ class TestKMeans:
     @settings(max_examples=100, deadline=None)
     @given(case=kmeans_cases())
     def test_bit_identical_to_reference_across_chunks(self, case):
-        # 7-row distance chunks and 5-value cache blocks (the residual
-        # sums and the scatter-add's rows) put their boundaries inside the
-        # data, so both are checked across chunks too
+        # 5-value cache blocks put the boundaries of the distance chunks
+        # (max(1, 5 // k) rows), the residual sums and the scatter-add's
+        # rows inside the data, so all are checked across chunks too
         points, k, seed = case
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core_math, "_DIST_CHUNK", 7)
             patch.setattr(core_math, "_BLOCK_VALUES", 5)
             centers, history = reference_kmeans(points, k, seed)
             result = kmeans_fit(points, k, seed)
@@ -195,7 +195,7 @@ class TestKMeans:
         # each distance chunk's argmin is taken as soon as the chunk exists;
         # a fit over many chunks must be the whole-matrix reference bit for bit
         points = np.random.default_rng(5).normal(size=(100, 3))
-        monkeypatch.setattr(core_math, "_DIST_CHUNK", chunk)
+        monkeypatch.setattr(core_math, "_BLOCK_VALUES", chunk * 6)
         centers, history = reference_kmeans(points, 6, 8)
         result = kmeans_fit(points, 6, 8)
         assert np.array_equal(result.centers, centers)
@@ -207,7 +207,7 @@ class TestKMeans:
         # refill gathers each point's distance to its center chunk by chunk
         points = np.repeat(np.random.default_rng(6).normal(size=(4, 2)), 10,
                            axis=0)
-        monkeypatch.setattr(core_math, "_DIST_CHUNK", 7)
+        monkeypatch.setattr(core_math, "_BLOCK_VALUES", 7 * 6)
         moved = []
         centers, history = reference_kmeans(points, 6, 3, refills=moved)
         result = kmeans_fit(points, 6, 3)
@@ -567,22 +567,61 @@ class TestQuantize:
             nearest_centers(HALF_RANGE_POINTS / 2, HALF_RANGE_POINTS[::-1] / 2),
             [3, 2, 1, 0])
 
-    @pytest.mark.parametrize("chunk", [7, 4096])
-    def test_chunked_distances_match_reference(self, monkeypatch, chunk):
-        monkeypatch.setattr(core_math, "_DIST_CHUNK", chunk)
+    @pytest.mark.parametrize("block", [7, 4096])
+    def test_chunked_distances_match_reference(self, monkeypatch, block):
+        # float32 points are widened chunk by chunk, so their distances are
+        # those of their float64 widening, bit for bit
+        monkeypatch.setattr(core_math, "_BLOCK_VALUES", block)
         rng = np.random.default_rng(12)
         for n, k, dim in [(1, 1, 1), (7, 3, 2), (8, 5, 3), (50, 9, 4),
                           (200, 64, 64)]:
-            points = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4)
+            scaled = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4)
             centers = rng.normal(size=(k, dim))
-            expected = reference_sq_dists(points, centers)
-            got = [(start, dists.copy())
-                   for start, dists in _dist_blocks(points, centers)]
-            assert [start for start, _ in got] == list(range(0, n, chunk))
-            assert np.array_equal(
-                np.concatenate([dists for _, dists in got]), expected)
-            assert np.array_equal(nearest_centers(points, centers),
-                                  np.argmin(expected, axis=1))
+            for points in [scaled, scaled.astype(np.float32)]:
+                expected = reference_sq_dists(points.astype(np.float64),
+                                              centers)
+                got = [(start, dists.copy())
+                       for start, dists in _dist_blocks(points, centers)]
+                assert [start for start, _ in got] == list(
+                    range(0, n, max(1, block // k)))
+                assert np.array_equal(
+                    np.concatenate([dists for _, dists in got]), expected)
+                assert np.array_equal(nearest_centers(points, centers),
+                                      np.argmin(expected, axis=1))
+
+    def test_refuses_zero_centers(self):
+        with pytest.raises(EmptyInput, match="at least one center"):
+            nearest_centers(np.ones((3, 2)), np.empty((0, 2)))
+        # zero points still quantize to nothing
+        got = nearest_centers(np.empty((0, 2)), np.ones((2, 2)))
+        assert got.shape == (0,)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_raise(self, value):
+        # a value that is not finite is named as such, not as an overflow
+        bad = np.ones((2, 2))
+        bad[1, 0] = value
+        with pytest.raises(DataError, match="points contain non-finite"):
+            nearest_centers(bad, np.ones((2, 2)))
+        with pytest.raises(DataError, match="centers contain non-finite"):
+            nearest_centers(np.ones((3, 2)), bad)
+        with pytest.raises(DataError, match="points contain non-finite"):
+            kmeans_fit(bad, 1, 0)
+
+    def test_float32_points_hold_no_float64_copy(self):
+        # the float64 widening of these points is 10.24 MB (9.77 MiB); it
+        # used to be made whole, and the call peaked at 14.2 MB
+        rng = np.random.default_rng(13)
+        points = rng.normal(size=(20_000, 64)).astype(np.float32)
+        centers = rng.normal(size=(64, 64))
+        tracemalloc.start()
+        try:
+            nearest_centers(points, centers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < points.size * 8
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(5)
