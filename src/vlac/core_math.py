@@ -240,9 +240,9 @@ def nearest_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """
     pts = np.atleast_2d(np.asarray(points))
     ctr = np.asarray(centers, dtype=np.float64)
-    if pts.shape[1] != ctr.shape[1]:
+    if pts.ndim != 2 or ctr.ndim != 2 or pts.shape[1] != ctr.shape[1]:
         raise DimensionMismatch(
-            f"points have dimension {pts.shape[1]}, centers {ctr.shape[1]}"
+            f"points {pts.shape} and centers {ctr.shape} are not (n, d), (k, d)"
         )
     if ctr.shape[0] == 0:
         raise EmptyInput("nearest_centers requires at least one center")

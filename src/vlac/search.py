@@ -9,7 +9,7 @@ adding the shorter sequence's rows in order. When the query is longer
 than a stored sequence the roles swap and the stored one slides along the
 query. Within an entry the smallest best shift wins; between entries a
 higher score ranks first and equal scores rank by video_id.
-:func:`aligned_similarity` is the same scoring on a one-entry store.
+:func:`aligned_similarity` is :func:`retrieve` on a one-entry store.
 
 A store file (``VLACSTOR``) holds the magic, then until the end of the
 file one record per video: the UTF-8 video_id's length (u32) and bytes,
@@ -81,24 +81,6 @@ class RetrievalResult:
     matches: tuple[RankedMatch, ...]
 
 
-def _check_pair(query: DescriptorSequence, target: DescriptorSequence,
-                strict_paper_range: bool) -> None:
-    """Refuse a pair no alignment is defined for: different descriptor dims
-    or methods, or equal lengths under the strict shift range."""
-    if query.d != target.d:
-        raise DimensionMismatch(
-            f"sequences have descriptor dims {query.d} and {target.d}"
-        )
-    if query.method != target.method:
-        raise DataError(
-            f"sequences mix methods {query.method!r} and {target.method!r}"
-        )
-    if strict_paper_range and query.length == target.length:
-        raise DataError(
-            "strict alignment range {1..G2-G1} is empty for equal lengths"
-        )
-
-
 def _best_alignments(
     query: np.ndarray, packed: np.ndarray, lengths: np.ndarray,
     first_k: int,
@@ -111,9 +93,10 @@ def _best_alignments(
     inner product. An entry at least as long as the query scores shift k
     as the sum over query rows i of ``products[i, start + i + k]``; an
     entry shorter than the query swaps roles and sums over its own rows j
-    of ``products[k + j, start + j]``. Either way the shorter sequence's
-    rows are added in order, starting from 0. Shifts run from ``first_k``
-    to the length difference; the first maximum wins.
+    of ``products[k + j, start + j]``, into one row of scores per shorter
+    entry. Either way the shorter sequence's rows are added in order,
+    starting from 0, and each entry's shifts lie side by side. Shifts run
+    from ``first_k`` to the length difference; the first maximum wins.
     """
     g = query.shape[0]
     starts = np.cumsum(lengths) - lengths
@@ -124,23 +107,23 @@ def _best_alignments(
     if np.any(lengths >= g):
         for i in range(g):
             diagonals += products[i, i : i + width]
-    # diagonals from each shorter entry's first column, one per query row
+    # one row of scores per shorter entry, which slides along the query:
+    # column k is its shift k, with the entry's rows j added in order
     shorter = np.flatnonzero(lengths < g)
-    swapped = np.zeros((g, shorter.size))
+    swapped = np.zeros((shorter.size, g))
     for j in range(int(lengths[shorter].max(initial=0))):
-        adding = lengths[shorter] > j
-        swapped[: g - j, adding] += products[j:, starts[shorter[adding]] + j]
+        adding = np.flatnonzero(lengths[shorter] > j)
+        swapped[adding, : g - j] += products[j:, starts[shorter[adding]] + j].T
 
     # every entry's candidate scores in one flat array: entry e's shift k
-    # is candidates[base[e] + k * stride[e]]
+    # is candidates[base[e] + k]
     candidates = np.concatenate([diagonals, swapped.ravel()])
-    base, stride = starts.copy(), np.ones_like(lengths)
-    base[shorter] = diagonals.size + np.arange(shorter.size)
-    stride[shorter] = shorter.size
+    base = starts.copy()
+    base[shorter] = diagonals.size + g * np.arange(shorter.size)
     counts = np.abs(lengths - g) + 1 - first_k
     first = np.cumsum(counts) - counts
     k = np.arange(counts.sum()) - np.repeat(first, counts) + first_k
-    scores = candidates[np.repeat(base, counts) + k * np.repeat(stride, counts)]
+    scores = candidates[np.repeat(base, counts) + k]
     best = np.maximum.reduceat(scores, first)
     # the first position reaching its entry's maximum ("not below" so that
     # a NaN maximum still marks a position inside its own entry)
@@ -166,12 +149,9 @@ def aligned_similarity(
     the identity alignment. ``strict_paper_range`` restricts it to
     {1, ..., G2 - G1}, which is empty for equal lengths and then raises.
     """
-    _check_pair(query, target, strict_paper_range)
-    scores, shifts = _best_alignments(
-        query.descriptors, target.descriptors, np.array([target.length]),
-        int(strict_paper_range),
-    )
-    return float(scores[0]), int(shifts[0])
+    (best,) = retrieve(query, [target], top_k=0,
+                       strict_paper_range=strict_paper_range).matches
+    return best.score, best.offset
 
 
 def retrieve(
@@ -185,14 +165,18 @@ def retrieve(
 ) -> RetrievalResult:
     """Rank store entries by aligned similarity to the query.
 
-    Every entry is scored as :func:`aligned_similarity` scores it, from one
-    product of the query with the whole store. Exactly one of
+    Every entry is scored by its best alignment (see the module
+    docstring), from one product of the query with the whole store. The
+    store is refused when it is empty (EmptyStore), repeats a video_id
+    (DataError), holds another descriptor dim (DimensionMismatch) or
+    another method (DataError), or, under ``strict_paper_range``, an entry
+    of the query's length (DataError). Exactly one of
     ``threshold`` (keep scores >= threshold; -inf keeps everything, inf
     nothing, NaN is refused) and ``top_k`` (keep the k best; 0 keeps
     everything) must be given. The ranking sorts by score descending with
     video_id as the tie-breaker, so equal inputs always produce identical
-    output. ``normalize_by_length`` divides each score
-    by the aligned length for cross-length comparability.
+    output. ``normalize_by_length`` divides each score by the aligned
+    length for cross-length comparability.
     """
     if (threshold is None) == (top_k is None):
         raise ValueError("pass exactly one of threshold= or top_k=")
@@ -203,9 +187,22 @@ def retrieve(
     entries = list(store)
     if not entries:
         raise EmptyStore("cannot retrieve from an empty store")
-    for seq in entries:
-        _check_pair(query, seq, strict_paper_range)
+    _refuse_repeated_ids(entries, "store")
     lengths = np.array([seq.length for seq in entries])
+    dims = {seq.d for seq in entries} - {query.d}
+    if dims:
+        raise DimensionMismatch(
+            f"sequences have descriptor dims {query.d} and {min(dims)}"
+        )
+    methods = {seq.method for seq in entries} - {query.method}
+    if methods:
+        raise DataError(
+            f"sequences mix methods {query.method!r} and {min(methods)!r}"
+        )
+    if strict_paper_range and np.any(lengths == query.length):
+        raise DataError(
+            "strict alignment range {1..G2-G1} is empty for equal lengths"
+        )
     scores, shifts = _best_alignments(
         query.descriptors, np.concatenate([s.descriptors for s in entries]),
         lengths, int(strict_paper_range),

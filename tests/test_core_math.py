@@ -551,6 +551,15 @@ class TestQuantize:
         with pytest.raises(DimensionMismatch):
             nearest([1.0, 2.0], [0.0], [10.0])
 
+    @pytest.mark.parametrize("points, centers", [
+        (np.ones((3, 2)), np.ones(2)),
+        (np.ones((2, 3, 2)), np.ones((2, 2))),
+        (np.ones((3, 2)), np.ones((2, 2, 2))),
+    ])
+    def test_refuses_operands_that_are_not_2d(self, points, centers):
+        with pytest.raises(DimensionMismatch, match=r"not \(n, d\), \(k, d\)"):
+            nearest_centers(points, centers)
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_norms_raise(self):
         with pytest.raises(DataError, match="points have a squared norm"):

@@ -272,6 +272,43 @@ class TestRetrieveProperties:
             assert shift == m.offset and close(score, m.score)
 
 
+def reference_alignments(query, store, first_k):
+    """Each entry's best score and shift from the same ``query @ packed.T``
+    product the search takes: per shift, the shorter sequence's row
+    products added in order from 0.0; the first maximum wins."""
+    packed = np.concatenate([s.descriptors for s in store])
+    products = query.descriptors @ packed.T
+    out, start = {}, 0
+    for s in store:
+        cols = products[:, start : start + s.length]
+        start += s.length
+        best = None
+        for k in range(first_k, abs(query.length - s.length) + 1):
+            total = 0.0
+            for j in range(min(query.length, s.length)):
+                total += (cols[j, j + k] if query.length <= s.length
+                          else cols[j + k, j])
+            if best is None or total > best[0]:
+                best = (total, k)
+        out[s.video_id] = best
+    return out
+
+
+class TestRetrieveExactBits:
+    @settings(max_examples=150, deadline=None)
+    @given(case=mixed_stores(), strict=st.booleans())
+    def test_scores_and_shifts_equal_reference(self, case, strict):
+        query, store = case
+        if strict:  # the strict range is empty for equal lengths
+            store = [s for s in store if s.length != query.length]
+        expected = reference_alignments(query, store, int(strict))
+        got = retrieve(query, store, top_k=0,
+                       strict_paper_range=strict).matches
+        assert {m.video_id: (m.score, m.offset) for m in got} == expected
+        assert [m.video_id for m in got] == sorted(
+            expected, key=lambda vid: (-expected[vid][0], vid))
+
+
 class TestRetrieveTies:
     # shifts 0 and 2 of "a" and "b" score 3, as do shifts 1 and 3 of "d";
     # "c" is shorter than the query and scores 1 at its shifts 0 and 2
@@ -322,6 +359,20 @@ class TestRetrieveErrors:
         with pytest.raises(DataError, match="strict"):
             retrieve(query, store, top_k=0, strict_paper_range=True)
         assert len(retrieve(query, store, top_k=0).matches) == 3
+
+    @pytest.mark.parametrize("bad, error, match, strict", [
+        (seq("b", np.ones((3, 3))), DimensionMismatch, "descriptor dims", False),
+        (seq("b", np.ones((3, 2)), "vlad"), DataError, "mix methods", False),
+        (seq("b", np.ones((2, 2))), DataError, "strict", True),
+        # a repeated id would rank one video twice
+        (seq("a", np.ones((3, 2))), DataError, "store repeats video id 'a'",
+         False),
+    ], ids=["dims", "method", "strict", "repeated-id"])
+    def test_bad_entry_last(self, bad, error, match, strict):
+        store = [seq("a", np.ones((3, 2))), seq("c", np.ones((4, 2))), bad]
+        with pytest.raises(error, match=match):
+            retrieve(seq("q", np.ones((2, 2))), store, top_k=0,
+                     strict_paper_range=strict)
 
     def test_empty_store(self):
         with pytest.raises(EmptyStore):
