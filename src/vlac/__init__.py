@@ -12,10 +12,7 @@ from .aggregation import (
     METHOD_VLAD,
     ModelParams,
     TrainedModel,
-    compute_lfcs,
     encode_video,
-    fit_clfcs,
-    hp_encode,
     load_model,
     save_model,
     split_gofs,
@@ -23,9 +20,7 @@ from .aggregation import (
     train_hp,
     train_vlac,
     train_vlad,
-    vlac_encode,
     Video,
-    vlad_encode,
 )
 from .core_math import (
     Codebook,
@@ -64,7 +59,6 @@ from .search import (
     DescriptorSequence,
     RankedMatch,
     RetrievalResult,
-    aligned_similarity,
     load_store,
     retrieve,
     write_store,

@@ -3,7 +3,8 @@
 A video is one :class:`Video`: a (total, dim) feature matrix plus the row
 offsets of its frames. A group of frames (GoF) is a range of consecutive
 frames, so its features are one contiguous row slice; :func:`split_gofs`
-gives the first frame of each window.
+cuts a video's windows with the :class:`ModelParams` ``gof_size`` and
+``overlap`` and gives the first frame of each.
 
 Every encoder aggregates nearest-center residuals through one kernel,
 :func:`_residual_sums`: it assigns a matrix of points to the centers once
@@ -21,8 +22,8 @@ LFCs of every training video, the stack the CLFCs were fit on
 public one-window forms of the three methods; a hyper-pooling row may
 differ from :func:`hp_encode`'s by the projection's rounding. VLAC is the
 VLAD kernel applied to per-window local feature centers (LFCs) instead of
-raw features, so ``vlac_encode(lfcs, c)`` equals
-``vlad_encode(lfcs.centers, c)`` element for element; :func:`_window_lfcs`
+raw features, so ``vlac_encode(lfcs, c)`` is
+``vlad_encode(lfcs.centers, c)``; :func:`_window_lfcs`
 is the one place that fits a video's window LFCs, for training and
 encoding alike. It groups a video's windows by feature count, draws each
 group's k-means++ seeding in lockstep, and then fits every window on its
@@ -201,7 +202,9 @@ class ModelParams:
     field's ``metadata["min"]`` is the least value a run may configure
     (default 1); ``metadata["method"]`` names the one method that reads the
     field, and a trained model stores the fields of other methods as 0.
-    DataError for ``overlap >= gof_size``, which :func:`split_gofs` refuses.
+    DataError for ``overlap >= gof_size``, so the windows
+    :func:`split_gofs` cuts always have a stride ``gof_size - overlap`` of
+    at least 1.
     """
 
     f: int
@@ -354,16 +357,9 @@ def vlad_encode(features, codebook: Codebook) -> np.ndarray:
 
 
 def vlac_encode(lfcs: Codebook, clfc: Codebook) -> np.ndarray:
-    """VLAC: the VLAD kernel applied to local feature centers.
-
-    Each LFC is quantized against the CLFC codebook and its residual
-    accumulated, giving an (M * dim) vector.
-    """
-    if lfcs.dim != clfc.dim:
-        raise DimensionMismatch(
-            f"LFC dimension {lfcs.dim} does not match CLFC dimension {clfc.dim}"
-        )
-    return _residual_sums(lfcs.centers, clfc.centers, [0], [lfcs.k])[0]
+    """VLAC: :func:`vlad_encode` of the local feature centers against the
+    CLFC codebook, an (M * dim) vector."""
+    return vlad_encode(lfcs.centers, clfc)
 
 
 def _vlac_rows(lfcs, points: np.ndarray, clfc: Codebook) -> np.ndarray:
@@ -422,21 +418,17 @@ def compute_lfcs(
     return kmeans_fit(features, k, seed, draws=draws)
 
 
-def split_gofs(video: Video, gof_size: int, overlap: int) -> list[int]:
-    """The first frame of each window of ``gof_size`` frames, neighbouring
-    windows sharing ``overlap`` frames.
+def split_gofs(video: Video, params: ModelParams) -> np.ndarray:
+    """The first frame of each window of ``params.gof_size`` frames,
+    neighbouring windows sharing ``params.overlap`` frames, as int64.
 
     The stride is ``gof_size - overlap``; a trailing window that cannot be
     filled completely is dropped. Raises DataError for a window whose frame
     indices are not consecutive.
     """
-    if gof_size < 1:
-        raise ValueError(f"gof_size must be >= 1, got {gof_size}")
-    if not 0 <= overlap < gof_size:
-        raise ValueError(
-            f"overlap must satisfy 0 <= overlap < gof_size, got {overlap}"
-        )
-    starts = np.arange(0, len(video) - gof_size + 1, gof_size - overlap)
+    gof_size = params.gof_size
+    starts = np.arange(0, len(video) - gof_size + 1,
+                       gof_size - params.overlap, dtype=np.int64)
     # gaps[t]: the breaks in the frame indices up to frame t
     gaps = np.concatenate([[0], np.cumsum(np.diff(video.frame_index) != 1)])
     broken = starts[gaps[starts + gof_size - 1] != gaps[starts]]
@@ -445,7 +437,7 @@ def split_gofs(video: Video, gof_size: int, overlap: int) -> list[int]:
         raise DataError(
             f"a group of frames must have consecutive indices, got {first}"
         )
-    return starts.tolist()
+    return starts
 
 
 def _window_lfcs(video: Video, params: ModelParams) -> list[Codebook]:
@@ -462,7 +454,7 @@ def _window_lfcs(video: Video, params: ModelParams) -> list[Codebook]:
     # widened once, so the seeding and the fits run in float64
     features = video.features.astype(np.float64, copy=False)
     windows = [features[video.rows(s, s + g)]
-               for s in split_gofs(video, g, params.overlap)]
+               for s in split_gofs(video, params)]
     seeds = [params.seed ^ i for i in range(len(windows))]
     groups: dict[int, list[int]] = {}
     for i, window in enumerate(windows):
@@ -618,8 +610,8 @@ def train_hp(videos, params: ModelParams) -> TrainedModel:
     params = replace(params, h=min(params.h, params.d0))
     d0, alpha2, h, g = params.d0, params.alpha2, params.h, params.gof_size
     videos = list(videos)
-    starts = [split_gofs(v, g, params.overlap) for v in videos]
-    if not any(starts):
+    starts = [split_gofs(v, params) for v in videos]
+    if not any(s.size for s in starts):
         raise DataError("train_hp requires at least one training group")
     # the frames of each window in order, g per window
     first_codebook, frame_rows = _frame_stage(
@@ -690,7 +682,7 @@ def _encode_windows(video: Video, model: TrainedModel) -> np.ndarray:
         points = (np.concatenate([cb.centers for cb in lfcs]) if lfcs
                   else np.empty((0, video.dim)))
         return _vlac_rows(lfcs, points, model.codebook)
-    starts = np.array(split_gofs(video, p.gof_size, p.overlap), dtype=np.int64)
+    starts = split_gofs(video, p)
     if model.method == METHOD_VLAD:
         return _residual_sums(video.features, model.codebook.centers,
                               video.offsets[starts],

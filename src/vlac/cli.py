@@ -67,8 +67,6 @@ from .evaluation import (
     pr_curve,
     sign_aligned_alignment_score,
     stability_bases,
-    write_map_csv,
-    write_pr_csv,
 )
 from .core_math import basis_alignment_score, blas_threads, eigensolver
 from .fileio import read_json, read_text, write_csv
@@ -402,8 +400,10 @@ def cmd_evaluate(args) -> int:
     prefix.parent.mkdir(parents=True, exist_ok=True)
     pr_path = Path(f"{prefix}_pr.csv")
     map_path = Path(f"{prefix}_map.csv")
-    write_pr_csv(pr_path, [(method, d, p) for p in curve.points])
-    write_map_csv(map_path, [(method, d, map_value)])
+    write_csv(pr_path, ("method", "D", "threshold", "precision", "recall"),
+              ([method, d, p.threshold, p.precision, p.recall]
+               for p in curve.points))
+    write_csv(map_path, ("method", "D", "mAP"), [(method, d, map_value)])
     if args.svg:
         label = "unknown" if method is None else f"{method} D={d}"
         plot_pr_svg(Path(f"{prefix}_pr.svg"), {label: curve})

@@ -486,17 +486,16 @@ def _inertia(points, centers, assign) -> float:
     return float(_pairwise_sum(leaf_sum, 0, points.size, leaf))
 
 
-def _fill_empty_clusters(assign: np.ndarray, own: np.ndarray, k: int) -> int:
+def _fill_empty_clusters(assign: np.ndarray, own: np.ndarray,
+                         counts: np.ndarray) -> int:
     """Move the point farthest from its center into each empty cluster.
 
-    ``own`` (n,) holds each point's distance to its assigned center. Edits
-    ``assign`` and ``own`` in place and returns the number of points moved.
+    ``own`` (n,) holds each point's distance to its assigned center and
+    ``counts`` (k,) each cluster's point count. Edits ``assign``, ``own``
+    and ``counts`` in place and returns the number of points moved.
     """
-    counts = np.bincount(assign, minlength=k)
-    if not np.any(counts == 0):
-        return 0
     guard = 0
-    while np.any(counts == 0) and guard < 2 * k:
+    while np.any(counts == 0) and guard < 2 * counts.size:
         j = int(np.flatnonzero(counts == 0)[0])
         p = int(np.argmax(own))
         old = int(assign[p])
@@ -595,8 +594,7 @@ def kmeans_fit(
                 rows = slice(start, start + dists.shape[0])
                 own[rows] = np.take_along_axis(
                     dists, assign[rows, None], axis=1)[:, 0]
-            refills += _fill_empty_clusters(assign, own, k)
-            counts = np.bincount(assign, minlength=k)
+            refills += _fill_empty_clusters(assign, own, counts)
         # every cluster holds a point after the refill: no division by zero
         centers = cluster_sums(pts, assign, k) / counts[:, None]
         inertia = _inertia(pts, centers, assign)

@@ -7,6 +7,10 @@ and on perturbed copies of the same videos with identical seeds
 is scored by ``basis_alignment_score`` and
 :func:`sign_aligned_alignment_score`. Zero perturbation therefore scores
 the self-alignment value d exactly (up to float noise).
+
+:func:`plot_pr_svg` draws PR curves as SVG. The PR and mAP CSV files are
+laid out where they are written, in ``vlac evaluate``
+(:func:`vlac.cli.cmd_evaluate`), like every other CSV the CLI writes.
 """
 
 from __future__ import annotations
@@ -27,14 +31,11 @@ from .aggregation import (
 )
 from .core_math import ProjectionBasis, pca_fit
 from .errors import DataError
-from .fileio import atomic_write, write_csv
+from .fileio import atomic_write
 from .ingestion import QueryManifest
 
 METHOD_SIFT_DIRECT = "sift"
 STABILITY_METHODS = (METHOD_VLAD, METHOD_HP, METHOD_VLAC, METHOD_SIFT_DIRECT)
-
-PR_CSV_COLUMNS = ("method", "D", "threshold", "precision", "recall")
-MAP_CSV_COLUMNS = ("method", "D", "mAP")
 
 _SVG_AXIS_MAX = 1.05
 _SVG_COLOURS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd")
@@ -204,21 +205,8 @@ def stability_bases(
 
 
 # ---------------------------------------------------------------------------
-# CSV / SVG emitters
+# SVG emitter
 # ---------------------------------------------------------------------------
-
-
-def write_pr_csv(path, rows) -> None:
-    """Write (method, D, threshold, precision, recall) rows."""
-    write_csv(path, PR_CSV_COLUMNS, (
-        [method, d, point.threshold, point.precision, point.recall]
-        for method, d, point in rows
-    ))
-
-
-def write_map_csv(path, rows) -> None:
-    """Write (method, D, mAP) rows."""
-    write_csv(path, MAP_CSV_COLUMNS, rows)
 
 
 def plot_pr_svg(path, curves) -> None:

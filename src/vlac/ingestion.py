@@ -63,11 +63,24 @@ PERTURBATION_KINDS = ("additive_gaussian", "component_dropout", "gain")
 _MIXING_CONCENTRATION = 0.3
 
 
+def _check_types(obj) -> None:
+    """The field rule of every manifest class: an int field holds only an
+    int (not a bool) and a str field only a str; DataError otherwise."""
+    for fld in fields(obj):
+        value = getattr(obj, fld.name)
+        if fld.type == "str" and not isinstance(value, str):
+            raise DataError(f"{fld.name} must be a string, got {value!r}")
+        if fld.type == "int" and type(value) is not int:
+            raise DataError(f"{fld.name} must be an integer, got {value!r}")
+
+
 class _Entry:
-    """The rule both manifest entry types share: ``fps_sampled`` is a real
-    number, finite and >= 0, stored as a float; DataError otherwise."""
+    """The rules both manifest entry types share: :func:`_check_types`, and
+    ``fps_sampled`` is a real number, finite and >= 0, stored as a float;
+    DataError otherwise."""
 
     def __post_init__(self):
+        _check_types(self)
         if not _finite_non_negative(self.fps_sampled):
             raise DataError("fps_sampled must be a finite number >= 0, "
                             f"got {self.fps_sampled!r}")
@@ -89,6 +102,7 @@ class DatasetManifest:
     notes: str = ""
 
     def __post_init__(self):
+        _check_types(self)
         object.__setattr__(self, "videos", tuple(self.videos))
         ids = [v.video_id for v in self.videos]
         if len(set(ids)) != len(ids):
@@ -112,6 +126,7 @@ class QueryManifest:
     notes: str = ""
 
     def __post_init__(self):
+        _check_types(self)
         object.__setattr__(self, "queries", tuple(self.queries))
         ids = [q.query_id for q in self.queries]
         if len(set(ids)) != len(ids):
@@ -281,10 +296,11 @@ def write_dataset(
     iterator (:func:`synthesize_videos`) is written without holding more
     than the video at hand. The manifest is built once the first video
     gives the feature dimension and before any file is written, so one it
-    refuses (a repeated id, a bad ``fps_sampled``) writes no file. The
-    split is all-or-nothing (:func:`fileio.atomic_dir`): a video that
-    fails to write, or a count of videos other than of ``ids``, leaves
-    ``out_dir`` as it was.
+    refuses (a repeated id, an id that is not a string, a bad
+    ``fps_sampled``) writes no file. The split is all-or-nothing
+    (:func:`fileio.atomic_dir`): a video that fails to write or whose dim
+    is not the first video's, or a count of videos other than of ``ids``,
+    leaves ``out_dir`` as it was.
 
     ``queries``, when given, holds the arguments of :func:`make_queries`
     after ``videos``: each video is then handed to it as soon as it is
@@ -307,7 +323,7 @@ def write_dataset(
     videos = itertools.chain(iter([first]), videos)
     del first
     with atomic_dir(out_dir, overwrite=overwrite) as stage:
-        written = _write_each(stage, manifest.videos, videos)
+        written = _write_each(stage, manifest, videos)
         if queries is None:
             for _ in written:
                 pass
@@ -317,10 +333,17 @@ def write_dataset(
     return manifest
 
 
-def _write_each(out_dir: Path, entries, videos) -> Iterator[Video]:
-    """Write each video to its entry's feature file in ``out_dir`` and then
-    yield it; ValueError when the counts of entries and videos differ."""
-    for entry, video in zip(entries, videos, strict=True):
+def _write_each(out_dir: Path, manifest: DatasetManifest,
+                videos) -> Iterator[Video]:
+    """Write each video to its manifest entry's feature file in ``out_dir``
+    and then yield it; ValueError when the counts of entries and videos
+    differ, and DimensionMismatch, before its file is written, for a video
+    whose dim is not the manifest's ``feature_dim``."""
+    for entry, video in zip(manifest.videos, videos, strict=True):
+        if video.dim != manifest.feature_dim:
+            raise DimensionMismatch(
+                f"video {entry.video_id!r} has {video.dim}-dim features, "
+                f"the manifest says {manifest.feature_dim}")
         write_features(video, out_dir / entry.feature_file)
         yield video
 
@@ -473,22 +496,14 @@ def _load(path, cls, entry_cls, check_files: bool):
 
 
 def _from_json(cls, doc, entry_cls=None):
-    """``cls`` from a JSON object, field by field: an int field takes only a
-    JSON integer (not a bool), a string field only a string, and the one
-    tuple field holds ``entry_cls`` objects; ``cls`` checks the float
-    field, ``fps_sampled``, itself."""
+    """``cls`` from a JSON object, field by field; the one tuple field holds
+    ``entry_cls`` objects. ``cls`` checks every value itself."""
     values = {}
     for fld in fields(cls):
         if fld.name not in doc and fld.default is not MISSING:
             continue
         value = doc[fld.name]
-        if fld.type == "str":
-            if not isinstance(value, str):
-                raise TypeError(f"{fld.name} must be a string, got {value!r}")
-        elif fld.type == "int":
-            if type(value) is not int:
-                raise TypeError(f"{fld.name} must be an integer, got {value!r}")
-        elif fld.type.startswith("tuple"):
+        if fld.type.startswith("tuple"):
             value = tuple(_from_json(entry_cls, entry) for entry in value)
         values[fld.name] = value
     return cls(**values)

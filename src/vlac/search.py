@@ -37,13 +37,17 @@ _RECORD = struct.Struct("<IIB")  # GoF count, descriptor dim, method tag
 @dataclass(frozen=True)
 class DescriptorSequence:
     """Ordered per-GoF descriptors of one video, a finite (G, d) float64
-    matrix, and the method that encoded them, one with a VLACSTOR tag."""
+    matrix, and the method that encoded them, one with a VLACSTOR tag.
+    DataError for a ``video_id`` that is not a string."""
 
     video_id: str
     descriptors: np.ndarray
     method: str
 
     def __post_init__(self):
+        if not isinstance(self.video_id, str):
+            raise DataError(
+                f"sequence video_id must be a string, got {self.video_id!r}")
         mat = np.asarray(self.descriptors, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] < 1:
             raise DataError(

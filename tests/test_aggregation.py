@@ -12,10 +12,7 @@ from vlac import (
     ModelParams,
     TrainedModel,
     Video,
-    compute_lfcs,
     encode_video,
-    fit_clfcs,
-    hp_encode,
     kmeans_fit,
     load_model,
     pca_fit,
@@ -26,14 +23,17 @@ from vlac import (
     train_hp,
     train_vlac,
     train_vlad,
-    vlac_encode,
-    vlad_encode,
 )
 from dataclasses import replace
 
 from vlac import aggregation, core_math
 from vlac.aggregation import (
     _HP_SECOND_STAGE_SALT,
+    compute_lfcs,
+    fit_clfcs,
+    hp_encode,
+    vlac_encode,
+    vlad_encode,
     _frame_vlads,
     _model_arrays,
     _residual_sums,
@@ -256,7 +256,7 @@ def each_window_alone(video, p):
     fits it: k = min(n, rows) and seed XOR the window index."""
     g = p.gof_size
     windows = [video.features[video.rows(s, s + g)]
-               for s in split_gofs(video, g, p.overlap)]
+               for s in split_gofs(video, p)]
     return [kmeans_fit(w, min(p.n, len(w)), p.seed ^ i)
             for i, w in enumerate(windows)]
 
@@ -527,7 +527,7 @@ class TestTrainingProperties:
         assert _model_bytes(first) == _model_bytes(second)
         a = encode_video(videos[0], first)
         b = encode_video(videos[0], second)
-        windows = len(split_gofs(videos[0], 3, case["schema"].overlap))
+        windows = len(split_gofs(videos[0], case["schema"]))
         assert a.shape == (windows, 2) and np.array_equal(a, b)
 
     @settings(max_examples=5, deadline=None)
@@ -797,7 +797,7 @@ class TestTrainHpReference:
 
         frame_rows = np.concatenate([
             _frame_vlads(v, model.codebook)[s : s + g]
-            for v in videos for s in split_gofs(v, g, p.overlap)
+            for v in videos for s in split_gofs(v, p)
         ])
         first = pca_fit(frame_rows.copy(), p.d0)
         assert first.solver == model.hp_first_basis.solver == "eig"
@@ -865,7 +865,8 @@ class TestEncodeVideo:
             for gof_size, overlap in ((5, 1), (4, 2), (3, 0)):
                 video = make_video(rng, num_frames, 2)
                 expected = 1 + (num_frames - gof_size) // (gof_size - overlap)
-                assert len(split_gofs(video, gof_size, overlap)) == expected
+                p = params(gof_size=gof_size, overlap=overlap)
+                assert len(split_gofs(video, p)) == expected
 
     def test_short_video_yields_nothing(self):
         rng = np.random.default_rng(14)
@@ -912,7 +913,7 @@ class TestEncodeVideo:
             overlap=1, seed=2, normalize=normalize))
         video, p = videos[1], model.params
         expected = []
-        for i, s in enumerate(split_gofs(video, p.gof_size, p.overlap)):
+        for i, s in enumerate(split_gofs(video, p)):
             window = video.features[video.rows(s, s + p.gof_size)]
             if method == "vlad":
                 raw = vlad_encode(window, model.codebook)
@@ -936,27 +937,33 @@ class TestEncodeVideo:
 class TestGroupOfFrames:
     def test_no_windows(self):
         short = Video.from_frames([np.ones((1, 1))] * 3)
-        assert split_gofs(short, 4, 1) == []
-        assert split_gofs(Video.from_frames([]), 1, 0) == []
+        starts = split_gofs(short, params(gof_size=4, overlap=1))
+        assert starts.dtype == np.int64 and starts.tolist() == []
+        empty = Video.from_frames([])
+        assert split_gofs(empty, params(gof_size=1, overlap=0)).tolist() == []
 
     def test_window_starts(self):
         video = Video.from_frames([np.ones((1, 1))] * 9)
-        assert split_gofs(video, 5, 1) == [0, 4]
-        assert split_gofs(video, 3, 2) == list(range(7))
+        starts = split_gofs(video, params(gof_size=5, overlap=1))
+        assert starts.dtype == np.int64 and starts.tolist() == [0, 4]
+        assert (split_gofs(video, params(gof_size=3, overlap=2)).tolist()
+                == list(range(7)))
 
+    # ModelParams refuses the windows split_gofs cannot cut, so every
+    # window it is given has a stride of at least 1
     @pytest.mark.parametrize("gof_size, overlap",
                              [(0, 0), (0, 1), (3, 3), (3, 4), (3, -1)])
     def test_rejects_windows_it_cannot_cut(self, gof_size, overlap):
-        video = Video.from_frames([np.ones((1, 1))] * 4)
-        with pytest.raises(ValueError, match="gof_size"):
-            split_gofs(video, gof_size, overlap)
+        with pytest.raises(DataError, match="overlap"):
+            params(gof_size=gof_size, overlap=overlap)
 
     def test_rejects_gaps(self):
         video = Video.from_frames([np.ones((1, 1))] * 4, [0, 1, 3, 4])
         with pytest.raises(DataError, match="consecutive"):
-            split_gofs(video, 3, 1)
+            split_gofs(video, params(gof_size=3, overlap=1))
         # windows on either side of the gap are fine
-        assert split_gofs(video, 2, 0) == [0, 2]
+        assert split_gofs(video, params(gof_size=2, overlap=0)).tolist() \
+            == [0, 2]
 
 
 class TestModelPersistence:

@@ -631,6 +631,30 @@ class TestSearchEvaluate:
             for query_id, video_id, score in rows:
                 writer.writerow([query_id, 1, video_id, score, 0, "vlac", 4])
 
+    def evaluate_one_hit(self, dataset, tmp_path):
+        """``vlac evaluate`` of one query whose source video ranks first,
+        with score 0.5; the lines of the PR and mAP files it writes."""
+        doc = json.loads((dataset / "queries" / "manifest.json").read_text())
+        hit, = doc["queries"] = doc["queries"][:1]
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps(doc))
+        results = tmp_path / "top1.csv"
+        self.write_results(results, [
+            (hit["query_id"], hit["source_video_id"], "0.5")])
+        assert run("evaluate", "--results", results, "--queries", truth,
+                   "--out-prefix", tmp_path / "eval") == 0
+        return [(tmp_path / f"eval_{kind}.csv").read_text().splitlines()
+                for kind in ("pr", "map")]
+
+    def test_pr_csv_columns(self, dataset, tmp_path):
+        pr, _ = self.evaluate_one_hit(dataset, tmp_path)
+        assert pr == ["method,D,threshold,precision,recall",
+                      "vlac,4,0.5,1.0,1.0"]
+
+    def test_map_csv_columns(self, dataset, tmp_path):
+        _, map_lines = self.evaluate_one_hit(dataset, tmp_path)
+        assert map_lines == ["method,D,mAP", "vlac,4,1.0"]
+
     def test_missed_query_scores_ap_zero(self, dataset, tmp_path):
         # a top-1 ranking: the first query hits its source video, the
         # second ranks the wrong video first; the ground truth holds these

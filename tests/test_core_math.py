@@ -99,7 +99,8 @@ def reference_kmeans(points, k, seed, max_iter=100, tol=1e-4, refills=None):
     for _ in range(max_iter):
         dists = reference_sq_dists(points, centers)
         assign = np.argmin(dists, axis=1)
-        moved = _fill_empty_clusters(assign, dists[np.arange(n), assign], k)
+        moved = _fill_empty_clusters(assign, dists[np.arange(n), assign],
+                                     np.bincount(assign, minlength=k))
         if refills is not None:
             refills.append(moved)
         centers = np.stack([points[assign == j].mean(axis=0) for j in range(k)])

@@ -25,8 +25,6 @@ from vlac.evaluation import (
     map_from_retrievals,
     plot_pr_svg,
     stability_bases,
-    write_map_csv,
-    write_pr_csv,
 )
 
 
@@ -301,22 +299,6 @@ class TestStabilityExperiment:
         pooled = np.concatenate([video.features for video in videos])
         expected = pca_fit(pooled, 4)
         assert np.array_equal(clean.rows, expected.rows)
-
-
-class TestCsvWriters:
-    def test_pr_csv_columns(self, tmp_path):
-        path = tmp_path / "pr.csv"
-        write_pr_csv(path, [("vlac", 8, PRPoint(0.5, 1.0, 0.25))])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "method,D,threshold,precision,recall"
-        assert lines[1] == "vlac,8,0.5,1.0,0.25"
-
-    def test_map_csv_columns(self, tmp_path):
-        path = tmp_path / "map.csv"
-        write_map_csv(path, [("vlad", 16, 0.75)])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "method,D,mAP"
-        assert lines[1] == "vlad,16,0.75"
 
 
 class TestPrSvg:

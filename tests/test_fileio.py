@@ -13,8 +13,7 @@ from vlac import (
     write_store,
 )
 from vlac.errors import DataError
-from vlac.evaluation import PRPoint, write_map_csv, write_pr_csv
-from vlac.fileio import atomic_write
+from vlac.fileio import atomic_write, write_csv
 from vlac.ingestion import VideoEntry, save_manifest
 from vlac.search import DescriptorSequence
 
@@ -51,10 +50,11 @@ FAILING_WRITES = {
         DatasetManifest(videos=(VideoEntry("v", "v.vfeat", object(), ""),),
                         feature_dim=2),
         path, overwrite=overwrite),
-    "pr_csv": lambda path, overwrite: write_pr_csv(
-        path, rows_then_fail(("vlac", 8, PRPoint(0.5, 1.0, 0.25)))),
-    "map_csv": lambda path, overwrite: write_map_csv(
-        path, rows_then_fail(("vlad", 16, 0.75))),
+    "pr_csv": lambda path, overwrite: write_csv(
+        path, ("method", "D", "threshold", "precision", "recall"),
+        rows_then_fail(("vlac", 8, 0.5, 1.0, 0.25))),
+    "map_csv": lambda path, overwrite: write_csv(
+        path, ("method", "D", "mAP"), rows_then_fail(("vlad", 16, 0.75))),
 }
 WRITE_ERRORS = (DataError, TypeError)
 

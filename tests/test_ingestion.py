@@ -40,6 +40,7 @@ from vlac.errors import (
 from vlac.ingestion import (
     PERTURBATION_KINDS,
     QueryEntry,
+    QueryManifest,
     VideoEntry,
     save_manifest,
 )
@@ -606,6 +607,47 @@ class TestManifests:
         with pytest.raises(DataError):
             write_dataset(tmp_path / "d", ids, videos, fps_sampled=fps,
                           notes="")
+        assert list(tmp_path.iterdir()) == []
+
+    # write_dataset(dir, [7], ...) used to write 7.vfeat and a manifest
+    # that load_manifest then refused
+    def test_non_string_id_refused_before_writing(self, tmp_path):
+        video = make_video(np.random.default_rng(9), 3, 2)
+        with pytest.raises(DataError, match="video_id must be a string, got 7"):
+            write_dataset(tmp_path / "d", [7], [video], fps_sampled=1.0,
+                          notes="")
+        assert list(tmp_path.iterdir()) == []
+
+    # the constructors keep the field rule the loader applies, so no
+    # manifest can be built, written or loaded that breaks it
+    @pytest.mark.parametrize("build", [
+        lambda: VideoEntry("v", "v.vfeat", 1.0, None),
+        lambda: QueryEntry("q", "q.vfeat", 1.0, "x", "v", True),
+        lambda: QueryEntry("q", "q.vfeat", 1.0, "x", 3, 0),
+        lambda: DatasetManifest(videos=(), feature_dim=2.0),
+        lambda: QueryManifest(queries=(), feature_dim=2, notes=None),
+    ], ids=["label-none", "start-frame-bool", "source-id-int",
+            "feature-dim-float", "notes-none"])
+    def test_constructors_refuse_wrong_field_types(self, build):
+        with pytest.raises(DataError, match=r"must be an? (string|integer)"):
+            build()
+
+    def test_loader_names_the_field_type(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(
+            {"videos": [], "feature_dim": True, "notes": ""}))
+        with pytest.raises(DataError, match="not a valid manifest: "
+                           "feature_dim must be an integer, got True"):
+            load_manifest(path)
+
+    # a 5-dim video after a 4-dim one used to be written under a manifest
+    # saying feature_dim 4, which loading b.vfeat then refused
+    def test_mixed_feature_dims_write_nothing(self, tmp_path):
+        rng = np.random.default_rng(10)
+        videos = [make_video(rng, 3, 4), make_video(rng, 3, 5)]
+        with pytest.raises(DimensionMismatch, match="'b' has 5-dim"):
+            write_dataset(tmp_path / "d", ["a", "b"], videos,
+                          fps_sampled=1.0, notes="")
         assert list(tmp_path.iterdir()) == []
 
     # a video beyond float32's range used to fail only after the videos

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vlac import (
-    DescriptorSequence,
-    aligned_similarity,
-    load_store,
-    retrieve,
-    write_store,
-)
+from vlac import DescriptorSequence, load_store, retrieve, write_store
+from vlac.search import aligned_similarity
 from vlac.errors import DataError, DimensionMismatch, EmptyStore
 
 
@@ -47,6 +42,13 @@ class TestDescriptorSequence:
     def test_rejects_empty_sequence(self):
         with pytest.raises(DataError):
             seq("a", np.empty((0, 3)))
+
+    # an int id used to be accepted, and then write_store raised
+    # AttributeError and a sort in retrieve TypeError
+    @pytest.mark.parametrize("video_id", [7, None, b"a"])
+    def test_rejects_non_string_id(self, video_id):
+        with pytest.raises(DataError, match="video_id must be a string"):
+            seq(video_id, np.ones((2, 3)))
 
     @pytest.mark.parametrize("method", ["bogus", "", "sift", None])
     def test_rejects_method_without_store_tag(self, method):
