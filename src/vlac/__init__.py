@@ -33,7 +33,6 @@ from .core_math import (
 from .errors import DataError, VlacError
 from .evaluation import (
     GroundTruth,
-    PRCurve,
     PRPoint,
     average_precision,
     map_from_retrievals,

@@ -160,19 +160,15 @@ class Video:
     def from_frames(cls, frames, frame_index=None) -> "Video":
         """A video from per-frame (count, dim) arrays, indexed 0, 1, ...
         unless ``frame_index`` is given. The frames are copied into the one
-        feature matrix, float32 when every frame is float32 and cast to
-        float64 otherwise; a signaling NaN passes the cast quietly and
+        feature matrix in the dtype numpy promotes them to, which ``Video``
+        then keeps or casts; a signaling NaN passes the copy quietly and
         fails the finiteness check."""
         frames = [np.asarray(f) for f in frames]
         if frame_index is None:
             frame_index = range(len(frames))
         counts = [f.shape[0] for f in frames]
-        dtype = (np.float32 if frames
-                 and all(f.dtype == np.float32 for f in frames)
-                 else np.float64)
         with np.errstate(invalid="ignore"):
-            features = (np.concatenate(frames, dtype=dtype) if frames
-                        else np.empty((0, 0)))
+            features = np.concatenate(frames) if frames else np.empty((0, 0))
         return cls(
             features=features,
             frame_index=frame_index,

@@ -394,7 +394,7 @@ def cmd_evaluate(args) -> int:
         load_query_manifest(Path(args.queries), check_files=False)
     )
     map_value = map_from_retrievals(by_query, truth)
-    curve = pr_curve(by_query, truth)
+    points = pr_curve(by_query, truth)
 
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -402,11 +402,11 @@ def cmd_evaluate(args) -> int:
     map_path = Path(f"{prefix}_map.csv")
     write_csv(pr_path, ("method", "D", "threshold", "precision", "recall"),
               ([method, d, p.threshold, p.precision, p.recall]
-               for p in curve.points))
+               for p in points))
     write_csv(map_path, ("method", "D", "mAP"), [(method, d, map_value)])
     if args.svg:
         label = "unknown" if method is None else f"{method} D={d}"
-        plot_pr_svg(Path(f"{prefix}_pr.svg"), {label: curve})
+        plot_pr_svg(Path(f"{prefix}_pr.svg"), {label: points})
     _log("evaluated", method=method, d=d, map=map_value, pr_csv=str(pr_path),
          map_csv=str(map_path), queries=len(truth.relevant),
          duration_s=time.perf_counter() - start)

@@ -8,9 +8,11 @@ is scored by ``basis_alignment_score`` and
 :func:`sign_aligned_alignment_score`. Zero perturbation therefore scores
 the self-alignment value d exactly (up to float noise).
 
-:func:`plot_pr_svg` draws PR curves as SVG. The PR and mAP CSV files are
-laid out where they are written, in ``vlac evaluate``
-(:func:`vlac.cli.cmd_evaluate`), like every other CSV the CLI writes.
+A PR curve is the tuple of :class:`PRPoint` that :func:`pr_curve` returns,
+with no wrapper, and :func:`plot_pr_svg` draws such curves, one per label,
+as SVG. The PR and mAP CSV files are laid out where they are written, in
+``vlac evaluate`` (:func:`vlac.cli.cmd_evaluate`), like every other CSV
+the CLI writes.
 """
 
 from __future__ import annotations
@@ -73,13 +75,8 @@ class PRPoint:
     recall: float
 
 
-@dataclass(frozen=True)
-class PRCurve:
-    points: tuple[PRPoint, ...]
-
-
-def pr_curve(results, truth: GroundTruth) -> PRCurve:
-    """Precision/recall swept over every distinct score threshold.
+def pr_curve(results, truth: GroundTruth) -> tuple[PRPoint, ...]:
+    """Precision/recall points swept over every distinct score threshold.
 
     ``results`` maps query_id to its scored (video_id, score) pairs, which
     must cover the full store for recall to reach 1. The total relevant
@@ -87,7 +84,7 @@ def pr_curve(results, truth: GroundTruth) -> PRCurve:
     including those of a query with no results, count as misses.
     Thresholds descend; points where nothing is retrieved are omitted
     (precision is undefined there), so results without a scored pair give
-    a curve with no points.
+    no points.
     """
     _check_queries(results, truth)
     pairs = sorted(((float(score), video_id in truth.relevant[query_id])
@@ -102,7 +99,7 @@ def pr_curve(results, truth: GroundTruth) -> PRCurve:
         # pair means a ground-truth query, so total_relevant >= 1
         if i + 1 == len(pairs) or pairs[i + 1][0] != score:
             points.append(PRPoint(score, tp / (i + 1), tp / total_relevant))
-    return PRCurve(points=tuple(points))
+    return tuple(points)
 
 
 def _check_queries(results, truth: GroundTruth) -> None:
@@ -212,9 +209,10 @@ def stability_bases(
 def plot_pr_svg(path, curves) -> None:
     """Write labelled PR curves to an SVG file.
 
-    Recall runs along x and precision along y, both over [0, 1.05]. Each
-    label in ``curves`` gets one polyline through its points in order and
-    one legend entry. Labels are XML-escaped and coordinates are written
+    ``curves`` maps each label to its points, as :func:`pr_curve` returns
+    them. Recall runs along x and precision along y, both over [0, 1.05].
+    Each label gets one polyline through its points in order and one
+    legend entry. Labels are XML-escaped and coordinates are written
     with a fixed precision, so equal curves give byte-identical files.
     """
     width, height, margin = 500, 400, 50
@@ -245,10 +243,10 @@ def plot_pr_svg(path, curves) -> None:
                      f'text-anchor="middle">{tick:.1f}</text>')
         lines.append(f'<text x="{margin - 5}" y="{y:.2f}" '
                      f'text-anchor="end">{tick:.1f}</text>')
-    for i, (label, curve) in enumerate(curves.items()):
+    for i, (label, points) in enumerate(curves.items()):
         colour = _SVG_COLOURS[i % len(_SVG_COLOURS)]
-        points = " ".join(xy(p.recall, p.precision) for p in curve.points)
-        lines.append(f'<polyline points="{points}" fill="none" '
+        coords = " ".join(xy(p.recall, p.precision) for p in points)
+        lines.append(f'<polyline points="{coords}" fill="none" '
                      f'stroke="{colour}"/>')
         lines.append(f'<text x="{width - margin}" y="{margin + 15 * i}" '
                      f'text-anchor="end" fill="{colour}">'

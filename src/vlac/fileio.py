@@ -20,7 +20,9 @@ only the layout; the rules live here, once:
   check to its caller, which casts the payload once and checks it there.
   Every cast of a payload to float64 runs under
   ``np.errstate(invalid="ignore")``: a signaling NaN makes numpy report an
-  invalid cast, and the finiteness check after the cast refuses it.
+  invalid cast, and the finiteness check after the cast refuses it;
+* :func:`refuse_repeats` is the one id rule: no id appears twice in a
+  ``VLACSTOR`` file or a manifest, which would count one video twice.
 """
 
 from __future__ import annotations
@@ -126,6 +128,15 @@ def read_json(path):
         return json.loads(read_text(path))
     except RecursionError:
         raise DataError(f"{path} is nested too deeply to parse") from None
+
+
+def refuse_repeats(where, what: str, ids) -> None:
+    """DataError "``where`` repeats ``what`` <id>" at the first repeat."""
+    seen = set()
+    for id_ in ids:
+        if id_ in seen:
+            raise DataError(f"{where} repeats {what} {id_!r}")
+        seen.add(id_)
 
 
 def f32_into(out: np.ndarray, arr) -> np.ndarray:

@@ -12,18 +12,18 @@ codec live in :mod:`vlac.fileio`; round trips are bit-exact.
 
 A manifest is the JSON form of a :class:`DatasetManifest` or
 :class:`QueryManifest`, field for field; feature-file paths are relative
-to the manifest's directory.
+to the manifest's directory. One rule (``_Manifest``) serves both.
 
 A synthetic dataset is drawn one video at a time by
 :func:`synthesize_videos`, which returns a one-pass iterator of videos.
-:func:`write_dataset` writes each split (``<video_id>.vfeat`` files plus
-``manifest.json``) straight from such videos, and :func:`make_queries`
-cuts the query segments from them; a split can hand each video to
-:func:`make_queries` as it writes it, so a split and its queries take one
-pass and hold one video at a time, and neither reads a feature file back.
-Each split is written all-or-nothing (:func:`fileio.atomic_dir`).
-:func:`write_features` casts a video's features to float32 once and
-writes the file in one piece.
+:func:`write_dataset` writes a split (``<video_id>.vfeat`` files plus
+``manifest.json``) straight from such videos and can hand each one, as
+it is written, to :func:`make_queries`, which cuts the query split in the
+same pass; neither reads a feature file back. Both splits write their
+feature files through one writer, ``_write_each``, which refuses a video
+of another dim before writing it, and each split is all-or-nothing
+(:func:`fileio.atomic_dir`). :func:`write_features` casts a video's
+features to float32 once and writes the file in one piece.
 
 The draw order of :func:`synthesize_videos` is a contract, because it
 fixes every byte of a synthesized dataset: after the cluster means, per
@@ -49,7 +49,8 @@ import numpy as np
 from .aggregation import Video
 from .core_math import _choice_indices
 from .errors import DataError, DimensionMismatch, EmptyInput, VideoTooShort
-from .fileio import Reader, atomic_dir, atomic_write, f32_into, read_json
+from .fileio import (Reader, atomic_dir, atomic_write, f32_into, read_json,
+                     refuse_repeats)
 
 _FEAT_MAGIC = b"VLACFEAT"
 _FEAT_VERSION = 1
@@ -77,7 +78,7 @@ def _check_types(obj) -> None:
 class _Entry:
     """The rules both manifest entry types share: :func:`_check_types`, and
     ``fps_sampled`` is a real number, finite and >= 0, stored as a float;
-    DataError otherwise."""
+    DataError otherwise. The first field is the entry's :attr:`id`."""
 
     def __post_init__(self):
         _check_types(self)
@@ -85,6 +86,23 @@ class _Entry:
             raise DataError("fps_sampled must be a finite number >= 0, "
                             f"got {self.fps_sampled!r}")
         object.__setattr__(self, "fps_sampled", float(self.fps_sampled))
+
+    @property
+    def id(self) -> str:
+        return getattr(self, fields(self)[0].name)
+
+
+class _Manifest:
+    """The rules both manifest types share: :func:`_check_types`, the
+    entries (the first field) stored as a tuple, and no entry id repeated
+    (:func:`fileio.refuse_repeats`); DataError otherwise."""
+
+    def __post_init__(self):
+        _check_types(self)
+        name = fields(self)[0].name
+        entries = tuple(getattr(self, name))
+        object.__setattr__(self, name, entries)
+        refuse_repeats("manifest", "entry id", (e.id for e in entries))
 
 
 @dataclass(frozen=True)
@@ -96,17 +114,10 @@ class VideoEntry(_Entry):
 
 
 @dataclass(frozen=True)
-class DatasetManifest:
+class DatasetManifest(_Manifest):
     videos: tuple[VideoEntry, ...]
     feature_dim: int
     notes: str = ""
-
-    def __post_init__(self):
-        _check_types(self)
-        object.__setattr__(self, "videos", tuple(self.videos))
-        ids = [v.video_id for v in self.videos]
-        if len(set(ids)) != len(ids):
-            raise DataError("manifest video_ids must be unique")
 
 
 @dataclass(frozen=True)
@@ -120,17 +131,10 @@ class QueryEntry(_Entry):
 
 
 @dataclass(frozen=True)
-class QueryManifest:
+class QueryManifest(_Manifest):
     queries: tuple[QueryEntry, ...]
     feature_dim: int
     notes: str = ""
-
-    def __post_init__(self):
-        _check_types(self)
-        object.__setattr__(self, "queries", tuple(self.queries))
-        ids = [q.query_id for q in self.queries]
-        if len(set(ids)) != len(ids):
-            raise DataError("query_ids must be unique")
 
 
 @dataclass(frozen=True)
@@ -297,10 +301,10 @@ def write_dataset(
     than the video at hand. The manifest is built once the first video
     gives the feature dimension and before any file is written, so one it
     refuses (a repeated id, an id that is not a string, a bad
-    ``fps_sampled``) writes no file. The split is all-or-nothing
-    (:func:`fileio.atomic_dir`): a video that fails to write or whose dim
-    is not the first video's, or a count of videos other than of ``ids``,
-    leaves ``out_dir`` as it was.
+    ``fps_sampled``) writes no file. The split is written through
+    ``_write_each``, all-or-nothing (:func:`fileio.atomic_dir`): a video
+    that fails to write or whose dim is not the first video's, or a count
+    of videos other than of ``ids``, leaves ``out_dir`` as it was.
 
     ``queries``, when given, holds the arguments of :func:`make_queries`
     after ``videos``: each video is then handed to it as soon as it is
@@ -323,7 +327,9 @@ def write_dataset(
     videos = itertools.chain(iter([first]), videos)
     del first
     with atomic_dir(out_dir, overwrite=overwrite) as stage:
-        written = _write_each(stage, manifest, videos)
+        written = (video for _, video in _write_each(
+            stage, manifest.feature_dim,
+            zip(manifest.videos, videos, strict=True)))
         if queries is None:
             for _ in written:
                 pass
@@ -333,19 +339,18 @@ def write_dataset(
     return manifest
 
 
-def _write_each(out_dir: Path, manifest: DatasetManifest,
-                videos) -> Iterator[Video]:
-    """Write each video to its manifest entry's feature file in ``out_dir``
-    and then yield it; ValueError when the counts of entries and videos
-    differ, and DimensionMismatch, before its file is written, for a video
-    whose dim is not the manifest's ``feature_dim``."""
-    for entry, video in zip(manifest.videos, videos, strict=True):
-        if video.dim != manifest.feature_dim:
+def _write_each(out_dir: Path, feature_dim: int, pairs) -> Iterator[tuple]:
+    """Write each (entry, video) pair's video to the entry's feature file
+    in ``out_dir`` and then yield the pair: the one writer of every split.
+    DimensionMismatch, naming the entry's id, before its file is written
+    for a video whose dim is not ``feature_dim``."""
+    for entry, video in pairs:
+        if video.dim != feature_dim:
             raise DimensionMismatch(
-                f"video {entry.video_id!r} has {video.dim}-dim features, "
-                f"the manifest says {manifest.feature_dim}")
+                f"video {entry.id!r} has {video.dim}-dim features, "
+                f"the manifest says {feature_dim}")
         write_features(video, out_dir / entry.feature_file)
-        yield video
+        yield entry, video
 
 
 def perturb(video: Video, spec: PerturbationSpec) -> Video:
@@ -402,16 +407,16 @@ def make_queries(
     shift, and write the segments plus a manifest.json to ``out_dir``.
 
     ``videos`` are the manifest's videos in manifest order, read once,
-    one at a time: each video's segment is cut and written before the
-    next video is read, so a lazy iterator is never held whole. The
-    extraction start is drawn per video from a seeded stream and then
-    shifted by ``offset_frames`` against the database grid (the paper's
-    sub-frame 0.25 s shift is approximated by integer start jitter). Query
-    frames are re-indexed from 0. The ground-truth source video id is
-    recorded on each query entry. The query split is all-or-nothing
+    one at a time: each video's segment is cut and written
+    (``_write_each``) before the next video is read. The extraction start
+    is drawn per video from a seeded stream and then shifted by
+    ``offset_frames`` against the database grid (the paper's sub-frame
+    0.25 s shift is approximated by integer start jitter). Query frames
+    are re-indexed from 0. The ground-truth source video id is recorded
+    on each query entry. The query split is all-or-nothing
     (:func:`fileio.atomic_dir`): a video too short for its segment, a
-    segment that fails to write, or a count of videos other than the
-    manifest's leaves ``out_dir`` as it was.
+    segment that fails to write or has another dim than the manifest, or
+    another count of videos leaves ``out_dir`` as it was.
     """
     if segment_len_frames < 1:
         raise DataError("segment_len_frames must be >= 1")
@@ -419,8 +424,8 @@ def make_queries(
         raise DataError("offset_frames must be >= 0")
     rng = np.random.default_rng(seed)
     span = segment_len_frames + offset_frames
-    entries = []
-    with atomic_dir(out_dir, overwrite=overwrite) as stage:
+
+    def segments():
         for entry, video in zip(manifest.videos, videos, strict=True):
             if len(video) < span:
                 raise VideoTooShort(
@@ -428,22 +433,21 @@ def make_queries(
                 )
             start = int(rng.integers(0, len(video) - span + 1)) + offset_frames
             stop = start + segment_len_frames
-            entries.append(QueryEntry(
+            yield QueryEntry(
                 query_id=f"{entry.video_id}_q",
                 feature_file=f"{entry.video_id}_q.vfeat",
                 fps_sampled=entry.fps_sampled,
                 label=entry.label,
                 source_video_id=entry.video_id,
                 start_frame=start,
-            ))
-            write_features(
-                Video(video.features[video.rows(start, stop)],
-                      np.arange(segment_len_frames),
-                      video.offsets[start : stop + 1] - video.offsets[start]),
-                stage / entries[-1].feature_file)
-        qmanifest = QueryManifest(
-            queries=tuple(entries), feature_dim=manifest.feature_dim
-        )
+            ), Video(video.features[video.rows(start, stop)],
+                     np.arange(segment_len_frames),
+                     video.offsets[start : stop + 1] - video.offsets[start])
+
+    with atomic_dir(out_dir, overwrite=overwrite) as stage:
+        written = _write_each(stage, manifest.feature_dim, segments())
+        qmanifest = QueryManifest(queries=tuple(e for e, _ in written),
+                                  feature_dim=manifest.feature_dim)
         save_query_manifest(qmanifest, stage / "manifest.json")
     return qmanifest
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .aggregation import METHOD_TAGS, TAG_METHODS
 from .errors import DataError, DimensionMismatch, EmptyStore
-from .fileio import Reader, atomic_write, f32_bytes
+from .fileio import Reader, atomic_write, f32_bytes, refuse_repeats
 
 _STORE_MAGIC = b"VLACSTOR"
 _ID_LENGTH = struct.Struct("<I")
@@ -191,7 +191,7 @@ def retrieve(
     entries = list(store)
     if not entries:
         raise EmptyStore("cannot retrieve from an empty store")
-    _refuse_repeated_ids(entries, "store")
+    refuse_repeats("store", "video id", (seq.video_id for seq in entries))
     lengths = np.array([seq.length for seq in entries])
     dims = {seq.d for seq in entries} - {query.d}
     if dims:
@@ -225,20 +225,11 @@ def retrieve(
     return RetrievalResult(matches=tuple(matches))
 
 
-def _refuse_repeated_ids(sequences, path) -> None:
-    """DataError naming ``path`` and the first video_id that repeats."""
-    seen = set()
-    for seq in sequences:
-        if seq.video_id in seen:
-            raise DataError(f"{path} repeats video id {seq.video_id!r}")
-        seen.add(seq.video_id)
-
-
 def write_store(sequences, path, *, overwrite: bool = False) -> None:
     """Serialize sequences to a VLACSTOR file (bit-exact round trip).
     A repeated video_id raises DataError before any byte is written."""
     sequences = list(sequences)
-    _refuse_repeated_ids(sequences, path)
+    refuse_repeats(path, "video id", (seq.video_id for seq in sequences))
     with atomic_write(path, overwrite=overwrite) as fh:
         fh.write(_STORE_MAGIC)
         for seq in sequences:
@@ -268,5 +259,5 @@ def load_store(path) -> list[DescriptorSequence]:
             raise DataError(f"{path} has unknown method tag {tag}")
         descriptors = reader.f32(g, d, f"record {video_id!r}")
         sequences.append(DescriptorSequence(video_id, descriptors, TAG_METHODS[tag]))
-    _refuse_repeated_ids(sequences, path)
+    refuse_repeats(path, "video id", (seq.video_id for seq in sequences))
     return sequences

@@ -584,7 +584,30 @@ class TestFloat32Videos:
         assert Video.from_frames([single, single]).features.dtype == np.float32
         assert Video.from_frames([single, single.astype(np.float64)]
                                  ).features.dtype == np.float64
+        assert Video.from_frames([single.astype(np.int32)]
+                                 ).features.dtype == np.float64
         assert Video(single.tolist(), [0], [0, 2]).features.dtype == np.float64
+
+    # from_frames concatenates as numpy promotes and Video alone picks the
+    # dtype: float32 kept, anything else cast to float64, both exact
+    @settings(max_examples=10, deadline=None)
+    @given(case=training_cases, method=st.sampled_from(["vlad", "vlac", "hp"]))
+    def test_promoted_frames_encode_as_their_float64_copies(self, case,
+                                                           method):
+        videos = _random_videos(case["data_seed"], case["dim"],
+                                case["features_per_frame"])
+        model = train(method, videos, case["schema"])
+        frames, index = frames_of(videos[0]), videos[0].frame_index
+        mixed = [f.astype(np.float16 if t % 2 else np.float32)
+                 for t, f in enumerate(frames)]
+        ints = [np.rint(4 * f).astype(np.int32) for f in frames]
+        for parts, dtype in ((mixed, np.float32), (ints, np.float64)):
+            video = Video.from_frames(parts, index)
+            wide = Video.from_frames([f.astype(np.float64) for f in parts],
+                                     index)
+            assert video.features.dtype == dtype
+            assert (encode_video(video, model).tobytes()
+                    == encode_video(wide, model).tobytes())
 
     def test_load_features_returns_float32(self, tmp_path):
         video = _random_videos(3, 4, 5)[0]

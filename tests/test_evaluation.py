@@ -20,7 +20,6 @@ from vlac import (
 from vlac.core_math import ProjectionBasis, pca_fit
 from vlac.errors import DataError
 from vlac.evaluation import (
-    PRCurve,
     PRPoint,
     map_from_retrievals,
     plot_pr_svg,
@@ -89,12 +88,12 @@ class TestPRCurve:
     def test_perfect_separation_contains_one_one(self):
         results = {"q": [("rel", 0.9), ("irr", 0.1)]}
         curve = pr_curve(results, self.truth(q={"rel"}))
-        assert any(p.precision == 1.0 and p.recall == 1.0 for p in curve.points)
+        assert any(p.precision == 1.0 and p.recall == 1.0 for p in curve)
 
     def test_hand_counted_fixture(self):
         results = {"q": [("a", 0.9), ("b", 0.8), ("c", 0.7)]}
         curve = pr_curve(results, self.truth(q={"a", "c"}))
-        got = [(p.threshold, p.precision, p.recall) for p in curve.points]
+        got = [(p.threshold, p.precision, p.recall) for p in curve]
         assert got == [(0.9, 1.0, 0.5), (0.8, 0.5, 0.5), (0.7, 2 / 3, 1.0)]
 
     def test_recall_monotone(self):
@@ -105,9 +104,9 @@ class TestPRCurve:
         }
         truth = self.truth(**{f"q{i}": {f"v{i}"} for i in range(3)})
         curve = pr_curve(results, truth)
-        recalls = [p.recall for p in curve.points]
+        recalls = [p.recall for p in curve]
         assert recalls == sorted(recalls)
-        for p in curve.points:
+        for p in curve:
             assert 0.0 <= p.precision <= 1.0
             assert 0.0 <= p.recall <= 1.0
 
@@ -115,11 +114,11 @@ class TestPRCurve:
         rng = np.random.default_rng(3)
         results = {"q": [(f"v{j}", float(rng.normal())) for j in range(6)]}
         curve = pr_curve(results, self.truth(q={"v2", "v4"}))
-        assert curve.points[-1].recall == 1.0
+        assert curve[-1].recall == 1.0
 
     def test_empty_results(self):
         # no scored pair: nothing is retrieved at any threshold
-        assert pr_curve({}, self.truth(q={"a"})) == PRCurve(points=())
+        assert pr_curve({}, self.truth(q={"a"})) == ()
 
     def test_unknown_query(self):
         with pytest.raises(DataError):
@@ -129,7 +128,7 @@ class TestPRCurve:
         # q2 scored below a search threshold everywhere and has no rows
         results = {"q1": [("a", 1.0)]}
         curve = pr_curve(results, self.truth(q1={"a"}, q2={"b"}))
-        assert curve.points[-1].recall == 0.5
+        assert curve[-1].recall == 0.5
 
 
 class TestMapFromRetrievals:
@@ -221,7 +220,7 @@ class TestBruteForceDefinitions:
     def test_pr_curve(self, case):
         truth, results = case
         got = [(p.threshold, p.precision, p.recall)
-               for p in pr_curve(results, truth).points]
+               for p in pr_curve(results, truth)]
         assert got == brute_pr_curve(results, truth)
 
 
@@ -304,10 +303,10 @@ class TestStabilityExperiment:
 class TestPrSvg:
     SVG = "{http://www.w3.org/2000/svg}"
     CURVES = {
-        "vlac D=8": PRCurve((PRPoint(0.9, 1.0, 0.25), PRPoint(0.5, 0.75, 1.0))),
-        "a<&>b": PRCurve((PRPoint(0.8, 1.0, 0.5),
-                          PRPoint(0.4, 0.5, 0.75),
-                          PRPoint(0.1, 0.4, 1.0))),
+        "vlac D=8": (PRPoint(0.9, 1.0, 0.25), PRPoint(0.5, 0.75, 1.0)),
+        "a<&>b": (PRPoint(0.8, 1.0, 0.5),
+                  PRPoint(0.4, 0.5, 0.75),
+                  PRPoint(0.1, 0.4, 1.0)),
     }
 
     def test_one_polyline_per_curve_with_every_point(self, tmp_path):

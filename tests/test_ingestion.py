@@ -517,6 +517,17 @@ class TestMakeQueries:
         assert not (tmp_path / "q").exists()
         assert [p for p in tmp_path.iterdir() if p.name.startswith(".")] == []
 
+    # a 5-dim video under a 4-dim manifest used to give a_q.vfeat and a
+    # query manifest saying 4, which loading a_q.vfeat then refused
+    def test_segment_of_another_dim_writes_nothing(self, tmp_path):
+        manifest = DatasetManifest(
+            videos=(VideoEntry("a", "a.vfeat", 1.0, "clean"),), feature_dim=4)
+        video = make_video(np.random.default_rng(6), 6, 5)
+        with pytest.raises(DimensionMismatch, match="'a_q' has 5-dim"):
+            make_queries(manifest, [video], tmp_path / "q",
+                         segment_len_frames=4, offset_frames=0, seed=0)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestManifests:
     def test_json_round_trip(self, tmp_path):
@@ -726,9 +737,37 @@ class TestManifests:
         assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="repeats entry id 'v'"):
             DatasetManifest(
                 videos=(VideoEntry("v", "a.vfeat", 1.0, "x"),
                         VideoEntry("v", "b.vfeat", 1.0, "x")),
                 feature_dim=2,
             )
+        with pytest.raises(DataError, match="repeats entry id 'q'"):
+            QueryManifest(
+                queries=(QueryEntry("q", "a.vfeat", 1.0, "x", "a", 0),
+                         QueryEntry("q", "b.vfeat", 1.0, "x", "b", 0)),
+                feature_dim=2,
+            )
+        # the id is the first field: other fields may repeat
+        QueryManifest(queries=(QueryEntry("q", "a.vfeat", 1.0, "x", "a", 0),
+                               QueryEntry("r", "a.vfeat", 1.0, "x", "a", 0)),
+                      feature_dim=2)
+
+    @pytest.mark.parametrize("field, entry, load", [
+        ("videos", {"video_id": "v", "fps_sampled": 1.0, "label": "x"},
+         load_manifest),
+        ("queries", {"query_id": "v", "fps_sampled": 1.0, "label": "x",
+                     "source_video_id": "a", "start_frame": 0},
+         load_query_manifest),
+    ], ids=["dataset", "query"])
+    def test_loaders_name_the_file_and_the_repeated_id(self, tmp_path, field,
+                                                       entry, load):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({field: [
+            {**entry, "feature_file": name} for name in ("a.vfeat", "b.vfeat")
+        ], "feature_dim": 2, "notes": ""}))
+        with pytest.raises(DataError) as exc:
+            load(path, check_files=False)
+        assert str(path) in str(exc.value)
+        assert "repeats entry id 'v'" in str(exc.value)
