@@ -43,10 +43,12 @@ A trainer holds each training matrix once: the videos keep the float32
 features they were loaded with, and the pooled float64 features exist
 only until the codebook is fit; each video's frame VLAD rows are written
 straight into one preallocated matrix, not stacked from per-video
-copies; and every basis fit L2-normalizes (with ``normalize``) and
+copies, one row per distinct frame even where overlapping windows pick a
+frame twice; and every basis fit L2-normalizes (with ``normalize``) and
 centers the rows built for it in place, as :func:`pca_fit` always does.
-Hyper-pooling then projects its centered frame rows with one plain
-product and drops them.
+Hyper-pooling fits its first basis on those rows weighted by the number
+of windows that pick each frame, projects them with one plain product,
+drops them, and spreads the projected rows back to every pick.
 
 A model file (``VLACMODL``) holds the magic, version (u16), method tag
 (u8) and one u32 per :class:`ModelParams` field in field order, then the
@@ -109,12 +111,13 @@ class Video:
     ``offsets[t]:offsets[t + 1]`` are the features of frame ``t``, and
     ``frame_index[t]`` is that frame's index. A float32 array stays
     float32, at half the bytes of float64, as a loaded feature file gives
-    it; anything else is cast to float64. Every consumer widens the
-    features to float64 on use, which is exact, so both dtypes give the
-    same bits downstream. The input is checked once, here: 2-D finite
-    features, F + 1 offsets that start at 0, never decrease and end at
-    ``total``, and strictly increasing integer frame indices that fit in
-    int64.
+    it; other real numbers (bool, integer or float) are cast to float64,
+    and any other kind (complex, strings, objects) is refused. Every
+    consumer widens the features to float64 on use, which is exact, so
+    both dtypes give the same bits downstream. The input is checked once,
+    here: 2-D finite features, F + 1 offsets that start at 0, never
+    decrease and end at ``total``, and strictly increasing integer frame
+    indices that fit in int64.
     """
 
     features: np.ndarray
@@ -124,7 +127,12 @@ class Video:
     def __post_init__(self):
         feats = self.features
         if not (isinstance(feats, np.ndarray) and feats.dtype == np.float32):
-            feats = np.asarray(feats, dtype=np.float64)
+            feats = np.asarray(feats)
+            # a complex value would lose its imaginary part, a string parse
+            if feats.dtype.kind not in "biuf":
+                raise DataError("video features must be real numbers, got "
+                                f"{feats.dtype} values")
+            feats = feats.astype(np.float64, copy=False)
         if feats.ndim != 2:
             raise DimensionMismatch(
                 f"video features must be 2-D (total, dim), got {feats.ndim}-D"
@@ -161,8 +169,8 @@ class Video:
         """A video from per-frame (count, dim) arrays, indexed 0, 1, ...
         unless ``frame_index`` is given. The frames are copied into the one
         feature matrix in the dtype numpy promotes them to, which ``Video``
-        then keeps or casts; a signaling NaN passes the copy quietly and
-        fails the finiteness check."""
+        then keeps, casts or refuses; a signaling NaN passes the copy
+        quietly and fails the finiteness check."""
         frames = [np.asarray(f) for f in frames]
         if frame_index is None:
             frame_index = range(len(frames))
@@ -490,28 +498,35 @@ def _fit_basis(rows: np.ndarray, d: int, normalize: bool) -> ProjectionBasis:
 
 
 def _frame_stage(videos, picks, k: int,
-                 seed: int) -> tuple[Codebook, np.ndarray]:
+                 seed: int) -> tuple[Codebook, np.ndarray, np.ndarray]:
     """The first stage VLAD and hyper-pooling share: a k-codebook over the
     features of frames ``picks[i]`` of each video ``videos[i]``, pooled in
-    order into one float64 matrix that is dropped once the codebook is
-    fit, and those frames' VLAD rows in the same order, written video by
-    video into one preallocated matrix. The loops live here, so no loop
-    variable keeps a video alive once the caller drops its list."""
+    order (a frame picked twice pooled twice) into one float64 matrix that
+    is dropped once the codebook is fit; the VLAD rows of each distinct
+    picked frame, in frame order, written video by video into one
+    preallocated matrix; and, for every pick in order, the row that holds
+    its frame, so ``np.bincount`` of it counts the windows that pick each
+    row. The loops live here, so no loop variable keeps a video alive once
+    the caller drops its list."""
     frames = [v.features[v.rows(t, t + 1)]
               for v, pick in zip(videos, picks) for t in pick]
     # no frames pool to no points, which kmeans_fit refuses
     pooled = np.concatenate(frames or [np.empty((0, 0))], dtype=np.float64)
     codebook = kmeans_fit(pooled, k, seed)
     del pooled
-    rows = np.empty((sum(len(p) for p in picks), codebook.k * codebook.dim))
+    distinct = [np.unique(pick, return_inverse=True) for pick in picks]
+    rows = np.empty((sum(len(u) for u, _ in distinct),
+                     codebook.k * codebook.dim))
+    inverse = []
     end = 0
-    for video, pick in zip(videos, picks):
-        if len(pick):
-            # "clip" never applies to picks in range; "raise" would buffer
-            np.take(_frame_vlads(video, codebook), pick, axis=0,
-                    out=rows[end : end + len(pick)], mode="clip")
-            end += len(pick)
-    return codebook, rows
+    for video, (unique, pick_rows) in zip(videos, distinct):
+        if len(unique):
+            # "clip" never applies to frames in range; "raise" would buffer
+            np.take(_frame_vlads(video, codebook), unique, axis=0,
+                    out=rows[end : end + len(unique)], mode="clip")
+        inverse.append(pick_rows + end)
+        end += len(unique)
+    return codebook, rows, np.concatenate(inverse)
 
 
 def train_vlad(videos, params: ModelParams) -> TrainedModel:
@@ -526,8 +541,8 @@ def train_vlad(videos, params: ModelParams) -> TrainedModel:
     videos = list(videos)
     if not videos:
         raise DataError("train_vlad requires at least one training video")
-    codebook, rows = _frame_stage(videos, [np.arange(len(v)) for v in videos],
-                                  params.j, params.seed)
+    codebook, rows, _ = _frame_stage(
+        videos, [np.arange(len(v)) for v in videos], params.j, params.seed)
     del videos  # the last use of the features
     basis = _fit_basis(rows, params.d, params.normalize)
     return TrainedModel(
@@ -598,7 +613,9 @@ def train_hp(videos, params: ModelParams) -> TrainedModel:
     residuals are defined everywhere); and a final d-dim basis over the
     per-window raw vectors, all summed in one :func:`_residual_sums` call.
     Every stage sees the frames window by window, so a frame two windows
-    share counts twice. ``h`` is clamped to ``d0``.
+    share counts twice: the first codebook pools its features twice, and
+    the first basis fits its one VLAD row with weight 2, so ``d0`` may not
+    exceed the distinct training frames. ``h`` is clamped to ``d0``.
     ``videos`` is consumed once, into a list that is dropped after the
     frame VLAD rows, before the first basis is fit.
     """
@@ -610,15 +627,18 @@ def train_hp(videos, params: ModelParams) -> TrainedModel:
     if not any(s.size for s in starts):
         raise DataError("train_hp requires at least one training group")
     # the frames of each window in order, g per window
-    first_codebook, frame_rows = _frame_stage(
+    first_codebook, frame_rows, inverse = _frame_stage(
         videos, [np.add.outer(ss, np.arange(g)).ravel() for ss in starts],
         params.alpha1, params.seed)
     del videos  # the last use of the features
-    # the fit centers frame_rows in place, so a plain product projects them,
-    # bit for bit as pca_project would
-    first_basis = pca_fit(frame_rows, d0)
+    counts = np.bincount(inverse)
+    # the fit centers frame_rows and scales each by the root of its count in
+    # place, so a plain product and that division project them
+    first_basis = pca_fit(frame_rows, d0, weights=counts)
     projected = frame_rows @ first_basis.rows.T
     del frame_rows
+    projected /= np.sqrt(counts)[:, None]
+    projected = projected[inverse]
 
     head = kmeans_fit(projected[:, :h], alpha2,
                       params.seed ^ _HP_SECOND_STAGE_SALT)

@@ -233,7 +233,8 @@ def cmd_train(args) -> int:
     f32_error = save_model(model, args.out, overwrite=True)
     bases = {
         name: {"solver": basis.solver,
-               "retained_variance": basis.retained_variance}
+               "retained_variance": basis.retained_variance,
+               "fit_rows": basis.fit_rows}
         for name, basis in (("hp_first_basis", model.hp_first_basis),
                             ("basis", model.basis))
         if basis is not None

@@ -127,9 +127,10 @@ class ProjectionBasis:
     d directions are ever solved for (:func:`pca_fit`). ``mean`` is
     subtracted before projection, making the basis self-contained. A basis
     from :func:`pca_fit` also records the ``solver`` that ran ("gram",
-    "eig" or "svd") and ``retained_variance``, the kept eigenvalues over
-    the total variance; both are None for a basis read from a file or built
-    by hand.
+    "eig" or "svd"), ``retained_variance``, the kept eigenvalues over the
+    total variance, and ``fit_rows``, the number of rows the eigensolve saw
+    (the distinct rows of a weighted fit); all three are None for a basis
+    read from a file or built by hand.
     """
 
     rows: np.ndarray
@@ -137,6 +138,7 @@ class ProjectionBasis:
     eigenvalues: np.ndarray
     solver: str | None = None
     retained_variance: float | None = None
+    fit_rows: int | None = None
 
     @property
     def d(self) -> int:
@@ -713,11 +715,12 @@ def _top_eigenpairs(sym: np.ndarray, d: int):
     return evals[order], evecs[order]
 
 
-def _gram_solve(centered: np.ndarray, d: int):
-    """Top-``d`` eigenpairs of the covariance through the n x n Gram matrix.
+def _gram_solve(centered: np.ndarray, d: int, dof):
+    """Top-``d`` eigenpairs of the covariance ``C^T C / dof`` through the
+    n x n Gram matrix.
 
-    The snapshot method: if ``C C^T u = (n-1) lam u`` then ``C^T u / sqrt((n-1)
-    lam)`` is a unit eigenvector of ``C^T C / (n-1)`` with eigenvalue ``lam``.
+    The snapshot method: if ``C C^T u = dof lam u`` then ``C^T u / sqrt(dof
+    lam)`` is a unit eigenvector of ``C^T C / dof`` with eigenvalue ``lam``.
     Returns None when a kept eigenvalue is not clearly above the rounding
     error of the eigensolver (about n * eps * lam_max), because dividing by
     its root would give NaN or noise; centered data has rank at most n - 1.
@@ -727,19 +730,19 @@ def _gram_solve(centered: np.ndarray, d: int):
     """
     n = centered.shape[0]
     gram = centered @ centered.T
-    gram /= n - 1  # in place: no second n x n array
+    gram /= dof  # in place: no second n x n array
     eigenvalues, snapshots = _top_eigenpairs(gram, d)
     floor = n * np.finfo(np.float64).eps * eigenvalues[0]
     if eigenvalues[-1] <= 0.0 or eigenvalues[-1] <= floor:
         return None
     vecs = snapshots @ centered
-    vecs /= np.sqrt((n - 1) * eigenvalues)[:, None]
+    vecs /= np.sqrt(dof * eigenvalues)[:, None]
     if np.abs(vecs @ vecs.T - np.eye(d)).max() > _GRAM_ORTHO_TOL:
         return None
     return eigenvalues, vecs
 
 
-def pca_fit(rows, d: int) -> ProjectionBasis:
+def pca_fit(rows, d: int, *, weights=None) -> ProjectionBasis:
     """Fit the top-``d`` principal directions of ``rows``.
 
     The column-wise mean is subtracted and recorded on the basis. The input's
@@ -753,8 +756,9 @@ def pca_fit(rows, d: int) -> ProjectionBasis:
     thin SVD of the n centered rows instead. All paths agree within 1e-5 on
     well-conditioned data. Eigenvector signs follow the
     largest-magnitude-component-positive rule so fits are reproducible. The
-    basis records the solver that ran ("gram", "eig" or "svd") and the
-    fraction of the total variance the kept directions hold.
+    basis records the solver that ran ("gram", "eig" or "svd"), the
+    fraction of the total variance the kept directions hold, and the row
+    count n as ``fit_rows``.
 
     The covariance and Gram eigendecompositions solve for the top ``d``
     pairs only: one LAPACK ``dsyevr`` call in the OpenBLAS that numpy
@@ -766,26 +770,43 @@ def pca_fit(rows, d: int) -> ProjectionBasis:
     but not bit for bit. Either way the bits also depend on the BLAS thread
     count (:func:`blas_threads`).
 
+    ``weights`` gives the number of times each row counts: the fit is that
+    of the rows repeated that often, up to rounding, without the repeats.
+    It takes the weighted mean, scales each centered row by the root of its
+    weight, and runs the unweighted solvers on those n rows with the
+    sample count ``sum(weights)`` in place of n. The row count n alone
+    picks the solver and bounds ``d``.
+
     The fit centers ``rows`` in place instead of copying it: a C-contiguous
-    float64 ``rows`` holds ``rows - basis.mean`` afterwards, and any other
-    array is converted to a new array first and left unchanged. The basis
-    is bit for bit the same either way. A caller that still needs its
-    rows passes a copy.
+    float64 ``rows`` holds ``rows - basis.mean`` afterwards, each row also
+    multiplied by the square root of its weight when ``weights`` is given,
+    and any other array is converted to a new array first and left
+    unchanged. The basis is bit for bit the same either way. A caller that
+    still needs its rows passes a copy.
 
     Args:
         rows: (n, dim) array, n >= 2.
         d: directions to keep, 1 <= d <= min(n, dim).
+        weights: None, or (n,) integers >= 1.
 
     Returns:
         A :class:`ProjectionBasis` with d orthonormal rows.
 
     Raises:
-        DimensionMismatch: rows is not a 2-D array.
+        DimensionMismatch: rows is not a 2-D array, or weights is not (n,).
+        DataError: a weight is not an integer >= 1.
         InsufficientRows: fewer than two rows.
         DTooLarge: d exceeds min(n, dim).
     """
     mat = _as_points(rows, name="rows")
     n, dim = mat.shape
+    if weights is not None:
+        weights = np.asarray(weights)
+        if weights.shape != (n,):
+            raise DimensionMismatch(
+                f"weights have shape {weights.shape}, rows need ({n},)")
+        if weights.dtype.kind not in "iu" or np.any(weights < 1):
+            raise DataError("weights must be integers >= 1")
     if n < 2:
         raise InsufficientRows(f"pca_fit requires >= 2 rows, got {n}")
     if d < 1:
@@ -794,23 +815,32 @@ def pca_fit(rows, d: int) -> ProjectionBasis:
         raise DTooLarge(f"d={d} exceeds min(rows={n}, dim={dim})")
     _check_finite(mat, "rows")
 
-    mean = mat.mean(axis=0)
+    if weights is None:
+        count = n
+        mean = mat.mean(axis=0)
+    else:
+        weights = weights.astype(np.float64)
+        count = float(weights.sum())
+        mean = (weights @ mat) / count
     centered = np.subtract(mat, mean, out=mat)
+    if weights is not None:
+        centered *= np.sqrt(weights)[:, None]  # in place, as the centering
+    dof = count - 1
     if n >= dim:
         solver = "eig"
         cov = centered.T @ centered
-        cov /= n - 1  # in place: no second dim x dim array
+        cov /= dof  # in place: no second dim x dim array
         eigenvalues, vecs = _top_eigenpairs(cov, d)
-    elif (solved := _gram_solve(centered, d)) is not None:
+    elif (solved := _gram_solve(centered, d, dof)) is not None:
         solver = "gram"
         eigenvalues, vecs = solved
     else:
         solver = "svd"
         _, sing, vt = np.linalg.svd(centered, full_matrices=False)
-        eigenvalues = (sing[:d] ** 2) / (n - 1)
+        eigenvalues = (sing[:d] ** 2) / dof
         vecs = vt[:d]
 
-    total = float(np.vdot(centered, centered)) / (n - 1)
+    total = float(np.vdot(centered, centered)) / dof
     # identical rows have no variance, so no projection loses any
     retained = float(np.sum(eigenvalues)) / total if total > 0.0 else 1.0
     return ProjectionBasis(
@@ -819,6 +849,7 @@ def pca_fit(rows, d: int) -> ProjectionBasis:
         eigenvalues=np.ascontiguousarray(eigenvalues, dtype=np.float64),
         solver=solver,
         retained_variance=retained,
+        fit_rows=n,
     )
 
 

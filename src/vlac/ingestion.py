@@ -94,7 +94,8 @@ class _Entry:
 
 class _Manifest:
     """The rules both manifest types share: :func:`_check_types`, the
-    entries (the first field) stored as a tuple, and no entry id repeated
+    entries (the first field) stored as a tuple, each one of the class's
+    ``entry_type``, and no entry id repeated
     (:func:`fileio.refuse_repeats`); DataError otherwise."""
 
     def __post_init__(self):
@@ -102,6 +103,10 @@ class _Manifest:
         name = fields(self)[0].name
         entries = tuple(getattr(self, name))
         object.__setattr__(self, name, entries)
+        for entry in entries:
+            if not isinstance(entry, self.entry_type):
+                raise DataError(f"{name} must hold {self.entry_type.__name__}"
+                                f" entries, got {type(entry).__name__}")
         refuse_repeats("manifest", "entry id", (e.id for e in entries))
 
 
@@ -115,6 +120,7 @@ class VideoEntry(_Entry):
 
 @dataclass(frozen=True)
 class DatasetManifest(_Manifest):
+    entry_type = VideoEntry
     videos: tuple[VideoEntry, ...]
     feature_dim: int
     notes: str = ""
@@ -132,6 +138,7 @@ class QueryEntry(_Entry):
 
 @dataclass(frozen=True)
 class QueryManifest(_Manifest):
+    entry_type = QueryEntry
     queries: tuple[QueryEntry, ...]
     feature_dim: int
     notes: str = ""
@@ -470,21 +477,21 @@ save_query_manifest = save_manifest
 
 
 def load_manifest(path, *, check_files: bool = True) -> DatasetManifest:
-    return _load(path, DatasetManifest, VideoEntry, check_files)
+    return _load(path, DatasetManifest, check_files)
 
 
 def load_query_manifest(path, *, check_files: bool = True) -> QueryManifest:
-    return _load(path, QueryManifest, QueryEntry, check_files)
+    return _load(path, QueryManifest, check_files)
 
 
-def _load(path, cls, entry_cls, check_files: bool):
+def _load(path, cls, check_files: bool):
     """Build ``cls`` from the JSON file at ``path``; its first field holds
-    the ``entry_cls`` entries, each naming a feature file relative to
+    its ``entry_type`` entries, each naming a feature file relative to
     ``path``'s directory."""
     path = Path(path)
     doc = read_json(path)
     try:
-        manifest = _from_json(cls, doc, entry_cls)
+        manifest = _from_json(cls, doc)
     except KeyError as exc:
         raise DataError(f"{path} is missing manifest field {exc}") from exc
     # a non-object, a wrong-typed value, a value the classes refuse
@@ -499,15 +506,16 @@ def _load(path, cls, entry_cls, check_files: bool):
     return manifest
 
 
-def _from_json(cls, doc, entry_cls=None):
-    """``cls`` from a JSON object, field by field; the one tuple field holds
-    ``entry_cls`` objects. ``cls`` checks every value itself."""
+def _from_json(cls, doc):
+    """``cls`` from a JSON object, field by field; the one tuple field of a
+    manifest holds its ``entry_type`` objects. ``cls`` checks every value
+    itself."""
     values = {}
     for fld in fields(cls):
         if fld.name not in doc and fld.default is not MISSING:
             continue
         value = doc[fld.name]
         if fld.type.startswith("tuple"):
-            value = tuple(_from_json(entry_cls, entry) for entry in value)
+            value = tuple(_from_json(cls.entry_type, entry) for entry in value)
         values[fld.name] = value
     return cls(**values)

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -51,6 +52,7 @@ from vlac.ingestion import (
 from vlac.errors import (
     DataError,
     DimensionMismatch,
+    DTooLarge,
     EmptyGof,
     EmptyInput,
     EmptyVideo,
@@ -653,6 +655,22 @@ class TestVideo:
         with pytest.raises(DimensionMismatch):
             Video(np.ones(3), [0], [0, 3])
 
+    @pytest.mark.parametrize("features", [
+        np.array([["1.5", "2"]]),         # a cast would parse them
+        np.array([[1.5 + 2j, 2.0]]),      # and drop the imaginary part
+        np.array([[1.5, 2.0]], dtype=object),
+    ])
+    def test_rejects_features_that_are_not_real_numbers(self, features):
+        with pytest.raises(DataError, match="real numbers"):
+            Video(features, [0], [0, 1])
+        with pytest.raises(DataError, match="real numbers"):
+            Video.from_frames([features])
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float16])
+    def test_casts_other_real_numbers_to_float64(self, dtype):
+        video = Video(np.ones((1, 2), dtype=dtype), [0], [0, 1])
+        assert video.features.dtype == np.float64
+
     @pytest.mark.parametrize("index, offsets", [
         ([0, 1], [0, 3]),         # one offset per frame plus one
         ([0, 1], [1, 2, 3]),      # the first frame starts at row 0
@@ -800,13 +818,43 @@ class TestHyperPooling:
         assert raw.shape == (3 * 6,)
 
 
-class TestTrainHpReference:
-    """``train_hp`` against the public one-window path: its first basis and
-    second-stage codebook bit for bit, its final basis within rounding."""
+class TestTrainHpDistinctFrames:
+    """The first basis fits one row per distinct training frame."""
 
-    @staticmethod
-    def same(got, want):
-        return got.shape == want.shape and got.tobytes() == want.tobytes()
+    def test_d0_is_bounded_by_the_distinct_frames(self):
+        # two windows of 5 pick 10 frame rows but only 6 distinct frames,
+        # whose centered rows span at most 5 directions
+        rng = np.random.default_rng(14)
+        video = Video.from_frames([rng.normal(size=(4, 3)) for _ in range(6)])
+        p = params(alpha1=4, d0=8, alpha2=2, h=2, d=2, gof_size=5,
+                   overlap=4, seed=1)
+        with pytest.raises(DTooLarge, match="rows=6"):
+            train_hp([video], p)
+        assert train_hp([video], replace(p, d0=6)).hp_first_basis.d == 6
+
+    def test_first_basis_holds_no_row_per_pick(self):
+        # overlap 4 of 5: most frames sit in 5 windows, so the frame rows
+        # of every pick would be about 4.5 times those of the distinct
+        # frames (36 windows of 5 picks, 40 frames, per video)
+        videos = tuple(synthesize_videos(6, 40, 8, 8, 21,
+                                         features_per_frame=4))
+        p = params(alpha1=32, d0=16, alpha2=4, h=4, d=8, gof_size=5,
+                   overlap=4, seed=3)
+        picks = 6 * 36 * 5
+        tracemalloc.start()
+        try:
+            model = train_hp(videos, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 2.9 MB when the fit took a row per pick, 1.2 MB with one per frame
+        assert peak < picks * 32 * 8 * 8  # (picks, alpha1 * f) float64
+        assert model.hp_first_basis.fit_rows == 6 * 40
+
+
+class TestTrainHpReference:
+    """``train_hp`` against the public one-window path, which fits its first
+    basis on every window's frames: each stage agrees within rounding."""
 
     @pytest.mark.parametrize("normalize", [False, True])
     def test_matches_one_window_path(self, normalize):
@@ -824,9 +872,11 @@ class TestTrainHpReference:
         ])
         first = pca_fit(frame_rows.copy(), p.d0)
         assert first.solver == model.hp_first_basis.solver == "eig"
+        # training fits each distinct frame once, weighted by its windows
         for name in ("rows", "mean", "eigenvalues"):
-            assert self.same(getattr(model.hp_first_basis, name),
-                             getattr(first, name)), name
+            np.testing.assert_allclose(getattr(model.hp_first_basis, name),
+                                       getattr(first, name), rtol=0,
+                                       atol=1e-12, err_msg=name)
 
         projected = pca_project(first, frame_rows)
         head = kmeans_fit(projected[:, :h], p.alpha2,
@@ -836,7 +886,8 @@ class TestTrainHpReference:
         centers = (cluster_sums(projected, labels, p.alpha2)
                    / np.maximum(counts, 1)[:, None])
         centers[counts == 0, :h] = head.centers[counts == 0]
-        assert self.same(model.hp_second_codebook.centers, centers)
+        np.testing.assert_allclose(model.hp_second_codebook.centers, centers,
+                                   rtol=0, atol=1e-12)
 
         rows = np.stack([
             hp_encode(frame_rows[r : r + g], first,

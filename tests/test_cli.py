@@ -225,14 +225,16 @@ class TestTrain:
         expected = {
             "vlad": "eb4107f246054c2dc77a77867182d84db50fc9a4f11d5e64ad4c863c6e4ef164",
             "vlac": "1bcea16390f897e5eeb026d55ad5f88e528731d78bb2968e996fb045de838af9",
-            "hp": "4efbc2d89277d28c12143514bfe383147f22da21b843d1be081441b03b903fd5",
+            "hp": "698d9bd8f006c8c7b97f0acc4f1c0d650efffc029b39f3485e81f8e2fa4135f6",
         }
         assert {m: digest(trained / f"{m}.bin") for m in expected} == expected
 
     @pytest.mark.parametrize("method,extra,solvers", [
-        ("hp", [], {"hp_first_basis": "eig", "basis": "eig"}),
+        # 4 videos of 9 windows of 5 frames: 180 picks of 148 distinct
+        # frames, one row each for the first basis, and 36 window rows
+        ("hp", [], {"hp_first_basis": ("eig", 148), "basis": ("eig", 36)}),
         # 160 training frames of 32 x 8 VLAD dims: a wide fit
-        ("vlad", ["--j", "32"], {"basis": "gram"}),
+        ("vlad", ["--j", "32"], {"basis": ("gram", 160)}),
     ])
     def test_trained_event_reports_bases(self, dataset, tmp_path, capsys,
                                          method, extra, solvers):
@@ -241,7 +243,9 @@ class TestTrain:
                    *extra) == 0
         event = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert event["event"] == "trained"
-        assert {k: v["solver"] for k, v in event["bases"].items()} == solvers
+        # each basis's solver and the rows its eigensolve saw
+        assert {k: (v["solver"], v["fit_rows"])
+                for k, v in event["bases"].items()} == solvers
         for basis in event["bases"].values():
             assert 0.0 < basis["retained_variance"] <= 1.0
         books = {"codebook"} | ({"hp_second_codebook"} if method == "hp"
@@ -759,7 +763,7 @@ class TestStabilityCommand:
                    "--method", "all", "--kind", "additive_gaussian",
                    "--magnitude", "0.5", "--out", out, *PARAMS) == 0
         assert digest(out) == (
-            "1104ae0a61762261a57d375c1f7f7a1eb63679b700cc611969818b97726bb6dd")
+            "7b6da02cd3a39e24da11a181daf8c253d38762e05ff3378b9435d4cf06b567b8")
 
 
 class TestEvents:

@@ -835,6 +835,69 @@ class TestPCAOwnership:
         assert basis.rows.tobytes() == pca_fit(wide, 3).rows.tobytes()
 
 
+class TestWeightedPCA:
+    """A fit with ``weights`` is the fit of each row repeated that often."""
+
+    @staticmethod
+    def rows(rng, n, dim, rank):
+        """n rows of rank ``rank`` around a random mean, their directions'
+        spreads a factor 3 apart, so every eigenvalue is distinct."""
+        q, _ = np.linalg.qr(rng.normal(size=(dim, rank)))
+        spread = 3.0 ** -np.arange(rank)
+        mean = rng.normal(size=dim)
+        return (rng.normal(size=(n, rank)) * spread) @ q.T + mean
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           solver=st.sampled_from(["eig", "gram", "svd"]), data=st.data())
+    def test_matches_repeated_rows(self, seed, solver, data):
+        rng = np.random.default_rng(seed)
+        n = data.draw(st.integers(6, 14), label="n")
+        counts = np.array(data.draw(st.lists(st.integers(1, 3), min_size=n,
+                                             max_size=n), label="counts"))
+        d = 3
+        if solver == "eig":  # tall
+            dim = data.draw(st.integers(d, n), label="dim")
+            rank = dim
+        else:  # wide for both the rows and their repeats
+            dim = int(counts.sum()) + data.draw(st.integers(1, 8), label="pad")
+            # rank d - 1: a kept eigenvalue is zero, the Gram path refuses
+            # it, and only the first d - 1 directions are defined
+            rank = n if solver == "gram" else d - 1
+        rows = self.rows(rng, n, dim, rank)
+        weighted = pca_fit(rows.copy(), d, weights=counts)
+        repeated = pca_fit(np.repeat(rows, counts, axis=0), d)
+        assert weighted.solver == repeated.solver == solver
+        assert (weighted.fit_rows, repeated.fit_rows) == (n, counts.sum())
+        top = repeated.eigenvalues[0]
+        assert (np.abs(weighted.eigenvalues - repeated.eigenvalues).max()
+                <= 1e-12 * top)
+        defined = d if solver != "svd" else rank
+        np.testing.assert_allclose(weighted.rows[:defined],
+                                   repeated.rows[:defined], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(weighted.mean, repeated.mean, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(weighted.retained_variance,
+                                   repeated.retained_variance, rtol=1e-12)
+
+    def test_leaves_rows_centered_and_scaled(self):
+        rows = np.random.default_rng(12).normal(size=(8, 20))
+        counts = np.array([1, 4, 1, 2, 3, 1, 1, 9])
+        original = rows.copy()
+        basis = pca_fit(rows, 3, weights=counts)
+        np.testing.assert_array_equal(
+            rows, (original - basis.mean) * np.sqrt(counts)[:, None])
+
+    def test_refuses_bad_weights(self):
+        rows = np.random.default_rng(13).normal(size=(5, 3))
+        with pytest.raises(DimensionMismatch):
+            pca_fit(rows, 2, weights=[1, 2, 3])
+        for weights in ([1, 2, 0, 1, 1], [1.0, 2.0, 1.0, 1.0, 1.0],
+                        [True] * 5):
+            with pytest.raises(DataError):
+                pca_fit(rows, 2, weights=weights)
+
+
 @contextlib.contextmanager
 def solver_context(solver):
     """Run ``_top_eigenpairs`` with ``solver``: "dsyevr" (skipped when

@@ -754,6 +754,18 @@ class TestManifests:
                                QueryEntry("r", "a.vfeat", 1.0, "x", "a", 0)),
                       feature_dim=2)
 
+    def test_entries_of_the_other_type_rejected(self):
+        video = VideoEntry("v", "v.vfeat", 1.0, "x")
+        query = QueryEntry("q", "q.vfeat", 1.0, "x", "v", 0)
+        with pytest.raises(DataError, match="VideoEntry entries, got "
+                                            "QueryEntry"):
+            DatasetManifest(videos=(video, query), feature_dim=2)
+        with pytest.raises(DataError, match="QueryEntry entries, got "
+                                            "VideoEntry"):
+            QueryManifest(queries=(video,), feature_dim=2)
+        with pytest.raises(DataError, match="got dict"):
+            DatasetManifest(videos=({"video_id": "v"},), feature_dim=2)
+
     @pytest.mark.parametrize("field, entry, load", [
         ("videos", {"video_id": "v", "fps_sampled": 1.0, "label": "x"},
          load_manifest),

@@ -84,10 +84,23 @@ def ref_train(method, videos, p):
     p = replace(p, h=min(p.h, p.d0))
     frames = [f for _, w in windows for f in w]
     first = kmeans_fit(ref_stack(frames), p.alpha1, p.seed)
-    frame_rows = np.stack([vlad_encode(f, first) for f in frames])
+    # the first basis fits each distinct frame once, weighted by the windows
+    # that hold it, and projects the centered rows the fit scales by the
+    # root of their weight
+    stride = p.gof_size - p.overlap
+    picks = [(v, i * stride + t) for v, video in enumerate(videos)
+             for i, _ in enumerate(ref_windows(video, p))
+             for t in range(p.gof_size)]
+    distinct = sorted(set(picks))
+    counts = np.array([picks.count(f) for f in distinct])
+    frame_rows = np.stack([vlad_encode(videos[v][t], first)
+                           for v, t in distinct])
     # a copy, since the fit centers its input in place
-    first_basis = pca_fit(frame_rows.copy(), p.d0)
-    projected = pca_project(first_basis, frame_rows)
+    first_basis = pca_fit(frame_rows.copy(), p.d0, weights=counts)
+    root = np.sqrt(counts)[:, None]
+    projected = ((frame_rows - first_basis.mean) * root
+                 @ first_basis.rows.T) / root
+    projected = projected[[distinct.index(f) for f in picks]]
     head = kmeans_fit(projected[:, :p.h], p.alpha2,
                       p.seed ^ _HP_SECOND_STAGE_SALT)
     labels = nearest_centers(projected[:, :p.h], head.centers)
