@@ -41,11 +41,13 @@ that list after its last use, the frame VLAD rows, so no video is held
 while a basis is fit. Both share one first stage, :func:`_frame_stage`.
 A trainer holds each training matrix once: the videos keep the float32
 features they were loaded with, and the pooled float64 features exist
-only until the codebook is fit; each video's frame VLAD rows are written
-straight into one preallocated matrix, not stacked from per-video
-copies, one row per distinct frame even where overlapping windows pick a
-frame twice; and every basis fit L2-normalizes (with ``normalize``) and
-centers the rows built for it in place, as :func:`pca_fit` always does.
+only until the codebook is fit; the kernel sums each video's frame VLAD
+rows straight into one preallocated matrix, one row per distinct picked
+frame even where overlapping windows pick a frame twice, with no
+per-video copy and no row for a frame that no window picks; no residual
+sum holds its (rows, dim) residuals, only one cache block of them; and
+every basis fit L2-normalizes (with ``normalize``) and centers the rows
+built for it in place, as :func:`pca_fit` always does.
 Hyper-pooling fits its first basis on those rows weighted by the number
 of windows that pick each frame, projects them with one plain product,
 drops them, and spreads the projected rows back to every pick.
@@ -304,22 +306,25 @@ class TrainedModel:
 
 def _residual_sums(
     points: np.ndarray, centers: np.ndarray, starts, stops, *,
-    assign_dims: int | None = None,
+    assign_dims: int | None = None, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Nearest-center residual sums over row windows, a (W, k * dim) matrix.
 
     Window ``w`` is rows ``starts[w]:stops[w]`` of ``points``; windows may
     overlap or be empty. The points are assigned once, and row ``w`` holds
     each center's sum of (point - center) over window ``w``'s rows, added
-    in input order by one keyed :func:`cluster_sums`, so it is bit-equal to
-    summing that window alone. ``assign_dims`` restricts the nearest-center
-    search to the leading components of points and centers; residuals span
-    all of them, so points and centers of different widths raise
-    DimensionMismatch.
-    The residuals are the one (rows, dim) float64 temporary: each block of
-    ``core_math._BLOCK_VALUES`` values, the cache block of every
-    elementwise pass, is gathered and widened from ``points`` (float32
-    points widen exactly) and has its centers subtracted in place.
+    in input order by one keyed scatter-add (``core_math._keyed_sums``, as
+    :func:`cluster_sums`), so it is bit-equal to summing that window alone.
+    ``assign_dims`` restricts the nearest-center search to the leading
+    components of points and centers; residuals span all of them, so
+    points and centers of different widths raise DimensionMismatch.
+    No (rows, dim) residual matrix is held: each block of
+    ``core_math._BLOCK_VALUES`` values (the whole column when dim is 1) is
+    gathered and widened from ``points`` into one reused float64 buffer
+    (float32 points widen exactly), has its centers subtracted in place,
+    and is added into the output before the next block is formed. ``out``,
+    a C-contiguous (W, k * dim) float64 array, is filled and returned in
+    place of a new matrix.
     """
     k, dim = centers.shape
     if points.shape[1] != dim:  # the slices below may agree regardless
@@ -329,19 +334,29 @@ def _residual_sums(
                              centers[:, :assign_dims])
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(stops, dtype=np.int64) - starts
+    if out is None:
+        out = np.empty((starts.size, k * dim))
+    elif (out.shape != (starts.size, k * dim) or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous (W, k * dim) float64 "
+                         "array")
     owner = np.repeat(np.arange(starts.size), lengths)
     # every window's rows in order: row i of window w is starts[w] + i
     first = np.cumsum(lengths) - lengths
     rows = np.arange(owner.size) + np.repeat(starts - first, lengths)
-    keys = assign[rows]
-    residuals = np.empty((rows.size, dim), dtype=np.float64)
-    step = max(1, core_math._BLOCK_VALUES // max(dim, 1))
-    for start in range(0, rows.size, step):
-        block = residuals[start : start + step]
-        block[...] = points[rows[start : start + step]]
-        block -= centers[keys[start : start + step]]
-    sums = cluster_sums(residuals, owner * k + keys, starts.size * k)
-    return sums.reshape(starts.size, k * dim)
+    labels = assign[rows]
+    buffer = np.empty((min(rows.size, core_math._sum_step(rows.size, dim)),
+                       dim))
+
+    def residuals(start, stop):
+        block = buffer[: stop - start]
+        block[...] = points[rows[start:stop]]
+        block -= centers[labels[start:stop]]
+        return block
+
+    core_math._keyed_sums(out.reshape(starts.size * k, dim),
+                          owner * k + labels, residuals)
+    return out
 
 
 def vlad_encode(features, codebook: Codebook) -> np.ndarray:
@@ -377,17 +392,6 @@ def _vlac_rows(lfcs, points: np.ndarray, clfc: Codebook) -> np.ndarray:
     counts = np.array([cb.k for cb in lfcs], dtype=np.int64)
     ends = np.cumsum(counts)
     return _residual_sums(points, clfc.centers, ends - counts, ends)
-
-
-def _frame_vlads(video: Video, codebook: Codebook) -> np.ndarray:
-    """The VLAD vector of every frame of ``video``, an (F, k * dim) matrix.
-
-    Row ``t`` is what ``vlad_encode`` gives for frame ``t`` alone, unless a
-    feature sits within rounding of two centers: the whole-video distance
-    product may round differently from a per-frame one.
-    """
-    return _residual_sums(video.features, codebook.centers,
-                          video.offsets[:-1], video.offsets[1:])
 
 
 def hp_encode(
@@ -503,7 +507,7 @@ def _frame_stage(videos, picks, k: int,
     features of frames ``picks[i]`` of each video ``videos[i]``, pooled in
     order (a frame picked twice pooled twice) into one float64 matrix that
     is dropped once the codebook is fit; the VLAD rows of each distinct
-    picked frame, in frame order, written video by video into one
+    picked frame, in frame order, summed video by video straight into one
     preallocated matrix; and, for every pick in order, the row that holds
     its frame, so ``np.bincount`` of it counts the windows that pick each
     row. The loops live here, so no loop variable keeps a video alive once
@@ -520,10 +524,10 @@ def _frame_stage(videos, picks, k: int,
     inverse = []
     end = 0
     for video, (unique, pick_rows) in zip(videos, distinct):
-        if len(unique):
-            # "clip" never applies to frames in range; "raise" would buffer
-            np.take(_frame_vlads(video, codebook), unique, axis=0,
-                    out=rows[end : end + len(unique)], mode="clip")
+        if len(unique):  # a video with no picks makes no assignment
+            _residual_sums(video.features, codebook.centers,
+                           video.offsets[unique], video.offsets[unique + 1],
+                           out=rows[end : end + len(unique)])
         inverse.append(pick_rows + end)
         end += len(unique)
     return codebook, rows, np.concatenate(inverse)
@@ -703,8 +707,10 @@ def _encode_windows(video: Video, model: TrainedModel) -> np.ndarray:
         return _residual_sums(video.features, model.codebook.centers,
                               video.offsets[starts],
                               video.offsets[starts + p.gof_size])
-    projected = pca_project(model.hp_first_basis,
-                            _frame_vlads(video, model.codebook))
+    # one window per frame: the frame VLAD rows
+    frame_vlads = _residual_sums(video.features, model.codebook.centers,
+                                 video.offsets[:-1], video.offsets[1:])
+    projected = pca_project(model.hp_first_basis, frame_vlads)
     return _residual_sums(projected, model.hp_second_codebook.centers, starts,
                           starts + p.gof_size, assign_dims=p.h)
 

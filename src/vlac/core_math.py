@@ -23,7 +23,9 @@ are taken as soon as its distances exist, and an empty-cluster refill
 gathers each point's distance to its own center from the same chunks, so
 no (n, k) distance matrix is ever held. The inertia follows numpy's
 pairwise summation tree one cache-sized subtree at a time, so no (n, dim)
-residual array is held either.
+residual array is held either. Keyed row sums, :func:`cluster_sums` and
+the residual kernel of :mod:`vlac.aggregation`, share one scatter-add,
+:func:`_keyed_sums`, which asks for its rows one cache block at a time.
 
 One helper, :func:`_choice_indices`, takes the steps ``Generator.choice``
 takes with ``p=``, for k-means++ draws and for synthetic cluster picks.
@@ -254,23 +256,46 @@ def nearest_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def cluster_sums(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
     """Per-cluster sums of the rows of ``points``, a (k, dim) array.
 
-    Row ``j`` is bit-equal to ``points[assign == j].sum(axis=0)``: for two
-    or more columns numpy adds those rows in input order, and so does the
-    ``np.add.at`` scatter-add here, one block of rows at a time, with no
-    pass per cluster. A cluster with no rows sums to zero.
+    Row ``j`` is bit-equal to ``points[assign == j].sum(axis=0)``
+    (:func:`_keyed_sums`), with no pass per cluster for two or more
+    columns. A cluster with no rows sums to zero.
     """
-    n, dim = points.shape
+    return _keyed_sums(np.empty((k, points.shape[1])), assign,
+                       lambda start, stop: points[start:stop])
+
+
+def _sum_step(n: int, dim: int) -> int:
+    """Rows per block that :func:`_keyed_sums` asks for out of n rows of
+    dim values: a ``_BLOCK_VALUES`` cache block, or all n rows of a single
+    column, which numpy sums pairwise rather than in input order."""
+    return n if dim == 1 else max(1, _BLOCK_VALUES // dim)
+
+
+def _keyed_sums(out: np.ndarray, keys: np.ndarray, rows) -> np.ndarray:
+    """Fill ``out``, a C-contiguous (K, dim) float64 array, with per-key row
+    sums, and return it.
+
+    ``rows(start, stop)`` gives rows ``start:stop`` of an (n, dim) float64
+    matrix, n being ``keys.size``, in blocks of :func:`_sum_step` rows and
+    in order, so only one block need exist at a time. Row ``j`` of ``out``
+    is bit-equal to ``matrix[keys == j].sum(axis=0)``, zero for a key with
+    no rows: for two or more columns numpy adds those rows in input order,
+    and so does the ``np.add.at`` scatter-add here, block by block.
+    """
+    n, dim = keys.size, out.shape[1]
+    flat = out.reshape(-1)
     if dim == 1:
-        # numpy sums a lone contiguous column pairwise, not in input order
-        col = points[:, 0]
-        return np.array([[col[assign == j].sum()] for j in range(k)])
-    out = np.zeros(k * dim, dtype=np.float64)
+        col = rows(0, n)[:, 0]
+        flat[...] = [col[keys == j].sum() for j in range(flat.size)]
+        return out
+    flat[...] = 0.0
     cols = np.arange(dim)
-    step = max(1, _BLOCK_VALUES // dim)
+    step = _sum_step(n, dim)
     for start in range(0, n, step):
-        index = (assign[start : start + step, None] * dim + cols).ravel()
-        np.add.at(out, index, points[start : start + step].ravel())
-    return out.reshape(k, dim)
+        stop = min(start + step, n)
+        index = (keys[start:stop, None] * dim + cols).ravel()
+        np.add.at(flat, index, rows(start, stop).ravel())
+    return out
 
 
 def kmeans_pp_draws(windows, k: int, seeds) -> list[tuple[np.ndarray, str]]:

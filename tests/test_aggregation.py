@@ -35,7 +35,7 @@ from vlac.aggregation import (
     hp_encode,
     vlac_encode,
     vlad_encode,
-    _frame_vlads,
+    _frame_stage,
     _model_arrays,
     _residual_sums,
     _window_lfcs,
@@ -69,6 +69,14 @@ def cb(*centers):
 def params(**fields):
     """ModelParams for a direct trainer call; the trainer fills in f."""
     return ModelParams(f=0, **fields)
+
+
+def frame_vlads(video, codebook):
+    """The VLAD row of every frame of ``video``, one kernel window per
+    frame, an (F, k * dim) matrix: what encoding sums for hyper-pooling,
+    and the reference for the rows training sums for picked frames only."""
+    return _residual_sums(video.features, codebook.centers,
+                          video.offsets[:-1], video.offsets[1:])
 
 
 class TestVladEncode:
@@ -196,6 +204,78 @@ class TestResidualKernel:
                                    assign_dims=2)
             assert alone.shape == (1, 6 * 4)
             assert np.array_equal(alone[0], row)
+
+    def test_holds_no_residual_matrix(self):
+        # train vlac's stacked-LFC shape: 280 windows of 64 LFCs of dim 64
+        rng = np.random.default_rng(15)
+        points = rng.normal(size=(280 * 64, 64))
+        centers = rng.normal(size=(16, 64))
+        starts = np.arange(0, 280 * 64, 64)
+        tracemalloc.start()
+        try:
+            _residual_sums(points, centers, starts, starts + 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 12.3 MiB with the whole (rows, dim) residual matrix, 3.8 without
+        assert peak < points.nbytes // 2
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_fills_and_returns_out(self, monkeypatch, dim, dtype, block):
+        if block is not None:
+            monkeypatch.setattr(core_math, "_BLOCK_VALUES", block)
+        rng = np.random.default_rng(16)
+        points = (rng.normal(size=(40, dim)) * 100.0).astype(dtype)
+        centers = rng.normal(size=(5, dim))
+        windows = [(0, 40), (5, 23), (23, 23), (2, 39), (9, 9)]
+        want = _residual_sums(points, centers, *zip(*windows))
+        held = rng.normal(size=(len(windows) + 3, 5 * dim)) * 1e300
+        before = held.copy()
+        out = held[2 : 2 + len(windows)]
+        got = _residual_sums(points, centers, *zip(*windows), out=out)
+        assert got is out
+        assert np.array_equal(got, want)
+        # the rows around the view keep their values
+        assert np.array_equal(held[:2], before[:2])
+        assert np.array_equal(held[2 + len(windows):],
+                              before[2 + len(windows):])
+
+    def test_out_must_be_a_contiguous_float64_matrix(self):
+        points, centers = np.ones((4, 3)), np.ones((2, 3))
+        for out in (np.empty((1, 12))[:, ::2], np.empty((1, 6), np.float32),
+                    np.empty((2, 6))):
+            with pytest.raises(ValueError, match="out must be"):
+                _residual_sums(points, centers, [0], [4], out=out)
+
+
+class TestFrameStage:
+    def test_rows_are_the_picked_frames_vlad_rows(self, monkeypatch):
+        # at overlap 1 the 14 windows of 5 start every 4 frames, so frames
+        # 57-59 of 60 are never picked; the 3-frame video has no window
+        rng = np.random.default_rng(17)
+        videos = [make_video(rng, 60, 4), make_video(rng, 3, 4),
+                  make_video(rng, 60, 4, features_per_frame=6)]
+        p = params(gof_size=5, overlap=1)
+        picks = [np.add.outer(split_gofs(v, p), np.arange(5)).ravel()
+                 for v in videos]
+        calls = []
+
+        def counted(points, centers):
+            calls.append(len(points))
+            return nearest_centers(points, centers)
+
+        monkeypatch.setattr(aggregation, "nearest_centers", counted)
+        codebook, rows, inverse = _frame_stage(videos, picks, 8, 3)
+        # one assignment per video with picks, over all its features
+        assert calls == [240, 360]
+        unique = np.arange(57)
+        want = np.concatenate([frame_vlads(v, codebook)[unique]
+                               for v in (videos[0], videos[2])])
+        assert np.array_equal(rows, want)
+        assert np.array_equal(inverse,
+                              np.concatenate([picks[0], picks[2] + 57]))
 
 
 class TestVlacEncode:
@@ -867,7 +947,7 @@ class TestTrainHpReference:
         g, h = p.gof_size, p.h
 
         frame_rows = np.concatenate([
-            _frame_vlads(v, model.codebook)[s : s + g]
+            frame_vlads(v, model.codebook)[s : s + g]
             for v in videos for s in split_gofs(v, p)
         ])
         first = pca_fit(frame_rows.copy(), p.d0)
