@@ -41,13 +41,18 @@ that list after its last use, the frame VLAD rows, so no video is held
 while a basis is fit. Both share one first stage, :func:`_frame_stage`.
 A trainer holds each training matrix once: the videos keep the float32
 features they were loaded with, and the pooled float64 features exist
-only until the codebook is fit; the kernel sums each video's frame VLAD
-rows straight into one preallocated matrix, one row per distinct picked
-frame even where overlapping windows pick a frame twice, with no
-per-video copy and no row for a frame that no window picks; no residual
-sum holds its (rows, dim) residuals, only one cache block of them; and
-every basis fit L2-normalizes (with ``normalize``) and centers the rows
-built for it in place, as :func:`pca_fit` always does.
+only until the codebook is fit; VLAC's window LFC centers live only as
+rows of the one stack the CLFCs are fit on, every window codebook a view
+of its rows, exist twice only during the one concatenation that joins
+the videos' blocks into that stack (:func:`fit_clfcs`), and are dropped
+once the VLAC rows are summed, before the basis is fit; the kernel sums
+each video's frame VLAD rows straight into one preallocated matrix, one
+row per distinct picked frame even where overlapping windows pick a
+frame twice, with no per-video copy and no row for a frame that no
+window picks; no residual sum holds its (rows, dim) residuals, only one
+cache block of them; and every basis fit L2-normalizes (with
+``normalize``) and centers the rows built for it in place, as
+:func:`pca_fit` always does.
 Hyper-pooling fits its first basis on those rows weighted by the number
 of windows that pick each frame, projects them with one plain product,
 drops them, and spreads the projected rows back to every pick.
@@ -480,6 +485,17 @@ def _window_lfcs(video: Video, params: ModelParams) -> list[Codebook]:
             for w, s, d in zip(windows, seeds, draws)]
 
 
+def _stacked(books, dim: int) -> tuple[np.ndarray, list[Codebook]]:
+    """The centers of the codebooks ``books`` stacked in order, a (sum of
+    k, ``dim``) matrix ((0, ``dim``) for no codebooks), and the codebooks
+    with each one's ``centers`` re-pointed at its rows of that matrix."""
+    stack = np.concatenate([cb.centers for cb in books]
+                           or [np.empty((0, dim))])
+    ends = np.cumsum([cb.k for cb in books], dtype=np.int64).tolist()
+    return stack, [replace(cb, centers=stack[end - cb.k : end])
+                   for cb, end in zip(books, ends)]
+
+
 def _l2_normalize(
     x: np.ndarray, *, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -568,11 +584,21 @@ def fit_clfcs(
     window's LFC clustering is seeded with ``seed XOR`` the window's index
     within its video. ``videos`` is gone through once, so each video can
     be dropped as soon as its windows are fit.
+
+    The centers are held once, as rows of the stack: every codebook's
+    ``centers`` is a view of its rows of the returned matrix. As each
+    video is fit its window centers are stacked into one block and its
+    codebooks re-pointed at it (:func:`_stacked`), so the per-window
+    arrays are freed video by video; the blocks are then concatenated into
+    the stack and dropped before the CLFC fit. The centers exist twice only
+    during that one concatenation.
     """
-    lfcs = [cb for video in videos for cb in _window_lfcs(video, params)]
+    lfcs = [cb for video in videos
+            for cb in _stacked(_window_lfcs(video, params), video.dim)[1]]
     if not lfcs:
         raise DataError("train_vlac requires at least one training group")
-    points = np.concatenate([cb.centers for cb in lfcs])
+    # re-pointed at the stack, the codebooks drop the blocks
+    points, lfcs = _stacked(lfcs, lfcs[0].dim)
     return kmeans_fit(points, params.m, params.seed), lfcs, points
 
 
@@ -597,13 +623,15 @@ def train_vlac(videos, params: ModelParams) -> TrainedModel:
     params = params.for_method(METHOD_VLAC)
     clfc, lfcs, points = fit_clfcs(videos, params)
     rows = _vlac_rows(lfcs, points, clfc)
+    lfc_fits = _fit_summary(lfcs)
+    del lfcs, points  # the last use of the LFC stack
     basis = _fit_basis(rows, params.d, params.normalize)
     return TrainedModel(
         method=METHOD_VLAC,
         params=replace(params, f=clfc.dim),
         codebook=clfc,
         basis=basis,
-        lfc_fits=_fit_summary(lfcs),
+        lfc_fits=lfc_fits,
     )
 
 
@@ -696,11 +724,9 @@ def _encode_windows(video: Video, model: TrainedModel) -> np.ndarray:
     """
     p = model.params
     if model.method == METHOD_VLAC:
-        lfcs = _window_lfcs(video, p)
         # a video shorter than one window stacks to (0, dim), which the
         # kernel still checks against the CLFC dimension
-        points = (np.concatenate([cb.centers for cb in lfcs]) if lfcs
-                  else np.empty((0, video.dim)))
+        points, lfcs = _stacked(_window_lfcs(video, p), video.dim)
         return _vlac_rows(lfcs, points, model.codebook)
     starts = split_gofs(video, p)
     if model.method == METHOD_VLAD:

@@ -257,8 +257,8 @@ def cluster_sums(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
     """Per-cluster sums of the rows of ``points``, a (k, dim) array.
 
     Row ``j`` is bit-equal to ``points[assign == j].sum(axis=0)``
-    (:func:`_keyed_sums`), with no pass per cluster for two or more
-    columns. A cluster with no rows sums to zero.
+    (:func:`_keyed_sums`), with no pass over the rows per cluster. A
+    cluster with no rows sums to zero.
     """
     return _keyed_sums(np.empty((k, points.shape[1])), assign,
                        lambda start, stop: points[start:stop])
@@ -280,13 +280,19 @@ def _keyed_sums(out: np.ndarray, keys: np.ndarray, rows) -> np.ndarray:
     in order, so only one block need exist at a time. Row ``j`` of ``out``
     is bit-equal to ``matrix[keys == j].sum(axis=0)``, zero for a key with
     no rows: for two or more columns numpy adds those rows in input order,
-    and so does the ``np.add.at`` scatter-add here, block by block.
+    and so does the ``np.add.at`` scatter-add here, block by block. A
+    single column numpy sums pairwise, so its values are sorted by key
+    once, stably, and each key's run, the same values in the same order,
+    is summed by the same pairwise ``sum``.
     """
     n, dim = keys.size, out.shape[1]
     flat = out.reshape(-1)
     if dim == 1:
-        col = rows(0, n)[:, 0]
-        flat[...] = [col[keys == j].sum() for j in range(flat.size)]
+        order = np.argsort(keys, kind="stable")
+        col = rows(0, n)[order, 0]
+        bounds = np.searchsorted(keys[order],
+                                 np.arange(flat.size + 1)).tolist()
+        flat[...] = [col[a:b].sum() for a, b in zip(bounds, bounds[1:])]
         return out
     flat[...] = 0.0
     cols = np.arange(dim)
@@ -757,6 +763,7 @@ def _gram_solve(centered: np.ndarray, d: int, dof):
     gram = centered @ centered.T
     gram /= dof  # in place: no second n x n array
     eigenvalues, snapshots = _top_eigenpairs(gram, d)
+    del gram  # spent, so the map and its check do not sit beside it
     floor = n * np.finfo(np.float64).eps * eigenvalues[0]
     if eigenvalues[-1] <= 0.0 or eigenvalues[-1] <= floor:
         return None

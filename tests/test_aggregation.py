@@ -820,6 +820,55 @@ class TestTrainVlac:
             shapes.add(raw.shape)
         assert shapes == {(3 * 4,)}
 
+    def test_centers_are_held_once_in_the_stack(self):
+        # 6 videos of 10 windows of 64 features: 60 windows of 32 LFCs of
+        # dim 64, 0.98 MB stacked; a video too short for a window adds none
+        rng = np.random.default_rng(8)
+        videos = [make_video(rng, 40, 64, features_per_frame=16)
+                  for _ in range(6)]
+        videos.insert(3, make_video(rng, 3, 64, features_per_frame=16))
+        p = params(n=32, m=8, seed=4, gof_size=4, overlap=0)
+        tracemalloc.start()
+        try:
+            clfc, lfcs, points = fit_clfcs(iter(videos), p)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert points.shape == (60 * 32, 64)
+        assert all(np.shares_memory(cb.centers, points) for cb in lfcs)
+        assert np.array_equal(np.concatenate([cb.centers for cb in lfcs]),
+                              points)
+        # one copy of the centers: a second, one array per codebook, would
+        # double it (2.0 times points.nbytes)
+        assert held < 1.5 * points.nbytes
+        # the same fit as each video's windows fit alone
+        want = [cb for v in videos for cb in each_window_alone(v, p)]
+        for got, alone in zip(lfcs, want, strict=True):
+            assert_same_fit(got, alone)
+
+    def test_lfc_stack_is_dropped_before_the_basis_fit(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        videos = [make_video(rng, 12, 4, features_per_frame=10)
+                  for _ in range(3)]
+        stacks, alive = [], []
+        fit, pca = aggregation.fit_clfcs, aggregation.pca_fit
+
+        def tracked_fit(*args):
+            clfc, lfcs, points = fit(*args)
+            stacks.append(weakref.ref(points))
+            return clfc, lfcs, points
+
+        def checked_pca(*args, **kwargs):
+            alive.append(stacks[0]() is not None)
+            return pca(*args, **kwargs)
+
+        monkeypatch.setattr(aggregation, "fit_clfcs", tracked_fit)
+        monkeypatch.setattr(aggregation, "pca_fit", checked_pca)
+        model = train_vlac(videos, params(n=4, m=3, d=2, seed=5,
+                                          gof_size=3, overlap=0))
+        assert alive == [False]
+        assert model.lfc_fits["fits"] == 12
+
 
 class TestHyperPooling:
     @staticmethod

@@ -409,6 +409,22 @@ class TestKMeans:
             got = cluster_sums(points, assign, k)
         assert np.array_equal(got, expected)
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 300), keys=st.integers(1, 400),
+           seed=st.integers(0, 2**32 - 1))
+    def test_single_column_keyed_sums_match_masked_sums(self, n, keys, seed):
+        # one column is summed pairwise per key, runs past numpy's 128-value
+        # leaf included; keys with no rows, and more keys than rows, sum to 0
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(n, 1)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+        # keys past a random bound get no rows
+        assign = rng.integers(0, rng.integers(1, keys + 1), size=n)
+        expected = np.stack([matrix[assign == j].sum(axis=0)
+                             for j in range(keys)])
+        got = core_math._keyed_sums(np.empty((keys, 1)), assign,
+                                    lambda start, stop: matrix[start:stop])
+        assert got.tobytes() == expected.tobytes()
+
     def test_reports_convergence_and_refills(self, monkeypatch):
         rng = np.random.default_rng(3)
         points = rng.normal(size=(100, 3))
@@ -825,6 +841,20 @@ class TestPCAOwnership:
         assert basis.retained_variance == kept.retained_variance
         # the caller's matrix now holds the centered rows
         assert rows.tobytes() == (fortran - kept.mean).tobytes()
+
+    def test_gram_path_drops_the_gram_before_the_map(self):
+        rows = np.random.default_rng(10).normal(size=(600, 3000))
+        d = 64
+        tracemalloc.start()
+        try:
+            basis = pca_fit(rows, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert basis.solver == "gram"
+        # the n x n Gram and the (d, dim) map: 4.7 MiB when they coexist,
+        # 3.4 when the Gram is dropped first
+        assert peak < (600 * 600 + d * 3000) * 8
 
     def test_overwrite_converts_other_inputs_first(self):
         rows = np.random.default_rng(9).normal(size=(12, 5)).astype(np.float32)
