@@ -33,7 +33,10 @@ matrix.
 
 Each trainer takes the training videos and one :class:`ModelParams`,
 cuts the windows itself, and the field metadata records which method
-reads which field. ``videos`` may be any iterable, a one-pass iterator
+reads which field. Each builds its own raw rows and ends in the same
+step, :func:`_trained`: the d-dim compaction basis over those rows, and
+``f`` set to the feature dimension of the data, the one place it is set,
+so no caller passes it. ``videos`` may be any iterable, a one-pass iterator
 that reads each video from its file included, and a trainer consumes it
 once: VLAC streams it, fitting each video's window LFCs as the video
 arrives, while VLAD and hyper-pooling make the only list of it and drop
@@ -323,13 +326,12 @@ def _residual_sums(
     ``assign_dims`` restricts the nearest-center search to the leading
     components of points and centers; residuals span all of them, so
     points and centers of different widths raise DimensionMismatch.
-    No (rows, dim) residual matrix is held: each block of
-    ``core_math._BLOCK_VALUES`` values (the whole column when dim is 1) is
-    gathered and widened from ``points`` into one reused float64 buffer
-    (float32 points widen exactly), has its centers subtracted in place,
-    and is added into the output before the next block is formed. ``out``,
-    a C-contiguous (W, k * dim) float64 array, is filled and returned in
-    place of a new matrix.
+    No (rows, dim) residual matrix is held: each block of rows that
+    ``_keyed_sums`` asks for is gathered from ``points`` and widened to
+    float64 (float32 points widen exactly), has its centers subtracted in
+    place, and is added into the output before the next block is formed.
+    ``out``, a C-contiguous (W, k * dim) float64 array, is filled and
+    returned in place of a new matrix.
     """
     k, dim = centers.shape
     if points.shape[1] != dim:  # the slices below may agree regardless
@@ -350,12 +352,10 @@ def _residual_sums(
     first = np.cumsum(lengths) - lengths
     rows = np.arange(owner.size) + np.repeat(starts - first, lengths)
     labels = assign[rows]
-    buffer = np.empty((min(rows.size, core_math._sum_step(rows.size, dim)),
-                       dim))
 
     def residuals(start, stop):
-        block = buffer[: stop - start]
-        block[...] = points[rows[start:stop]]
+        # the gather is already a copy; float64 points are not copied again
+        block = points[rows[start:stop]].astype(np.float64, copy=False)
         block -= centers[labels[start:stop]]
         return block
 
@@ -517,6 +517,19 @@ def _fit_basis(rows: np.ndarray, d: int, normalize: bool) -> ProjectionBasis:
     return pca_fit(rows, d)
 
 
+def _trained(method: str, params: ModelParams, codebook: Codebook,
+             rows: np.ndarray, **stages) -> TrainedModel:
+    """The ``method`` model every trainer ends with: its primary
+    ``codebook``, the d-dim basis fit on ``rows`` (:func:`_fit_basis`,
+    which normalizes and centers them in place), the method's other
+    ``stages``, and ``f`` set to ``codebook.dim``, the one place the data
+    fixes the feature dimension."""
+    return TrainedModel(method=method, params=replace(params, f=codebook.dim),
+                        codebook=codebook,
+                        basis=_fit_basis(rows, params.d, params.normalize),
+                        **stages)
+
+
 def _frame_stage(videos, picks, k: int,
                  seed: int) -> tuple[Codebook, np.ndarray, np.ndarray]:
     """The first stage VLAD and hyper-pooling share: a k-codebook over the
@@ -564,13 +577,7 @@ def train_vlad(videos, params: ModelParams) -> TrainedModel:
     codebook, rows, _ = _frame_stage(
         videos, [np.arange(len(v)) for v in videos], params.j, params.seed)
     del videos  # the last use of the features
-    basis = _fit_basis(rows, params.d, params.normalize)
-    return TrainedModel(
-        method=METHOD_VLAD,
-        params=replace(params, f=codebook.dim),
-        codebook=codebook,
-        basis=basis,
-    )
+    return _trained(METHOD_VLAD, params, codebook, rows)
 
 
 def fit_clfcs(
@@ -625,14 +632,7 @@ def train_vlac(videos, params: ModelParams) -> TrainedModel:
     rows = _vlac_rows(lfcs, points, clfc)
     lfc_fits = _fit_summary(lfcs)
     del lfcs, points  # the last use of the LFC stack
-    basis = _fit_basis(rows, params.d, params.normalize)
-    return TrainedModel(
-        method=METHOD_VLAC,
-        params=replace(params, f=clfc.dim),
-        codebook=clfc,
-        basis=basis,
-        lfc_fits=lfc_fits,
-    )
+    return _trained(METHOD_VLAC, params, clfc, rows, lfc_fits=lfc_fits)
 
 
 def train_hp(videos, params: ModelParams) -> TrainedModel:
@@ -686,15 +686,9 @@ def train_hp(videos, params: ModelParams) -> TrainedModel:
     windows = np.arange(0, projected.shape[0], g)
     rows = _residual_sums(projected, second_codebook.centers, windows,
                           windows + g, assign_dims=h)
-    basis = _fit_basis(rows, params.d, params.normalize)
-    return TrainedModel(
-        method=METHOD_HP,
-        params=replace(params, f=first_codebook.dim),
-        codebook=first_codebook,
-        basis=basis,
-        hp_first_basis=first_basis,
-        hp_second_codebook=second_codebook,
-    )
+    return _trained(METHOD_HP, params, first_codebook, rows,
+                    hp_first_basis=first_basis,
+                    hp_second_codebook=second_codebook)
 
 
 def train(method: str, videos, params: ModelParams) -> TrainedModel:
@@ -703,7 +697,7 @@ def train(method: str, videos, params: ModelParams) -> TrainedModel:
     ``videos`` is consumed once and may be a one-pass iterator; the
     trainer drops it after its last use, so a caller that hands over its
     only reference holds no video while a basis is fit. ``params.f`` is
-    not read: the data fixes the feature dimension.
+    not read: the data fixes the feature dimension (:func:`_trained`).
     """
     if method == METHOD_VLAD:
         return train_vlad(videos, params)

@@ -23,8 +23,10 @@ all-or-nothing: a failed command leaves an existing file unchanged.
 ``synth`` draws, writes and drops one video at a time, a test video
 together with its query segment, and writes each split all-or-nothing.
 A manifest's feature files are read one at a time, when a command reaches
-them. ``train`` hands the videos to the trainer as a one-pass iterator
-(see :mod:`vlac.aggregation` for how long each trainer holds them).
+them, each checked against the manifest's ``feature_dim``. ``train`` hands
+the videos to the trainer as a one-pass iterator (see
+:mod:`vlac.aggregation` for how long each trainer holds them), and the
+trainer, not the CLI, sets the model's feature dimension ``f`` from them.
 ``encode`` reads, perturbs and encodes one video at a time and drops it
 before it reads the next, so its memory does not grow with the manifest.
 ``stability`` trains every method on every clean and every noisy video,
@@ -87,8 +89,7 @@ RESULTS_CSV_COLUMNS = (
 )
 
 # The reference parameterization: the fields whose values differ from the
-# ModelParams defaults. f is not settable: it always comes from the
-# manifest's feature_dim.
+# ModelParams defaults. f is not settable: the trainer takes it from the data.
 DEFAULT_PARAMS = ModelParams(
     f=0, j=128, n=256, m=16, d=256, d0=512, alpha1=128, alpha2=32, h=64,
 )
@@ -105,9 +106,11 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def load_config(args, feature_dim: int) -> ModelParams:
+def load_config(args) -> ModelParams:
     """The run's parameters: defaults, overridden by the --config JSON,
-    overridden by explicit flags. ``f`` is always ``feature_dim``."""
+    overridden by explicit flags. ``f`` stays 0: the trainer sets it from
+    the data. DataError for an unknown key or a settable field below its
+    ``min``."""
     doc = read_json(args.config) if args.config else {}
     if not isinstance(doc, dict):
         raise DataError("config file must hold a JSON object")
@@ -120,8 +123,8 @@ def load_config(args, feature_dim: int) -> ModelParams:
         if getattr(args, field.name) is not None
     }
     # one replace, so ModelParams checks only the set the run uses
-    params = replace(DEFAULT_PARAMS, f=feature_dim, **{**doc, **flags})
-    for field in fields(ModelParams):
+    params = replace(DEFAULT_PARAMS, **{**doc, **flags})
+    for field in _SETTABLE:
         value = getattr(params, field.name)
         minimum = field.metadata.get("min", 1)
         if type(value) is int and value < minimum:
@@ -130,21 +133,17 @@ def load_config(args, feature_dim: int) -> ModelParams:
 
 
 def _manifest_videos(path, *, queries: bool = False):
-    """The feature dimension of a dataset (or, with ``queries``, a query)
-    manifest, its video (or query) ids in manifest order, and its videos in
-    that order as a one-pass iterator: each feature file is read only when
-    the iterator reaches it, and the caller decides how long to hold it."""
+    """The entry ids of a dataset (or, with ``queries``, a query) manifest
+    in manifest order, and its videos in that order as a one-pass iterator:
+    each feature file is read, and checked against the manifest's
+    ``feature_dim``, only when the iterator reaches it, and the caller
+    decides how long to hold it."""
     path = Path(path)
-    if queries:
-        manifest = load_query_manifest(path)
-        entries = [(q.query_id, q.feature_file) for q in manifest.queries]
-    else:
-        manifest = load_manifest(path)
-        entries = [(v.video_id, v.feature_file) for v in manifest.videos]
-    dim = manifest.feature_dim
-    videos = (load_features(path.parent / rel, expected_dim=dim)
-              for _, rel in entries)
-    return dim, [video_id for video_id, _ in entries], videos
+    manifest = (load_query_manifest if queries else load_manifest)(path)
+    videos = (load_features(path.parent / entry.feature_file,
+                            expected_dim=manifest.feature_dim)
+              for entry in manifest.entries)
+    return [entry.id for entry in manifest.entries], videos
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +227,8 @@ def _timed(items, seconds: list[float]):
 
 def cmd_train(args) -> int:
     start = time.perf_counter()
-    dim, _, videos = _manifest_videos(args.manifest)
-    model = train(args.method, videos, load_config(args, dim))
+    _, videos = _manifest_videos(args.manifest)
+    model = train(args.method, videos, load_config(args))
     f32_error = save_model(model, args.out, overwrite=True)
     bases = {
         name: {"solver": basis.solver,
@@ -277,7 +276,7 @@ def _encode_one(video_id, video, model):
 def cmd_encode(args) -> int:
     start = time.perf_counter()
     model = load_model(args.model)
-    _, ids, videos = _manifest_videos(args.manifest, queries=args.queries)
+    ids, videos = _manifest_videos(args.manifest, queries=args.queries)
     if args.perturb:
         videos = perturb_videos(videos, PerturbationSpec(
             kind=args.perturb, magnitude=args.magnitude, seed=args.perturb_seed
@@ -415,8 +414,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    dim, _, videos = _manifest_videos(args.manifest)
-    params = load_config(args, dim)
+    _, videos = _manifest_videos(args.manifest)
+    params = load_config(args)
     # every method trains on every clean and noisy video: hold them all
     videos = list(videos)
     spec = PerturbationSpec(

@@ -264,26 +264,20 @@ def cluster_sums(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
                        lambda start, stop: points[start:stop])
 
 
-def _sum_step(n: int, dim: int) -> int:
-    """Rows per block that :func:`_keyed_sums` asks for out of n rows of
-    dim values: a ``_BLOCK_VALUES`` cache block, or all n rows of a single
-    column, which numpy sums pairwise rather than in input order."""
-    return n if dim == 1 else max(1, _BLOCK_VALUES // dim)
-
-
 def _keyed_sums(out: np.ndarray, keys: np.ndarray, rows) -> np.ndarray:
     """Fill ``out``, a C-contiguous (K, dim) float64 array, with per-key row
     sums, and return it.
 
     ``rows(start, stop)`` gives rows ``start:stop`` of an (n, dim) float64
-    matrix, n being ``keys.size``, in blocks of :func:`_sum_step` rows and
-    in order, so only one block need exist at a time. Row ``j`` of ``out``
-    is bit-equal to ``matrix[keys == j].sum(axis=0)``, zero for a key with
-    no rows: for two or more columns numpy adds those rows in input order,
-    and so does the ``np.add.at`` scatter-add here, block by block. A
-    single column numpy sums pairwise, so its values are sorted by key
-    once, stably, and each key's run, the same values in the same order,
-    is summed by the same pairwise ``sum``.
+    matrix, n being ``keys.size``. It is asked for them in order,
+    ``_BLOCK_VALUES // dim`` rows at a time (at least one), or all n rows
+    at once for a single column, so only one block need exist at a time.
+    Row ``j`` of ``out`` is bit-equal to ``matrix[keys == j].sum(axis=0)``,
+    zero for a key with no rows: for two or more columns numpy adds those
+    rows in input order, and so does the ``np.add.at`` scatter-add here,
+    block by block. A single column numpy sums pairwise, so its values are
+    sorted by key once, stably, and each key's run, the same values in the
+    same order, is summed by the same pairwise ``sum``.
     """
     n, dim = keys.size, out.shape[1]
     flat = out.reshape(-1)
@@ -296,7 +290,7 @@ def _keyed_sums(out: np.ndarray, keys: np.ndarray, rows) -> np.ndarray:
         return out
     flat[...] = 0.0
     cols = np.arange(dim)
-    step = _sum_step(n, dim)
+    step = max(1, _BLOCK_VALUES // dim)
     for start in range(0, n, step):
         stop = min(start + step, n)
         index = (keys[start:stop, None] * dim + cols).ravel()

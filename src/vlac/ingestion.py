@@ -94,9 +94,10 @@ class _Entry:
 
 class _Manifest:
     """The rules both manifest types share: :func:`_check_types`, the
-    entries (the first field) stored as a tuple, each one of the class's
-    ``entry_type``, and no entry id repeated
-    (:func:`fileio.refuse_repeats`); DataError otherwise."""
+    entries (the first field, read by either type as :attr:`entries`)
+    stored as a tuple, each one of the class's ``entry_type``, and no
+    entry id repeated (:func:`fileio.refuse_repeats`); DataError
+    otherwise."""
 
     def __post_init__(self):
         _check_types(self)
@@ -108,6 +109,11 @@ class _Manifest:
                 raise DataError(f"{name} must hold {self.entry_type.__name__}"
                                 f" entries, got {type(entry).__name__}")
         refuse_repeats("manifest", "entry id", (e.id for e in entries))
+
+    @property
+    def entries(self) -> tuple:
+        """The manifest's entries (its first field), in manifest order."""
+        return getattr(self, fields(self)[0].name)
 
 
 @dataclass(frozen=True)
@@ -381,12 +387,14 @@ def perturb(video: Video, spec: PerturbationSpec) -> Video:
         else:
             mask = rng.random(size=feats.shape) < spec.magnitude
             feats = np.where(mask, 0.0, feats)
-    if not np.isfinite(feats).all():
+    try:
+        # the frames and offsets are a valid video's: only a value can fail
+        return Video(feats, video.frame_index, video.offsets)
+    except DataError:
         raise DataError(
             f"{spec.kind} perturbation of magnitude {spec.magnitude} "
             "overflows float64"
-        )
-    return Video(feats, video.frame_index, video.offsets)
+        ) from None
 
 
 def perturb_videos(videos, spec: PerturbationSpec) -> Iterator[Video]:
@@ -498,7 +506,7 @@ def _load(path, cls, check_files: bool):
     except (TypeError, ValueError, DataError) as exc:
         raise DataError(f"{path} is not a valid manifest: {exc}") from exc
     if check_files:
-        for entry in getattr(manifest, fields(cls)[0].name):
+        for entry in manifest.entries:
             if not (path.parent / entry.feature_file).exists():
                 raise DataError(
                     f"{path} references missing feature file {entry.feature_file}"

@@ -766,6 +766,47 @@ class TestStabilityCommand:
             "7b6da02cd3a39e24da11a181daf8c253d38762e05ff3378b9435d4cf06b567b8")
 
 
+class TestPipeline:
+    def test_pinned_outputs_without_normalize(self, dataset, tmp_path):
+        """Every file of train, encode, encode --queries, search and
+        evaluate per method for SYNTH and PARAMS without --normalize, the
+        setting the benchmark runs, by sha256."""
+        params = [p for p in PARAMS if p != "--normalize"]
+        queries = dataset / "queries" / "manifest.json"
+        for m in ("vlad", "vlac", "hp"):
+            model, db, q, res = (tmp_path / f"{m}.{ext}"
+                                 for ext in ("bin", "db", "q", "csv"))
+            assert run("train", "--manifest", dataset / "train" / "manifest.json",
+                       "--method", m, "--out", model, *params) == 0
+            assert run("encode", "--model", model, "--manifest",
+                       dataset / "test" / "manifest.json", "--out", db) == 0
+            assert run("encode", "--model", model, "--queries", "--manifest",
+                       queries, "--out", q, "--perturb", "additive_gaussian",
+                       "--magnitude", "1.0", "--perturb-seed", "5") == 0
+            assert run("search", "--store", db, "--queries", q,
+                       "--out", res) == 0
+            assert run("evaluate", "--results", res, "--queries", queries,
+                       "--out-prefix", tmp_path / f"{m}_eval") == 0
+        expected = {
+            "vlad.bin": "6cee478e19f306e8c569974c87dad822aae96a4a596291b457ef317cf412ada1",
+            "vlad.db": "c348be4a7478e0610e4cfa79f58f1c2da962da22695bcb9d9d455ebdee7c9d21",
+            "vlad.q": "1361f05afcc25b3bbe658e1ce98288fcc4efc00c232ccbe3edc62fdf867dfdf8",
+            "vlad.csv": "3b9990c06350c0fa1e5884170087578c9cc0f539ef8699e324c32999c13b92cc",
+            "vlad_eval_map.csv": "b1fb157e14ca3d2dc57576fd36055df536c04907f505b8a4f9a4ed5374986e18",
+            "vlac.bin": "e811b95ae67ecd14c6c7a092e61caf1053e57695bd69295f98a7986d79225c2f",
+            "vlac.db": "8530943bbf50a0cfce96ef022fe200717bb8d3b048244e8c3daeb828eb6bf8d9",
+            "vlac.q": "f134de1113c3a0abc1ed82659daef8dbdf7ceab4eecc05162d380cca25412cc0",
+            "vlac.csv": "72266913f141fa681cd1d3808b1b9dec23655e9f5be75b3077be90d97ba17ca7",
+            "vlac_eval_map.csv": "4fc8a086937e185deaf5d4d77f2be901282879753f710c7a1c8b64a2cc9d8228",
+            "hp.bin": "e983c2d1676fa0bf3c068ddd7657dfc4ed80b9f04a2da4605ad9469fbfd93b8a",
+            "hp.db": "125cddc422d869d5f7fd395a47edc92c6dfd083e188d7f47a05e36899980807c",
+            "hp.q": "84d43fb9cec28b024c212cb646756495b8252b0e8fa92fcf6441e60382b731f5",
+            "hp.csv": "0ba172fbf0538093ea6f921fd4f5e170e3de1f48e91c7ac19587599bfbdd5974",
+            "hp_eval_map.csv": "190e0901d61b807ea7b15ee08f7fc5ebfd763d946c455b7ef239c381efbfbf54",
+        }
+        assert {name: digest(tmp_path / name) for name in expected} == expected
+
+
 class TestEvents:
     def test_every_command_reports_duration(self, dataset, stores, tmp_path,
                                             capsys):
@@ -1180,7 +1221,7 @@ class TestParamSchema:
             args = build_parser().parse_args(
                 [command, "--manifest", "m.json", "--out", "o", *extra,
                  *as_flags(params)])
-            assert load_config(args, params.f) == params
+            assert load_config(args) == replace(params, f=0)
 
     @settings(max_examples=30, deadline=None)
     @given(valid_params(), st.integers(1, 3), st.integers(1, 3),
