@@ -566,14 +566,16 @@ def train_vlad(videos, params: ModelParams) -> TrainedModel:
     """Fit a VLAD model: a J-codebook over all pooled training features and
     a d-dimensional compaction basis over the per-frame VLAD rows.
 
-    ``gof_size``/``overlap`` only parameterize later encoding; the basis is
-    always fit on per-frame encodings of the training frames. ``videos``
-    is consumed once, into a list that is dropped after the frame VLAD rows.
+    The basis is always fit on per-frame encodings of the training frames,
+    but a training set with no full ``gof_size`` window is refused, as
+    ``train_vlac`` and ``train_hp`` refuse it: none of its videos could be
+    encoded. ``videos`` is consumed once, into a list that is dropped after
+    the frame VLAD rows.
     """
     params = params.for_method(METHOD_VLAD)
     videos = list(videos)
-    if not videos:
-        raise DataError("train_vlad requires at least one training video")
+    if not any(split_gofs(v, params).size for v in videos):
+        raise DataError("train_vlad requires at least one training group")
     codebook, rows, _ = _frame_stage(
         videos, [np.arange(len(v)) for v in videos], params.j, params.seed)
     del videos  # the last use of the features

@@ -2,8 +2,8 @@
 
 Every command is reproducible under a fixed seed and emits structured logs
 (one JSON object per line) on stdout; each command's events carry
-``duration_s``, the seconds the command (for ``stability``, the method,
-after the one perturbation all methods share) took; the ``trained``,
+``duration_s``, the seconds the command (for ``stability``, the method's
+clean and perturbed fits) took; the ``trained``,
 ``encoded`` and ``stability`` events also carry ``peak_rss_mb``, the
 process's resident memory high-water mark so far, and the ``synthesized``
 event splits its time into ``draw_s`` (drawing the videos) and
@@ -29,8 +29,9 @@ the videos to the trainer as a one-pass iterator (see
 trainer, not the CLI, sets the model's feature dimension ``f`` from them.
 ``encode`` reads, perturbs and encodes one video at a time and drops it
 before it reads the next, so its memory does not grow with the manifest.
-``stability`` trains every method on every clean and every noisy video,
-so it holds all of them for the whole command.
+``stability`` holds one video set at a time: it reads every clean video
+into one list, fits every method's clean basis on it and drops it, then
+reads the manifest again and does the same with the perturbed copies.
 """
 
 from __future__ import annotations
@@ -212,16 +213,23 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _timed(items, seconds: list[float]):
-    """The items of ``items``, adding the seconds each took to produce to
-    ``seconds[0]``."""
+def _with_seconds(items):
+    """Each item of ``items``, none of which is None, paired with the
+    seconds it took to produce."""
     items = iter(items)
     while True:
         begin = time.perf_counter()
         item = next(items, None)
-        seconds[0] += time.perf_counter() - begin
         if item is None:
             return
+        yield item, time.perf_counter() - begin
+
+
+def _timed(items, seconds: list[float]):
+    """The items of ``items``, adding the seconds each took to produce to
+    ``seconds[0]``."""
+    for item, took in _with_seconds(items):
+        seconds[0] += took
         yield item
 
 
@@ -416,23 +424,25 @@ def cmd_evaluate(args) -> int:
 def cmd_stability(args) -> int:
     _, videos = _manifest_videos(args.manifest)
     params = load_config(args)
-    # every method trains on every clean and noisy video: hold them all
-    videos = list(videos)
     spec = PerturbationSpec(
         kind=args.kind, magnitude=args.magnitude, seed=args.perturb_seed
     )
-    noisy_videos = list(perturb_videos(videos, spec))
     methods = list(STABILITY_METHODS) if args.method == "all" else [args.method]
+    # one video set at a time: every clean basis, then, from a second read
+    # of the manifest, every perturbed one
+    clean_fits = list(_with_seconds(stability_bases(videos, methods, params)))
+    _, videos = _manifest_videos(args.manifest)
+    noisy_fits = _with_seconds(
+        stability_bases(perturb_videos(videos, spec), methods, params))
     rows = []
-    for method in methods:
-        start = time.perf_counter()
-        clean, noisy = stability_bases(videos, noisy_videos, method, params)
+    for method, (clean, clean_s), (noisy, noisy_s) in zip(
+            methods, clean_fits, noisy_fits):
         raw = basis_alignment_score(clean, noisy)
         aligned = sign_aligned_alignment_score(clean, noisy)
         rows.append((method, params.d, raw, aligned))
         _log("stability", method=method, d=params.d, score_raw=raw,
              score_sign_aligned=aligned, peak_rss_mb=_peak_rss_mb(),
-             duration_s=time.perf_counter() - start)
+             duration_s=clean_s + noisy_s)
     write_csv(args.out, ("method", "D", "score_raw", "score_sign_aligned"),
               rows)
     return 0

@@ -1,10 +1,12 @@
 """Precision-recall curves, (mean) average precision, and the
 clean-vs-perturbed eigenbasis stability experiment.
 
-The stability experiment trains one method's full pipeline twice, on clean
-and on perturbed copies of the same videos with identical seeds
-(:func:`stability_bases`); how well the two final compaction bases align
-is scored by ``basis_alignment_score`` and
+The stability experiment trains each method's full pipeline twice with
+identical seeds, on clean videos and on perturbed copies of the same
+videos: :func:`stability_bases` fits every method's final compaction basis
+on one set of videos, and ``vlac stability`` calls it once per set, so
+only one set is held at a time. How well a method's two bases align is
+scored by ``basis_alignment_score`` and
 :func:`sign_aligned_alignment_score`. Zero perturbation therefore scores
 the self-alignment value d exactly (up to float noise).
 
@@ -17,6 +19,7 @@ the CLI writes.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from html import escape
@@ -181,24 +184,22 @@ def _train_basis(videos, method: str, params: ModelParams) -> ProjectionBasis:
     return train(method, videos, params).basis
 
 
-def stability_bases(
-    videos,
-    noisy,
-    method: str,
-    params: ModelParams,
-) -> tuple[ProjectionBasis, ProjectionBasis]:
-    """Final compaction bases of the clean and the perturbed pipeline.
+def stability_bases(videos, methods,
+                    params: ModelParams) -> Iterator[ProjectionBasis]:
+    """The final compaction basis of each method in ``methods``, in order,
+    every one trained on the same videos.
 
-    ``noisy`` is ``videos`` after ``ingestion.perturb_videos``, made once and
-    shared by every method. ``method`` is one of vlad/vlac/hp/sift; sift
-    fits PCA directly on the raw feature vectors. Deterministic under the
-    seeds in ``params``; with zero-magnitude noise both bases are equal, so
+    ``videos`` is consumed here, once, into the one list every method
+    trains on. Each basis is fit when the returned iterator reaches it,
+    and the list is dropped once the iterator is exhausted or dropped. A
+    method is one of vlad/vlac/hp/sift; sift fits PCA directly on the raw
+    feature vectors. Deterministic under the seeds in ``params``, so a
+    method's bases for clean videos and for their zero-magnitude
+    ``ingestion.perturb_videos`` copies are equal, and
     ``basis_alignment_score`` of the pair is d.
     """
-    return (
-        _train_basis(videos, method, params),
-        _train_basis(noisy, method, params),
-    )
+    videos = list(videos)
+    return (_train_basis(videos, method, params) for method in methods)
 
 
 # ---------------------------------------------------------------------------

@@ -93,14 +93,17 @@ class _Entry:
 
 
 class _Manifest:
-    """The rules both manifest types share: :func:`_check_types`, the
-    entries (the first field, read by either type as :attr:`entries`)
-    stored as a tuple, each one of the class's ``entry_type``, and no
-    entry id repeated (:func:`fileio.refuse_repeats`); DataError
-    otherwise."""
+    """The rules both manifest types share: :func:`_check_types`, a
+    ``feature_dim`` of at least 1, the entries (the first field, read by
+    either type as :attr:`entries`) stored as a tuple, each one of the
+    class's ``entry_type``, and no entry id repeated
+    (:func:`fileio.refuse_repeats`); DataError otherwise."""
 
     def __post_init__(self):
         _check_types(self)
+        if self.feature_dim < 1:
+            raise DataError(
+                f"feature_dim must be >= 1, got {self.feature_dim}")
         name = fields(self)[0].name
         entries = tuple(getattr(self, name))
         object.__setattr__(self, name, entries)

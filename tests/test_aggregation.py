@@ -422,7 +422,7 @@ class TestTrainVlad:
     def test_identical_frames_degenerate_spectrum(self):
         feats = np.array([[1.0, 2.0], [3.0, 4.0], [-1.0, 0.5]])
         video = Video.from_frames([feats] * 4)
-        model = train_vlad([video], params(j=2, d=2, seed=1))
+        model = train_vlad([video], params(j=2, d=2, seed=1, gof_size=4))
         np.testing.assert_allclose(model.basis.eigenvalues, 0.0, atol=1e-9)
 
 
@@ -1074,7 +1074,7 @@ class TestEncodeVideo:
     def test_short_video_yields_nothing(self):
         rng = np.random.default_rng(14)
         video = make_video(rng, 3, 2)
-        model = self.model_for(video, gof_size=5, overlap=1)
+        model = self.model_for(make_video(rng, 5, 2), gof_size=5, overlap=1)
         assert encode_video(video, model).shape == (0, 2)
 
     def test_empty_video(self):
@@ -1290,7 +1290,7 @@ class TestModelPersistence:
     def test_overwrite_guard(self, tmp_path):
         rng = np.random.default_rng(21)
         video = make_video(rng, 4, 2)
-        model = train_vlad([video], params(j=2, d=1))
+        model = train_vlad([video], params(j=2, d=1, gof_size=4))
         path = tmp_path / "m.bin"
         save_model(model, path)
         with pytest.raises(FileExistsError):

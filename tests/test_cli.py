@@ -4,6 +4,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from vlac import (
     load_model,
     save_model,
 )
-from vlac import cli, core_math, ingestion
+from vlac import cli, core_math, evaluation, ingestion
 from vlac.aggregation import encode_video
 from vlac.cli import RESULTS_CSV_COLUMNS, build_parser, load_config, main
 from vlac.ingestion import load_features, write_features
@@ -319,6 +320,20 @@ class TestTrain:
                    "--method", "vlad", "--out", tmp_path / "m.bin",
                    "--j", "100000", "--d", "4")
         assert code == 2
+
+    # vlad used to train on 40-frame videos with 41-frame windows and exit 0,
+    # and encode then refused every video
+    def test_no_full_window_exit_2(self, dataset, tmp_path, capsys):
+        for method in ("vlad", "vlac", "hp"):
+            capsys.readouterr()
+            assert run("train", "--manifest",
+                       dataset / "train" / "manifest.json", "--method",
+                       method, "--out", tmp_path / "m.bin", *PARAMS,
+                       "--gof-size", "41") == 2, method
+            event = json.loads(capsys.readouterr().out.splitlines()[-1])
+            assert event["message"] == (
+                f"train_{method} requires at least one training group")
+            assert not (tmp_path / "m.bin").exists()
 
     def test_config_file_with_flag_override(self, dataset, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -764,6 +779,33 @@ class TestStabilityCommand:
                    "--magnitude", "0.5", "--out", out, *PARAMS) == 0
         assert digest(out) == (
             "7b6da02cd3a39e24da11a181daf8c253d38762e05ff3378b9435d4cf06b567b8")
+
+    def test_clean_videos_gone_before_perturbed_training(self, dataset,
+                                                         tmp_path,
+                                                         monkeypatch):
+        """Only one video set is held: when the first basis is fit on
+        perturbed videos, no clean video is alive."""
+        manifest = dataset / "train" / "manifest.json"
+        count = len(json.loads(manifest.read_text())["videos"])
+        clean, alive = [], []
+
+        def load(*args, **kwargs):
+            video = load_features(*args, **kwargs)
+            if len(clean) < count:  # the first read is the clean set
+                clean.append(weakref.ref(video))
+            return video
+
+        def train(method, videos, params):
+            if not alive and not any(ref() is videos[0] for ref in clean):
+                alive.append(sum(ref() is not None for ref in clean))
+            return real_train(method, videos, params)
+
+        real_train = evaluation.train
+        monkeypatch.setattr(cli, "load_features", load)
+        monkeypatch.setattr(evaluation, "train", train)
+        assert run("stability", "--manifest", manifest, "--magnitude", "0.5",
+                   "--out", tmp_path / "stab.csv", *PARAMS) == 0
+        assert len(clean) == count and alive == [0]
 
 
 class TestPipeline:

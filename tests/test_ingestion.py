@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -660,6 +661,27 @@ class TestManifests:
             write_dataset(tmp_path / "d", ["a", "b"], videos,
                           fps_sampled=1.0, notes="")
         assert list(tmp_path.iterdir()) == []
+
+    # two (3, 0)-feature videos used to be written under a manifest saying
+    # feature_dim 0, which load_manifest and load_features then read back
+    def test_zero_dim_features_write_nothing(self, tmp_path):
+        videos = [Video(np.empty((3, 0)), np.arange(3), np.arange(4))
+                  for _ in range(2)]
+        with pytest.raises(DataError, match="feature_dim must be >= 1, got 0"):
+            write_dataset(tmp_path / "d", ["a", "b"], videos,
+                          fps_sampled=1.0, notes="")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("entries,load", [
+        ("videos", load_manifest), ("queries", load_query_manifest)])
+    def test_loader_refuses_zero_dim(self, tmp_path, entries, load):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({entries: [], "feature_dim": 0,
+                                    "notes": ""}))
+        with pytest.raises(DataError, match=re.escape(
+                f"{path} is not a valid manifest: feature_dim must be >= 1, "
+                "got 0")):
+            load(path)
 
     # a video beyond float32's range used to fail only after the videos
     # before it were written, leaving a.vfeat with no manifest
